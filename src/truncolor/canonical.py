@@ -49,6 +49,11 @@ def _check_n(n: int) -> None:
         raise GraphError(f"canonical scheme needs order >= 2, got {n}")
 
 
+def _is_name(n: int, a: int) -> bool:
+    # Same range as scheme_vertex_names(n), without building it.
+    return n % 2 <= a <= n - 1 + n % 2
+
+
 def scheme_vertex_names(n: int) -> Tuple[int, ...]:
     """Names of the scheme's vertices: hub 0 plus residues, or residues alone."""
     _check_n(n)
@@ -107,8 +112,7 @@ def class_by_anchor(n: int, edge: Tuple[int, int]) -> int:
     if mod < 3:
         raise GraphError(f"order {n} scheme has no anchor edges")
     a, b = edge
-    names = set(scheme_vertex_names(n))
-    if a not in names or b not in names or 0 in (a, b):
+    if not (_is_name(n, a) and _is_name(n, b)) or 0 in (a, b):
         raise GraphError(f"{edge} is not a cycle edge of the order-{n} scheme")
     if _norm(a + 1, mod) == b:
         lo = a
@@ -125,8 +129,7 @@ def class_of_pair(n: int, pair: Tuple[int, int]) -> int:
     _check_n(n)
     mod = _cycle_len(n)
     a, b = pair
-    names = set(scheme_vertex_names(n))
-    if a not in names or b not in names or a == b:
+    if not (_is_name(n, a) and _is_name(n, b)) or a == b:
         raise GraphError(f"{pair} is not an edge of the order-{n} scheme")
     if a == 0 or b == 0:
         # Hub edge [0, 1+t].

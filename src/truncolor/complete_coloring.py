@@ -5,9 +5,10 @@ cluster's complete constituent is colored canonically inside {1..D-1}.
 For odd D the matching must carry an edge-feasible coloring of the
 source (all colors distinct at D-valent vertices); constituents are
 then colored according to their order: D via the missing-color
-alignment, at most D-2 via list coloring away from the pendant colors,
-and exactly D-1 via canonical classes plus an alternating repair of the
-conflict paths.  When no edge-feasible coloring exists the complete
+alignment, and D-1 via canonical classes plus an alternating repair of
+the conflict paths.  A constituent of order at most D-2 is padded to
+D-1 positions with dummy pendants, colored as order D-1, and restricted
+to its real positions.  When no edge-feasible coloring exists the complete
 truncation provably needs D+1 colors, and a witness of the exhausted
 search is returned instead.
 """
@@ -18,14 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .canonical import class_of_pair, scheme_class, scheme_class_count
-from .coloring import (
-    CLASS_I,
-    EdgeColoring,
-    classify,
-    is_proper,
-    list_edge_coloring,
-    solve_edge_coloring,
-)
+from .coloring import CLASS_I, EdgeColoring, classify, solve_edge_coloring
 from .errors import GraphError
 from .multigraph import Multigraph
 from .truncation import Truncation, complete_truncation
@@ -275,73 +269,47 @@ def color_complete_truncation(
     (then no such coloring of the truncation exists either).
     """
     tr = complete_truncation(x)
-    flat = tr.graph
     delta = x.max_valency()
-    assignment: Dict[int, int] = {}
     if delta % 2 == 0:
-        for eid in tr.matching:
-            assignment[eid] = 0
-        for v in x.vertices:
-            size = x.valency(v)
-            shift = 0 if size % 2 == 0 else 1
-            for eid in tr.constituent_edge_ids(v):
-                p, q = flat.endpoints(eid)
-                pa = tr.clusters[v].index(p) + shift
-                pb = tr.clusters[v].index(q) + shift
-                assignment[eid] = 1 + class_of_pair(size, (pa, pb))
-    else:
-        feas, nodes = _feasible_search(x, budget)
-        if feas is None:
-            return ClassIIWitness(
-                delta=delta,
-                nodes=nodes,
-                reason=(
-                    "exhaustive search found no coloring with all colors distinct "
-                    f"at valency-{delta} vertices; the complete truncation needs "
-                    f"{delta + 1} colors"
-                ),
-            )
-        for eid in tr.matching:
-            assignment[eid] = feas[eid]
-        for v in x.vertices:
-            size = x.valency(v)
-            ends = tr.clusters[v]
-            pend = [feas[end // 2] for end in ends]
-            if size == delta:
-                # All pendant colors distinct: align each end with the
-                # scheme vertex missing exactly its pendant color.
-                for eid in tr.constituent_edge_ids(v):
-                    p, q = flat.endpoints(eid)
-                    na = pend[ends.index(p)] + 1
-                    nb = pend[ends.index(q)] + 1
-                    assignment[eid] = class_of_pair(size, (na, nb))
-            elif size == delta - 1:
-                by_pos = color_delta_minus_one(pend, delta)
-                for eid in tr.constituent_edge_ids(v):
-                    p, q = flat.endpoints(eid)
-                    key = tuple(sorted((ends.index(p), ends.index(q))))
-                    assignment[eid] = by_pos[key]
-            else:
-                ids = tr.constituent_edge_ids(v)
-                if not ids:
-                    continue
-                sub = flat.edge_subgraph(ids)
-                lists = {}
-                for eid in ids:
-                    p, q = flat.endpoints(eid)
-                    banned = {pend[ends.index(p)], pend[ends.index(q)]}
-                    lists[eid] = [c for c in range(delta) if c not in banned]
-                colored = list_edge_coloring(sub, lists)
-                if colored is None:
-                    raise AssertionError(
-                        f"list coloring failed on an order-{size} constituent"
-                    )
-                for eid in ids:
-                    assignment[eid] = colored.color_of(eid)
-    out = EdgeColoring(assignment, delta)
-    if not is_proper(flat, out):
-        raise AssertionError("complete truncation coloring is not proper")
-    return tr, out
+        # Even D: the matching takes color 0 and each cluster gets the
+        # canonical classes shifted into 1..D-1.
+        def pair_color(v: int) -> Dict[Tuple[int, int], int]:
+            size = len(tr.clusters[v])
+            shift = size % 2
+            return {
+                (i, j): 1 + class_of_pair(size, (i + shift, j + shift))
+                for i, j in tr.constituents[v]
+            }
+
+        return tr, tr.color(dict.fromkeys(tr.matching, 0), pair_color, delta)
+
+    feas, nodes = _feasible_search(x, budget)
+    if feas is None:
+        return ClassIIWitness(
+            delta=delta,
+            nodes=nodes,
+            reason=(
+                "exhaustive search found no coloring with all colors distinct "
+                f"at valency-{delta} vertices; the complete truncation needs "
+                f"{delta + 1} colors"
+            ),
+        )
+
+    def pair_color(v: int) -> Dict[Tuple[int, int], int]:
+        pend = [feas[end // 2] for end in tr.clusters[v]]
+        size = len(pend)
+        if size == delta:
+            # All pendant colors distinct: align each end with the
+            # scheme vertex missing exactly its pendant color.
+            return {
+                (i, j): class_of_pair(size, (pend[i] + 1, pend[j] + 1))
+                for i, j in tr.constituents[v]
+            }
+        # Pad smaller clusters to D-1 positions with dummy pendant
+        # color 0; restricting to the real positions stays proper.
+        return color_delta_minus_one(pend + [0] * (delta - 1 - size), delta)
+
+    return tr, tr.color(feas, pair_color, delta)
 
 
 def subtruncation_coloring(
@@ -371,22 +339,13 @@ def subtruncation_coloring(
     full = color_complete_truncation(x, budget=budget)
     if isinstance(full, ClassIIWitness):
         raise AssertionError("class I source yielded no complete-truncation coloring")
-    _, coloring = full
-    comp = complete_truncation(x)
-    by_ends: Dict[Tuple[int, int], int] = {}
-    for v in x.vertices:
-        for eid in comp.constituent_edge_ids(v):
-            by_ends[comp.graph.endpoints(eid)] = coloring.color_of(eid)
-    assignment: Dict[int, int] = {}
-    for eid in tr.graph.edge_ids:
-        if tr.edge_kind(eid) == "matching":
-            assignment[eid] = coloring.color_of(eid)
-        else:
-            assignment[eid] = by_ends[tr.graph.endpoints(eid)]
-    out = EdgeColoring(assignment, delta)
-    if not is_proper(tr.graph, out):
-        raise AssertionError("restricted coloring is not proper")
-    return out
+    comp, coloring = full
+
+    def pair_color(v: int) -> Dict[Tuple[int, int], int]:
+        ids = comp.constituent_edge_ids(v)
+        return {pair: coloring.color_of(eid) for pair, eid in zip(comp.constituents[v], ids)}
+
+    return tr.color(coloring.assignment, pair_color, delta)
 
 
 def regular_odd_equivalence(

@@ -150,27 +150,21 @@ def cyclic_even_valency(
                 f"vertex {v} has valency {val}; this construction needs even valencies >= 4"
             )
     tr = cyclic_truncation(x, cycle_orders)
-    assignment: Dict[int, int] = {eid: 0 for eid in tr.matching}
-    for v in x.vertices:
+
+    def pair_color(v: int) -> Dict[Tuple[int, int], int]:
         size = x.valency(v)
         order = (
             list(cycle_orders[v])
             if cycle_orders and v in cycle_orders
             else list(range(size))
         )
-        pair_color: Dict[Tuple[int, int], int] = {}
+        colors: Dict[Tuple[int, int], int] = {}
         for i in range(size):
             a, b = order[i], order[(i + 1) % size]
-            pair_color[(min(a, b), max(a, b))] = 1 if i % 2 == 0 else 2
-        ends = tr.clusters[v]
-        for eid in tr.constituent_edge_ids(v):
-            p, q = tr.graph.endpoints(eid)
-            key = tuple(sorted((ends.index(p), ends.index(q))))
-            assignment[eid] = pair_color[key]
-    out = EdgeColoring(assignment, 3)
-    if not is_proper(tr.graph, out):
-        raise AssertionError("even-valency cyclic coloring is not proper")
-    return tr, out
+            colors[(min(a, b), max(a, b))] = 1 if i % 2 == 0 else 2
+        return colors
+
+    return tr, tr.color(dict.fromkeys(tr.matching, 0), pair_color, 3)
 
 
 def cyclic_from_class_one(

@@ -67,6 +67,11 @@ def _require(cond: bool, origin: str, msg: str) -> None:
         raise GraphError(f"{origin}: {msg}")
 
 
+def _is_int(x: object) -> bool:
+    # JSON true/false load as bool, which Python counts as int.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_obj(obj: object, origin: str = "<graph>") -> Multigraph:
     _require(isinstance(obj, dict), origin, "graph must be a JSON object")
     _require("vertices" in obj, origin, 'missing "vertices"')
@@ -74,16 +79,17 @@ def graph_from_obj(obj: object, origin: str = "<graph>") -> Multigraph:
     vertices = obj["vertices"]
     edges = obj["edges"]
     _require(
-        isinstance(vertices, list) and all(isinstance(v, int) for v in vertices),
+        isinstance(vertices, list) and all(_is_int(v) for v in vertices),
         origin,
         '"vertices" must be a list of integers',
     )
+    _require(len(set(vertices)) == len(vertices), origin, '"vertices" repeats a vertex id')
     _require(isinstance(edges, list), origin, '"edges" must be a list')
     pairs: List[Tuple[int, int]] = []
     vset = set(vertices)
     for i, e in enumerate(edges):
         _require(
-            isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e),
+            isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e),
             origin,
             f"edges[{i}] must be a pair of integers",
         )
@@ -118,9 +124,9 @@ def coloring_from_obj(obj: object, origin: str = "<coloring>") -> EdgeColoring:
     _require("colors" in obj, origin, 'missing "colors"')
     palette = obj["palette"]
     colors = obj["colors"]
-    _require(isinstance(palette, int) and palette >= 0, origin, '"palette" must be a nonnegative integer')
+    _require(_is_int(palette) and palette >= 0, origin, '"palette" must be a nonnegative integer')
     _require(
-        isinstance(colors, list) and all(isinstance(c, int) for c in colors),
+        isinstance(colors, list) and all(_is_int(c) for c in colors),
         origin,
         '"colors" must be a list of integers',
     )
@@ -160,7 +166,7 @@ def truncation_from_obj(obj: object, origin: str = "<truncation>") -> Truncation
         cleaned: List[Tuple[int, int]] = []
         for i, pair in enumerate(pairs):
             _require(
-                isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, int) for x in pair),
+                isinstance(pair, list) and len(pair) == 2 and all(_is_int(x) for x in pair),
                 origin,
                 f"constituents[{key}][{i}] must be a pair of integers",
             )

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .coloring import EdgeColoring, is_proper, solve_edge_coloring
+from .coloring import EdgeColoring, solve_edge_coloring
 from .errors import GraphError
 from .multigraph import Multigraph
-from .truncation import Truncation, arboreal_truncation
+from .truncation import Truncation, _is_forest, arboreal_truncation
 
 __all__ = ["NotApplicable", "color_by_strong", "arboreal_is_class_one"]
 
@@ -28,23 +28,6 @@ class NotApplicable:
     vertex: int
     delta: int
     reason: str
-
-
-def _is_forest(positions: Sequence[int], pairs: Sequence[Tuple[int, int]]) -> bool:
-    parent = {p: p for p in positions}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
 
 
 def _greedy_forest_colors(
@@ -90,16 +73,15 @@ def color_by_strong(
     """
     flat = tr.graph
     delta = flat.max_valency()
-    assignment: Dict[int, int] = {eid: 0 for eid in tr.matching}
+    cluster_colors: Dict[int, Dict[Tuple[int, int], int]] = {}
     for v in sorted(tr.source.vertices):
         pairs = tr.constituents[v]
         if not pairs:
             continue
         cluster = tr.clusters[v]
-        positions = range(len(cluster))
         critical = any(flat.valency(end) == delta for end in cluster)
-        if _is_forest(positions, pairs):
-            pair_color = _greedy_forest_colors(positions, pairs)
+        if _is_forest(len(cluster), pairs):
+            pair_color = _greedy_forest_colors(range(len(cluster)), pairs)
         else:
             ids = tr.constituent_edge_ids(v)
             sub = flat.edge_subgraph(ids)
@@ -115,19 +97,9 @@ def color_by_strong(
                     f"constituent at {v} has max valency <= {delta - 2} "
                     f"yet refused {delta - 1} colors"
                 )
-            pair_color = {}
-            for eid in ids:
-                a, b = flat.endpoints(eid)
-                pa, pb = tr.position_of_end(a), tr.position_of_end(b)
-                pair_color[tuple(sorted((pa, pb)))] = solved[eid]
-        for eid in tr.constituent_edge_ids(v):
-            a, b = flat.endpoints(eid)
-            pa, pb = tr.position_of_end(a), tr.position_of_end(b)
-            assignment[eid] = pair_color[tuple(sorted((pa, pb)))] + 1
-    out = EdgeColoring(assignment, max(delta, 1))
-    if not is_proper(flat, out):
-        raise AssertionError("strong-constituent coloring is not proper")
-    return out
+            pair_color = {pair: solved[eid] for pair, eid in zip(pairs, ids)}
+        cluster_colors[v] = {pair: c + 1 for pair, c in pair_color.items()}
+    return tr.color(dict.fromkeys(tr.matching, 0), cluster_colors.__getitem__, max(delta, 1))
 
 
 def arboreal_is_class_one(

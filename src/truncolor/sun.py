@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .canonical import class_of_pair, scheme_class
+from .canonical import _norm, class_of_pair, scheme_class
 from .coloring import EdgeColoring, is_proper, list_edge_coloring
 from .errors import GraphError
 from .multigraph import Multigraph
-from .truncation import Truncation, assemble, contract
+from .truncation import Truncation, assemble, excise
 
 __all__ = [
     "SunColoring",
@@ -134,11 +134,6 @@ def pendant_layout(vector: Sequence[int]) -> Tuple[int, ...]:
     for i, x in enumerate(vector):
         out.extend([i] * x)
     return tuple(out)
-
-
-def _norm(i: int, mod: int) -> int:
-    r = i % mod
-    return r if r != 0 else mod
 
 
 def _add_edge(store: Dict[Tuple[int, int], int], pair: Tuple[int, int], color: int) -> None:
@@ -559,47 +554,30 @@ def _vector_at(x: Multigraph, coloring: EdgeColoring, v: int) -> Tuple[int, ...]
 
 
 def _cluster_positions_by_color(
-    tr: Truncation, coloring: EdgeColoring, v: int
+    ends: Sequence[int], coloring: EdgeColoring
 ) -> List[int]:
     """Cluster positions reordered to ascending (color, source edge id),
     i.e. the order in which the block layout expects to meet them."""
-    ends = tr.clusters[v]
-    order = sorted(range(len(ends)), key=lambda p: (coloring.assignment[ends[p] // 2], ends[p]))
-    return order
+    return sorted(range(len(ends)), key=lambda p: (coloring.assignment[ends[p] // 2], ends[p]))
 
 
 def _suns_to_truncation(
     x: Multigraph, coloring: EdgeColoring, suns: Mapping[int, SunColoring]
 ) -> Tuple[Truncation, EdgeColoring]:
     """Glue per-vertex suns over a matching coloring of the source."""
-    shell = assemble(x, {})  # for cluster bookkeeping only
-    cons: Dict[int, List[Tuple[int, int]]] = {}
+    _, clusters = excise(x)
+    colors: Dict[int, Dict[Tuple[int, int], int]] = {}
     for v in x.vertices:
-        order = _cluster_positions_by_color(shell, coloring, v)
+        order = _cluster_positions_by_color(clusters[v], coloring)
         sun = suns[v]
-        cons[v] = [(order[a], order[b]) for a, b in sun.constituent_edges]
-    tr = assemble(x, cons)
-    assignment: Dict[int, int] = {}
-    for eid in tr.matching:
-        assignment[eid] = coloring.assignment[eid]
-    palette = coloring.palette_size
-    for v in x.vertices:
-        order = _cluster_positions_by_color(shell, coloring, v)
-        sun = suns[v]
-        palette = max(palette, sun.palette_size)
-        lookup = {
+        colors[v] = {
             tuple(sorted((order[a], order[b]))): c
             for (a, b), c in zip(sun.constituent_edges, sun.constituent_colors)
         }
-        for eid in tr.constituent_edge_ids(v):
-            a, b = tr.graph.endpoints(eid)
-            pa = tr.clusters[v].index(a)
-            pb = tr.clusters[v].index(b)
-            assignment[eid] = lookup[tuple(sorted((pa, pb)))]
-    full = EdgeColoring(assignment, palette)
-    if not is_proper(tr.graph, full):
-        raise AssertionError("assembled truncation coloring is not proper")
-    return tr, full
+    # Each cluster's color map is keyed by its constituent edges.
+    tr = assemble(x, colors)
+    palette = max([coloring.palette_size] + [suns[v].palette_size for v in x.vertices])
+    return tr, tr.color(coloring.assignment, colors.__getitem__, palette)
 
 
 def semiregular_truncation(

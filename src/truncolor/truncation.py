@@ -13,9 +13,9 @@ edges are given as pairs of these 0-based cluster positions.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .coloring import EdgeColoring
+from .coloring import EdgeColoring, is_proper
 from .errors import GraphError
 from .multigraph import Multigraph
 
@@ -143,15 +143,31 @@ class Truncation:
         except KeyError:
             raise GraphError(f"no vertex {v} in source graph") from None
 
-    def vertex_of_end(self, end: int) -> int:
-        eid, side = divmod(end, 2)
-        if eid not in self.matching:
-            raise GraphError(f"no end vertex {end} in truncation")
-        return self.source.endpoints(eid)[side]
+    def color(
+        self,
+        matching_colors: Mapping[int, int],
+        pair_color: Callable[[int], Mapping[PositionPair, int]],
+        palette: int,
+    ) -> EdgeColoring:
+        """Glue per-cluster colorings onto colored matching edges.
 
-    def position_of_end(self, end: int) -> int:
-        v = self.vertex_of_end(end)
-        return self.clusters[v].index(end)
+        matching_colors maps each source edge id to the color of its
+        matching edge.  pair_color(v) maps each constituent edge of v,
+        as a position pair (i, j) with i < j, to its color; it is called
+        once per cluster with a nonempty constituent, one cluster at a
+        time.  Raises AssertionError if the result is not proper.
+        """
+        assignment = {eid: matching_colors[eid] for eid in self.matching}
+        for v, pairs in self.constituents.items():
+            if not pairs:
+                continue
+            colors = pair_color(v)
+            for pair, eid in zip(pairs, self.constituent_edge_ids(v)):
+                assignment[eid] = colors[pair]
+        out = EdgeColoring(assignment, palette)
+        if not is_proper(self.graph, out):
+            raise AssertionError("truncation coloring is not proper")
+        return out
 
     def sun(self, v: int) -> Multigraph:
         """Constituent of v plus its pendant matching edges.
@@ -215,6 +231,24 @@ def cyclic_truncation(
     return Truncation(g, cons)
 
 
+def _is_forest(size: int, pairs: Iterable[PositionPair]) -> bool:
+    """Whether the pairs, over positions 0..size-1, close no cycle."""
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            return False
+        parent[ri] = rj
+    return True
+
+
 def arboreal_truncation(
     g: Multigraph, forests: Optional[Mapping[int, Iterable[PositionPair]]] = None
 ) -> Truncation:
@@ -231,23 +265,13 @@ def arboreal_truncation(
             pairs = [tuple(p) for p in forests[v]]
         else:
             pairs = [(i, i + 1) for i in range(size - 1)]
-        parent = list(range(size))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for i, j in pairs:
             if not (0 <= i < size and 0 <= j < size):
                 raise GraphError(
                     f"forest at vertex {v} uses position outside 0..{size - 1}"
                 )
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                raise GraphError(f"constituent at vertex {v} contains a cycle; not a forest")
-            parent[ri] = rj
+        if not _is_forest(size, pairs):
+            raise GraphError(f"constituent at vertex {v} contains a cycle; not a forest")
         cons[v] = [(min(i, j), max(i, j)) for i, j in pairs]
     return Truncation(g, cons)
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import truncolor
 from truncolor.catalog import k4, k5, petersen, q3, two_k5_bridge
 from truncolor.cli import main
 from truncolor.io import graph_from_obj, graph_to_obj, truncation_from_obj
@@ -281,10 +284,14 @@ class TestDemo:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # Run the package these tests imported, wherever it lives.
+        src = str(Path(truncolor.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "truncolor.cli", "demo", "k4"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["name"] == "k4"

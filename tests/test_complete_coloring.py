@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from truncolor.catalog import k4, k5, k33, path_graph, petersen, two_k5_bridge
 from truncolor.coloring import CLASS_I, CLASS_II, EdgeColoring, classify, is_proper
@@ -22,10 +24,6 @@ from truncolor.truncation import (
     contract,
     cyclic_truncation,
 )
-
-
-def colors_at(g, coloring, v):
-    return [coloring.color_of(eid) for eid in g.incident_edge_ids(v)]
 
 
 class TestEdgeFeasibility:
@@ -107,15 +105,25 @@ class TestCompleteTruncationColoring:
         tr = complete_truncation(petersen())
         assert classify(tr.graph, edge_cap=tr.graph.size) == CLASS_II
 
-    def test_low_valency_clusters_via_lists(self):
+    def test_low_valency_clusters_via_padding(self):
         # A source with valencies 3, 2, 1: clusters below delta - 1 are
-        # finished by exact list coloring.
+        # padded to delta - 1 positions and colored as that case.
         g = Multigraph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2)])
         out = color_complete_truncation(g)
         assert not isinstance(out, ClassIIWitness)
         tr, coloring = out
         assert is_proper(tr.graph, coloring)
         assert coloring.palette_size == 3
+
+    @pytest.mark.parametrize("d", [41, 51, 101])
+    def test_large_odd_delta_with_small_cluster(self, d):
+        # a-b by d-2 parallel edges, b-c by 2: a's cluster has order d-2.
+        g = Multigraph([0, 1, 2], [(0, 1)] * (d - 2) + [(1, 2)] * 2)
+        out = color_complete_truncation(g)
+        assert not isinstance(out, ClassIIWitness)
+        tr, coloring = out
+        assert coloring.palette_size == d
+        assert is_proper(tr.graph, coloring)
 
     def test_matching_colors_contract_to_feasible_coloring(self):
         for factory in (k4, k33, two_k5_bridge):
@@ -125,6 +133,30 @@ class TestCompleteTruncationColoring:
             back, back_coloring = contract(tr, coloring)
             assert back.edges == g.edges
             assert is_edge_feasible(back, back_coloring)
+
+
+@st.composite
+def small_sources(draw):
+    n = draw(st.integers(2, 5))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(edge, min_size=1, max_size=9))
+    return Multigraph(sorted({v for p in pairs for v in p}), pairs)
+
+
+class TestAgainstOracle:
+    @given(small_sources())
+    @example(Multigraph(range(4), [(0, 1), (1, 2), (1, 3), (2, 3), (2, 3)]))  # class II
+    @settings(max_examples=80, deadline=None)
+    def test_coloring_or_confirmed_witness(self, x):
+        tr = complete_truncation(x)
+        assume(tr.graph.size <= 40)
+        out = color_complete_truncation(x)
+        if isinstance(out, ClassIIWitness):
+            assert classify(tr.graph, edge_cap=40) == CLASS_II
+        else:
+            colored, coloring = out
+            assert coloring.palette_size == x.max_valency()
+            assert is_proper(colored.graph, coloring)
 
 
 class TestDeltaMinusOneConstituent:

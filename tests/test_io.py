@@ -59,6 +59,21 @@ class TestGraphRoundTrip:
         with pytest.raises(GraphError, match="nowhere"):
             load_json(str(tmp_path / "nowhere.json"))
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"vertices": [True, 0], "edges": [[0, 1]]},
+            {"vertices": [0, 1], "edges": [[False, 1]]},
+        ],
+    )
+    def test_boolean_ids_rejected(self, obj):
+        with pytest.raises(GraphError, match="integers"):
+            graph_from_obj(obj)
+
+    def test_duplicate_vertex_ids_rejected(self):
+        with pytest.raises(GraphError, match="repeats"):
+            graph_from_obj({"vertices": [0, 1, 1], "edges": [[0, 1]]})
+
     def test_missing_keys(self):
         with pytest.raises(GraphError, match="vertices"):
             graph_from_obj({"edges": []})
@@ -80,6 +95,12 @@ class TestColoringRoundTrip:
     def test_color_outside_palette_rejected(self):
         with pytest.raises(GraphError):
             coloring_from_obj({"palette": 2, "colors": [0, 2]})
+
+    def test_booleans_rejected(self):
+        with pytest.raises(GraphError, match="palette"):
+            coloring_from_obj({"palette": True, "colors": [False]})
+        with pytest.raises(GraphError, match="integers"):
+            coloring_from_obj({"palette": 2, "colors": [False]})
 
     def test_non_contiguous_ids_rejected(self):
         with pytest.raises(GraphError, match="contiguous"):
@@ -105,6 +126,12 @@ class TestTruncationRoundTrip:
         obj = truncation_to_obj(cyclic_truncation(k4()))
         obj["constituents"]["0"] = [[0]]
         with pytest.raises(GraphError):
+            truncation_from_obj(obj)
+
+    def test_boolean_positions_rejected(self):
+        obj = truncation_to_obj(cyclic_truncation(k4()))
+        obj["constituents"]["0"] = [[False, True], [1, 2], [0, 2]]
+        with pytest.raises(GraphError, match="integers"):
             truncation_from_obj(obj)
 
 

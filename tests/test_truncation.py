@@ -106,6 +106,10 @@ class TestValidation:
         with pytest.raises(GraphError, match="cycle|forest"):
             arboreal_truncation(k4(), {v: [(0, 1), (1, 2), (0, 2)] for v in range(4)})
 
+    def test_arboreal_rejects_out_of_range_position(self):
+        with pytest.raises(GraphError, match="outside"):
+            arboreal_truncation(k4(), {0: [(0, 3)]})
+
     def test_cyclic_rejects_low_valency(self):
         g = Multigraph([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(GraphError):
@@ -149,3 +153,25 @@ class TestRoundTrip:
         flat = tr.graph
         assert flat.order == 24 and flat.size == 36
         assert flat.regular_valency() == 3
+
+
+class TestColor:
+    def test_glues_cluster_colors_onto_matching(self):
+        tr = cyclic_truncation(k4(), None)
+        calls = []
+
+        def pair_color(v):
+            calls.append(v)
+            return dict(zip(tr.constituents[v], (1, 2, 3)))
+
+        out = tr.color(dict.fromkeys(tr.matching, 0), pair_color, 4)
+        assert sorted(calls) == sorted(k4().vertices)
+        assert out.palette_size == 4
+        assert is_proper(tr.graph, out)
+        for eid in tr.matching:
+            assert out.color_of(eid) == 0
+
+    def test_clashing_cluster_map_raises(self):
+        tr = cyclic_truncation(k4(), None)
+        with pytest.raises(AssertionError, match="not proper"):
+            tr.color(dict.fromkeys(tr.matching, 0), lambda v: dict.fromkeys(tr.constituents[v], 1), 3)
