@@ -1,14 +1,27 @@
 """Edge colorings, properness checking, and exact search.
 
-One backtracking engine serves three jobs: the exact chromatic index
-oracle, list edge coloring, and the palette-feasibility searches used by
-the truncation colorings.  It keeps a bitmask of allowed colors per
-edge, always branches on a most-constrained edge (fewest allowed colors,
-ties broken by a static rank: decreasing endpoint valency sum, then edge
-id), forward-checks neighbors after every assignment, and optionally
-breaks color symmetry by allowing at most one fresh color per branch
-point.  Exhausting the search space is a proof of UNSAT; exhausting the
-node budget is reported as undecided, never as an answer.
+One backtracking kernel, solve_edge_coloring, serves three jobs: the
+exact chromatic index oracle, list edge coloring, and the
+palette-feasibility searches used by the truncation colorings.
+
+Set-up is one pass over the edges: endpoint pairs by edge index, the
+edge indices at each vertex, a neighbor list per edge (edges sharing a
+constrained endpoint), and a static rank (decreasing endpoint valency
+sum, then edge id).  The search keeps a bitmask of allowed colors per
+edge, always branches on a most-constrained edge (fewest allowed colors
+by int.bit_count, ties broken by the static rank), forward-checks
+neighbors after every assignment, and optionally breaks color symmetry
+by allowing at most one fresh color per branch point.  It runs on an
+explicit stack of frames (edge, colors left to try, current color,
+neighbors it pruned), so its depth is bounded by memory, not by the
+interpreter's recursion limit.  Exhausting the search space is a proof
+of UNSAT; exhausting the node budget is reported as undecided, never as
+an answer.
+
+The oracle starts at the overfull bound max(D, ceil(|E| / floor(|V|/2))):
+every color class is a matching, so no search is spent below it.  An
+overfull simple graph needs no search at all: a Misra-Gries coloring
+with D + 1 colors is its certificate.
 """
 
 from __future__ import annotations
@@ -108,10 +121,6 @@ class OracleResult:
         return CLASS_I if self.chi == delta else CLASS_II
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def solve_edge_coloring(
     g: Multigraph,
     k: int,
@@ -141,103 +150,177 @@ def solve_edge_coloring(
         return {}, 0
     if k <= 0:
         return None, 0
-    index = {eid: i for i, eid in enumerate(eids)}
     full = (1 << k) - 1
-    allowed: List[int] = [full] * m
-    if lists is not None:
-        for eid in eids:
-            if eid not in lists:
-                raise GraphError(f"no color list for edge {eid}")
-            mask = lists[eid] & full
-            allowed[index[eid]] = mask
-
-    if constrained_vertices is None:
-        cset = set(g.vertices)
+    if lists is None:
+        allowed = [full] * m
     else:
-        cset = set(constrained_vertices)
-    neighbors: List[List[int]] = [[] for _ in range(m)]
-    for v in cset:
-        inc = [index[eid] for eid in g.incident(v)]
-        for a in inc:
-            for b in inc:
-                if a != b and b not in neighbors[a]:
-                    neighbors[a].append(b)
+        try:
+            allowed = [lists[eid] & full for eid in eids]
+        except KeyError:
+            missing = next(eid for eid in eids if eid not in lists)
+            raise GraphError(f"no color list for edge {missing}") from None
 
+    # One-pass set-up: endpoints by edge index, edge indices by vertex.
+    pairs = g.edges
+    ends = [pairs[eid] for eid in eids]
+    incident: Dict[int, List[int]] = {v: [] for v in g.vertices}
+    for i, (u, w) in enumerate(ends):
+        incident[u].append(i)
+        incident[w].append(i)
+    if constrained_vertices is None:
+        reach = incident
+    else:
+        reach = {v: [] for v in g.vertices}
+        for v in constrained_vertices:
+            if v not in incident:
+                raise GraphError(f"no vertex {v} in graph")
+            reach[v] = incident[v]
+    # Edges sharing a constrained endpoint.  The edge itself and a
+    # parallel twin may be listed twice: forward checking skips colored
+    # edges and colors already struck, so repeats change nothing.
+    neighbors = [reach[u] + reach[w] for u, w in ends]
     # Static tie-break rank: busiest endpoints first, then lower id.
-    def rank_key(i: int) -> Tuple[int, int]:
-        u, w = g.endpoints(eids[i])
-        return (-(g.valency(u) + g.valency(w)), eids[i])
+    # Edge indices follow edge ids, and the sort is stable.
+    load = [-len(incident[u]) - len(incident[w]) for u, w in ends]
+    order = sorted(range(m), key=load.__getitem__)
 
-    static_rank = {i: r for r, i in enumerate(sorted(range(m), key=rank_key))}
+    # Quick contradiction: an edge with an empty list.
+    if not all(allowed):
+        return None, 0
 
     color: List[int] = [-1] * m
     use_count: List[int] = [0] * k
+    used = 0  # bitmask of colors on at least one edge
     nodes = 0
 
     def pick() -> int:
+        """Uncolored edge with fewest allowed colors, lowest rank first.
+
+        Every uncolored edge keeps at least one color (an emptied list
+        ends the branch at once), so a single color cannot be beaten.
+        """
         best = -1
-        best_key = None
-        for i in range(m):
-            if color[i] >= 0:
-                continue
-            key = (_popcount(allowed[i]), static_rank[i])
-            if best_key is None or key < best_key:
-                best = i
-                best_key = key
+        fewest = k + 1
+        for i in order:
+            if color[i] < 0:
+                n = allowed[i].bit_count()
+                if n < fewest:
+                    if n == 1:
+                        return i
+                    best, fewest = i, n
         return best
 
-    def search() -> bool:
-        nonlocal nodes
-        i = pick()
-        if i < 0:
-            return True
-        mask = allowed[i]
-        if mask == 0:
-            return False
+    # Frames: [edge, colors still to try, color on the edge or -1,
+    # neighbors whose lists lost that color].  With symmetry breaking
+    # a frame may try the colors in use plus one fresh color, so the
+    # first edge tries color 0 only.
+    i = pick()
+    stack: List[list] = [[i, (allowed[i] & 1) if symmetric else allowed[i], -1, None]]
+    while stack:
+        frame = stack[-1]
+        i, mask, c, touched = frame
+        if c >= 0:
+            bit = 1 << c
+            for j in touched:
+                allowed[j] |= bit
+            use_count[c] -= 1
+            if not use_count[c]:
+                used ^= bit
+            color[i] = -1
+        if not mask:
+            stack.pop()
+            continue
+        bit = mask & -mask
+        c = bit.bit_length() - 1
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise UndecidedError(
+                f"edge coloring search exceeded budget of {budget} nodes", nodes
+            )
+        color[i] = c
+        if not use_count[c]:
+            used |= bit
+        use_count[c] += 1
+        touched = []
+        dead = False
+        for j in neighbors[i]:
+            if color[j] < 0 and allowed[j] & bit:
+                allowed[j] ^= bit
+                touched.append(j)
+                if not allowed[j]:
+                    dead = True
+        frame[1] = mask ^ bit
+        frame[2] = c
+        frame[3] = touched
+        if dead:
+            continue
+        j = pick()
+        if j < 0:
+            return {eid: color[i] for i, eid in enumerate(eids)}, nodes
+        child = allowed[j]
         if symmetric:
-            bound = 0
-            for c in range(k):
-                if use_count[c] > 0:
-                    bound = c + 1
-            cap = min(k, bound + 1)
-            mask &= (1 << cap) - 1
-        c = 0
-        while mask:
-            if mask & 1:
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    raise UndecidedError(
-                        f"edge coloring search exceeded budget of {budget} nodes", nodes
-                    )
-                color[i] = c
-                use_count[c] += 1
-                bit = 1 << c
-                touched: List[int] = []
-                dead = False
-                for j in neighbors[i]:
-                    if color[j] >= 0:
-                        continue
-                    if allowed[j] & bit:
-                        allowed[j] ^= bit
-                        touched.append(j)
-                        if allowed[j] == 0:
-                            dead = True
-                if not dead and search():
-                    return True
-                for j in touched:
-                    allowed[j] |= bit
-                use_count[c] -= 1
-                color[i] = -1
-            mask >>= 1
-            c += 1
-        return False
-
-    # Quick contradiction: an edge with an empty list.
-    if any(a == 0 for a in allowed):
-        return None, 0
-    if search():
-        return {eids[i]: color[i] for i in range(m)}, nodes
+            child &= (1 << (used.bit_length() + 1)) - 1
+        stack.append([j, child, -1, None])
     return None, nodes
+
+
+def _vizing_coloring(g: Multigraph) -> Dict[int, int]:
+    """Proper coloring of a simple graph with max_valency + 1 colors.
+
+    Misra and Gries' constructive proof of Vizing's theorem: each edge
+    (u, v) is colored after inverting one two-colored path from u and
+    rotating a fan of u's neighbors.  No search, O(|V||E|) steps.
+    """
+    k = g.max_valency() + 1
+    at: Dict[int, Dict[int, int]] = {v: {} for v in g.vertices}  # color -> neighbor
+
+    def paint(a: int, b: int, c: int) -> None:
+        at[a][c] = b
+        at[b][c] = a
+
+    def color_of(a: int, b: int) -> int:
+        return next(c for c, n in at[a].items() if n == b)
+
+    def free(v: int) -> int:
+        return next(c for c in range(k) if c not in at[v])
+
+    for eid in sorted(g.edge_ids):
+        u, v = g.endpoints(eid)
+        # Maximal fan of u from v: each next neighbor's edge to u has a
+        # color that is free on the previous fan member.
+        fan = [v]
+        while True:
+            nxt = next(
+                (n for c, n in at[u].items() if n not in fan and c not in at[fan[-1]]),
+                None,
+            )
+            if nxt is None:
+                break
+            fan.append(nxt)
+        c, d = free(u), free(fan[-1])
+        # Invert the path from u whose edges alternate d, c, d, ...
+        path = [u]
+        step = d
+        while step in at[path[-1]]:
+            path.append(at[path[-1]][step])
+            step = c if step == d else d
+        steps = list(zip(path, path[1:]))
+        old = [color_of(a, b) for a, b in steps]
+        for (a, b), col in zip(steps, old):
+            del at[a][col], at[b][col]
+        for (a, b), col in zip(steps, old):
+            paint(a, b, c if col == d else d)
+        # d is now free on u.  The inversion recolored at most one fan
+        # edge, from d to c, so the fan up to the first member with d
+        # free is still a fan (Misra and Gries' lemma); rotate it and
+        # give its last edge d.
+        j = next(j for j, w in enumerate(fan) if d not in at[w])
+        shifted = [color_of(u, n) for n in fan[1 : j + 1]] + [d]
+        for n, col in zip(fan[1 : j + 1], shifted):
+            del at[u][col], at[n][col]
+        for n, col in zip(fan[: j + 1], shifted):
+            paint(u, n, col)
+    return {eid: color_of(*g.endpoints(eid)) for eid in g.edge_ids}
 
 
 def chromatic_index(
@@ -248,10 +331,12 @@ def chromatic_index(
 ) -> OracleResult:
     """Exact chromatic index with a certificate coloring.
 
-    Tries palettes of size max_valency, max_valency+1, ... up to the
-    multiplicity bound, which always suffices.  The budget caps search
-    nodes per palette size; running out yields an undecided result whose
-    lower_bound is still trustworthy.
+    Tries palettes from the overfull bound max(max_valency,
+    ceil(size / floor(order / 2))) up to max_valency + multiplicity
+    (Vizing's bound), which always suffices.  An overfull simple graph
+    needs no search: Vizing's theorem caps it at max_valency + 1.  The
+    budget caps search nodes per palette size; running out yields an
+    undecided result whose lower_bound is still trustworthy.
     """
     if g.size == 0:
         return OracleResult(True, 0, EdgeColoring({}, 0), 0, 0)
@@ -261,9 +346,19 @@ def chromatic_index(
             "pass a larger edge_cap to force the computation"
         )
     delta = g.max_valency()
+    # Overfull bound: a color class is a matching of at most
+    # floor(order / 2) edges, parallel edges or not.
+    lo = max(delta, -(-g.size // (g.order // 2)))
+    if lo > delta and g.is_simple():
+        # Overfull and simple: chi' >= delta + 1 by counting, and
+        # Vizing's theorem gives a coloring with delta + 1 colors.
+        cert = EdgeColoring(_vizing_coloring(g), lo)
+        if not is_proper(g, cert):
+            raise AssertionError("Vizing coloring is improper")
+        return OracleResult(True, lo, cert, 0, lo)
     hi = delta + g.multiplicity()
     total_nodes = 0
-    for k in range(delta, hi + 1):
+    for k in range(lo, hi + 1):
         try:
             assignment, nodes = solve_edge_coloring(
                 g, k, symmetric=True, budget=budget

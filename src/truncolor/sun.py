@@ -23,8 +23,8 @@ from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .canonical import _norm, class_of_pair, scheme_class
-from .coloring import EdgeColoring, is_proper, list_edge_coloring
-from .errors import GraphError
+from .coloring import EdgeColoring, is_proper, solve_edge_coloring
+from .errors import GraphError, UndecidedError
 from .multigraph import Multigraph
 from .truncation import Truncation, assemble, excise
 
@@ -300,6 +300,13 @@ def _even_search(vector: Sequence[int]) -> _EvenCore:
     return edge_color, pool, name_to_pos
 
 
+def _pendant_bans(layout: Sequence[int], k: int) -> List[int]:
+    """Per position, the bitmask of colors below k other than its
+    pendant color; an edge's list is the AND of its two ends'."""
+    full = (1 << k) - 1
+    return [full ^ (1 << c) for c in layout]
+
+
 def _even_exact(vector: Sequence[int]) -> _EvenCore:
     """Last-resort even-parity construction via the exact solver.
 
@@ -312,18 +319,16 @@ def _even_exact(vector: Sequence[int]) -> _EvenCore:
     layout = pendant_layout(vector)
     pairs = list(combinations(range(r), 2))
     g = Multigraph(range(r), dict(enumerate(pairs)))
-    lists = {
-        eid: tuple(c for c in range(r) if c != layout[a] and c != layout[b])
-        for eid, (a, b) in enumerate(pairs)
-    }
-    full = list_edge_coloring(g, lists)
-    if full is None:
+    ban = _pendant_bans(layout, r)
+    masks = {eid: ban[a] & ban[b] for eid, (a, b) in enumerate(pairs)}
+    assignment, _ = solve_edge_coloring(g, r, lists=masks)
+    if assignment is None:
         raise AssertionError(f"no sun coloring exists for vector {tuple(vector)}")
     nonzero = {i for i, x in enumerate(vector) if x > 0}
     edge_color: Dict[Tuple[int, int], int] = {}
     spare: Dict[int, List[Tuple[int, int]]] = {}
     for eid, pair in enumerate(pairs):
-        c = full.assignment[eid]
+        c = assignment[eid]
         if c in nonzero:
             _add_edge(edge_color, pair, c)
         else:
@@ -513,15 +518,12 @@ def verify_totally_inadmissible(vector: Sequence[int]) -> bool:
     key = tuple(sorted(vector))
     if key in _TI_CACHE:
         return _TI_CACHE[key]
-    pendants = pendant_layout(key)
+    ban = _pendant_bans(pendant_layout(key), d)
     result = True
     for edges in regular_constituents(r, d - 1):
-        g = Multigraph(range(r), edges)
-        lists = {
-            eid: [c for c in range(d) if c != pendants[a] and c != pendants[b]]
-            for eid, (a, b) in g.edges.items()
-        }
-        if list_edge_coloring(g, lists) is not None:
+        masks = {eid: ban[a] & ban[b] for eid, (a, b) in enumerate(edges)}
+        found, _ = solve_edge_coloring(Multigraph(range(r), edges), d, lists=masks)
+        if found is not None:
             result = False
             break
     _TI_CACHE[key] = result
@@ -667,53 +669,63 @@ def _parity_coloring_search(
 ) -> Optional[EdgeColoring]:
     """Exhaustive search for a d-coloring where each color's count at a
     vertex matches the vertex's valency parity.  Color-permutation
-    symmetry is broken by capping fresh colors."""
-    from .errors import UndecidedError
-
+    symmetry is broken by capping fresh colors.  Edges are colored in a
+    fixed order, so the search state at depth i is the color on edge i
+    and the colors left to try there; it lives in arrays, not in
+    Python stack frames."""
     eids = sorted(x.edge_ids, key=lambda e: (x.endpoints(e), e))
     m = len(eids)
+    if m == 0:
+        return EdgeColoring({}, d)
+    ends = [x.endpoints(eid) for eid in eids]
+    want = {v: x.valency(v) % 2 for v in x.vertices}
     counts: Dict[int, List[int]] = {v: [0] * d for v in x.vertices}
     remaining: Dict[int, int] = {v: x.valency(v) for v in x.vertices}
     color: List[int] = [-1] * m
+    limit: List[int] = [0] * m  # colors 0..limit-1 may go on edge i
     use_count = [0] * d
     nodes = 0
 
     def vertex_ok(v: int) -> bool:
-        want = x.valency(v) % 2
-        wrong = sum(1 for c in counts[v] if c % 2 != want)
+        wrong = sum(1 for c in counts[v] if c % 2 != want[v])
         rem = remaining[v]
         return wrong <= rem and (rem - wrong) % 2 == 0
 
-    def rec(i: int) -> bool:
-        nonlocal nodes
-        if i == m:
-            return True
-        eid = eids[i]
-        u, w = x.endpoints(eid)
+    def fresh_limit() -> int:
         bound = 0
         for c in range(d):
             if use_count[c] > 0:
                 bound = c + 1
-        for c in range(min(d, bound + 1)):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise UndecidedError("parity coloring search exceeded budget", nodes)
-            color[i] = c
-            use_count[c] += 1
-            counts[u][c] += 1
-            counts[w][c] += 1
-            remaining[u] -= 1
-            remaining[w] -= 1
-            if vertex_ok(u) and vertex_ok(w) and rec(i + 1):
-                return True
+        return min(d, bound + 1)
+
+    i = 0
+    limit[0] = fresh_limit()
+    while i >= 0:
+        u, w = ends[i]
+        c = color[i]
+        if c >= 0:
             remaining[u] += 1
             remaining[w] += 1
             counts[u][c] -= 1
             counts[w][c] -= 1
             use_count[c] -= 1
+        c += 1
+        if c == limit[i]:
             color[i] = -1
-        return False
-
-    if rec(0):
-        return EdgeColoring({eids[i]: color[i] for i in range(m)}, d)
+            i -= 1
+            continue
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise UndecidedError("parity coloring search exceeded budget", nodes)
+        color[i] = c
+        use_count[c] += 1
+        counts[u][c] += 1
+        counts[w][c] += 1
+        remaining[u] -= 1
+        remaining[w] -= 1
+        if vertex_ok(u) and vertex_ok(w):
+            if i + 1 == m:
+                return EdgeColoring({eids[j]: color[j] for j in range(m)}, d)
+            i += 1
+            limit[i] = fresh_limit()
     return None

@@ -28,6 +28,13 @@ def random_multigraph(
     return Multigraph(vertices, pairs)
 
 
+def prism_graph(n: int) -> Multigraph:
+    """Cubic prism C_n x K2: two n-cycles joined by a perfect matching,
+    3n edges."""
+    ring = lambda off: [(off + i, off + (i + 1) % n) for i in range(n)]
+    return Multigraph(range(2 * n), ring(0) + ring(n) + [(i, n + i) for i in range(n)])
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)

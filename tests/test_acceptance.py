@@ -72,15 +72,18 @@ def compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
 
 def test_01_exact_oracle_on_petersen_and_its_complete_truncation():
     details = []
-    for label, g in (
-        ("Petersen", petersen()),
-        ("complete truncation", complete_truncation(petersen()).graph),
+    # The node counts pin the search order: a kernel change that alters
+    # them changes which colorings come back.
+    for label, g, nodes in (
+        ("Petersen", petersen(), 45),
+        ("complete truncation", complete_truncation(petersen()).graph, 327),
     ):
         start = time.perf_counter()
         res = chromatic_index(g, edge_cap=60)
         elapsed = time.perf_counter() - start
         assert res.decided
         assert res.chi == 4
+        assert res.nodes == nodes
         assert res.classify(g.max_valency()) == CLASS_II
         assert elapsed < 60.0
         details.append(f"{label} chi'=4 in {res.nodes} nodes ({elapsed:.2f}s)")
@@ -191,6 +194,7 @@ def test_06_bridged_cubic_truncation_is_certified_class_two():
     elapsed = time.perf_counter() - start
     assert res.decided
     assert res.chi == 4
+    assert res.nodes == 559
     assert res.classify(3) == CLASS_II
     assert elapsed < 300.0
     print(f"acceptance 06: PASS: bridged 42-vertex cubic truncation, "

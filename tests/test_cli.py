@@ -11,6 +11,8 @@ from truncolor.catalog import k4, k5, petersen, q3, two_k5_bridge
 from truncolor.cli import main
 from truncolor.io import graph_from_obj, graph_to_obj, truncation_from_obj
 
+from conftest import prism_graph
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -111,6 +113,16 @@ class TestCyclicColor:
         code, out, _ = run(
             capsys, "cyclic-color", write_graph(tmp_path, k4()), "--strategy", "classone"
         )
+        assert code == 0
+        assert out["coloring"]["palette"] == 3
+        bundle = write_obj(tmp_path, out, "bundle.json")
+        code2, verdict, _ = run(capsys, "verify", bundle)
+        assert code2 == 0 and verdict["proper"] is True
+
+    def test_classone_strategy_on_large_cubic_prism(self, capsys, tmp_path):
+        # 1,500 edges: the class-one search must not run out of stack.
+        prism = write_graph(tmp_path, prism_graph(500), "prism.json")
+        code, out, _ = run(capsys, "cyclic-color", prism, "--strategy", "classone")
         assert code == 0
         assert out["coloring"]["palette"] == 3
         bundle = write_obj(tmp_path, out, "bundle.json")

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,11 +15,12 @@ from truncolor.coloring import (
     is_proper,
     list_edge_coloring,
     solve_edge_coloring,
+    _vizing_coloring,
 )
 from truncolor.errors import GraphError, UndecidedError
 from truncolor.multigraph import Multigraph
 
-from conftest import random_multigraph
+from conftest import prism_graph, random_multigraph
 
 
 class TestEdgeColoring:
@@ -84,6 +87,59 @@ class TestOracle:
         res = chromatic_index(g)
         assert res.chi == 6
 
+    def test_fat_triangle_starts_at_the_overfull_bound(self):
+        # 6 edges on 3 vertices: each color is one edge, so chi' >= 6
+        # before any search; an undecided run reports that bound.
+        g = Multigraph(
+            [0, 1, 2],
+            [(0, 1), (0, 1), (1, 2), (1, 2), (2, 0), (2, 0)],
+        )
+        res = chromatic_index(g, budget=0)
+        assert not res.decided
+        assert res.lower_bound == 6
+
+    @pytest.mark.parametrize("n,edge_cap", [(9, 40), (11, 60)])
+    def test_odd_complete_graphs_decided_by_overfull_bound(self, n, edge_cap):
+        # |E| = n(n-1)/2 > (n-1) * (n-1)/2: class II with no search.
+        g = complete_graph(n)
+        res = chromatic_index(g, edge_cap=edge_cap)
+        assert res.decided and res.chi == n
+        assert res.nodes == 0
+        assert res.classify(n - 1) == CLASS_II
+        assert is_proper(g, res.certificate)
+        assert res.certificate.palette_size == n
+
+    def test_dense_odd_order_graphs_are_tight(self, rng):
+        # K5 and K7 minus up to n // 2 edges: overfull ones take the
+        # Vizing certificate, the rest the search; either way one color
+        # fewer must be impossible.
+        for n in (5, 7):
+            pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            for drop in range(0, n // 2 + 1):
+                kept = pairs[:]
+                rng.shuffle(kept)
+                g = Multigraph(range(n), kept[drop:])
+                res = chromatic_index(g)
+                assert res.decided and is_proper(g, res.certificate)
+                down, _ = solve_edge_coloring(g, res.chi - 1, symmetric=True)
+                assert down is None
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_vizing_coloring_of_any_simple_graph(self, data):
+        # The certificate route is proved for every simple graph, not
+        # only the overfull ones the oracle hands it.
+        n = data.draw(st.integers(2, 9), label="order")
+        all_pairs = list(itertools.combinations(range(n), 2))
+        pairs = data.draw(
+            st.lists(st.sampled_from(all_pairs), min_size=1, unique=True), label="edges"
+        )
+        g = Multigraph(range(n), pairs)
+        k = g.max_valency() + 1
+        col = EdgeColoring(_vizing_coloring(g), k)
+        assert col.covers(g.edge_ids)
+        assert is_proper(g, col)
+
     def test_budget_exhaustion_reports_undecided(self):
         res = chromatic_index(petersen(), budget=3)
         assert not res.decided
@@ -132,6 +188,59 @@ class TestSolver:
         col = list_edge_coloring(g, {e: list(range(n)) for e in g.edge_ids})
         assert col is not None and is_proper(g, col)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_brute_force(self, data):
+        n = data.draw(st.integers(2, 5), label="order")
+        pairs = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda p: p[0] != p[1]
+                ),
+                min_size=1,
+                max_size=8,
+            ),
+            label="edges",
+        )
+        g = Multigraph(range(n), pairs)
+        k = data.draw(st.integers(1, 4), label="k")
+        full = (1 << k) - 1
+        symmetric = data.draw(st.booleans(), label="symmetric")
+        lists = None
+        if not symmetric:
+            lists = {
+                eid: data.draw(st.integers(0, full), label=f"list {eid}")
+                for eid in g.edge_ids
+            }
+        constrained = data.draw(
+            st.none() | st.lists(st.sampled_from(g.vertices), unique=True),
+            label="constrained",
+        )
+        sol, nodes = solve_edge_coloring(
+            g, k, lists=lists, constrained_vertices=constrained, symmetric=symmetric
+        )
+        at = g.vertices if constrained is None else constrained
+        expected = _brute_force(g, k, lists, at)
+        assert (sol is not None) == expected
+        if sol is not None:
+            assert sorted(sol) == sorted(g.edge_ids)
+            assert nodes >= g.size
+            for eid, c in sol.items():
+                assert 0 <= c < k
+                if lists is not None:
+                    assert lists[eid] >> c & 1
+            for v in at:
+                seen = [sol[eid] for eid in g.incident(v)]
+                assert len(seen) == len(set(seen))
+
+    def test_search_depth_is_not_bounded_by_recursion(self):
+        # A 1,500-edge cubic prism: one stack frame per edge would blow
+        # the interpreter's default recursion limit.
+        g = prism_graph(500)
+        sol, nodes = solve_edge_coloring(g, 3)
+        assert sol is not None and nodes >= g.size
+        assert is_proper(g, EdgeColoring(sol, 3))
+
     def test_list_coloring_respects_bans(self, rng):
         for _ in range(25):
             g = random_multigraph(rng, max_vertices=5, max_edges=7)
@@ -145,3 +254,35 @@ class TestSolver:
                 assert is_proper(g, col)
                 for eid in g.edge_ids:
                     assert col.color_of(eid) != eid % k
+
+
+def _brute_force(g, k, lists, constrained):
+    """Whether a proper coloring exists, by trying every assignment in
+    edge-id order with a clash test after each edge (no heuristics)."""
+    eids = sorted(g.edge_ids)
+    at = set(constrained)
+    choice = {}
+
+    def ok(eid):
+        for v in g.endpoints(eid):
+            if v in at and any(
+                f != eid and f in choice and choice[f] == choice[eid]
+                for f in g.incident(v)
+            ):
+                return False
+        return True
+
+    def extend(i):
+        if i == len(eids):
+            return True
+        eid = eids[i]
+        for c in range(k):
+            if lists is not None and not lists[eid] >> c & 1:
+                continue
+            choice[eid] = c
+            if ok(eid) and extend(i + 1):
+                return True
+            del choice[eid]
+        return False
+
+    return extend(0)

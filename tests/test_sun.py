@@ -4,7 +4,7 @@ import pytest
 
 from truncolor.catalog import k4, prism3
 from truncolor.coloring import EdgeColoring, is_proper
-from truncolor.errors import GraphError
+from truncolor.errors import GraphError, UndecidedError
 from truncolor.multigraph import Multigraph
 from truncolor.sun import (
     Infeasible,
@@ -217,6 +217,22 @@ class TestRegularTruncation:
         tr, coloring = out
         assert tr.graph.regular_valency() == 3
         assert is_proper(tr.graph, coloring)
+
+    def test_odd_target_on_long_cubic_circulant(self):
+        # 800-cycle plus the 400 diameters: 1,200 edges, one search
+        # level per edge, far past the default recursion limit.
+        n = 800
+        pairs = [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)]
+        g = Multigraph(range(n), pairs)
+        out = regular_truncation(g, 3)
+        assert not isinstance(out, Infeasible)
+        tr, coloring = out
+        assert tr.graph.regular_valency() == 3
+        assert coloring.palette_size == 3
+        assert is_proper(tr.graph, coloring)
+        with pytest.raises(UndecidedError) as exc:
+            regular_truncation(g, 3, budget=10)
+        assert exc.value.nodes == 11
 
     def test_even_target_rejects_odd_valency(self):
         out = regular_truncation(k4(), 2)
