@@ -32,9 +32,9 @@ def main():
     print("== admissible vectors build")
     build_and_report((3, 3, 1))
     build_and_report((2, 0, 4))
-    # Every entry even and equal: the contiguous-block layout would
-    # hand two blocks the same color class, so the builder reroutes
-    # through its distinct-class search.
+    # Four entries of 2: every interval layout hands two blocks the
+    # same color class, so the builder takes its one fixed layout,
+    # pendant pairs {0,1}, {2,4}, {3,7}, {5,6}, still with no search.
     build_and_report((2, 2, 2, 2))
 
     print("== inadmissible vectors are refuted by exhaustion")

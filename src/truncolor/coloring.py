@@ -35,6 +35,7 @@ from .multigraph import Multigraph
 __all__ = [
     "EdgeColoring",
     "OracleResult",
+    "first_clash",
     "is_proper",
     "solve_edge_coloring",
     "chromatic_index",
@@ -86,6 +87,26 @@ class EdgeColoring:
         return [self.color_of(eid) for eid in g.incident(v)]
 
 
+def first_clash(
+    g: Multigraph, coloring: EdgeColoring, at: Optional[Iterable[int]] = None
+) -> Optional[Tuple[int, int, int]]:
+    """(vertex, edge, edge) for the first two same-colored edges meeting
+    at a vertex, or None.  Only the vertices in at are checked (default:
+    all of g's); an uncolored edge at a checked vertex is a GraphError."""
+    assignment = coloring.assignment
+    for v in g.vertices if at is None else at:
+        seen: Dict[int, int] = {}
+        for eid in g.incident(v):
+            try:
+                c = assignment[eid]
+            except KeyError:
+                raise GraphError(f"no color assigned to edge {eid}") from None
+            if c in seen:
+                return (v, seen[c], eid)
+            seen[c] = eid
+    return None
+
+
 def is_proper(g: Multigraph, coloring: EdgeColoring) -> bool:
     """True iff no two edges sharing a vertex share a color.
 
@@ -95,14 +116,16 @@ def is_proper(g: Multigraph, coloring: EdgeColoring) -> bool:
     for eid in g.edge_ids:
         if eid not in coloring.assignment:
             raise GraphError(f"coloring does not cover edge {eid}")
-    for v in g.vertices:
-        seen = set()
-        for eid in g.incident(v):
-            c = coloring.assignment[eid]
-            if c in seen:
-                return False
-            seen.add(c)
-    return True
+    return first_clash(g, coloring) is None
+
+
+def _clash_error(g: Multigraph, coloring: EdgeColoring, what: str) -> AssertionError:
+    """The error for an improper coloring of g, naming its first clash."""
+    v, e1, e2 = first_clash(g, coloring)
+    return AssertionError(
+        f"{what} is not proper: edges {e1} and {e2} share color "
+        f"{coloring.assignment[e1]} at vertex {v}"
+    )
 
 
 @dataclass(frozen=True)
@@ -354,7 +377,7 @@ def chromatic_index(
         # Vizing's theorem gives a coloring with delta + 1 colors.
         cert = EdgeColoring(_vizing_coloring(g), lo)
         if not is_proper(g, cert):
-            raise AssertionError("Vizing coloring is improper")
+            raise _clash_error(g, cert, "Vizing coloring")
         return OracleResult(True, lo, cert, 0, lo)
     hi = delta + g.multiplicity()
     total_nodes = 0
@@ -369,7 +392,7 @@ def chromatic_index(
         if assignment is not None:
             cert = EdgeColoring(assignment, k)
             if not is_proper(g, cert):
-                raise AssertionError("oracle produced an improper certificate")
+                raise _clash_error(g, cert, "oracle certificate")
             return OracleResult(True, k, cert, total_nodes, k)
     raise AssertionError(
         "no coloring found within the multiplicity bound; this cannot happen"

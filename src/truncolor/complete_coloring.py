@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .canonical import class_of_pair, scheme_class, scheme_class_count
-from .coloring import CLASS_I, EdgeColoring, classify, solve_edge_coloring
+from .coloring import CLASS_I, EdgeColoring, classify, first_clash, solve_edge_coloring
 from .errors import GraphError
 from .multigraph import Multigraph
 from .truncation import Truncation, complete_truncation
@@ -60,16 +60,8 @@ def is_edge_feasible(x: Multigraph, coloring: EdgeColoring) -> bool:
         raise GraphError(
             f"coloring uses palette of {coloring.palette_size} > {delta} colors"
         )
-    for v in x.vertices:
-        if x.valency(v) != delta:
-            continue
-        seen = set()
-        for eid in x.incident(v):
-            c = coloring.color_of(eid)
-            if c in seen:
-                return False
-            seen.add(c)
-    return True
+    at = [v for v in x.vertices if x.valency(v) == delta]
+    return first_clash(x, coloring, at) is None
 
 
 def _feasible_search(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .coloring import EdgeColoring
+from .coloring import EdgeColoring, first_clash as _first_clash
 from .errors import GraphError
 from .multigraph import Multigraph
 from .sun import SunColoring
@@ -202,15 +202,11 @@ def sun_report(sun: SunColoring) -> Dict[str, object]:
 def first_clash(
     g: Multigraph, coloring: EdgeColoring
 ) -> Optional[Tuple[int, int, int]]:
-    """(vertex, edge, edge) for the first same-colored incident pair."""
-    for v in g.vertices:
-        seen: Dict[int, int] = {}
-        for eid in g.incident(v):
-            c = coloring.color_of(eid)
-            if c in seen:
-                return (v, seen[c], eid)
-            seen[c] = eid
-    return None
+    """(vertex, edge, edge) for the first same-colored incident pair.
+
+    The clash check behind `verify`; coloring.first_clash does the work.
+    """
+    return _first_clash(g, coloring)
 
 
 def to_dot(

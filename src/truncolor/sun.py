@@ -12,18 +12,24 @@ counting argument, so the two routes stay independent.
 Ends are laid out in ascending color blocks: positions 0..x_1-1 carry
 color 0, the next x_2 positions color 1, and so on (zero entries
 contribute empty blocks).  The odd construction works on residue names
-1..r modulo r; the even construction fixes position 0 as a hub and
-works on names 1..r-1 modulo r-1, so position = name there.
+1..r modulo r.  The even construction works on K_r's scheme, hub 0
+plus residues 1..r-1 modulo r-1, in closed form: each nonzero color's
+pendants form a block symmetric about a centre, and the color takes
+the scheme class with that centre minus the pairs inside its block.
+Two blocks need the same class only when their centres coincide or
+are antipodal on the circle of r-1 residues; the layout moves the one
+block that can be centred opposite the hub block (see _even_layout).
+A final renaming sorts the names back into ascending color blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import chain, combinations
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .canonical import _norm, class_of_pair, scheme_class
-from .coloring import EdgeColoring, is_proper, solve_edge_coloring
+from .coloring import EdgeColoring, _clash_error, is_proper, solve_edge_coloring
 from .errors import GraphError, UndecidedError
 from .multigraph import Multigraph
 from .truncation import Truncation, assemble, excise
@@ -86,7 +92,7 @@ class SunColoring:
             raise AssertionError("constituent repeats an edge")
         g, col = self.sun_graph()
         if not is_proper(g, col):
-            raise AssertionError("sun coloring is not proper")
+            raise _clash_error(g, col, "sun coloring")
         counts = [0] * self.palette_size
         for c in self.pendant_colors:
             counts[c] += 1
@@ -193,232 +199,145 @@ def build_sun_odd(vector: Sequence[int]) -> SunColoring:
     return _finish(vector, edge_color, d, lambda name: name - 1, d - 1)
 
 
-def _leftover_split(
-    r: int, quotas: Dict[int, int]
-) -> Tuple[Dict[int, int], Dict[int, List[Tuple[int, int]]]]:
-    """Assign each pendant color a distinct scheme class of K_r and pick
-    quota-many of its pairs so the picks jointly cover every name once.
+def _even_layout(r: int, nz: Sequence[Tuple[int, int]]) -> List[Tuple[int, List[int]]]:
+    """Construction names of each nonzero color's pendants, as (color, names).
 
-    The picked pairs are the leftovers: their ends carry that color's
-    pendants and the rest of the class becomes its constituent edges.
-    Backtracks over the lowest uncovered name; colors that have not yet
-    claimed a class are interchangeable when their quotas agree, so only
-    one of each quota value is tried.  Returns (class per color, picks
-    per color) or raises when no cover exists in this scheme.
+    nz lists the nonzero (color, count) blocks largest first, ties by
+    color.  The first block takes the hub 0 and names 1..x1-1, centred
+    at x1/2; the others take consecutive intervals of the arc x1..r-1.
+    Every block is symmetric about one centre on the circle of r-1
+    residues, so it is a union of pairs of the class with that centre.
+    Two blocks share a class only when their centres coincide or are
+    antipodal.  Arc blocks have even length, hence half-integer
+    centres, and the antipode of a half-integer is an integer; so the
+    one possible clash is an arc block centred opposite the hub block,
+    i.e. at the centre of the arc, with equal totals before and after
+    it.  Fixes:
+
+    * with two blocks the shared class is harmless (each color takes
+      that class's pairs inside the other block), so nothing moves;
+    * the centred block swaps with a neighbour of another size, right
+      neighbour first; if both neighbours have its size, it is woven
+      with its right neighbour: over their 2x names the two colors
+      alternate, and each takes the class centred on one of its
+      partner's names, which it does not hold;
+    * when every block has size 2 and their count k >= 4 is even, the
+      woven pair's second class is antipodal to the first arc block,
+      so arc blocks (0, 1) are woven as well as (k/2-1, k/2); for k = 4
+      those overlap and a fixed layout is used.
     """
-    colors = sorted(quotas)
-    left = dict(quotas)
-    color_class: Dict[int, int] = {}
-    class_color: Dict[int, int] = {}
-    chosen: Dict[int, List[Tuple[int, int]]] = {i: [] for i in colors}
-    covered = [False] * r
-
-    def rec() -> bool:
-        try:
-            v = covered.index(False)
-        except ValueError:
-            return True
-        for u in range(v + 1, r):
-            if covered[u]:
-                continue
-            t = class_of_pair(r, (v, u))
-            if t in class_color:
-                fresh = False
-                cands = [class_color[t]]
-            else:
-                fresh = True
-                seen: set = set()
-                cands = []
-                for i in colors:
-                    if i in color_class or left[i] in seen:
-                        continue
-                    seen.add(left[i])
-                    cands.append(i)
-            for i in cands:
-                if left[i] == 0:
-                    continue
-                if fresh:
-                    class_color[t] = i
-                    color_class[i] = t
-                left[i] -= 1
-                chosen[i].append((v, u))
-                covered[v] = covered[u] = True
-                if rec():
-                    return True
-                covered[v] = covered[u] = False
-                chosen[i].pop()
-                left[i] += 1
-                if fresh:
-                    del class_color[t]
-                    del color_class[i]
-        return False
-
-    if not rec():
-        raise AssertionError(f"no distinct-class cover for quotas {quotas}")
-    return color_class, chosen
-
-
-_EvenCore = Tuple[
-    Dict[Tuple[int, int], int],
-    List[Tuple[Tuple[int, int], ...]],
-    Dict[int, int],
-]
-
-
-def _even_search(vector: Sequence[int]) -> _EvenCore:
-    """Even-parity construction for block layouts whose classes collide.
-
-    Drops the contiguous-block layout: each color takes a whole scheme
-    class minus quota-many picked pairs, the picks partition the names,
-    and pendants sit wherever the picks land.  A final renaming sorts
-    positions back into ascending color blocks.
-    """
-    r, _ = _check_vector(vector)
-    quotas = {i: x // 2 for i, x in enumerate(vector) if x > 0}
-    color_class, picks = _leftover_split(r, quotas)
-    edge_color: Dict[Tuple[int, int], int] = {}
-    pend_at: Dict[int, int] = {}
-    leftover: List[Tuple[int, int]] = []
-    for i, t in color_class.items():
-        skip = {tuple(sorted(p)) for p in picks[i]}
-        for pair in scheme_class(r, t):
-            key = tuple(sorted(pair))
-            if key in skip:
-                continue
-            _add_edge(edge_color, pair, i)
-        for a, b in skip:
-            pend_at[a] = pend_at[b] = i
-            leftover.append((a, b))
-    used = set(color_class.values())
-    pool: List[Tuple[Tuple[int, int], ...]] = []
-    for t in range(r - 1):
-        if t not in used:
-            pool.append(scheme_class(r, t))
-    pool.append(tuple(sorted(leftover)))
-    order = sorted(range(r), key=lambda v: (pend_at[v], v))
-    name_to_pos = {name: p for p, name in enumerate(order)}
-    return edge_color, pool, name_to_pos
-
-
-def _pendant_bans(layout: Sequence[int], k: int) -> List[int]:
-    """Per position, the bitmask of colors below k other than its
-    pendant color; an edge's list is the AND of its two ends'."""
-    full = (1 << k) - 1
-    return [full ^ (1 << c) for c in layout]
-
-
-def _even_exact(vector: Sequence[int]) -> _EvenCore:
-    """Last-resort even-parity construction via the exact solver.
-
-    Color all of K_r with r colors, banning each end's pendant color on
-    its incident edges; every color is then a perfect matching off its
-    own pendant block.  Nonzero colors keep their edges, all other
-    colors feed the pool.
-    """
-    r, d = _check_vector(vector)
-    layout = pendant_layout(vector)
-    pairs = list(combinations(range(r), 2))
-    g = Multigraph(range(r), dict(enumerate(pairs)))
-    ban = _pendant_bans(layout, r)
-    masks = {eid: ban[a] & ban[b] for eid, (a, b) in enumerate(pairs)}
-    assignment, _ = solve_edge_coloring(g, r, lists=masks)
-    if assignment is None:
-        raise AssertionError(f"no sun coloring exists for vector {tuple(vector)}")
-    nonzero = {i for i, x in enumerate(vector) if x > 0}
-    edge_color: Dict[Tuple[int, int], int] = {}
-    spare: Dict[int, List[Tuple[int, int]]] = {}
-    for eid, pair in enumerate(pairs):
-        c = assignment[eid]
-        if c in nonzero:
-            _add_edge(edge_color, pair, c)
+    c0, x1 = nz[0]
+    arc = list(nz[1:])
+    k = len(nz)
+    weave = set()
+    if k >= 4 and k % 2 == 0 and all(x == 2 for _, x in nz):
+        if k == 4:
+            fixed = ([0, 1], [2, 4], [3, 7], [5, 6])
+            return [(c, names) for (c, _), names in zip(nz, fixed)]
+        weave = {0, k // 2 - 1}
+    elif len(arc) > 1:
+        # A centred block has arc on both sides, so both neighbours exist.
+        s = x1
+        for j, (_, x) in enumerate(arc):
+            if 2 * s + x == x1 + r:
+                if arc[j + 1][1] != x:
+                    arc[j], arc[j + 1] = arc[j + 1], arc[j]
+                elif arc[j - 1][1] != x:
+                    arc[j - 1], arc[j] = arc[j], arc[j - 1]
+                else:
+                    weave = {j}
+                break
+            s += x
+    out = [(c0, list(range(x1)))]
+    s, j = x1, 0
+    while j < len(arc):
+        c, x = arc[j]
+        if j in weave:
+            out.append((c, list(range(s, s + 2 * x, 2))))
+            out.append((arc[j + 1][0], list(range(s + 1, s + 2 * x, 2))))
+            s, j = s + 2 * x, j + 2
         else:
-            spare.setdefault(c, []).append(pair)
-    pool = [tuple(sorted(spare[c])) for c in sorted(spare)]
-    return edge_color, pool, {v: v for v in range(r)}
+            out.append((c, list(range(s, s + x))))
+            s, j = s + x, j + 1
+    return out
 
 
-def _even_core(vector: Sequence[int]) -> _EvenCore:
+def _even_core(
+    vector: Sequence[int],
+) -> Tuple[Dict[Tuple[int, int], int], Iterator[Tuple[Tuple[int, int], ...]], List[int]]:
     """Shared even-parity construction.
 
-    Returns (edges, pool, renaming) where pool lists the perfect
-    matchings still fully available and renaming maps construction
-    names to sun positions.  The main route lays pendants out in
-    contiguous blocks and gives each block the one class whose chords
-    pair the rest of the circle around it; that class is determined by
-    the block's position, so two blocks can demand the same class.
-    When they do, a search reassigns pendants to the ends of picked
-    pairs from genuinely distinct classes, and failing even that, the
-    exact solver settles it.
+    Returns (edges, pool, position) where pool yields the perfect
+    matchings still fully available and position maps construction
+    names to sun positions.  Names 0..r-1 form K_r's scheme with hub 0.
+    Each nonzero color takes the class whose pairs tile its pendant
+    names (see _even_layout) and keeps that class's other pairs as its
+    edges; the tiling pairs together form the leftover matching.  The
+    pool is the unused classes, built only when taken, then the
+    leftover.  Positions sort the names back into ascending color
+    blocks.
     """
     r, d = _check_vector(vector)
     if any(x % 2 for x in vector):
         raise GraphError("even-parity construction needs every entry even")
     if not admissible(vector):
         raise GraphError(f"vector {tuple(vector)} is not admissible")
-    mod = r - 1
-    nz = [(i, x) for i, x in enumerate(vector) if x > 0]
-    block_classes: List[int] = []
-    i1, x1 = nz[0]
-    if x1 < r:
-        block_classes.append(class_of_pair(r, (x1, r - 1)))
-    s = x1
-    for i, x in nz[1:]:
-        h = _norm(s + (x + r - 2) // 2, mod)
-        block_classes.append(h - 1)
-        s += x
-    if len(set(block_classes)) != len(block_classes):
-        try:
-            return _even_search(vector)
-        except AssertionError:
-            return _even_exact(vector)
+    nz = sorted(((i, x) for i, x in enumerate(vector) if x > 0), key=lambda b: (-b[1], b[0]))
+    layout = _even_layout(r, nz)
+    pend = [0] * r
+    for c, names in layout:
+        for p in names:
+            pend[p] = c
     edge_color: Dict[Tuple[int, int], int] = {}
-    # First block holds the hub (name 0) and names 1..x1-1; its color
-    # pairs the remaining arc inward: [x1, r-1], [x1+1, r-2], ...
-    for j in range((r - x1) // 2):
-        _add_edge(edge_color, (x1 + j, r - 1 - j), i1)
-    s = x1
-    for i, x in nz[1:]:
-        # Block at names s..s+x-1.  Its class pairs the hub with the
-        # self-paired residue of the block's chord sum and walks
-        # outward from the block's rim.
-        h = _norm(s + (x + r - 2) // 2, mod)
-        _add_edge(edge_color, (0, h), i)
-        for j in range((r - x - 2) // 2):
-            p = _norm(s - 1 - j, mod)
-            q = _norm(s + x + j, mod)
-            _add_edge(edge_color, (p, q), i)
-        s += x
-    used_by_class: Dict[int, set] = {}
-    for pair in edge_color:
-        t = class_of_pair(r, pair)
-        used_by_class.setdefault(t, set()).add(pair)
-    pool: List[Tuple[Tuple[int, int], ...]] = []
-    for t in range(mod):
-        if t not in used_by_class:
-            pool.append(scheme_class(r, t))
     leftover: List[Tuple[int, int]] = []
-    for t, pairs in used_by_class.items():
-        leftover.extend(p for p in scheme_class(r, t) if p not in pairs)
-    if leftover:
-        if len(leftover) != r // 2:
-            raise AssertionError("leftover arcs do not form a perfect matching")
-        pool.append(tuple(sorted(leftover)))
-    return edge_color, pool, {v: v for v in range(r)}
+    used = set()
+    for c, names in layout:
+        # The hub pairs with its block's centre; an arc block's ends pair.
+        pair = (0, names[len(names) // 2]) if names[0] == 0 else (names[0], names[-1])
+        t = class_of_pair(r, pair)
+        used.add(t)
+        for a, b in scheme_class(r, t):
+            if pend[a] == c:
+                leftover.append((a, b))
+            else:
+                _add_edge(edge_color, (a, b), c)
+    if len(used) < len(layout):
+        # Two blocks on one class: each took the other's pairs, so the
+        # class is spent and nothing is left over.
+        leftover = []
+    pool = chain(
+        (scheme_class(r, t) for t in range(r - 1) if t not in used),
+        [tuple(sorted(leftover))] if leftover else [],
+    )
+    position = [0] * r
+    for p, name in enumerate(sorted(range(r), key=lambda v: (pend[v], v))):
+        position[name] = p
+    return edge_color, pool, position
+
+
+def _even_sun(vector: Sequence[int], k: int) -> SunColoring:
+    """The even construction pumped to a k-regular constituent: each
+    step past the base valency d'-1 (d' nonzero entries) takes the next
+    pool matching under a color on no pendant, zero entries first."""
+    edge_color, pool, position = _even_core(vector)
+    d = len(vector)
+    zeros = [i for i, x in enumerate(vector) if x == 0]
+    need = k - (d - len(zeros) - 1)
+    fresh = max(0, need - len(zeros))
+    for color in (zeros + list(range(d, d + fresh)))[:need]:
+        matching = next(pool, None)
+        if matching is None:
+            raise AssertionError(f"no free matching left for color {color}")
+        for pair in matching:
+            _add_edge(edge_color, pair, color)
+    return _finish(vector, edge_color, d + fresh, position.__getitem__, k)
 
 
 def build_sun_even(vector: Sequence[int]) -> SunColoring:
     """Sun for an all-even vector (zero entries allowed): d colors,
     (d-1)-regular constituent.  Zero colors consume whole perfect
     matchings from the unused pool."""
-    r, d = _check_vector(vector)
-    edge_color, pool, renaming = _even_core(vector)
-    zeros = [i for i, x in enumerate(vector) if x == 0]
-    if len(zeros) > len(pool):
-        raise AssertionError("not enough free matchings for the zero colors")
-    for idx, color in enumerate(zeros):
-        for pair in pool[idx]:
-            _add_edge(edge_color, pair, color)
-    return _finish(vector, edge_color, d, renaming.__getitem__, d - 1)
+    return _even_sun(vector, len(vector) - 1)
 
 
 def build_sun_valency(vector: Sequence[int], k: int) -> SunColoring:
@@ -429,23 +348,13 @@ def build_sun_valency(vector: Sequence[int], k: int) -> SunColoring:
     one whole perfect matching from the pool under a color not yet on
     any pendant (zero-entry indices first, then fresh colors).
     """
-    r, d = _check_vector(vector)
+    r, _ = _check_vector(vector)
     nz_count = sum(1 for x in vector if x > 0)
     if not nz_count <= k <= r - 1:
         raise GraphError(
             f"target valency {k} outside {nz_count}..{r - 1} for vector {tuple(vector)}"
         )
-    edge_color, pool, renaming = _even_core(vector)
-    zeros = [i for i, x in enumerate(vector) if x == 0]
-    need = k - (nz_count - 1)
-    fresh = max(0, need - len(zeros))
-    targets = (zeros + list(range(d, d + fresh)))[:need]
-    if need > len(pool):
-        raise AssertionError("not enough free matchings to reach the target valency")
-    for idx, color in enumerate(targets):
-        for pair in pool[idx]:
-            _add_edge(edge_color, pair, color)
-    return _finish(vector, edge_color, d + fresh, renaming.__getitem__, k)
+    return _even_sun(vector, k)
 
 
 # ---- exhaustive negative verification ---- #
@@ -518,7 +427,10 @@ def verify_totally_inadmissible(vector: Sequence[int]) -> bool:
     key = tuple(sorted(vector))
     if key in _TI_CACHE:
         return _TI_CACHE[key]
-    ban = _pendant_bans(pendant_layout(key), d)
+    # Per position, the colors other than its pendant color; an edge's
+    # list is the AND of its two ends'.
+    full = (1 << d) - 1
+    ban = [full ^ (1 << c) for c in pendant_layout(key)]
     result = True
     for edges in regular_constituents(r, d - 1):
         masks = {eid: ban[a] & ban[b] for eid, (a, b) in enumerate(edges)}

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .coloring import EdgeColoring, is_proper
+from .coloring import EdgeColoring, _clash_error, is_proper
 from .errors import GraphError
 from .multigraph import Multigraph
 
@@ -166,7 +166,7 @@ class Truncation:
                 assignment[eid] = colors[pair]
         out = EdgeColoring(assignment, palette)
         if not is_proper(self.graph, out):
-            raise AssertionError("truncation coloring is not proper")
+            raise _clash_error(self.graph, out, "truncation coloring")
         return out
 
     def sun(self, v: int) -> Multigraph:

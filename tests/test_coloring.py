@@ -12,6 +12,7 @@ from truncolor.coloring import (
     EdgeColoring,
     chromatic_index,
     classify,
+    first_clash,
     is_proper,
     list_edge_coloring,
     solve_edge_coloring,
@@ -37,6 +38,16 @@ class TestEdgeColoring:
         g = Multigraph([0, 1, 2], [(0, 1), (1, 2)])
         assert not is_proper(g, EdgeColoring({0: 0, 1: 0}, 1))
         assert is_proper(g, EdgeColoring({0: 0, 1: 1}, 2))
+
+    def test_first_clash_checks_only_the_given_vertices(self):
+        # Path 0-1-2-3 colored 0, 0, 1: the one clash is at vertex 1.
+        g = Multigraph(range(4), [(0, 1), (1, 2), (2, 3)])
+        coloring = EdgeColoring({0: 0, 1: 0, 2: 1}, 2)
+        assert first_clash(g, coloring) == (1, 0, 1)
+        assert first_clash(g, coloring, at=[0, 2, 3]) is None
+        assert first_clash(g, coloring, at=[2, 1]) == (1, 0, 1)
+        with pytest.raises(GraphError):
+            first_clash(g, EdgeColoring({0: 0, 1: 1}, 2), at=[3])
 
 
 class TestOracle:

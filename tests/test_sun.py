@@ -1,13 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import truncolor.sun as sun_module
 from truncolor.catalog import k4, prism3
 from truncolor.coloring import EdgeColoring, is_proper
 from truncolor.errors import GraphError, UndecidedError
 from truncolor.multigraph import Multigraph
 from truncolor.sun import (
     Infeasible,
+    SunColoring,
     admissible,
     build_sun_even,
     build_sun_odd,
@@ -98,6 +102,106 @@ class TestBuiltSuns:
         sun = build_sun_even((2, 2, 2, 0, 0, 0))
         sun.validate(regular=5)
         assert pendant_counts(sun) == (2, 2, 2, 0, 0, 0)
+
+
+def even_vectors(r):
+    """Every all-even vector with total r and any number of entries."""
+    for d in range(1, r + 1):
+        for vector in all_vectors(r, d):
+            if all(x % 2 == 0 for x in vector):
+                yield vector
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    """Make any exact search inside the sun module fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an even sun build ran an exact search")
+
+    monkeypatch.setattr(sun_module, "solve_edge_coloring", refuse)
+
+
+class TestEvenLayout:
+    def test_every_even_vector_up_to_ten_builds_without_search(self, no_search):
+        checked = 0
+        for r in range(2, 11, 2):
+            for vector in even_vectors(r):
+                sun = build_sun_even(vector)
+                sun.validate(regular=len(vector) - 1)
+                assert pendant_counts(sun) == vector
+                checked += 1
+        assert checked == 5946
+
+    def test_every_valency_target_up_to_eight(self, no_search):
+        for r in range(2, 9, 2):
+            for vector in even_vectors(r):
+                for k in range(sum(1 for x in vector if x), r):
+                    sun = build_sun_valency(vector, k)
+                    sun.validate(regular=k)
+                    assert pendant_counts(sun)[: len(vector)] == vector
+
+    @pytest.mark.parametrize(
+        "vector",
+        # Equal entries weave blocks (four 2s take the fixed layout); two
+        # blocks share one class; the last three ran unbounded before the
+        # closed form.
+        [(2, 2, 2, 2), (2,) * 6, (4, 4, 4, 4)]
+        + [(2, r - 2) for r in (4, 6, 8, 12, 14)]
+        + [(2, 60), (4,) * 20, (2,) * 22],
+    )
+    def test_pinned_layouts(self, vector, no_search):
+        sun = build_sun_even(vector)
+        sun.validate(regular=len(vector) - 1)
+        assert pendant_counts(sun) == vector
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_even_vectors(self, data):
+        # r = 2 * half ends cut into d even entries, zeros allowed.
+        half = data.draw(st.integers(1, 30), label="r/2")
+        d = data.draw(st.integers(1, 2 * half), label="d")
+        cuts = sorted(data.draw(st.lists(st.integers(0, half), min_size=d - 1, max_size=d - 1)))
+        vector = tuple(2 * (b - a) for a, b in zip([0] + cuts, cuts + [half]))
+        sun = build_sun_even(vector)
+        sun.validate(regular=len(vector) - 1)
+        assert pendant_counts(sun) == vector
+
+    def test_free_classes_are_built_only_when_taken(self, monkeypatch):
+        calls = []
+        real = sun_module.scheme_class
+
+        def counted(n, t):
+            calls.append(t)
+            return real(n, t)
+
+        monkeypatch.setattr(sun_module, "scheme_class", counted)
+        # A 0-regular constituent needs only the color's own class.
+        build_sun_even((1000,)).validate(regular=0)
+        assert len(calls) == 1
+        calls.clear()
+        build_sun_valency((1000,), 3).validate(regular=3)
+        assert len(calls) == 4
+        calls.clear()
+        build_sun_even((4, 4, 0, 0)).validate(regular=3)
+        assert len(calls) == 4
+
+
+class TestValidateMessages:
+    def test_clash_names_vertex_edges_and_color(self):
+        # Pendant color 0 at position 0 meets constituent edge (0, 1) of color 0.
+        sun = SunColoring(
+            vector=(1, 1),
+            pendant_colors=(0, 1),
+            constituent_edges=((0, 1),),
+            constituent_colors=(0,),
+            palette_size=2,
+        )
+        with pytest.raises(
+            AssertionError,
+            match=r"sun coloring is not proper: edges 0 and 2 share color 0 at vertex 0",
+        ):
+            sun.validate()
 
 
 class TestTotallyInadmissible:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from truncolor.catalog import k4, k5, petersen, q3
@@ -172,6 +174,15 @@ class TestColor:
             assert out.color_of(eid) == 0
 
     def test_clashing_cluster_map_raises(self):
+        # The error names the clash: vertex, both edges and their color.
         tr = cyclic_truncation(k4(), None)
-        with pytest.raises(AssertionError, match="not proper"):
+        with pytest.raises(AssertionError) as exc:
             tr.color(dict.fromkeys(tr.matching, 0), lambda v: dict.fromkeys(tr.constituents[v], 1), 3)
+        found = re.fullmatch(
+            r"truncation coloring is not proper: edges (\d+) and (\d+) share color 1 at vertex (\d+)",
+            str(exc.value),
+        )
+        assert found is not None
+        e1, e2, v = map(int, found.groups())
+        assert e1 != e2
+        assert v in tr.graph.endpoints(e1) and v in tr.graph.endpoints(e2)
