@@ -1,7 +1,8 @@
 #!/bin/sh
 # End-to-end tour of the command line: emit a named graph, truncate
 # it, color the truncation, verify the result, and render DOT.
-# Requires the package installed (pip install -e . --no-build-isolation).
+# Requires a `truncolor` command on PATH: the installed package, or a
+# shim that runs `python -m truncolor.cli "$@"` with an absolute PYTHONPATH.
 set -eu
 
 workdir=$(mktemp -d)
@@ -18,7 +19,7 @@ truncolor verify k4_bundle.json
 head -3 k4_tr.dot
 
 echo "== sun verdicts"
-truncolor sun --vector 3,3,1
+truncolor sun --vector 3,3,1 --dot sun.dot
 truncolor sun --vector 2,1,1
 
 echo "== class II detection via the oracle"

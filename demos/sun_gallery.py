@@ -52,7 +52,7 @@ def main():
     print("== pumping the constituent valency over one vector")
     # Base regularity is one below the nonzero-entry count; each step
     # up to r-1 absorbs a whole perfect matching under a fresh color.
-    for k in range(4, 8):
+    for k in range(3, 8):
         sun = build_sun_valency((2, 2, 2, 2), k)
         sun.validate(regular=k)
         print(f"  constituent {k}-regular, palette {sun.palette_size}")

@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Every subcommand reads JSON files, writes a JSON result to stdout, and
-can dump a DOT rendering with --dot.  Exit codes: 0 for success, 1 for
-domain errors (bad input, failed verification, inapplicable route), 2
-when the exact oracle ran out of budget before deciding.
+Every subcommand reads JSON files and returns its exit code, its JSON
+result and what --dot should draw; `main` alone writes the result to
+stdout as one compact JSON line and the drawing to the --dot file.
+`verify` takes a bundle, a graph file plus a coloring file, or a
+truncation file plus a coloring file.  Exit codes: 0 for success, 1 for
+domain errors (bad input, failed verification, inapplicable route,
+unwritable --dot path), 2 when the exact oracle ran out of budget
+before deciding.
 """
 
 from __future__ import annotations
@@ -12,16 +16,14 @@ import argparse
 import json
 import random
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .catalog import catalog as named_instances, k4 as _k4, q3 as _q3
 from .coloring import (
     CLASS_I,
-    CLASS_II,
     DEFAULT_EDGE_CAP,
     EdgeColoring,
     chromatic_index,
-    is_proper,
     solve_edge_coloring,
 )
 from .complete_coloring import ClassIIWitness, color_complete_truncation
@@ -48,7 +50,7 @@ from .io import (
     truncation_to_obj,
 )
 from .multigraph import Multigraph
-from .strong_arboreal import NotApplicable, arboreal_is_class_one, color_by_strong
+from .strong_arboreal import NotApplicable, color_by_strong
 from .sun import admissible, build_sun_even, build_sun_odd, verify_totally_inadmissible
 from .truncation import (
     Truncation,
@@ -62,33 +64,20 @@ EXIT_DOMAIN = 1
 EXIT_UNDECIDED = 2
 
 
-def _emit(obj: Dict[str, object]) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+# A drawing is what --dot renders: a graph, its coloring if any, and
+# the truncation it flattens if any (for clusters and bold matching).
+Drawing = Tuple[Multigraph, Optional[EdgeColoring], Optional[Truncation]]
+# Every subcommand returns (exit code, JSON object, drawing or None).
+Result = Tuple[int, Dict[str, object], Optional[Drawing]]
 
 
-def _maybe_dot(
-    args,
-    g: Multigraph,
-    coloring: Optional[EdgeColoring] = None,
-    tr: Optional[Truncation] = None,
-) -> None:
-    if not getattr(args, "dot", None):
-        return
-    bold = tr.matching_ids if tr is not None else ()
-    clusters = tr.clusters if tr is not None else None
-    with open(args.dot, "w", encoding="utf-8") as fh:
-        fh.write(to_dot(g, coloring, bold, clusters))
-
-
-def _bundle(tr: Truncation, coloring: EdgeColoring) -> Dict[str, object]:
-    flat = tr.graph
-    return {
-        "truncation": truncation_to_obj(tr),
-        "vertices": list(flat.vertices),
-        "edges": [list(flat.endpoints(eid)) for eid in flat.edge_ids],
-        "coloring": coloring_to_obj(coloring),
-    }
+def _bundle(obj: Dict[str, object], tr: Truncation, coloring: EdgeColoring) -> Result:
+    """Success with obj followed by the truncation, its flat graph and
+    the coloring: the bundle `verify` reads back."""
+    obj["truncation"] = truncation_to_obj(tr)
+    obj.update(graph_to_obj(tr.graph))
+    obj["coloring"] = coloring_to_obj(coloring)
+    return EXIT_OK, obj, (tr.graph, coloring, tr)
 
 
 def _parse_vector(text: str) -> List[int]:
@@ -98,30 +87,26 @@ def _parse_vector(text: str) -> List[int]:
         raise GraphError(f"vector {text!r} is not a comma-separated integer list") from None
 
 
-def cmd_truncate(args) -> int:
-    g = load_graph(args.graph)
-    if args.kind == "complete":
-        tr = complete_truncation(g)
-    elif args.kind == "cyclic":
-        tr = cyclic_truncation(g, None)
-    else:
-        tr = arboreal_truncation(g, None)
+_TRUNCATIONS = {
+    "complete": complete_truncation,
+    "cyclic": cyclic_truncation,
+    "arboreal": arboreal_truncation,
+}
+
+
+def cmd_truncate(args) -> Result:
+    tr = _TRUNCATIONS[args.kind](load_graph(args.graph))
     flat = tr.graph
-    obj = truncation_to_obj(tr)
-    obj.update(
-        {
-            "kind": args.kind,
-            "vertices": list(flat.vertices),
-            "edges": [list(flat.endpoints(eid)) for eid in flat.edge_ids],
-            "max_valency": flat.max_valency(),
-        }
-    )
-    _emit(obj)
-    _maybe_dot(args, flat, None, tr)
-    return EXIT_OK
+    obj = {
+        **truncation_to_obj(tr),
+        "kind": args.kind,
+        **graph_to_obj(flat),
+        "max_valency": flat.max_valency(),
+    }
+    return EXIT_OK, obj, (flat, None, tr)
 
 
-def cmd_color_complete(args) -> int:
+def cmd_color_complete(args) -> Result:
     g = load_graph(args.graph)
     out = color_complete_truncation(g, budget=args.budget)
     if isinstance(out, ClassIIWitness):
@@ -131,22 +116,16 @@ def cmd_color_complete(args) -> int:
             "witness": {"nodes": out.nodes, "reason": out.reason},
         }
         if args.witness:
-            _emit(obj)
-            return EXIT_OK
+            return EXIT_OK, obj, None
         print(f"class II: {out.reason}", file=sys.stderr)
-        _emit(obj)
-        return EXIT_DOMAIN
+        return EXIT_DOMAIN, obj, None
     tr, coloring = out
-    obj = {"class": "I", "delta": g.max_valency()}
-    obj.update(_bundle(tr, coloring))
-    _emit(obj)
-    _maybe_dot(args, tr.graph, coloring, tr)
-    return EXIT_OK
+    return _bundle({"class": "I", "delta": g.max_valency()}, tr, coloring)
 
 
-def cmd_cyclic_color(args) -> int:
+def cmd_cyclic_color(args) -> Result:
     g = load_graph(args.graph)
-    extras: Dict[str, object] = {"strategy": args.strategy}
+    obj: Dict[str, object] = {"strategy": args.strategy}
     if args.strategy == "even":
         orders = None
         if args.seed is not None:
@@ -154,7 +133,7 @@ def cmd_cyclic_color(args) -> int:
             orders = {
                 v: rng.sample(range(g.valency(v)), g.valency(v)) for v in g.vertices
             }
-            extras["orders"] = {str(v): list(o) for v, o in sorted(orders.items())}
+            obj["orders"] = {str(v): list(o) for v, o in sorted(orders.items())}
         tr, coloring = cyclic_even_valency(g, orders)
     elif args.strategy == "classone":
         d = g.regular_valency()
@@ -173,163 +152,115 @@ def cmd_cyclic_color(args) -> int:
             y = find_enabling_submultigraph(g)
             if y is None:
                 raise GraphError("no enabling submultigraph with even components exists")
-        extras["enabling_edges"] = sorted(y)
+        obj["enabling_edges"] = sorted(y)
         tr, coloring = color_via_enabling(g, y)
-    obj = dict(extras)
-    obj.update(_bundle(tr, coloring))
-    _emit(obj)
-    _maybe_dot(args, tr.graph, coloring, tr)
-    return EXIT_OK
+    return _bundle(obj, tr, coloring)
 
 
-def cmd_color_strong(args) -> int:
+def cmd_color_strong(args) -> Result:
     tr = load_truncation(args.truncation)
     out = color_by_strong(tr, budget=args.budget)
     if isinstance(out, NotApplicable):
         print(f"not applicable: {out.reason}", file=sys.stderr)
-        _emit(
-            {
-                "applicable": False,
-                "vertex": out.vertex,
-                "delta": out.delta,
-                "reason": out.reason,
-            }
-        )
-        return EXIT_DOMAIN
-    _emit(
-        {
-            "applicable": True,
-            "delta": tr.graph.max_valency(),
-            "coloring": coloring_to_obj(out),
-        }
-    )
-    _maybe_dot(args, tr.graph, out, tr)
-    return EXIT_OK
+        obj = {"applicable": False, "vertex": out.vertex, "delta": out.delta, "reason": out.reason}
+        return EXIT_DOMAIN, obj, None
+    obj = {"applicable": True, "delta": tr.graph.max_valency(), "coloring": coloring_to_obj(out)}
+    return EXIT_OK, obj, (tr.graph, out, tr)
 
 
-def cmd_sun(args) -> int:
+def cmd_sun(args) -> Result:
     vector = _parse_vector(args.vector)
     r, d = sum(vector), len(vector)
     if admissible(vector):
         sun = build_sun_odd(vector) if r % 2 == 1 else build_sun_even(vector)
-        _emit(sun_report(sun))
-        if args.dot:
-            g = sun.sun_graph()
-            flat_colors = dict(enumerate(sun.pendant_colors))
-            for i, c in zip(range(r, r + len(sun.constituent_colors)), sun.constituent_colors):
-                flat_colors[i] = c
-            _maybe_dot(args, g, EdgeColoring(flat_colors, sun.palette_size))
-        return EXIT_OK
+        return EXIT_OK, sun_report(sun), (*sun.sun_graph(), None)
     if d == 3 and r >= 3:
         verdict, _ = vector3_admissible(*vector)
     elif r <= 8 and verify_totally_inadmissible(vector):
         verdict = "TOTALLY_INADMISSIBLE"
     else:
         verdict = "INADMISSIBLE"
-    _emit({"vector": vector, "verdict": verdict})
-    return EXIT_OK
+    return EXIT_OK, {"vector": vector, "verdict": verdict}, None
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> Result:
     g = load_graph(args.graph)
-    edge_cap = args.edge_cap if args.edge_cap is not None else DEFAULT_EDGE_CAP
-    res = chromatic_index(g, budget=args.budget, edge_cap=edge_cap)
-    delta = g.max_valency()
+    res = chromatic_index(g, budget=args.budget, edge_cap=args.edge_cap)
     if not res.decided:
-        _emit(
-            {
-                "decided": False,
-                "lower_bound": res.lower_bound,
-                "nodes": res.nodes,
-            }
-        )
         print("oracle undecided within budget", file=sys.stderr)
-        return EXIT_UNDECIDED
-    obj: Dict[str, object] = {
+        obj = {"decided": False, "lower_bound": res.lower_bound, "nodes": res.nodes}
+        return EXIT_UNDECIDED, obj, None
+    delta = g.max_valency()
+    obj = {
         "decided": True,
         "chi": res.chi,
         "delta": delta,
         "class": "I" if res.classify(delta) == CLASS_I else "II",
         "nodes": res.nodes,
     }
-    if res.certificate is not None:
-        obj["coloring"] = coloring_to_obj(res.certificate)
-        _maybe_dot(args, g, res.certificate)
-    _emit(obj)
-    return EXIT_OK
+    if res.certificate is None:
+        return EXIT_OK, obj, None
+    obj["coloring"] = coloring_to_obj(res.certificate)
+    return EXIT_OK, obj, (g, res.certificate, None)
 
 
-def _graph_for_verify(obj: object, origin: str) -> Multigraph:
-    if isinstance(obj, dict) and "constituents" in obj and "source" in obj:
+def _verify_graph(obj: object, origin: str) -> Multigraph:
+    """The graph a verify input describes: a bundle's truncation, a
+    truncation, or a plain graph."""
+    if isinstance(obj, dict) and "truncation" in obj:
+        return truncation_from_obj(obj["truncation"], origin).graph
+    if isinstance(obj, dict) and "source" in obj and "constituents" in obj:
         return truncation_from_obj(obj, origin).graph
     return graph_from_obj(obj, origin)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Result:
     first = load_json(args.files[0])
-    if len(args.files) == 1:
-        if not (isinstance(first, dict) and "coloring" in first):
-            raise GraphError(
-                f"{args.files[0]}: single-file verify needs a bundle with a \"coloring\" key"
-            )
-        if "truncation" in first:
-            g = truncation_from_obj(first["truncation"], args.files[0]).graph
-        else:
-            g = _graph_for_verify(first, args.files[0])
+    single = len(args.files) == 1
+    if single and not (isinstance(first, dict) and "coloring" in first):
+        raise GraphError(
+            f"{args.files[0]}: single-file verify needs a bundle with a \"coloring\" key"
+        )
+    # Build the graph before parsing the coloring: the flattening's
+    # temporaries are gone before the coloring's dict exists, which
+    # keeps peak memory down on large bundles.
+    g = _verify_graph(first, args.files[0])
+    if single:
         coloring = coloring_from_obj(first["coloring"], args.files[0])
     else:
-        g = _graph_for_verify(first, args.files[0])
         coloring = coloring_from_obj(load_json(args.files[1]), args.files[1])
     if set(coloring.assignment) != set(g.edge_ids):
         raise GraphError("coloring does not cover exactly the graph's edges")
     clash = first_clash(g, coloring)
     if clash is None:
-        _emit(
-            {
-                "proper": True,
-                "palette": coloring.palette_size,
-                "colors_used": len(coloring.used_colors()),
-            }
-        )
-        _maybe_dot(args, g, coloring)
-        return EXIT_OK
+        used = len(coloring.used_colors())
+        obj = {"proper": True, "palette": coloring.palette_size, "colors_used": used}
+        return EXIT_OK, obj, (g, coloring, None)
     v, e1, e2 = clash
-    _emit(
-        {
-            "proper": False,
-            "vertex": v,
-            "clash": [e1, e2],
-            "color": coloring.color_of(e1),
-        }
-    )
-    print(f"edges {e1} and {e2} share color {coloring.color_of(e1)} at vertex {v}", file=sys.stderr)
-    return EXIT_DOMAIN
+    c = coloring.color_of(e1)
+    print(f"edges {e1} and {e2} share color {c} at vertex {v}", file=sys.stderr)
+    return EXIT_DOMAIN, {"proper": False, "vertex": v, "clash": [e1, e2], "color": c}, None
 
 
-def cmd_demo(args) -> int:
+_CYCLIC_DEMOS = {"q3-ccc": _q3, "truncated-tetrahedron": _k4}
+
+
+def cmd_demo(args) -> Result:
     name = args.name
-    if name in ("petersen", "two-k5-bridge", "k4"):
-        g = named_instances()[name]()
-        obj: Dict[str, object] = {"name": name}
-        obj.update(graph_to_obj(g))
-        obj.update({"order": g.order, "size": g.size, "max_valency": g.max_valency()})
-        _emit(obj)
-        _maybe_dot(args, g)
-        return EXIT_OK
-    if name == "q3-ccc":
-        tr = cyclic_truncation(_q3(), None)
-    elif name == "truncated-tetrahedron":
-        tr = cyclic_truncation(_k4(), None)
+    if name in _CYCLIC_DEMOS:
+        tr = cyclic_truncation(_CYCLIC_DEMOS[name](), None)
+        g, extra = tr.graph, truncation_to_obj(tr)
     else:
-        raise GraphError(f"unknown demo {name!r}")
-    flat = tr.graph
-    obj = {"name": name}
-    obj.update(graph_to_obj(flat))
-    obj.update(truncation_to_obj(tr))
-    obj.update({"order": flat.order, "size": flat.size, "max_valency": flat.max_valency()})
-    _emit(obj)
-    _maybe_dot(args, flat, None, tr)
-    return EXIT_OK
+        tr, g, extra = None, named_instances()[name](), {}
+    obj = {
+        "name": name,
+        **graph_to_obj(g),
+        **extra,
+        "order": g.order,
+        "size": g.size,
+        "max_valency": g.max_valency(),
+    }
+    return EXIT_OK, obj, (g, None, tr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("truncate", help="build a truncation from a graph file")
     p.add_argument("graph")
-    p.add_argument("--kind", choices=("complete", "cyclic", "arboreal"), default="complete")
+    p.add_argument("--kind", choices=tuple(_TRUNCATIONS), default="complete")
     common(p, budget=False)
     p.set_defaults(func=cmd_truncate)
 
@@ -384,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact chromatic index")
     p.add_argument("graph")
-    p.add_argument("--edge-cap", type=int, default=None, help="largest size to attempt")
+    p.add_argument(
+        "--edge-cap", type=int, default=DEFAULT_EDGE_CAP, help="largest size to attempt"
+    )
     common(p)
     p.set_defaults(func=cmd_oracle)
 
@@ -405,16 +338,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, obj, drawing = args.func(args)
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except UndecidedError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
+    sys.stdout.write(json.dumps(obj) + "\n")
+    if args.dot and drawing is not None:
+        g, coloring, tr = drawing
+        bold = tr.matching_ids if tr is not None else ()
+        clusters = tr.clusters if tr is not None else None
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(to_dot(g, coloring, bold, clusters))
+        except OSError as exc:
+            print(f"error: {args.dot}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_DOMAIN
+    return code
 
 
 if __name__ == "__main__":

@@ -199,8 +199,9 @@ def is_enabling(x: Multigraph, y_edges: Iterable[int]) -> bool:
     valency even, so components of the remainder are eulerian.
     """
     y = set(y_edges)
+    edges = x.edges
     for eid in y:
-        if eid not in x.edges:
+        if eid not in edges:
             raise GraphError(f"edge {eid} is not in the graph")
     target = {0: 0, 1: 2, 2: 0, 3: 2}
     for v in x.vertices:

@@ -315,14 +315,30 @@ def _even_core(
     return edge_color, pool, position
 
 
-def _even_sun(vector: Sequence[int], k: int) -> SunColoring:
-    """The even construction pumped to a k-regular constituent: each
-    step past the base valency d'-1 (d' nonzero entries) takes the next
-    pool matching under a color on no pendant, zero entries first."""
-    edge_color, pool, position = _even_core(vector)
-    d = len(vector)
+def build_sun_even(vector: Sequence[int]) -> SunColoring:
+    """Sun for an all-even vector (zero entries allowed): d colors,
+    (d-1)-regular constituent.  Zero colors consume whole perfect
+    matchings from the unused pool."""
+    return build_sun_valency(vector, len(vector) - 1)
+
+
+def build_sun_valency(vector: Sequence[int], k: int) -> SunColoring:
+    """Sun over an all-even vector whose constituent is k-regular.
+
+    d' is the number of nonzero entries; any k from d'-1 through r-1
+    works.  The base construction is (d'-1)-regular; each step up adds
+    one whole perfect matching from the pool under a color not yet on
+    any pendant (zero-entry indices first, then fresh colors).
+    """
+    r, d = _check_vector(vector)
     zeros = [i for i, x in enumerate(vector) if x == 0]
-    need = k - (d - len(zeros) - 1)
+    base = d - len(zeros) - 1
+    if not base <= k <= r - 1:
+        raise GraphError(
+            f"target valency {k} outside {base}..{r - 1} for vector {tuple(vector)}"
+        )
+    edge_color, pool, position = _even_core(vector)
+    need = k - base
     fresh = max(0, need - len(zeros))
     for color in (zeros + list(range(d, d + fresh)))[:need]:
         matching = next(pool, None)
@@ -331,30 +347,6 @@ def _even_sun(vector: Sequence[int], k: int) -> SunColoring:
         for pair in matching:
             _add_edge(edge_color, pair, color)
     return _finish(vector, edge_color, d + fresh, position.__getitem__, k)
-
-
-def build_sun_even(vector: Sequence[int]) -> SunColoring:
-    """Sun for an all-even vector (zero entries allowed): d colors,
-    (d-1)-regular constituent.  Zero colors consume whole perfect
-    matchings from the unused pool."""
-    return _even_sun(vector, len(vector) - 1)
-
-
-def build_sun_valency(vector: Sequence[int], k: int) -> SunColoring:
-    """Sun over an all-even vector whose constituent is k-regular.
-
-    d' is the number of nonzero entries; any k from d' through r-1
-    works.  The base construction is (d'-1)-regular; each step up adds
-    one whole perfect matching from the pool under a color not yet on
-    any pendant (zero-entry indices first, then fresh colors).
-    """
-    r, _ = _check_vector(vector)
-    nz_count = sum(1 for x in vector if x > 0)
-    if not nz_count <= k <= r - 1:
-        raise GraphError(
-            f"target valency {k} outside {nz_count}..{r - 1} for vector {tuple(vector)}"
-        )
-    return _even_sun(vector, k)
 
 
 # ---- exhaustive negative verification ---- #

@@ -61,7 +61,6 @@ class Truncation:
     """A source multigraph together with one constituent per cluster."""
 
     def __init__(self, source: Multigraph, constituents: Mapping[int, Iterable[PositionPair]]):
-        _require_no_isolated(source)
         self.source = source
         self.matching, self.clusters = excise(source)
         cleaned: Dict[int, Tuple[PositionPair, ...]] = {}
@@ -89,7 +88,6 @@ class Truncation:
             cleaned[v] = tuple(sorted(pairs))
         self.constituents = cleaned
         self._flat: Optional[Multigraph] = None
-        self._kinds: Dict[int, str] = {}
         self._constituent_edge_ids: Dict[int, Tuple[int, ...]] = {}
 
     # ---- flattened form ---- #
@@ -103,11 +101,7 @@ class Truncation:
         """
         if self._flat is None:
             vertices = [e for pair in self.matching.values() for e in pair]
-            edges: Dict[int, Tuple[int, int]] = {}
-            kinds: Dict[int, str] = {}
-            for eid, (a, b) in self.matching.items():
-                edges[eid] = (a, b)
-                kinds[eid] = "matching"
+            edges: Dict[int, Tuple[int, int]] = dict(self.matching)
             nxt = max(self.matching) + 1 if self.matching else 0
             per_vertex: Dict[int, List[int]] = {}
             for v in sorted(self.clusters):
@@ -115,21 +109,22 @@ class Truncation:
                 ids_here: List[int] = []
                 for i, j in self.constituents[v]:
                     edges[nxt] = (ends[i], ends[j])
-                    kinds[nxt] = "constituent"
                     ids_here.append(nxt)
                     nxt += 1
                 per_vertex[v] = ids_here
             self._flat = Multigraph(vertices, edges)
-            self._kinds = kinds
             self._constituent_edge_ids = {v: tuple(ids) for v, ids in per_vertex.items()}
         return self._flat
 
     def edge_kind(self, eid: int) -> str:
-        self.graph
-        try:
-            return self._kinds[eid]
-        except KeyError:
-            raise GraphError(f"no edge with id {eid} in truncation") from None
+        if eid in self.matching:
+            return "matching"
+        # Constituent ids run on from the largest matching id, which
+        # excise puts last.
+        first = next(reversed(self.matching), -1) + 1
+        if isinstance(eid, int) and first <= eid < first + self.graph.size - len(self.matching):
+            return "constituent"
+        raise GraphError(f"no edge with id {eid} in truncation")
 
     @property
     def matching_ids(self) -> Tuple[int, ...]:

@@ -9,7 +9,15 @@ import pytest
 import truncolor
 from truncolor.catalog import k4, k5, petersen, q3, two_k5_bridge
 from truncolor.cli import main
-from truncolor.io import graph_from_obj, graph_to_obj, truncation_from_obj
+from truncolor.complete_coloring import color_complete_truncation
+from truncolor.io import (
+    coloring_to_obj,
+    graph_from_obj,
+    graph_to_obj,
+    truncation_from_obj,
+    truncation_to_obj,
+)
+from truncolor.truncation import arboreal_truncation
 
 from conftest import prism_graph
 
@@ -266,6 +274,30 @@ class TestVerify:
         assert code == 1
         assert "cover" in err
 
+    def test_truncation_file_plus_coloring_file(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "truncate", write_graph(tmp_path, q3()), "--kind", "arboreal")
+        assert code == 0
+        tr_file = write_obj(tmp_path, out, "tr.json")
+        code, strong, _ = run(capsys, "color-strong", tr_file)
+        assert code == 0
+        colors = strong["coloring"]
+        cfile = write_obj(tmp_path, colors, "colors.json")
+        code, verdict, _ = run(capsys, "verify", tr_file, cfile)
+        assert code == 0
+        assert verdict == {"proper": True, "palette": 3, "colors_used": 3}
+        # The flattened truncation is what gets checked: recolor one
+        # constituent edge like a matching edge at its end.
+        flat = truncation_from_obj(out).graph
+        eid = len(out["source"]["edges"])  # the first constituent edge
+        u = flat.endpoints(eid)[0]
+        other = next(e for e in flat.incident(u) if e != eid)
+        bad = dict(colors, colors=list(colors["colors"]))
+        bad["colors"][eid] = bad["colors"][other]
+        code, verdict, err = run(capsys, "verify", tr_file, write_obj(tmp_path, bad, "bad.json"))
+        assert code == 1
+        assert verdict["proper"] is False and verdict["vertex"] == u
+        assert "share color" in err
+
     def test_single_file_needs_coloring_key(self, capsys, tmp_path):
         gfile = write_graph(tmp_path, k4())
         code, _, err = run(capsys, "verify", gfile)
@@ -292,6 +324,74 @@ class TestDemo:
         assert flat.regular_valency() == 3
         tr = truncation_from_obj(out)
         assert tr.graph.order == order
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """Graph files for K4 and the Petersen graph, K4's arboreal and
+    complete truncations, and a color-complete bundle of K4."""
+    tr, coloring = color_complete_truncation(k4())
+    bundle = {"truncation": truncation_to_obj(tr), "coloring": coloring_to_obj(coloring)}
+    return {
+        "graph": write_graph(tmp_path, k4()),
+        "petersen": write_graph(tmp_path, petersen(), "petersen.json"),
+        "truncation": write_obj(tmp_path, truncation_to_obj(arboreal_truncation(k4())), "tr.json"),
+        "complete": write_obj(tmp_path, bundle["truncation"], "complete.json"),
+        "bundle": write_obj(tmp_path, bundle, "bundle.json"),
+    }
+
+
+# One successful run of every subcommand that can draw, and whether its
+# drawing has clusters (a truncation) and colors (a coloring).
+DRAWN = {
+    "truncate": (lambda f: ["truncate", f["graph"], "--kind", "cyclic"], True, False),
+    "color-complete": (lambda f: ["color-complete", f["graph"]], True, True),
+    "cyclic-color": (lambda f: ["cyclic-color", f["graph"], "--strategy", "classone"], True, True),
+    "color-strong": (lambda f: ["color-strong", f["truncation"]], True, True),
+    "sun": (lambda f: ["sun", "--vector", "3,3,1"], False, True),
+    "oracle": (lambda f: ["oracle", f["graph"]], False, True),
+    "verify": (lambda f: ["verify", f["bundle"]], False, True),
+    "demo": (lambda f: ["demo", "q3-ccc"], True, False),
+}
+
+# Runs that report a JSON object but draw nothing, with their exit codes.
+UNDRAWN = {
+    "class-two": (lambda f: ["color-complete", f["petersen"]], 1),
+    "not-applicable": (lambda f: ["color-strong", f["complete"]], 1),
+    "undecided": (lambda f: ["oracle", f["petersen"], "--budget", "1"], 2),
+    "inadmissible": (lambda f: ["sun", "--vector", "2,1,1"], 0),
+}
+
+
+class TestOutput:
+    @pytest.mark.parametrize("name", sorted(DRAWN))
+    def test_dot_per_subcommand(self, capsys, tmp_path, inputs, name):
+        argv, clusters, colors = DRAWN[name]
+        dot = tmp_path / f"{name}.dot"
+        code, out, _ = run(capsys, *argv(inputs), "--dot", str(dot))
+        assert code == 0 and out is not None
+        text = dot.read_text()
+        assert text.startswith("graph G {\n") and text.endswith("}\n")
+        assert ("subgraph cluster_" in text) == clusters
+        assert ("style=bold" in text) == clusters
+        assert ("color=" in text) == colors
+
+    @pytest.mark.parametrize("name", sorted(DRAWN) + sorted(UNDRAWN))
+    def test_stdout_is_one_compact_json_line(self, capsys, inputs, name):
+        argv, want = UNDRAWN[name] if name in UNDRAWN else (DRAWN[name][0], 0)
+        code = main(argv(inputs))
+        text = capsys.readouterr().out
+        assert code == want
+        obj = json.loads(text)
+        assert isinstance(obj, dict) and text == json.dumps(obj) + "\n"
+
+    def test_unwritable_dot_path_is_a_domain_error(self, capsys, tmp_path, inputs):
+        code, out, err = run(
+            capsys, "truncate", inputs["graph"], "--dot", str(tmp_path / "absent" / "t.dot")
+        )
+        assert code == 1
+        assert out["kind"] == "complete"
+        assert err.startswith("error: ") and "t.dot" in err
 
 
 class TestEntryPoint:

@@ -136,7 +136,7 @@ class TestEvenLayout:
     def test_every_valency_target_up_to_eight(self, no_search):
         for r in range(2, 9, 2):
             for vector in even_vectors(r):
-                for k in range(sum(1 for x in vector if x), r):
+                for k in range(sum(1 for x in vector if x) - 1, r):
                     sun = build_sun_valency(vector, k)
                     sun.validate(regular=k)
                     assert pendant_counts(sun)[: len(vector)] == vector
@@ -225,15 +225,21 @@ class TestTotallyInadmissible:
 
 class TestValencyPumping:
     def test_valency_range_sweep(self):
-        # Vector (2, 2, 0) has least valency 2; any valency up to r - 1 works.
-        for k in range(2, 4):
+        # Vector (2, 2, 0) has base valency d' - 1 = 1; any valency up to
+        # r - 1 works.
+        for k in range(1, 4):
             sun = build_sun_valency((2, 2, 0), k)
             sun.validate(regular=k)
             assert pendant_counts(sun)[:3] == (2, 2, 0)
 
+    def test_base_valency_is_the_even_build(self):
+        assert build_sun_valency((2, 2), 1) == build_sun_even((2, 2))
+
     def test_out_of_range_valency_rejected(self):
-        with pytest.raises(GraphError):
-            build_sun_valency((2, 2, 0), 4)  # r - 1 = 3 is the ceiling
+        # d' - 1 = 1 is the floor, r - 1 = 3 the ceiling.
+        for k in (0, 4):
+            with pytest.raises(GraphError, match=f"target valency {k} outside 1..3"):
+                build_sun_valency((2, 2, 0), k)
 
 
 class TestParityBalance:

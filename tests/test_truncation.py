@@ -76,6 +76,18 @@ class TestTruncationShape:
             assert tr.edge_kind(eid) == "matching"
             assert eid in tr.source.edges
 
+    def test_edge_kind_rejects_ids_outside_the_flat_graph(self):
+        # Source ids 0, 2, 5: constituent ids run on from 6.
+        x = Multigraph(range(3), {0: (0, 1), 2: (1, 2), 5: (0, 2)})
+        tr = complete_truncation(x)
+        for eid in tr.graph.edge_ids:
+            want = "matching" if eid in (0, 2, 5) else "constituent"
+            assert tr.edge_kind(eid) == want
+        assert set(tr.graph.edge_ids) == {0, 2, 5, 6, 7, 8}
+        for eid in (-1, 1, 3, 4, 9):
+            with pytest.raises(GraphError, match=f"no edge with id {eid} in truncation"):
+                tr.edge_kind(eid)
+
     def test_sun_subgraph_contains_cluster_and_pendants(self):
         tr = complete_truncation(k4())
         v = 0
