@@ -27,8 +27,11 @@ truncolor demo petersen > petersen.json
 truncolor color-complete petersen.json || echo "exit $? as expected: class II witness"
 truncolor oracle petersen.json
 
-echo "== cubic route"
+echo "== cubic routes"
 truncolor cyclic-color k4.json --strategy classone > k4_cyclic.json
 truncolor verify k4_cyclic.json
+truncolor cyclic-color k4.json --strategy enabling > k4_enabling.json
+truncolor verify k4_enabling.json
+truncolor cyclic-color petersen.json --strategy enabling || echo "exit $? as expected: no class I cyclic truncation"
 
 echo "all steps verified"

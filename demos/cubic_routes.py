@@ -1,7 +1,8 @@
-"""Cubic truncations: three coloring routes, one obstruction, one escape.
+"""Cubic truncations: four coloring routes, one obstruction, one escape.
 
 Cyclic truncations are 3-valent, so three colors is the best possible
-outcome.  This demo shows the routes that reach it, the bridge
+outcome.  This demo shows the routes that reach it, the parity search
+that decides whether any cyclic truncation reaches it, the bridge
 obstruction that blocks it, and the arboreal route that sidesteps a
 class II source entirely.
 """
@@ -13,6 +14,7 @@ from truncolor.coloring import EdgeColoring, chromatic_index, is_proper, solve_e
 from truncolor.cyclic_coloring import (
     color_via_enabling,
     cut_edge_class_two,
+    cyclic_class_one,
     cyclic_even_valency,
     cyclic_from_class_one,
 )
@@ -44,6 +46,12 @@ def main():
 
     tr, coloring = color_via_enabling(k4(), [0, 5])
     report("enabling perfect matching removed first (K4)", tr, coloring)
+
+    tr, coloring = cyclic_class_one(k4())
+    report("parity-balanced 3-coloring found by search (K4)", tr, coloring)
+    assert cyclic_class_one(petersen()) is None
+    print("  Petersen has no parity-balanced 3-coloring: "
+          "every cyclic truncation of it is class II")
 
     print("== the bridge obstruction")
     tr = cyclic_truncation(two_k5_bridge())

@@ -43,9 +43,9 @@ from .cyclic_coloring import (
     TOTALLY_INADMISSIBLE,
     color_via_enabling,
     cut_edge_class_two,
+    cyclic_class_one,
     cyclic_even_valency,
     cyclic_from_class_one,
-    find_enabling_submultigraph,
     is_enabling,
     vector3_admissible,
 )
@@ -111,12 +111,12 @@ __all__ = [
     "complete_truncation",
     "contract",
     "cut_edge_class_two",
+    "cyclic_class_one",
     "cyclic_even_valency",
     "cyclic_from_class_one",
     "cyclic_truncation",
     "excise",
     "find_edge_feasible",
-    "find_enabling_submultigraph",
     "is_edge_feasible",
     "is_enabling",
     "is_parity_balanced",

@@ -29,9 +29,9 @@ from .coloring import (
 from .complete_coloring import ClassIIWitness, color_complete_truncation
 from .cyclic_coloring import (
     color_via_enabling,
+    cyclic_class_one,
     cyclic_even_valency,
     cyclic_from_class_one,
-    find_enabling_submultigraph,
     vector3_admissible,
 )
 from .errors import GraphError, UndecidedError
@@ -124,6 +124,10 @@ def cmd_color_complete(args) -> Result:
 
 
 def cmd_cyclic_color(args) -> Result:
+    if args.enabling_edges is not None and args.strategy != "enabling":
+        raise GraphError("--enabling-edges applies to the enabling strategy only")
+    if args.seed is not None and args.strategy != "even":
+        raise GraphError("--seed applies to the even strategy only")
     g = load_graph(args.graph)
     obj: Dict[str, object] = {"strategy": args.strategy}
     if args.strategy == "even":
@@ -145,13 +149,18 @@ def cmd_cyclic_color(args) -> Result:
                 f"source admits no proper {d}-coloring; the folding route does not apply"
             )
         tr, coloring = cyclic_from_class_one(g, EdgeColoring(solved, d))
+    elif args.enabling_edges is None:
+        found = cyclic_class_one(g, budget=args.budget)
+        if found is None:
+            raise GraphError(
+                "enabling strategy: the source has no parity-balanced 3-coloring, "
+                "so no cyclic truncation of it is class I"
+            )
+        tr, coloring = found
     else:
-        if args.enabling_edges is not None:
-            y = _parse_vector(args.enabling_edges) if args.enabling_edges else []
-        else:
-            y = find_enabling_submultigraph(g)
-            if y is None:
-                raise GraphError("no enabling submultigraph with even components exists")
+        y = _parse_vector(args.enabling_edges) if args.enabling_edges else []
+        if len(set(y)) != len(y):
+            raise GraphError("--enabling-edges repeats an edge id")
         obj["enabling_edges"] = sorted(y)
         tr, coloring = color_via_enabling(g, y)
     return _bundle(obj, tr, coloring)
@@ -215,6 +224,8 @@ def _verify_graph(obj: object, origin: str) -> Multigraph:
 
 
 def cmd_verify(args) -> Result:
+    if not 1 <= len(args.files) <= 2:
+        raise GraphError(f"verify takes one or two files, got {len(args.files)} files")
     first = load_json(args.files[0])
     single = len(args.files) == 1
     if single and not (isinstance(first, dict) and "coloring" in first):
@@ -297,9 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--enabling-edges",
         default=None,
-        help="comma-separated edge ids for the enabling strategy",
+        help="comma-separated edge ids for the enabling strategy; without them "
+        "it searches for a parity-balanced 3-coloring",
     )
-    p.add_argument("--seed", type=int, default=None, help="randomize cycle orders")
+    p.add_argument("--seed", type=int, default=None, help="randomize even-route cycle orders")
     common(p)
     p.set_defaults(func=cmd_cyclic_color)
 
@@ -321,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("verify", help="check a coloring file against a graph")
-    p.add_argument("files", nargs="+", metavar="FILE")
+    p = sub.add_parser("verify", help="check a bundle, or a coloring against its graph")
+    p.add_argument("files", nargs="*", metavar="FILE")
     common(p, budget=False)
     p.set_defaults(func=cmd_verify)
 

@@ -83,9 +83,6 @@ class EdgeColoring:
     def used_colors(self) -> frozenset:
         return frozenset(self.assignment.values())
 
-    def colors_at(self, g: Multigraph, v: int) -> List[int]:
-        return [self.color_of(eid) for eid in g.incident(v)]
-
 
 def first_clash(
     g: Multigraph, coloring: EdgeColoring, at: Optional[Iterable[int]] = None

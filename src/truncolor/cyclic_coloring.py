@@ -1,22 +1,34 @@
 """Class I colorings of cyclic truncations, and the bridge obstruction.
 
-Three constructive routes produce proper 3-colorings of 3-valent cyclic
-truncations: all-even valencies (any cycle orders work), a proper
-d-coloring of a d-regular source folded down to three colors, and an
-enabling submultigraph whose removal leaves an eulerian graph of even
-component sizes.  The one structural obstruction implemented is the cut
-edge: a 3-valent graph with a bridge cannot be class I.
+Some cyclic truncation of x (every valency >= 3) is class I iff x has a
+parity-balanced 3-coloring: each color's count at every vertex has the
+parity of that vertex's valency.  Necessity is the parity lemma on each
+cluster.  Sufficiency is `_cyclic_from_parity`, the one gluing every
+strategy shares: the vectors are admissible, and `_single_cycle_sun`
+realizes each with one cycle.  Strategies only supply the coloring:
+`cyclic_from_class_one` folds a d-coloring, `color_via_enabling` walks
+Euler tours, `cyclic_class_one` searches.  `cyclic_even_valency` glues
+its own coloring and keeps any cycle orders.  A 3-valent graph with a
+bridge cannot be class I.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .coloring import EdgeColoring, is_proper
-from .errors import GraphError, UndecidedError
+from .errors import GraphError
 from .multigraph import Multigraph
-from .sun import SunColoring, admissible, build_sun_even, build_sun_odd, _suns_to_truncation
+from .sun import (
+    SunColoring,
+    _parity_coloring_search,
+    _suns_to_truncation,
+    _vector_at,
+    admissible,
+    build_sun_even,
+    build_sun_odd,
+    is_parity_balanced,
+)
 from .truncation import Truncation, cyclic_truncation
 
 __all__ = [
@@ -25,7 +37,7 @@ __all__ = [
     "cyclic_from_class_one",
     "is_enabling",
     "color_via_enabling",
-    "find_enabling_submultigraph",
+    "cyclic_class_one",
     "cut_edge_class_two",
     "ADMISSIBLE",
     "TOTALLY_INADMISSIBLE",
@@ -126,12 +138,36 @@ def _single_cycle_sun(vector3: Sequence[int]) -> SunColoring:
     return sun
 
 
-def _assert_cyclic(tr: Truncation) -> None:
-    for v in tr.source.vertices:
-        size = len(tr.clusters[v])
-        comps = _cycle_components(size, tr.constituents[v])
-        if len(comps) != 1:
+def _require_cyclic_source(x: Multigraph) -> None:
+    for v in x.vertices:
+        if x.valency(v) < 3:
+            raise GraphError(f"vertex {v} has valency {x.valency(v)}; need >= 3")
+
+
+def _cyclic_from_parity(
+    x: Multigraph, coloring3: EdgeColoring
+) -> Tuple[Truncation, EdgeColoring]:
+    """The cyclic truncation glued over a parity-balanced 3-coloring.
+
+    The matching edges keep coloring3, and each cluster gets the
+    single-cycle sun for its vertex's color vector (one sun per
+    distinct vector).  Raises AssertionError if coloring3 is not
+    parity-balanced or a constituent is not a single cycle.
+    """
+    if not is_parity_balanced(x, coloring3):
+        raise AssertionError("3-coloring of the source is not parity-balanced")
+    by_vector: Dict[Tuple[int, ...], SunColoring] = {}
+    suns: Dict[int, SunColoring] = {}
+    for v in x.vertices:
+        vec = _vector_at(x, coloring3, v)
+        if vec not in by_vector:
+            by_vector[vec] = _single_cycle_sun(vec)
+        suns[v] = by_vector[vec]
+    tr, out = _suns_to_truncation(x, coloring3, suns)
+    for v in x.vertices:
+        if len(_cycle_components(len(tr.clusters[v]), tr.constituents[v])) != 1:
             raise AssertionError(f"constituent at vertex {v} is not a single cycle")
+    return tr, out
 
 
 def cyclic_even_valency(
@@ -173,8 +209,7 @@ def cyclic_from_class_one(
     """Fold a proper d-coloring (d odd >= 3, x d-regular) to 3 colors.
 
     Colors 2..d-1 merge into color 2, so each vertex's vector becomes
-    (1, 1, d-2); the matching keeps the folded colors and each cluster
-    gets the single-cycle sun for that vector.
+    (1, 1, d-2), which is parity-balanced.
     """
     d = x.regular_valency()
     if d is None or d % 2 == 0 or d < 3:
@@ -184,11 +219,7 @@ def cyclic_from_class_one(
     folded = EdgeColoring(
         {eid: min(coloring.color_of(eid), 2) for eid in x.edge_ids}, 3
     )
-    sun = _single_cycle_sun((1, 1, d - 2))
-    suns = {v: sun for v in x.vertices}
-    tr, out = _suns_to_truncation(x, folded, suns)
-    _assert_cyclic(tr)
-    return tr, out
+    return _cyclic_from_parity(x, folded)
 
 
 def is_enabling(x: Multigraph, y_edges: Iterable[int]) -> bool:
@@ -219,13 +250,11 @@ def color_via_enabling(
 
     The remainder's components must each have an even number of edges;
     their Euler tours are colored alternately 0/1 (balancing both
-    colors at every vertex), the removed edges take color 2, and each
-    cluster gets a single-cycle sun for its (now admissible) vector.
+    colors at every vertex) and the removed edges take color 2, which
+    makes the 3-coloring parity-balanced.
     """
     y = sorted(set(y_edges))
-    for v in x.vertices:
-        if x.valency(v) < 3:
-            raise GraphError(f"vertex {v} has valency {x.valency(v)}; need >= 3")
+    _require_cyclic_source(x)
     if not is_enabling(x, y):
         raise GraphError("the given edge set is not enabling")
     rest = x.without_edges(y)
@@ -242,52 +271,22 @@ def color_via_enabling(
         tour = rest.euler_tour(root)
         for i, eid in enumerate(tour):
             assignment[eid] = i % 2
-    matching = EdgeColoring(assignment, 3)
-    suns: Dict[int, SunColoring] = {}
-    for v in x.vertices:
-        counts = [0, 0, 0]
-        for eid in x.incident(v):
-            counts[assignment[eid]] += 1
-        vec = tuple(counts)
-        if not admissible(vec):
-            raise AssertionError(f"vertex {v} got inadmissible vector {vec}")
-        suns[v] = _single_cycle_sun(vec)
-    tr, out = _suns_to_truncation(x, matching, suns)
-    _assert_cyclic(tr)
-    return tr, out
+    return _cyclic_from_parity(x, EdgeColoring(assignment, 3))
 
 
-def find_enabling_submultigraph(
-    x: Multigraph, *, max_size: Optional[int] = None, subset_budget: int = 500_000
-) -> Optional[Tuple[int, ...]]:
-    """Smallest enabling edge set leaving even-size eulerian components.
+def cyclic_class_one(
+    x: Multigraph, *, budget: Optional[int] = None
+) -> Optional[Tuple[Truncation, EdgeColoring]]:
+    """A class I cyclic truncation of x with its 3-coloring, or None.
 
-    Convenience scan in increasing size; None when none exists within
-    the size range.  Raises UndecidedError if the subset count exceeds
-    the budget first.
+    Searches for a parity-balanced 3-coloring of x; None means there is
+    none, so every cyclic truncation of x, whatever its cycle orders,
+    is class II.  Raises UndecidedError if the search exceeds budget
+    nodes.
     """
-    ids = sorted(x.edge_ids)
-    limit = len(ids) if max_size is None else min(max_size, len(ids))
-    tried = 0
-    for k in range(limit + 1):
-        for combo in combinations(ids, k):
-            tried += 1
-            if tried > subset_budget:
-                raise UndecidedError(
-                    f"enabling search exceeded {subset_budget} subsets", tried
-                )
-            if not is_enabling(x, combo):
-                continue
-            rest = x.without_edges(combo)
-            ok = True
-            for comp in rest.components():
-                comp_edges = sum(rest.valency(v) for v in comp) // 2
-                if comp_edges % 2 == 1:
-                    ok = False
-                    break
-            if ok:
-                return tuple(combo)
-    return None
+    _require_cyclic_source(x)
+    found = _parity_coloring_search(x, 3, budget)
+    return None if found is None else _cyclic_from_parity(x, found)
 
 
 def cut_edge_class_two(g: Multigraph) -> bool:

@@ -164,20 +164,6 @@ class Truncation:
             raise _clash_error(self.graph, out, "truncation coloring")
         return out
 
-    def sun(self, v: int) -> Multigraph:
-        """Constituent of v plus its pendant matching edges.
-
-        Edge ids agree with the flattened truncation, so colorings
-        restrict without translation.
-        """
-        flat = self.graph
-        if v not in self.clusters:
-            raise GraphError(f"no vertex {v} in source graph")
-        ids = list(self.constituent_edge_ids(v))
-        for end in self.clusters[v]:
-            ids.append(end // 2)
-        return flat.edge_subgraph(ids)
-
 
 def assemble(
     source: Multigraph, constituents: Mapping[int, Iterable[PositionPair]]

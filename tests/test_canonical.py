@@ -76,4 +76,4 @@ class TestMissingColor:
         g = complete_graph(6)
         col = canonical_coloring(6)
         for v in g.vertices:
-            assert sorted(col.colors_at(g, v)) == list(range(5))
+            assert sorted(col.color_of(e) for e in g.incident(v)) == list(range(5))

@@ -157,12 +157,40 @@ class TestCyclicColor:
         assert code == 0
         assert out["enabling_edges"] == [0, 5]
 
-    def test_enabling_strategy_auto_search(self, capsys, tmp_path):
+    def _auto_search(self, capsys, tmp_path, g):
+        # Without --enabling-edges the found 3-coloring is the coloring
+        # of the bundle's matching edges; no edge set is reported.
         code, out, _ = run(
-            capsys, "cyclic-color", write_graph(tmp_path, q3()), "--strategy", "enabling"
+            capsys, "cyclic-color", write_graph(tmp_path, g), "--strategy", "enabling"
         )
         assert code == 0
-        assert len(out["enabling_edges"]) > 0
+        assert "enabling_edges" not in out
+        bundle = write_obj(tmp_path, out, "bundle.json")
+        code2, verdict, _ = run(capsys, "verify", bundle)
+        assert code2 == 0 and verdict["proper"] is True and verdict["palette"] == 3
+
+    def test_enabling_strategy_auto_search(self, capsys, tmp_path):
+        self._auto_search(capsys, tmp_path, q3())
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_enabling_strategy_auto_search_on_prisms(self, capsys, tmp_path, n):
+        # 24 and 30 edges: beyond a scan over edge subsets.
+        self._auto_search(capsys, tmp_path, prism_graph(n))
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--strategy", "classone", "--enabling-edges", "0,5"], "--enabling-edges"),
+            (["--strategy", "even", "--enabling-edges", "0,5"], "--enabling-edges"),
+            (["--strategy", "classone", "--seed", "3"], "--seed"),
+            (["--strategy", "enabling", "--seed", "3"], "--seed"),
+            (["--strategy", "enabling", "--enabling-edges", "0,5,5"], "repeats"),
+        ],
+    )
+    def test_flags_that_do_not_apply_are_rejected(self, capsys, tmp_path, argv, message):
+        code, out, err = run(capsys, "cyclic-color", write_graph(tmp_path, k4()), *argv)
+        assert code == 1 and out is None
+        assert err.startswith("error: ") and message in err
 
     def test_enabling_strategy_rejects_petersen(self, capsys, tmp_path):
         code, _, err = run(
@@ -297,6 +325,17 @@ class TestVerify:
         assert code == 1
         assert verdict["proper"] is False and verdict["vertex"] == u
         assert "share color" in err
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_takes_one_or_two_files(self, capsys, tmp_path, count):
+        g = k4()
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        coloring = {"palette": 3, "colors": [0, 1, 2, 2, 1, 0]}  # proper on K4
+        files = [write_graph(tmp_path, g), write_obj(tmp_path, coloring, "c.json"), str(bad)]
+        code, out, err = run(capsys, "verify", *files[:count])
+        assert code == 1 and out is None
+        assert err.startswith("error: ") and f"got {count} files" in err
 
     def test_single_file_needs_coloring_key(self, capsys, tmp_path):
         gfile = write_graph(tmp_path, k4())

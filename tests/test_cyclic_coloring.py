@@ -1,24 +1,36 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from truncolor.catalog import cycle_graph, k4, k5, petersen, q3, two_k5_bridge
-from truncolor.coloring import EdgeColoring, is_proper, solve_edge_coloring
+from truncolor.coloring import (
+    EdgeColoring,
+    chromatic_index,
+    is_proper,
+    solve_edge_coloring,
+)
 from truncolor.cyclic_coloring import (
     ADMISSIBLE,
     TOTALLY_INADMISSIBLE,
     color_via_enabling,
     cut_edge_class_two,
+    cyclic_class_one,
     cyclic_even_valency,
     cyclic_from_class_one,
-    find_enabling_submultigraph,
     is_enabling,
     vector3_admissible,
+    _cycle_components,
     _single_cycle_sun,
 )
 from truncolor.errors import GraphError, UndecidedError
 from truncolor.multigraph import Multigraph
-from truncolor.truncation import cyclic_truncation
+from truncolor.sun import is_parity_balanced
+from truncolor.truncation import contract, cyclic_truncation
+
+from conftest import prism_graph
 
 
 def doubled_triangle():
@@ -154,13 +166,12 @@ class TestEnablingRoute:
         assert tr.graph.regular_valency() == 3
 
     def test_enabling_colors_balance_at_source(self):
-        # Colors 0 and 1 alternate along Euler tours, so they balance
-        # at every vertex of the remainder.
+        # The matching edges carry the 3-coloring the search found, and
+        # it is parity-balanced at every source vertex.
         g = q3()
-        y = find_enabling_submultigraph(g)
-        assert y is not None
-        tr, coloring = color_via_enabling(g, y)
+        tr, coloring = cyclic_class_one(g)
         assert is_proper(tr.graph, coloring)
+        assert is_parity_balanced(*contract(tr, coloring))
 
     def test_odd_component_rejected(self):
         # Petersen minus any perfect matching leaves two 5-cycles, so
@@ -181,11 +192,75 @@ class TestEnablingRoute:
             color_via_enabling(g, pm)
 
     def test_petersen_has_no_enabling_submultigraph(self):
-        assert find_enabling_submultigraph(petersen(), max_size=5) is None
+        assert cyclic_class_one(petersen()) is None
 
     def test_search_budget_raises(self):
         with pytest.raises(UndecidedError):
-            find_enabling_submultigraph(petersen(), subset_budget=10)
+            cyclic_class_one(petersen(), budget=1)
+
+
+def _cycle_orders(k):
+    """Every cyclic order of 0..k-1, once each: start at 0, and read
+    the cycle in the direction whose second entry is smaller."""
+    for rest in itertools.permutations(range(1, k)):
+        if rest[0] < rest[-1]:
+            yield (0,) + rest
+
+
+def _small_sources():
+    """Loopless multigraphs on 2 or 3 vertices with valencies 3..5, and
+    on 4 vertices with valencies 3..4.  The 4-vertex ones include the
+    bridged sources, which are the only ones here without a
+    parity-balanced 3-coloring."""
+    out = []
+    for n, top in ((2, 5), (3, 5), (4, 4)):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mult in itertools.product(range(top + 1), repeat=len(pairs)):
+            edges = [p for p, m in zip(pairs, mult) for _ in range(m)]
+            g = Multigraph(range(n), edges) if edges else None
+            if g and all(3 <= g.valency(v) <= top for v in range(n)):
+                out.append(g)
+    return out
+
+
+SMALL_SOURCES = _small_sources()
+# Two triple edges joined by a bridge: valencies 3, 3, 4, 4.
+BRIDGED = Multigraph(range(4), [(0, 3)] * 3 + [(1, 2)] * 3 + [(2, 3)])
+
+
+class TestParityCriterion:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SMALL_SOURCES))
+    @example(BRIDGED)
+    def test_agrees_with_the_oracle_over_every_cycle_order(self, g):
+        found = cyclic_class_one(g)
+        if found is not None:
+            tr, coloring = found
+            assert coloring.palette_size == 3 and is_proper(tr.graph, coloring)
+            for v in g.vertices:
+                assert len(_cycle_components(g.valency(v), tr.constituents[v])) == 1
+            assert chromatic_index(tr.graph).chi == 3
+            return
+        per_vertex = [list(_cycle_orders(g.valency(v))) for v in g.vertices]
+        for orders in itertools.product(*per_vertex):
+            tr = cyclic_truncation(g, dict(zip(g.vertices, orders)))
+            assert chromatic_index(tr.graph).chi == 4
+
+    def test_small_sources_cover_both_answers(self):
+        answers = {cyclic_class_one(g) is None for g in SMALL_SOURCES}
+        assert answers == {True, False}
+        assert cyclic_class_one(BRIDGED) is None
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_prisms(self, n):
+        # 24 and 30 edges, out of reach of a scan over edge subsets.
+        tr, coloring = cyclic_class_one(prism_graph(n))
+        assert coloring.palette_size == 3 and is_proper(tr.graph, coloring)
+        assert tr.graph.regular_valency() == 3
+
+    def test_rejects_low_valency(self):
+        with pytest.raises(GraphError, match="valency 2"):
+            cyclic_class_one(cycle_graph(5))
 
 
 class TestCutEdgeObstruction:

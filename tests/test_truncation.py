@@ -88,16 +88,6 @@ class TestTruncationShape:
             with pytest.raises(GraphError, match=f"no edge with id {eid} in truncation"):
                 tr.edge_kind(eid)
 
-    def test_sun_subgraph_contains_cluster_and_pendants(self):
-        tr = complete_truncation(k4())
-        v = 0
-        sun = tr.sun(v)
-        cluster = set(tr.clusters[v])
-        assert cluster <= set(sun.vertices)
-        # One pendant matching edge per cluster vertex.
-        pendant = [e for e in sun.edge_ids if tr.edge_kind(e) == "matching"]
-        assert len(pendant) == len(cluster)
-
 
 class TestValidation:
     def test_constituent_loop_rejected(self):
