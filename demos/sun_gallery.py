@@ -37,7 +37,7 @@ def main():
     # pendant pairs {0,1}, {2,4}, {3,7}, {5,6}, still with no search.
     build_and_report((2, 2, 2, 2))
 
-    print("== inadmissible vectors are refuted by exhaustion")
+    print("== inadmissible vectors are refuted by exhaustion up to permutations of same-colored ends")
     for vector in ((2, 1, 1), (3, 3, 1, 1)):
         assert not admissible(vector)
         assert verify_totally_inadmissible(vector)

@@ -6,8 +6,9 @@ colors as a count vector (x_1..x_d), the parity rule decides whether
 some (d-1)-regular constituent extends the pendant colors to a proper
 d-coloring: all entries must share one parity with r, and odd parity
 forces d odd.  Both parities are built constructively here, and the
-negative direction is checked by brute enumeration rather than by the
-counting argument, so the two routes stay independent.
+negative direction is checked by exhaustive enumeration of the
+constituents, up to permutations of same-colored ends, rather than by
+the counting argument, so the two routes stay independent.
 
 Ends are laid out in ascending color blocks: positions 0..x_1-1 carry
 color 0, the next x_2 positions color 1, and so on (zero entries
@@ -351,54 +352,76 @@ def build_sun_valency(vector: Sequence[int], k: int) -> SunColoring:
 
 # ---- exhaustive negative verification ---- #
 
-_REG_CACHE: Dict[Tuple[int, int], Tuple[Tuple[Tuple[int, int], ...], ...]] = {}
+def _breaks_block_order(adj: List[int], pairs: Sequence[int], final: int) -> bool:
+    """True if swapping some same-colored positions i, i+1 gives a
+    graph that is already known to come earlier.
 
-
-def regular_constituents(r: int, deg: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """Every labelled deg-regular simple graph on vertices 0..r-1.
-
-    Enumerated by letting the lowest unfinished vertex choose its
-    remaining neighbors among higher vertices, so each graph appears
-    exactly once.  Results are cached; the intended range is r <= 8.
+    Graphs are ordered by their upper triangle in row-major order, an
+    edge before a non-edge.  With A = N(i)-{i+1} and B = N(i+1)-{i},
+    the swap comes earlier exactly when the lowest index in A xor B
+    lies in B.  Only indices in the mask final are compared: their
+    adjacencies are settled.
     """
-    key = (r, deg)
-    if key in _REG_CACHE:
-        return _REG_CACHE[key]
-    out: List[Tuple[Tuple[int, int], ...]] = []
+    for i in pairs:
+        diff = (adj[i] ^ adj[i + 1]) & final & ~(3 << i)
+        if diff and adj[i + 1] & diff & -diff:
+            return True
+    return False
+
+
+def regular_constituents(
+    r: int, deg: int, layout: Optional[Sequence[int]] = None
+) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Labelled deg-regular simple graphs on vertices 0..r-1.
+
+    The lowest unfinished vertex v chooses its remaining neighbours
+    among higher vertices, so each graph appears once; the choices
+    live on an explicit stack.  Without a layout every labelled graph
+    is returned.  With layout[p] the pendant color at position p, the
+    graphs are exhaustive up to permutations within each run of equal
+    colors: a graph is kept only if no swap of two neighbouring
+    same-colored positions makes it smaller (see _breaks_block_order),
+    and the least graph of each orbit passes that test.  It prunes as
+    soon as v passes the deciding index, since every adjacency that
+    touches a vertex below v is final.
+    """
     if deg == 0:
-        out.append(())
-    elif deg < r and (r * deg) % 2 == 0:
-        rem = [deg] * r
-        adj: List[set] = [set() for _ in range(r)]
-        edges: List[Tuple[int, int]] = []
-
-        def rec() -> None:
-            v = next((i for i in range(r) if rem[i]), -1)
-            if v < 0:
-                out.append(tuple(edges))
-                return
-            cands = [u for u in range(v + 1, r) if rem[u] and u not in adj[v]]
-            need = rem[v]
-            if len(cands) < need:
-                return
-            for combo in combinations(cands, need):
-                rem[v] = 0
-                for u in combo:
-                    rem[u] -= 1
-                    adj[v].add(u)
-                    adj[u].add(v)
-                    edges.append((v, u))
-                rec()
-                for u in combo:
-                    rem[u] += 1
-                    adj[v].remove(u)
-                    adj[u].remove(v)
-                    edges.pop()
-                rem[v] = need
-
-        rec()
-    _REG_CACHE[key] = tuple(out)
-    return _REG_CACHE[key]
+        return ((),)
+    if deg >= r or (r * deg) % 2:
+        return ()
+    pairs = [i for i in range(r - 1) if layout is not None and layout[i] == layout[i + 1]]
+    edges: List[Tuple[int, int]] = []
+    out: List[Tuple[Tuple[int, int], ...]] = []
+    # A frame holds v, the iterator over v's neighbour choices, and the
+    # remaining valencies, neighbour bitmasks and edge count before v
+    # chose.
+    stack = [(0, combinations(range(1, r), deg), [deg] * r, [0] * r, 0)]
+    while stack:
+        v, choices, rem, adj, size = stack[-1]
+        combo = next(choices, None)
+        if combo is None:
+            stack.pop()
+            continue
+        rem, adj = rem[:], adj[:]
+        del edges[size:]
+        rem[v] = 0
+        for u in combo:
+            rem[u] -= 1
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            edges.append((v, u))
+        w = v + 1
+        while w < r and not rem[w]:
+            w += 1
+        if pairs and _breaks_block_order(adj, pairs, (1 << w) - 1):
+            continue
+        if w == r:
+            out.append(tuple(edges))
+            continue
+        cands = [u for u in range(w + 1, r) if rem[u] and not adj[w] >> u & 1]
+        if len(cands) >= rem[w]:
+            stack.append((w, combinations(cands, rem[w]), rem, adj, len(edges)))
+    return tuple(out)
 
 
 _TI_CACHE: Dict[Tuple[int, ...], bool] = {}
@@ -407,11 +430,13 @@ _TI_CACHE: Dict[Tuple[int, ...], bool] = {}
 def verify_totally_inadmissible(vector: Sequence[int]) -> bool:
     """True iff no (d-1)-regular constituent extends the pendant colors.
 
-    Checked the hard way: every labelled (d-1)-regular graph on the r
-    ends is generated, and for each one an exhaustive list coloring
-    (each edge barred from its endpoints' pendant colors) must come up
-    UNSAT.  No parity shortcut is consulted.  Results are invariant
-    under permuting the vector, so they are cached by sorted vector.
+    Checked the hard way: the (d-1)-regular graphs on the r ends are
+    generated exhaustively up to permutations of same-colored ends
+    (such a permutation maps extensions to extensions), and for each
+    one an exhaustive list coloring (each edge barred from its
+    endpoints' pendant colors) must come up UNSAT.  No parity shortcut
+    is consulted.  Results are invariant under permuting the vector,
+    so they are cached by sorted vector.
     """
     r, d = _check_vector(vector)
     if r > 8:
@@ -421,10 +446,11 @@ def verify_totally_inadmissible(vector: Sequence[int]) -> bool:
         return _TI_CACHE[key]
     # Per position, the colors other than its pendant color; an edge's
     # list is the AND of its two ends'.
+    layout = pendant_layout(key)
     full = (1 << d) - 1
-    ban = [full ^ (1 << c) for c in pendant_layout(key)]
+    ban = [full ^ (1 << c) for c in layout]
     result = True
-    for edges in regular_constituents(r, d - 1):
+    for edges in regular_constituents(r, d - 1, layout):
         masks = {eid: ban[a] & ban[b] for eid, (a, b) in enumerate(edges)}
         found, _ = solve_edge_coloring(Multigraph(range(r), edges), d, lists=masks)
         if found is not None:
@@ -531,7 +557,7 @@ def regular_truncation(
     valency >= d, even-valency vertices >= d+1, and a coloring with d
     colors must exist where every color count is odd at odd-valency
     vertices and even at even-valency vertices; found by exhaustive
-    backtracking with parity pruning.
+    backtracking with parity pruning, one connected component at a time.
     """
     if d < 2:
         raise GraphError(f"regular truncation needs d >= 2, got {d}")
@@ -572,23 +598,51 @@ def _parity_coloring_search(
     x: Multigraph, d: int, budget: Optional[int] = None
 ) -> Optional[EdgeColoring]:
     """Exhaustive search for a d-coloring where each color's count at a
-    vertex matches the vertex's valency parity.  Color-permutation
-    symmetry is broken by capping fresh colors.  Edges are colored in a
-    fixed order, so the search state at depth i is the color on edge i
-    and the colors left to try there; it lives in arrays, not in
-    Python stack frames."""
-    eids = sorted(x.edge_ids, key=lambda e: (x.endpoints(e), e))
+    vertex matches the vertex's valency parity.
+
+    Each connected component is searched on its own, in the order of
+    its first edge, under one shared node budget; the first component
+    with no such coloring ends the search with None.
+    """
+    comp_of = {v: i for i, comp in enumerate(x.components()) for v in comp}
+    groups: Dict[int, List[int]] = {}
+    for eid in sorted(x.edge_ids, key=lambda e: (x.endpoints(e), e)):
+        groups.setdefault(comp_of[x.endpoints(eid)[0]], []).append(eid)
+    assignment: Dict[int, int] = {}
+    nodes: Optional[int] = 0
+    for eids in groups.values():
+        nodes = _parity_component_search(x, eids, d, budget, nodes, assignment)
+        if nodes is None:
+            return None
+    return EdgeColoring(assignment, d)
+
+
+def _parity_component_search(
+    x: Multigraph,
+    eids: Sequence[int],
+    d: int,
+    budget: Optional[int],
+    nodes: int,
+    assignment: Dict[int, int],
+) -> Optional[int]:
+    """Parity search over one component's edges eids, in that order.
+
+    nodes counts the nodes spent before this component, against budget.
+    On success the colors go into assignment and the new node total is
+    returned; None means the component has no coloring.  Color-permutation
+    symmetry is broken by capping fresh colors.  The search state at
+    depth i is the color on edge i and the colors left to try there; it
+    lives in arrays, not in Python stack frames.
+    """
     m = len(eids)
-    if m == 0:
-        return EdgeColoring({}, d)
     ends = [x.endpoints(eid) for eid in eids]
-    want = {v: x.valency(v) % 2 for v in x.vertices}
-    counts: Dict[int, List[int]] = {v: [0] * d for v in x.vertices}
-    remaining: Dict[int, int] = {v: x.valency(v) for v in x.vertices}
+    touched = {v for pair in ends for v in pair}
+    want = {v: x.valency(v) % 2 for v in touched}
+    counts: Dict[int, List[int]] = {v: [0] * d for v in touched}
+    remaining: Dict[int, int] = {v: x.valency(v) for v in touched}
     color: List[int] = [-1] * m
     limit: List[int] = [0] * m  # colors 0..limit-1 may go on edge i
     use_count = [0] * d
-    nodes = 0
 
     def vertex_ok(v: int) -> bool:
         wrong = sum(1 for c in counts[v] if c % 2 != want[v])
@@ -629,7 +683,8 @@ def _parity_coloring_search(
         remaining[w] -= 1
         if vertex_ok(u) and vertex_ok(w):
             if i + 1 == m:
-                return EdgeColoring({eids[j]: color[j] for j in range(m)}, d)
+                assignment.update(zip(eids, color))
+                return nodes
             i += 1
             limit[i] = fresh_limit()
     return None

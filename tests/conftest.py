@@ -35,6 +35,18 @@ def prism_graph(n: int) -> Multigraph:
     return Multigraph(range(2 * n), ring(0) + ring(n) + [(i, n + i) for i in range(n)])
 
 
+def disjoint_union(*graphs: Multigraph) -> Multigraph:
+    """The graphs side by side, each shifted past the previous one's
+    vertex ids; edge ids follow in the same order."""
+    vertices: List[int] = []
+    pairs: List[Tuple[int, int]] = []
+    for g in graphs:
+        off = max(vertices) + 1 if vertices else 0
+        vertices.extend(v + off for v in g.vertices)
+        pairs.extend((u + off, w + off) for u, w in (g.endpoints(e) for e in g.edge_ids))
+    return Multigraph(vertices, pairs)
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)

@@ -30,7 +30,7 @@ from truncolor.multigraph import Multigraph
 from truncolor.sun import is_parity_balanced
 from truncolor.truncation import contract, cyclic_truncation
 
-from conftest import prism_graph
+from conftest import disjoint_union, prism_graph
 
 
 def doubled_triangle():
@@ -255,6 +255,20 @@ class TestParityCriterion:
     def test_prisms(self, n):
         # 24 and 30 edges, out of reach of a scan over edge subsets.
         tr, coloring = cyclic_class_one(prism_graph(n))
+        assert coloring.palette_size == 3 and is_proper(tr.graph, coloring)
+        assert tr.graph.regular_valency() == 3
+
+    @pytest.mark.parametrize("prism_first", [True, False])
+    def test_class_two_component_is_refuted_on_its_own(self, prism_first):
+        # The 20-prism's colorings are never re-enumerated to refute the
+        # Petersen copy, whichever side has the lower vertex ids.
+        parts = (prism_graph(20), petersen())
+        g = disjoint_union(*(parts if prism_first else parts[::-1]))
+        assert cyclic_class_one(g, budget=10_000) is None
+
+    def test_components_colored_separately_glue_into_one_truncation(self):
+        g = disjoint_union(prism_graph(8), k4(), prism_graph(5))
+        tr, coloring = cyclic_class_one(g, budget=10_000)
         assert coloring.palette_size == 3 and is_proper(tr.graph, coloring)
         assert tr.graph.regular_valency() == 3
 

@@ -1,11 +1,12 @@
 import random
+from itertools import combinations, groupby, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import truncolor.sun as sun_module
-from truncolor.catalog import k4, prism3
+from truncolor.catalog import k4, petersen, prism3
 from truncolor.coloring import EdgeColoring, is_proper
 from truncolor.errors import GraphError, UndecidedError
 from truncolor.multigraph import Multigraph
@@ -17,12 +18,15 @@ from truncolor.sun import (
     build_sun_odd,
     build_sun_valency,
     is_parity_balanced,
+    pendant_layout,
     regular_constituents,
     regular_truncation,
     semiregular_truncation,
     verify_totally_inadmissible,
 )
 from truncolor.truncation import contract
+
+from conftest import disjoint_union, prism_graph
 
 
 def all_vectors(r, d):
@@ -221,6 +225,75 @@ class TestTotallyInadmissible:
         assert len(regular_constituents(4, 2)) == 3
         assert len(regular_constituents(6, 3)) == 70
         assert len(regular_constituents(8, 1)) == 105
+        assert len(regular_constituents(8, 3)) == 19_355
+
+    def test_block_layout_counts(self):
+        # Of the 19,355 labelled cubic graphs on 8 vertices, these are
+        # left once same-colored positions are interchangeable.
+        assert len(regular_constituents(8, 3, pendant_layout((0, 0, 1, 7)))) == 15
+        assert len(regular_constituents(8, 3, pendant_layout((1, 2, 2, 3)))) == 962
+
+    def test_no_block_orbit_is_lost(self):
+        # Brute force: a graph's canonical form is its least image under
+        # all within-block permutations, with graphs ordered by upper
+        # triangle in row-major order and an edge before a non-edge.
+        # As an integer with the first pair on the highest bit, the
+        # least graph has the largest code.
+        def block_permutations(layout):
+            blocks = [list(b) for _, b in groupby(range(len(layout)), key=layout.__getitem__)]
+            for images in product(*(permutations(b) for b in blocks)):
+                perm = list(range(len(layout)))
+                for block, image in zip(blocks, images):
+                    for p, q in zip(block, image):
+                        perm[p] = q
+                yield perm
+
+        for r in range(1, 8):
+            pairs = list(combinations(range(r), 2))
+            bit = {p: 1 << (len(pairs) - 1 - k) for k, p in enumerate(pairs)}
+
+            def code(edges):
+                return sum(bit[min(a, b), max(a, b)] for a, b in edges)
+
+            for deg in range(r):
+                if r * deg % 2:
+                    continue
+                everything = {code(g) for g in regular_constituents(r, deg)}
+                vectors = (v for d in range(1, r + 1) for v in all_vectors(r, d) if 0 not in v)
+                for layout in map(pendant_layout, vectors):
+                    perms = list(block_permutations(layout))
+                    pruned = regular_constituents(r, deg, layout)
+                    kept = {code(g) for g in pruned}
+                    assert len(kept) == len(pruned) and kept <= everything
+                    canonical = {}
+                    for g in pruned:
+                        orbit = {code([(p[a], p[b]) for a, b in g]) for p in perms}
+                        canonical.update(dict.fromkeys(orbit, max(orbit)))
+                    assert set(canonical) == everything, (layout, deg)
+                    # The least graph of each orbit is itself kept.
+                    assert set(canonical.values()) <= kept, (layout, deg)
+
+    def test_refutation_kernel_calls(self, monkeypatch):
+        calls = []
+        solve = sun_module.solve_edge_coloring
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sun_module, "solve_edge_coloring", counted)
+        monkeypatch.setattr(sun_module, "_TI_CACHE", {})
+        vectors = {
+            tuple(sorted(v))
+            for d in range(1, 5)
+            for r in range(d, 9)
+            for v in all_vectors(r, d)
+            if not admissible(v)
+        }
+        assert len(vectors) == 75
+        assert all(verify_totally_inadmissible(v) for v in vectors)
+        # Every labelled graph took 218,385 calls.
+        assert len(calls) <= 21_838
 
 
 class TestValencyPumping:
@@ -359,6 +432,14 @@ class TestRegularTruncation:
         # Even valencies must exceed an odd target: 4 < d + 1 when d = 5.
         g = Multigraph(range(3), [(0, 1), (1, 2), (2, 0), (0, 1), (1, 2), (2, 0)])
         out = regular_truncation(g, 5)
+        assert isinstance(out, Infeasible)
+        assert out.clause == "i"
+
+    @pytest.mark.parametrize("prism_first", [True, False])
+    def test_odd_target_refutes_a_class_two_component(self, prism_first):
+        parts = (prism_graph(20), petersen())
+        g = disjoint_union(*(parts if prism_first else parts[::-1]))
+        out = regular_truncation(g, 3, budget=10_000)
         assert isinstance(out, Infeasible)
         assert out.clause == "i"
 
