@@ -4,7 +4,9 @@ Every subcommand reads JSON files and returns its exit code, its JSON
 result and what --dot should draw; `main` alone writes the result to
 stdout as one compact JSON line and the drawing to the --dot file.
 `verify` takes a bundle, a graph file plus a coloring file, or a
-truncation file plus a coloring file.  Exit codes: 0 for success, 1 for
+truncation file plus a coloring file; a bundle's flat "vertices" and
+"edges", like those a `truncate` file carries, must match its
+truncation's flattened graph.  Exit codes: 0 for success, 1 for
 domain errors (bad input, failed verification, inapplicable route,
 unwritable --dot path), 2 when the exact oracle ran out of budget
 before deciding.
@@ -16,6 +18,7 @@ import argparse
 import json
 import random
 import sys
+from operator import eq
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .catalog import catalog as named_instances, k4 as _k4, q3 as _q3
@@ -215,12 +218,44 @@ def cmd_oracle(args) -> Result:
 
 def _verify_graph(obj: object, origin: str) -> Multigraph:
     """The graph a verify input describes: a bundle's truncation, a
-    truncation, or a plain graph."""
+    truncation, or a plain graph.  A bundle or truncation file that
+    also carries "vertices" and "edges" must carry the truncation's own
+    flattened graph."""
     if isinstance(obj, dict) and "truncation" in obj:
-        return truncation_from_obj(obj["truncation"], origin).graph
-    if isinstance(obj, dict) and "source" in obj and "constituents" in obj:
-        return truncation_from_obj(obj, origin).graph
-    return graph_from_obj(obj, origin)
+        g = truncation_from_obj(obj["truncation"], origin).graph
+    elif isinstance(obj, dict) and "source" in obj and "constituents" in obj:
+        g = truncation_from_obj(obj, origin).graph
+    else:
+        return graph_from_obj(obj, origin)
+    if "edges" in obj:
+        _check_flat_edges(obj["edges"], g, origin)
+    if "vertices" in obj and obj["vertices"] != list(g.vertices):
+        raise GraphError(f'{origin}: "vertices" differ from the flattened truncation\'s')
+    return g
+
+
+def _check_flat_edges(edges: object, g: Multigraph, origin: str) -> None:
+    """edges must list g's edges in id order, each as [u, v] with u < v;
+    else a GraphError names the first index that differs."""
+    if not isinstance(edges, list):
+        raise GraphError(f'{origin}: "edges" must be a list')
+
+    def flat():
+        return map(list, map(g.endpoints, g.edge_ids))
+
+    if len(edges) == g.size and all(map(eq, edges, flat())):
+        return
+    for i, (have, want) in enumerate(zip(edges, flat())):
+        if have != want:
+            raise GraphError(
+                f"{origin}: edges[{i}] is {have}, but edge {i} of the flattened "
+                f"truncation is {want}"
+            )
+    i = min(len(edges), g.size)
+    have = edges[i] if i < len(edges) else "missing"
+    raise GraphError(
+        f"{origin}: edges[{i}] is {have}, but the flattened truncation has {g.size} edges"
+    )
 
 
 def cmd_verify(args) -> Result:
@@ -232,15 +267,15 @@ def cmd_verify(args) -> Result:
         raise GraphError(
             f"{args.files[0]}: single-file verify needs a bundle with a \"coloring\" key"
         )
-    # Build the graph before parsing the coloring: the flattening's
-    # temporaries are gone before the coloring's dict exists, which
-    # keeps peak memory down on large bundles.
+    # Build the graph, then drop all of the first file but its
+    # coloring, before the coloring's dicts exist: the flattening's
+    # temporaries and the bundle's lists are gone by then, which keeps
+    # peak memory down on large bundles.
     g = _verify_graph(first, args.files[0])
-    if single:
-        coloring = coloring_from_obj(first["coloring"], args.files[0])
-    else:
-        coloring = coloring_from_obj(load_json(args.files[1]), args.files[1])
-    if set(coloring.assignment) != set(g.edge_ids):
+    colors = first["coloring"] if single else load_json(args.files[1])
+    del first
+    coloring = coloring_from_obj(colors, args.files[-1])
+    if coloring.assignment.keys() != set(g.edge_ids):
         raise GraphError("coloring does not cover exactly the graph's edges")
     clash = first_clash(g, coloring)
     if clash is None:

@@ -65,11 +65,20 @@ class EdgeColoring:
         object.__setattr__(self, "assignment", dict(self.assignment))
         if self.palette_size < 0:
             raise GraphError("palette size must be nonnegative")
-        for eid, c in self.assignment.items():
-            if not 0 <= c < self.palette_size:
-                raise GraphError(
-                    f"edge {eid} has color {c} outside palette of size {self.palette_size}"
-                )
+        colors = self.assignment.values()
+        # One pass with min and max for plain ints; any other value
+        # types, or a color out of range, go through the walk that
+        # names the first offending edge.
+        if colors and not (
+            set(map(type, colors)) <= {int}
+            and min(colors) >= 0
+            and max(colors) < self.palette_size
+        ):
+            for eid, c in self.assignment.items():
+                if not 0 <= c < self.palette_size:
+                    raise GraphError(
+                        f"edge {eid} has color {c} outside palette of size {self.palette_size}"
+                    )
 
     def color_of(self, eid: int) -> int:
         try:

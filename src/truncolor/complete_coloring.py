@@ -19,7 +19,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .canonical import class_of_pair, scheme_class, scheme_class_count
-from .coloring import CLASS_I, EdgeColoring, classify, first_clash, solve_edge_coloring
+from .coloring import (
+    CLASS_I,
+    EdgeColoring,
+    _clash_error,
+    classify,
+    first_clash,
+    solve_edge_coloring,
+)
 from .errors import GraphError
 from .multigraph import Multigraph
 from .truncation import Truncation, complete_truncation
@@ -235,18 +242,18 @@ def color_delta_minus_one(
                 cur = e[0] if e[1] == cur else e[1]
                 color_now = c_last if color_now == c_prev else c_prev
 
-    # Final local check before translating back to positions.
-    at_label: Dict[int, set] = {lbl: {pend_at_label[lbl]} for lbl in range(m)}
-    for (p, q), c in edge_color.items():
-        if c in at_label[p] or c in at_label[q]:
-            raise AssertionError("constituent coloring clashes after repair")
-        at_label[p].add(c)
-        at_label[q].add(c)
+    # Final local check before translating back to positions: the
+    # cluster with a pendant stub m + lbl at every label lbl.
+    cluster = Multigraph(range(2 * m), [(lbl, m + lbl) for lbl in range(m)] + list(edge_color))
+    local = EdgeColoring(dict(enumerate(pend_at_label + list(edge_color.values()))), palette)
+    if first_clash(cluster, local, range(m)) is not None:
+        raise _clash_error(cluster, local, "constituent coloring after repair")
 
-    return {
-        tuple(sorted((label_to_pos[p], label_to_pos[q]))): c
-        for (p, q), c in edge_color.items()
-    }
+    out: Dict[Tuple[int, int], int] = {}
+    for (p, q), c in edge_color.items():
+        i, j = label_to_pos[p], label_to_pos[q]
+        out[(i, j) if i < j else (j, i)] = c
+    return out
 
 
 # ---- the full construction ---- #
@@ -264,14 +271,19 @@ def color_complete_truncation(
     delta = x.max_valency()
     if delta % 2 == 0:
         # Even D: the matching takes color 0 and each cluster gets the
-        # canonical classes shifted into 1..D-1.
+        # canonical classes shifted into 1..D-1.  Clusters of one size
+        # have the same complete constituent, so they share one table.
+        tables: Dict[int, Dict[Tuple[int, int], int]] = {}
+
         def pair_color(v: int) -> Dict[Tuple[int, int], int]:
             size = len(tr.clusters[v])
-            shift = size % 2
-            return {
-                (i, j): 1 + class_of_pair(size, (i + shift, j + shift))
-                for i, j in tr.constituents[v]
-            }
+            if size not in tables:
+                shift = size % 2
+                tables[size] = {
+                    (i, j): 1 + class_of_pair(size, (i + shift, j + shift))
+                    for i, j in tr.constituents[v]
+                }
+            return tables[size]
 
         return tr, tr.color(dict.fromkeys(tr.matching, 0), pair_color, delta)
 

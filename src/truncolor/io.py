@@ -6,11 +6,20 @@ color per edge id.  Truncation files bundle the source graph with a map
 from source vertex to constituent edges over cluster positions.  All
 loaders point at the offending file (and line, for syntax errors) when
 they reject input.
+
+Each strict check runs in two steps.  A whole-list pass with C-level
+builtins (the set of element types, pair lengths, a superset test for
+vertex membership, min and max for ranges) accepts valid input without
+a Python call per element.  Only when that pass fails does the
+element-by-element walk run; it finds the first offending entry, names
+its index, and so decides every input exactly as it alone would.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter, ne
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .coloring import EdgeColoring, first_clash as _first_clash
@@ -72,6 +81,21 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _only(xs: Iterable[object], kind: type) -> bool:
+    """Every element has exactly type kind: no bool among ints, no
+    subclass.  The walk after a failure decides subclasses itself."""
+    return set(map(type, xs)) <= {kind}
+
+
+def _int_pairs(pairs: List[object]) -> bool:
+    """Whether pairs is a list of two-element lists of plain ints."""
+    return (
+        _only(pairs, list)
+        and set(map(len, pairs)) <= {2}
+        and _only(chain.from_iterable(pairs), int)
+    )
+
+
 def graph_from_obj(obj: object, origin: str = "<graph>") -> Multigraph:
     _require(isinstance(obj, dict), origin, "graph must be a JSON object")
     _require("vertices" in obj, origin, 'missing "vertices"')
@@ -79,29 +103,33 @@ def graph_from_obj(obj: object, origin: str = "<graph>") -> Multigraph:
     vertices = obj["vertices"]
     edges = obj["edges"]
     _require(
-        isinstance(vertices, list) and all(_is_int(v) for v in vertices),
+        isinstance(vertices, list)
+        and (_only(vertices, int) or all(_is_int(v) for v in vertices)),
         origin,
         '"vertices" must be a list of integers',
     )
-    _require(len(set(vertices)) == len(vertices), origin, '"vertices" repeats a vertex id')
-    _require(isinstance(edges, list), origin, '"edges" must be a list')
-    pairs: List[Tuple[int, int]] = []
     vset = set(vertices)
-    for i, e in enumerate(edges):
-        _require(
-            isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e),
-            origin,
-            f"edges[{i}] must be a pair of integers",
-        )
-        u, w = e
-        _require(u != w, origin, f"edges[{i}] is a loop at vertex {u}")
-        _require(
-            u in vset and w in vset,
-            origin,
-            f"edges[{i}] touches a vertex missing from \"vertices\"",
-        )
-        pairs.append((u, w))
-    return Multigraph(vertices, pairs)
+    _require(len(vset) == len(vertices), origin, '"vertices" repeats a vertex id')
+    _require(isinstance(edges, list), origin, '"edges" must be a list')
+    if not (
+        _int_pairs(edges)
+        and all(map(ne, map(itemgetter(0), edges), map(itemgetter(1), edges)))
+        and vset.issuperset(chain.from_iterable(edges))
+    ):
+        for i, e in enumerate(edges):
+            _require(
+                isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e),
+                origin,
+                f"edges[{i}] must be a pair of integers",
+            )
+            u, w = e
+            _require(u != w, origin, f"edges[{i}] is a loop at vertex {u}")
+            _require(
+                u in vset and w in vset,
+                origin,
+                f"edges[{i}] touches a vertex missing from \"vertices\"",
+            )
+    return Multigraph(vertices, list(map(tuple, edges)))
 
 
 def load_graph(path: str) -> Multigraph:
@@ -126,12 +154,14 @@ def coloring_from_obj(obj: object, origin: str = "<coloring>") -> EdgeColoring:
     colors = obj["colors"]
     _require(_is_int(palette) and palette >= 0, origin, '"palette" must be a nonnegative integer')
     _require(
-        isinstance(colors, list) and all(_is_int(c) for c in colors),
+        isinstance(colors, list)
+        and (_only(colors, int) or all(_is_int(c) for c in colors)),
         origin,
         '"colors" must be a list of integers',
     )
-    for i, c in enumerate(colors):
-        _require(0 <= c < palette, origin, f"colors[{i}] = {c} is outside the palette")
+    if colors and not (min(colors) >= 0 and max(colors) < palette):
+        for i, c in enumerate(colors):
+            _require(0 <= c < palette, origin, f"colors[{i}] = {c} is outside the palette")
     return EdgeColoring(dict(enumerate(colors)), palette)
 
 
@@ -163,15 +193,14 @@ def truncation_from_obj(obj: object, origin: str = "<truncation>") -> Truncation
         except ValueError:
             raise GraphError(f"{origin}: constituent key {key!r} is not a vertex") from None
         _require(isinstance(pairs, list), origin, f"constituents[{key}] must be a list")
-        cleaned: List[Tuple[int, int]] = []
-        for i, pair in enumerate(pairs):
-            _require(
-                isinstance(pair, list) and len(pair) == 2 and all(_is_int(x) for x in pair),
-                origin,
-                f"constituents[{key}][{i}] must be a pair of integers",
-            )
-            cleaned.append((pair[0], pair[1]))
-        constituents[v] = cleaned
+        if not _int_pairs(pairs):
+            for i, pair in enumerate(pairs):
+                _require(
+                    isinstance(pair, list) and len(pair) == 2 and all(_is_int(x) for x in pair),
+                    origin,
+                    f"constituents[{key}][{i}] must be a pair of integers",
+                )
+        constituents[v] = list(map(tuple, pairs))
     return Truncation(source, constituents)
 
 

@@ -8,6 +8,7 @@ need the two ends of every edge to sit at distinct vertices.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import GraphError
@@ -31,14 +32,16 @@ class Multigraph:
         edges: Mapping[int, Tuple[int, int]] | Sequence[Tuple[int, int]],
     ):
         vset = set(vertices)
+        # Pairs are read in id order without a list of (id, pair) items:
+        # on a large flattening that list would be one more tuple per edge.
         if isinstance(edges, Mapping):
-            items = sorted(edges.items())
+            eids: Iterable[int] = sorted(edges)
+            pairs: Iterable[Tuple[int, int]] = map(edges.__getitem__, eids)
         else:
-            items = list(enumerate(edges))
+            eids, pairs = count(), edges
         norm: Dict[int, Tuple[int, int]] = {}
         inc: Dict[int, List[int]] = {v: [] for v in vset}
-        for eid, pair in items:
-            u, w = pair
+        for eid, (u, w) in zip(eids, pairs):
             if u == w:
                 raise GraphError(f"edge {eid} is a loop at vertex {u}; loops are not supported")
             if u not in vset:

@@ -13,6 +13,8 @@ edges are given as pairs of these 0-based cluster positions.
 
 from __future__ import annotations
 
+from itertools import chain, combinations
+from operator import itemgetter, lt
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .coloring import EdgeColoring, _clash_error, is_proper
@@ -57,6 +59,45 @@ def excise(g: Multigraph) -> Tuple[Dict[int, Tuple[int, int]], Dict[int, Tuple[i
     return matching, {v: tuple(ends) for v, ends in clusters.items()}
 
 
+def _ascending_and_simple(pairs: Tuple[PositionPair, ...], size: int) -> bool:
+    """Whether pairs are tuples (i, j) of plain ints with 0 <= i < j < size
+    and no repeat, by whole-list passes.  Pairs that fail go to
+    _normalize, which accepts or rejects them by its own walk."""
+    if not pairs:
+        return True
+    if not (set(map(type, pairs)) <= {tuple} and set(map(len, pairs)) <= {2}):
+        return False
+    firsts = list(map(itemgetter(0), pairs))
+    seconds = list(map(itemgetter(1), pairs))
+    return (
+        set(map(type, chain(firsts, seconds))) <= {int}
+        and all(map(lt, firsts, seconds))
+        and min(firsts) >= 0
+        and max(seconds) < size
+        and len(set(pairs)) == len(pairs)
+    )
+
+
+def _normalize(v: int, size: int, pairs: Iterable[PositionPair]) -> List[PositionPair]:
+    """Pairs of v's constituent as ascending tuples, or the GraphError
+    for the first loop, out-of-range position or repeated edge."""
+    out: List[PositionPair] = []
+    seen = set()
+    for i, j in pairs:
+        if i == j:
+            raise GraphError(f"constituent at vertex {v} has a loop at position {i}")
+        if not (0 <= i < size and 0 <= j < size):
+            raise GraphError(f"constituent at vertex {v} uses position outside 0..{size - 1}")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise GraphError(
+                f"constituent at vertex {v} repeats edge {key}; constituents are simple"
+            )
+        seen.add(key)
+        out.append(key)
+    return out
+
+
 class Truncation:
     """A source multigraph together with one constituent per cluster."""
 
@@ -69,22 +110,9 @@ class Truncation:
                 raise GraphError(f"constituent given for unknown vertex {v}")
         for v, ends in self.clusters.items():
             size = len(ends)
-            pairs: List[PositionPair] = []
-            seen = set()
-            for i, j in constituents.get(v, ()):
-                if i == j:
-                    raise GraphError(f"constituent at vertex {v} has a loop at position {i}")
-                if not (0 <= i < size and 0 <= j < size):
-                    raise GraphError(
-                        f"constituent at vertex {v} uses position outside 0..{size - 1}"
-                    )
-                key = (min(i, j), max(i, j))
-                if key in seen:
-                    raise GraphError(
-                        f"constituent at vertex {v} repeats edge {key}; constituents are simple"
-                    )
-                seen.add(key)
-                pairs.append(key)
+            pairs = tuple(constituents.get(v, ()))
+            if not _ascending_and_simple(pairs, size):
+                pairs = _normalize(v, size, pairs)
             cleaned[v] = tuple(sorted(pairs))
         self.constituents = cleaned
         self._flat: Optional[Multigraph] = None
@@ -100,20 +128,17 @@ class Truncation:
         fresh ids above them, grouped by source vertex.
         """
         if self._flat is None:
-            vertices = [e for pair in self.matching.values() for e in pair]
+            vertices = list(chain.from_iterable(self.matching.values()))
             edges: Dict[int, Tuple[int, int]] = dict(self.matching)
             nxt = max(self.matching) + 1 if self.matching else 0
-            per_vertex: Dict[int, List[int]] = {}
             for v in sorted(self.clusters):
                 ends = self.clusters[v]
-                ids_here: List[int] = []
-                for i, j in self.constituents[v]:
-                    edges[nxt] = (ends[i], ends[j])
-                    ids_here.append(nxt)
-                    nxt += 1
-                per_vertex[v] = ids_here
+                pairs = self.constituents[v]
+                ids = tuple(range(nxt, nxt + len(pairs)))
+                edges.update(zip(ids, [(ends[i], ends[j]) for i, j in pairs]))
+                self._constituent_edge_ids[v] = ids
+                nxt += len(pairs)
             self._flat = Multigraph(vertices, edges)
-            self._constituent_edge_ids = {v: tuple(ids) for v, ids in per_vertex.items()}
         return self._flat
 
     def edge_kind(self, eid: int) -> str:
@@ -157,8 +182,7 @@ class Truncation:
             if not pairs:
                 continue
             colors = pair_color(v)
-            for pair, eid in zip(pairs, self.constituent_edge_ids(v)):
-                assignment[eid] = colors[pair]
+            assignment.update(zip(self.constituent_edge_ids(v), map(colors.__getitem__, pairs)))
         out = EdgeColoring(assignment, palette)
         if not is_proper(self.graph, out):
             raise _clash_error(self.graph, out, "truncation coloring")
@@ -179,11 +203,10 @@ def assemble(
 def complete_truncation(g: Multigraph) -> Truncation:
     """Insert the complete graph on every cluster."""
     _require_no_isolated(g)
-    cons = {
-        v: [(i, j) for i in range(g.valency(v)) for j in range(i + 1, g.valency(v))]
-        for v in g.vertices
-    }
-    return Truncation(g, cons)
+    # Clusters of one size share one tuple of pairs.
+    sizes = {v: g.valency(v) for v in g.vertices}
+    pairs = {size: tuple(combinations(range(size), 2)) for size in set(sizes.values())}
+    return Truncation(g, {v: pairs[size] for v, size in sizes.items()})
 
 
 def cyclic_truncation(

@@ -283,6 +283,35 @@ class TestOracle:
 
 
 class TestVerify:
+    def test_bundle_flat_graph_must_match_its_truncation(self, capsys, tmp_path):
+        code, bundle, _ = run(capsys, "color-complete", write_graph(tmp_path, k5()))
+        assert code == 0
+        assert bundle["edges"][0] == [0, 1]
+        bad = dict(bundle, edges=[[0, 5]] + bundle["edges"][1:])
+        del bad["vertices"]
+        code, out, err = run(capsys, "verify", write_obj(tmp_path, bad, "bad.json"))
+        assert code == 1 and out is None
+        assert err.startswith("error: ") and "edges[0] is [0, 5]" in err
+        # A bundle one edge short names the missing index; extra
+        # vertices are caught too.
+        short = dict(bundle, edges=bundle["edges"][:-1])
+        code, _, err = run(capsys, "verify", write_obj(tmp_path, short, "short.json"))
+        assert code == 1 and f"edges[{len(bundle['edges']) - 1}] is missing" in err
+        more = dict(bundle, vertices=bundle["vertices"] + [10**6])
+        code, _, err = run(capsys, "verify", write_obj(tmp_path, more, "more.json"))
+        assert code == 1 and '"vertices" differ' in err
+        code, verdict, _ = run(capsys, "verify", write_obj(tmp_path, bundle, "good.json"))
+        assert code == 0 and verdict["proper"] is True
+
+    def test_truncation_file_flat_graph_must_match(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "truncate", write_graph(tmp_path, k4()), "--kind", "cyclic")
+        assert code == 0
+        colors = {"palette": 3, "colors": [0] * len(out["edges"])}
+        out["edges"][4] = out["edges"][4][::-1]
+        files = [write_obj(tmp_path, out, "tr.json"), write_obj(tmp_path, colors, "c.json")]
+        code, _, err = run(capsys, "verify", *files)
+        assert code == 1 and "edges[4] is" in err
+
     def test_two_file_clash_report(self, capsys, tmp_path):
         g = k4()
         gfile = write_graph(tmp_path, g)

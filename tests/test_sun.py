@@ -80,8 +80,10 @@ class TestAdmissibility:
 
 class TestBuiltSuns:
     def test_every_admissible_vector_up_to_ten_builds(self):
+        # Odd r only: TestEvenLayout builds every even-r vector up to
+        # ten, and an admissible vector with even r is all even.
         checked = 0
-        for r in range(1, 11):
+        for r in range(1, 11, 2):
             for d in range(1, r + 1):
                 for vector in all_vectors(r, d):
                     if not admissible(vector):
@@ -90,7 +92,7 @@ class TestBuiltSuns:
                     sun.validate(regular=d - 1)
                     assert pendant_counts(sun) == vector
                     checked += 1
-        assert checked > 200
+        assert checked == 55
 
     def test_counting_identity_per_color(self):
         # Pendants of color i fill what the constituent leaves uncovered:

@@ -101,6 +101,9 @@ class TestValidation:
     def test_constituent_duplicate_edge_rejected(self):
         with pytest.raises(GraphError, match="repeats"):
             Truncation(k4(), {0: [(0, 1), (1, 0)]})
+        # An exact repeat of an ascending pair is caught too.
+        with pytest.raises(GraphError, match=r"repeats edge \(0, 2\)"):
+            Truncation(k4(), {0: [(0, 2), (1, 2), (0, 2)]})
 
     def test_unknown_vertex_rejected(self):
         with pytest.raises(GraphError, match="unknown"):
