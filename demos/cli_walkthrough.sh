@@ -18,6 +18,13 @@ truncolor color-complete k4.json --dot k4_tr.dot > k4_bundle.json
 truncolor verify k4_bundle.json
 head -3 k4_tr.dot
 
+echo "== strong constituents"
+truncolor truncate k4.json --kind arboreal > k4_arboreal.json
+truncolor color-strong k4_arboreal.json
+truncolor demo two-k5-bridge > bridge.json
+truncolor truncate bridge.json --kind complete > bridge_complete.json
+truncolor color-strong bridge_complete.json || echo "exit $? as expected: the K5 constituent is overfull in 4 colors"
+
 echo "== sun verdicts"
 truncolor sun --vector 3,3,1 --dot sun.dot
 truncolor sun --vector 2,1,1

@@ -10,18 +10,19 @@ constrained endpoint), and a static rank (decreasing endpoint valency
 sum, then edge id).  The search keeps a bitmask of allowed colors per
 edge, always branches on a most-constrained edge (fewest allowed colors
 by int.bit_count, ties broken by the static rank), forward-checks
-neighbors after every assignment, and optionally breaks color symmetry
-by allowing at most one fresh color per branch point.  It runs on an
-explicit stack of frames (edge, colors left to try, current color,
-neighbors it pruned), so its depth is bounded by memory, not by the
-interpreter's recursion limit.  Exhausting the search space is a proof
-of UNSAT; exhausting the node budget is reported as undecided, never as
-an answer.
+neighbors after every assignment, and, whenever no lists are given,
+breaks color symmetry by allowing at most one fresh color per branch
+point.  It runs on an explicit stack of frames (edge, colors left to
+try, current color, neighbors it pruned), so its depth is bounded by
+memory, not by the interpreter's recursion limit.  Exhausting the
+search space is a proof of UNSAT; exhausting the node budget is
+reported as undecided, never as an answer.
 
-The oracle starts at the overfull bound max(D, ceil(|E| / floor(|V|/2))):
-every color class is a matching, so no search is spent below it.  An
-overfull simple graph needs no search at all: a Misra-Gries coloring
-with D + 1 colors is its certificate.
+Every color class is a matching, so no palette below the overfull bound
+ceil(|E| / floor(|V|/2)) fits: the kernel refutes one before any set-up
+unless distinctness is enforced only at some vertices, and the oracle
+starts at max(D, that bound).  An overfull simple graph needs no search
+at all: a Misra-Gries coloring with D + 1 colors is its certificate.
 """
 
 from __future__ import annotations
@@ -150,35 +151,41 @@ class OracleResult:
         return CLASS_I if self.chi == delta else CLASS_II
 
 
+def _overfull_bound(g: Multigraph) -> int:
+    """ceil(size / floor(order / 2)), for a graph with at least one edge:
+    a color class is a matching of at most floor(order / 2) edges,
+    parallel edges or not, so no smaller palette fits."""
+    return -(-g.size // (g.order // 2))
+
+
 def solve_edge_coloring(
     g: Multigraph,
     k: int,
     *,
     lists: Optional[Mapping[int, int]] = None,
     constrained_vertices: Optional[Iterable[int]] = None,
-    symmetric: bool = False,
     budget: Optional[int] = None,
 ) -> Tuple[Optional[Dict[int, int]], int]:
     """Search for a proper assignment of colors < k to every edge.
 
     lists: optional per-edge allowed-color bitmasks (list coloring).
+        Without lists every color is interchangeable, and the search
+        breaks that symmetry.
     constrained_vertices: if given, distinctness is enforced only at
-        these vertices; other vertices impose nothing.
-    symmetric: enable color symmetry breaking.  Only sound when every
-        edge may take every color, i.e. lists is None.
+        these vertices; other vertices impose nothing.  Without them a
+        palette below the overfull bound is refuted with no search.
     budget: maximum number of assignments tried before giving up.
 
     Returns (assignment or None, nodes spent).  Raises UndecidedError
     when the budget runs out first.
     """
-    if symmetric and lists is not None:
-        raise GraphError("symmetry breaking is unsound for list coloring")
     eids = sorted(g.edge_ids)
     m = len(eids)
     if m == 0:
         return {}, 0
-    if k <= 0:
+    if k <= 0 or (constrained_vertices is None and _overfull_bound(g) > k):
         return None, 0
+    symmetric = lists is None
     full = (1 << k) - 1
     if lists is None:
         allowed = [full] * m
@@ -375,9 +382,7 @@ def chromatic_index(
             "pass a larger edge_cap to force the computation"
         )
     delta = g.max_valency()
-    # Overfull bound: a color class is a matching of at most
-    # floor(order / 2) edges, parallel edges or not.
-    lo = max(delta, -(-g.size // (g.order // 2)))
+    lo = max(delta, _overfull_bound(g))
     if lo > delta and g.is_simple():
         # Overfull and simple: chi' >= delta + 1 by counting, and
         # Vizing's theorem gives a coloring with delta + 1 colors.
@@ -389,9 +394,7 @@ def chromatic_index(
     total_nodes = 0
     for k in range(lo, hi + 1):
         try:
-            assignment, nodes = solve_edge_coloring(
-                g, k, symmetric=True, budget=budget
-            )
+            assignment, nodes = solve_edge_coloring(g, k, budget=budget)
         except UndecidedError as exc:
             return OracleResult(False, None, None, total_nodes + exc.nodes, k)
         total_nodes += nodes
@@ -448,9 +451,7 @@ def list_edge_coloring(
         masks[eid] = mask
     if g.size == 0:
         return EdgeColoring({}, 0)
-    assignment, _ = solve_edge_coloring(
-        g, top, lists=masks, symmetric=False, budget=budget
-    )
+    assignment, _ = solve_edge_coloring(g, top, lists=masks, budget=budget)
     if assignment is None:
         return None
     return EdgeColoring(assignment, top)

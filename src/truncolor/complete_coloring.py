@@ -76,9 +76,7 @@ def _feasible_search(
 ) -> Tuple[Optional[Dict[int, int]], int]:
     delta = x.max_valency()
     constrained = [v for v in x.vertices if x.valency(v) == delta]
-    return solve_edge_coloring(
-        x, delta, constrained_vertices=constrained, symmetric=True, budget=budget
-    )
+    return solve_edge_coloring(x, delta, constrained_vertices=constrained, budget=budget)
 
 
 def find_edge_feasible(

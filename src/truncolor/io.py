@@ -191,7 +191,11 @@ def truncation_from_obj(obj: object, origin: str = "<truncation>") -> Truncation
         try:
             v = int(key)
         except ValueError:
-            raise GraphError(f"{origin}: constituent key {key!r} is not a vertex") from None
+            v = None
+        # Only the form truncation_to_obj writes: int() also reads " 1 ",
+        # "+2", "1_0" and "00", which could name the vertex of another key.
+        if v is None or key != str(v):
+            raise GraphError(f"{origin}: constituent key {key!r} is not a vertex")
         _require(isinstance(pairs, list), origin, f"constituents[{key}] must be a list")
         if not _int_pairs(pairs):
             for i, pair in enumerate(pairs):

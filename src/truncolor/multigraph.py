@@ -255,15 +255,6 @@ class Multigraph:
         kept = {eid: pair for eid, pair in self._edges.items() if eid not in drop}
         return Multigraph(self._vertices, kept)
 
-    def edge_subgraph(self, eids: Iterable[int]) -> "Multigraph":
-        """Same vertex set, only the listed edges.  Ids are preserved."""
-        keep = set(eids)
-        for eid in keep:
-            if eid not in self._edges:
-                raise GraphError(f"no edge with id {eid}")
-        kept = {eid: pair for eid, pair in self._edges.items() if eid in keep}
-        return Multigraph(self._vertices, kept)
-
 
 class MultigraphBuilder:
     """Mutable accumulator; owns its data until build() is called."""

@@ -6,6 +6,8 @@ constituents take D-1 colors, all others fit in D-1 colors as well
 (their ends top out at D-2, so one extra color always suffices), and
 the matching takes the remaining fresh color.  Forest constituents are
 always class I, so arboreal truncations never fail this route.
+Each other constituent is searched as a graph on its own cluster
+positions, so its cost does not grow with the rest of the truncation.
 """
 
 from __future__ import annotations
@@ -67,9 +69,10 @@ def color_by_strong(
     """Color a truncation in max-valency colors via strong constituents.
 
     Each cluster's constituent is colored inside palette 1..D-1 (forest
-    clusters greedily, the rest by exact search) and the matching takes
-    color 0.  Clusters holding a valency-D end must be class I for the
-    search to fit; when one is not, NotApplicable reports it.
+    clusters greedily, the rest by exact search on the cluster alone)
+    and the matching takes color 0.  Clusters holding a valency-D end
+    must be class I for the search to fit; when one is not,
+    NotApplicable reports it.
     """
     flat = tr.graph
     delta = flat.max_valency()
@@ -83,8 +86,8 @@ def color_by_strong(
         if _is_forest(len(cluster), pairs):
             pair_color = _greedy_forest_colors(range(len(cluster)), pairs)
         else:
-            ids = tr.constituent_edge_ids(v)
-            sub = flat.edge_subgraph(ids)
+            # Edge ids of the cluster's own graph follow the pair order.
+            sub = Multigraph(range(len(cluster)), pairs)
             solved, _ = solve_edge_coloring(sub, delta - 1, budget=budget)
             if solved is None:
                 if critical:
@@ -97,7 +100,7 @@ def color_by_strong(
                     f"constituent at {v} has max valency <= {delta - 2} "
                     f"yet refused {delta - 1} colors"
                 )
-            pair_color = {pair: solved[eid] for pair, eid in zip(pairs, ids)}
+            pair_color = {pair: solved[i] for i, pair in enumerate(pairs)}
         cluster_colors[v] = {pair: c + 1 for pair, c in pair_color.items()}
     return tr.color(dict.fromkeys(tr.matching, 0), cluster_colors.__getitem__, max(delta, 1))
 

@@ -231,7 +231,8 @@ def cyclic_truncation(
             raise GraphError(
                 f"cycle order at vertex {v} is not a permutation of 0..{size - 1}"
             )
-        cons[v] = [(order[i], order[(i + 1) % size]) for i in range(size)]
+        # Ascending pairs pass Truncation's whole-list check as they are.
+        cons[v] = [(min(a, b), max(a, b)) for a, b in zip(order, order[1:] + order[:1])]
     return Truncation(g, cons)
 
 

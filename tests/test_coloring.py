@@ -79,7 +79,7 @@ class TestOracle:
             assert res.certificate.palette_size == res.chi
             assert len(res.certificate.used_colors()) <= res.chi
             # One fewer color must be impossible, else chi is not minimal.
-            down, _ = solve_edge_coloring(g, res.chi - 1, symmetric=True)
+            down, _ = solve_edge_coloring(g, res.chi - 1)
             assert down is None
 
     def test_simple_graphs_within_one_of_max_valency(self, rng):
@@ -132,7 +132,7 @@ class TestOracle:
                 g = Multigraph(range(n), kept[drop:])
                 res = chromatic_index(g)
                 assert res.decided and is_proper(g, res.certificate)
-                down, _ = solve_edge_coloring(g, res.chi - 1, symmetric=True)
+                down, _ = solve_edge_coloring(g, res.chi - 1)
                 assert down is None
 
     @given(st.data())
@@ -167,10 +167,12 @@ class TestOracle:
 
 
 class TestSolver:
-    def test_symmetry_breaking_with_lists_is_rejected(self):
-        g = Multigraph([0, 1], [(0, 1)])
-        with pytest.raises(GraphError):
-            solve_edge_coloring(g, 2, lists={0: 0b11}, symmetric=True)
+    def test_overfull_palette_is_refuted_before_search(self):
+        # K7 has 21 edges, and 6 colors hold at most 6 * 3 of them.
+        g = complete_graph(7)
+        assert solve_edge_coloring(g, 6, budget=0) == (None, 0)
+        lists = dict.fromkeys(g.edge_ids, 0b111111)
+        assert solve_edge_coloring(g, 6, lists=lists, budget=0) == (None, 0)
 
     def test_unsat_on_empty_list(self):
         g = Multigraph([0, 1], [(0, 1)])
@@ -216,9 +218,9 @@ class TestSolver:
         g = Multigraph(range(n), pairs)
         k = data.draw(st.integers(1, 4), label="k")
         full = (1 << k) - 1
-        symmetric = data.draw(st.booleans(), label="symmetric")
+        use_lists = data.draw(st.booleans(), label="use_lists")
         lists = None
-        if not symmetric:
+        if use_lists:
             lists = {
                 eid: data.draw(st.integers(0, full), label=f"list {eid}")
                 for eid in g.edge_ids
@@ -227,9 +229,7 @@ class TestSolver:
             st.none() | st.lists(st.sampled_from(g.vertices), unique=True),
             label="constrained",
         )
-        sol, nodes = solve_edge_coloring(
-            g, k, lists=lists, constrained_vertices=constrained, symmetric=symmetric
-        )
+        sol, nodes = solve_edge_coloring(g, k, lists=lists, constrained_vertices=constrained)
         at = g.vertices if constrained is None else constrained
         expected = _brute_force(g, k, lists, at)
         assert (sol is not None) == expected

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -121,6 +122,14 @@ class TestTruncationRoundTrip:
     def test_constituent_keys_are_strings(self):
         obj = truncation_to_obj(cyclic_truncation(k4()))
         assert all(isinstance(k, str) for k in obj["constituents"])
+
+    @pytest.mark.parametrize("key", [" 1 ", "+2", "1_0", "00"])
+    def test_constituent_keys_must_be_canonical(self, key):
+        # int() reads each of these; "00" would silently replace vertex 0.
+        obj = truncation_to_obj(cyclic_truncation(k4()))
+        obj["constituents"][key] = [[1, 2]]
+        with pytest.raises(GraphError, match=re.escape(f"constituent key {key!r} is not a vertex")):
+            truncation_from_obj(obj)
 
     def test_bad_position_pair_rejected(self):
         obj = truncation_to_obj(cyclic_truncation(k4()))

@@ -55,12 +55,6 @@ class TestConstruction:
         assert 9 in g
         assert g.valency(9) == 0
 
-    def test_edge_subgraph_preserves_ids(self):
-        g = Multigraph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
-        sub = g.edge_subgraph([1, 3])
-        assert sorted(sub.edge_ids) == [1, 3]
-        assert sub.endpoints(3) == (0, 3)
-
 
 class TestValencySum:
     @given(edge_lists)

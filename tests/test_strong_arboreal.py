@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+import truncolor.strong_arboreal as strong_module
+
+from truncolor.canonical import complete_graph
 from truncolor.catalog import k4, k5, path_graph, petersen, q3
 from truncolor.coloring import is_proper
 from truncolor.multigraph import Multigraph
@@ -81,6 +84,31 @@ class TestColorByStrong:
         out = color_by_strong(tr)
         assert isinstance(out, NotApplicable)
         assert out.delta == 3
+
+    @pytest.mark.parametrize("n", [8, 10, 12, 14])
+    def test_overfull_complete_constituents_need_no_search(self, n):
+        # Each cluster carries K_{n-1} of odd order, overfull in n - 2
+        # colors: refuted by counting, with a budget of zero nodes.
+        out = color_by_strong(complete_truncation(complete_graph(n)), budget=0)
+        assert isinstance(out, NotApplicable)
+        assert out.delta == n - 1
+
+    def test_each_constituent_is_searched_on_its_own_cluster(self, monkeypatch):
+        # Cyclic truncation of the 4-regular circulant C_11(1, 2): every
+        # search sees a 4-cycle on its cluster's positions only.
+        orders = []
+        solve = strong_module.solve_edge_coloring
+
+        def recorded(g, k, **kwargs):
+            orders.append(g.order)
+            return solve(g, k, **kwargs)
+
+        monkeypatch.setattr(strong_module, "solve_edge_coloring", recorded)
+        source = Multigraph(range(11), [(v, (v + s) % 11) for v in range(11) for s in (1, 2)])
+        tr = cyclic_truncation(source)
+        out = color_by_strong(tr)
+        assert is_proper(tr.graph, out)
+        assert orders == [4] * 11
 
 
 class TestArborealRoute:

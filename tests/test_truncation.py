@@ -2,6 +2,8 @@ import re
 
 import pytest
 
+import truncolor.truncation as truncation_module
+
 from truncolor.catalog import k4, k5, petersen, q3
 from truncolor.coloring import EdgeColoring, is_proper
 from truncolor.errors import GraphError
@@ -66,6 +68,23 @@ class TestTruncationShape:
                 continue
             tr = cyclic_truncation(x, None)
             assert tr.graph.regular_valency() == 3
+
+    def test_cyclic_pairs_skip_normalization(self, monkeypatch, rng):
+        # Ascending pairs pass Truncation's whole-list check, so the
+        # per-pair walk runs for no cluster, default order or not.
+        calls = []
+        normalize = truncation_module._normalize
+
+        def counted(*args):
+            calls.append(args[0])
+            return normalize(*args)
+
+        monkeypatch.setattr(truncation_module, "_normalize", counted)
+        for x in (k4(), q3(), petersen()):
+            cyclic_truncation(x)
+            orders = {v: rng.sample(range(x.valency(v)), x.valency(v)) for v in x.vertices}
+            cyclic_truncation(x, orders)
+        assert calls == []
 
     def test_edge_kind_and_id_split(self):
         tr = complete_truncation(k4())
