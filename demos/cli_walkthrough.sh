@@ -20,7 +20,8 @@ head -3 k4_tr.dot
 
 echo "== strong constituents"
 truncolor truncate k4.json --kind arboreal > k4_arboreal.json
-truncolor color-strong k4_arboreal.json
+truncolor color-strong k4_arboreal.json > k4_strong.json
+truncolor verify k4_arboreal.json k4_strong.json
 truncolor demo two-k5-bridge > bridge.json
 truncolor truncate bridge.json --kind complete > bridge_complete.json
 truncolor color-strong bridge_complete.json || echo "exit $? as expected: the K5 constituent is overfull in 4 colors"

@@ -3,13 +3,14 @@
 Every subcommand reads JSON files and returns its exit code, its JSON
 result and what --dot should draw; `main` alone writes the result to
 stdout as one compact JSON line and the drawing to the --dot file.
-`verify` takes a bundle, a graph file plus a coloring file, or a
-truncation file plus a coloring file; a bundle's flat "vertices" and
+`verify` takes a bundle, or a graph or truncation file plus a file
+holding the coloring itself or nesting it under "coloring", as a
+`color-strong` result does; a bundle's flat "vertices" and
 "edges", like those a `truncate` file carries, must match its
 truncation's flattened graph.  Exit codes: 0 for success, 1 for
 domain errors (bad input, failed verification, inapplicable route,
 unwritable --dot path), 2 when the exact oracle ran out of budget
-before deciding.
+before deciding; a negative --budget is a domain error.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .io import (
 )
 from .multigraph import Multigraph
 from .strong_arboreal import NotApplicable, color_by_strong
-from .sun import admissible, build_sun_even, build_sun_odd, verify_totally_inadmissible
+from .sun import _build_sun, admissible, verify_totally_inadmissible
 from .truncation import (
     Truncation,
     arboreal_truncation,
@@ -184,7 +185,7 @@ def cmd_sun(args) -> Result:
     vector = _parse_vector(args.vector)
     r, d = sum(vector), len(vector)
     if admissible(vector):
-        sun = build_sun_odd(vector) if r % 2 == 1 else build_sun_even(vector)
+        sun = _build_sun(vector)
         return EXIT_OK, sun_report(sun), (*sun.sun_graph(), None)
     if d == 3 and r >= 3:
         verdict, _ = vector3_admissible(*vector)
@@ -274,6 +275,9 @@ def cmd_verify(args) -> Result:
     g = _verify_graph(first, args.files[0])
     colors = first["coloring"] if single else load_json(args.files[1])
     del first
+    # A second file may nest its coloring, as a color-strong result does.
+    if not single and isinstance(colors, dict) and "coloring" in colors:
+        colors = colors["coloring"]
     coloring = coloring_from_obj(colors, args.files[-1])
     if coloring.assignment.keys() != set(g.edge_ids):
         raise GraphError("coloring does not cover exactly the graph's edges")
@@ -376,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="emit a named instance")
     p.add_argument(
         "name",
-        choices=("petersen", "two-k5-bridge", "k4", "q3-ccc", "truncated-tetrahedron"),
+        choices=(*named_instances(), *_CYCLIC_DEMOS),
     )
     common(p, budget=False)
     p.set_defaults(func=cmd_demo)
@@ -386,6 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # Checked here, not by an argparse type: argparse exits 2, the code
+    # for "undecided".
+    if getattr(args, "budget", None) is not None and args.budget < 0:
+        print("error: --budget must be nonnegative", file=sys.stderr)
+        return EXIT_DOMAIN
     try:
         code, obj, drawing = args.func(args)
     except GraphError as exc:

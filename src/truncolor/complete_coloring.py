@@ -121,7 +121,6 @@ def color_delta_minus_one(
     for c in pendant_colors:
         if not 0 <= c < palette:
             raise GraphError(f"pendant color {c} outside palette of {palette}")
-    a = m - 1  # cycle length, odd
     mult: Dict[int, int] = {}
     for c in pendant_colors:
         mult[c] = mult.get(c, 0) + 1
@@ -133,7 +132,7 @@ def color_delta_minus_one(
     c_prev = seq_colors[-2] if t >= 2 else None
 
     # Scheme labels: hub 0 is the first position carrying c(t); cycle
-    # labels 1..a hold the blocks of c(1)..c(t-1) and then the rest of
+    # labels 1..m-1 hold the blocks of c(1)..c(t-1) and then the rest of
     # c(t), each block in ascending position order.
     positions_by_color: Dict[int, List[int]] = {c: [] for c in seq_colors}
     for pos, c in enumerate(pendant_colors):
@@ -148,20 +147,21 @@ def color_delta_minus_one(
     pend_at_label = [pendant_colors[p] for p in label_to_pos]
 
     class_color: Dict[int, int] = {}
-    n_classes = scheme_class_count(m)  # = a
+    n_classes = scheme_class_count(m)  # = m - 1
     if t <= 2:
         avoid = {c_last} if c_prev is None else {c_prev, c_last}
         free = [c for c in range(palette) if c not in avoid]
         for idx in range(n_classes):
             class_color[idx] = free[idx]
     else:
-        inv2 = (a + 1) // 2
         taken: set = set()
         b = 1
         for i in range(t - 2):
             s = seq_sizes[i]
-            sigma = (2 * b + s) % a if s % 2 == 1 else (2 * b + s - 1) % a
-            idx = ((sigma - 2) * inv2) % a
+            # The block on labels b..b+s-1 takes the class of the cycle
+            # edge (lo, lo + 1) at its middle, lo rounded down.
+            lo = b + (s - 1) // 2
+            idx = class_of_pair(m, (lo, lo + 1))
             if idx in taken:
                 raise AssertionError("two blocks claimed the same class")
             taken.add(idx)

@@ -3,9 +3,10 @@
 Some cyclic truncation of x (every valency >= 3) is class I iff x has a
 parity-balanced 3-coloring: each color's count at every vertex has the
 parity of that vertex's valency.  Necessity is the parity lemma on each
-cluster.  Sufficiency is `_cyclic_from_parity`, the one gluing every
-strategy shares: the vectors are admissible, and `_single_cycle_sun`
-realizes each with one cycle.  Strategies only supply the coloring:
+cluster.  Sufficiency is `_cyclic_from_parity`, which every strategy
+shares: the vectors are admissible, and the sun gluing of `sun` puts
+one `_single_cycle_sun` per distinct vector, a single cycle, on each
+cluster of that vector.  Strategies only supply the coloring:
 `cyclic_from_class_one` folds a d-coloring, `color_via_enabling` walks
 Euler tours, `cyclic_class_one` searches.  `cyclic_even_valency` glues
 its own coloring and keeps any cycle orders.  A 3-valent graph with a
@@ -19,16 +20,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from .coloring import EdgeColoring, is_proper
 from .errors import GraphError
 from .multigraph import Multigraph
-from .sun import (
-    SunColoring,
-    _parity_coloring_search,
-    _suns_to_truncation,
-    _vector_at,
-    admissible,
-    build_sun_even,
-    build_sun_odd,
-    is_parity_balanced,
-)
+from .sun import SunColoring, _build_sun, _glue_suns, _parity_coloring_search, admissible
 from .truncation import Truncation, cyclic_truncation
 
 __all__ = [
@@ -98,7 +90,7 @@ def _single_cycle_sun(vector3: Sequence[int]) -> SunColoring:
     the components.  Repeats until a single cycle remains.
     """
     r = sum(vector3)
-    base = build_sun_odd(vector3) if r % 2 == 1 else build_sun_even(vector3)
+    base = _build_sun(vector3)
     edges: Dict[Tuple[int, int], int] = dict(
         zip(base.constituent_edges, base.constituent_colors)
     )
@@ -151,19 +143,11 @@ def _cyclic_from_parity(
 
     The matching edges keep coloring3, and each cluster gets the
     single-cycle sun for its vertex's color vector (one sun per
-    distinct vector).  Raises AssertionError if coloring3 is not
-    parity-balanced or a constituent is not a single cycle.
+    distinct vector).  Raises GraphError if coloring3 is not
+    parity-balanced, and AssertionError if a constituent is not a
+    single cycle.
     """
-    if not is_parity_balanced(x, coloring3):
-        raise AssertionError("3-coloring of the source is not parity-balanced")
-    by_vector: Dict[Tuple[int, ...], SunColoring] = {}
-    suns: Dict[int, SunColoring] = {}
-    for v in x.vertices:
-        vec = _vector_at(x, coloring3, v)
-        if vec not in by_vector:
-            by_vector[vec] = _single_cycle_sun(vec)
-        suns[v] = by_vector[vec]
-    tr, out = _suns_to_truncation(x, coloring3, suns)
+    tr, out = _glue_suns(x, coloring3, _single_cycle_sun)
     for v in x.vertices:
         if len(_cycle_components(len(tr.clusters[v]), tr.constituents[v])) != 1:
             raise AssertionError(f"constituent at vertex {v} is not a single cycle")

@@ -21,19 +21,25 @@ Two blocks need the same class only when their centres coincide or
 are antipodal on the circle of r-1 residues; the layout moves the one
 block that can be centred opposite the hub block (see _even_layout).
 A final renaming sorts the names back into ascending color blocks.
+
+Semiregular, regular and class I cyclic truncations share one gluing,
+`_glue_suns`: it counts each vertex's color vector once over a
+parity-balanced coloring of the source, builds one sun per distinct
+vector, and lays each cluster's positions out in ascending color blocks
+to meet that sun.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .canonical import _norm, class_of_pair, scheme_class
 from .coloring import EdgeColoring, _clash_error, is_proper, solve_edge_coloring
 from .errors import GraphError, UndecidedError
 from .multigraph import Multigraph
-from .truncation import Truncation, assemble, excise
+from .truncation import Truncation, excise
 
 __all__ = [
     "SunColoring",
@@ -462,54 +468,74 @@ def verify_totally_inadmissible(vector: Sequence[int]) -> bool:
 
 # ---- parity balance and truncations built from suns ---- #
 
+def _color_vectors(x: Multigraph, coloring: EdgeColoring) -> Dict[int, Tuple[int, ...]]:
+    """Each vertex's color vector: the count of each palette color on
+    its incident edges."""
+    assignment = coloring.assignment
+    for eid in x.edge_ids:
+        if eid not in assignment:
+            raise GraphError(f"coloring does not cover edge {eid}")
+    vectors: Dict[int, Tuple[int, ...]] = {}
+    for v in x.vertices:
+        counts = [0] * coloring.palette_size
+        for eid in x.incident(v):
+            counts[assignment[eid]] += 1
+        vectors[v] = tuple(counts)
+    return vectors
+
+
+def _balanced(vectors: Mapping[int, Tuple[int, ...]]) -> bool:
+    # A vector's total is its vertex's valency.
+    return all(c % 2 == sum(vec) % 2 for vec in vectors.values() for c in vec)
+
+
 def is_parity_balanced(x: Multigraph, coloring: EdgeColoring) -> bool:
     """At every vertex, each palette color's incident count must have
     the parity of the valency (count 0 included for even valencies)."""
-    for eid in x.edge_ids:
-        if eid not in coloring.assignment:
-            raise GraphError(f"coloring does not cover edge {eid}")
-    for v in x.vertices:
-        val = x.valency(v)
-        counts = [0] * coloring.palette_size
-        for eid in x.incident(v):
-            counts[coloring.assignment[eid]] += 1
-        if any(c % 2 != val % 2 for c in counts):
-            return False
-    return True
+    return _balanced(_color_vectors(x, coloring))
 
 
-def _vector_at(x: Multigraph, coloring: EdgeColoring, v: int) -> Tuple[int, ...]:
-    counts = [0] * coloring.palette_size
-    for eid in x.incident(v):
-        counts[coloring.assignment[eid]] += 1
-    return tuple(counts)
+def _build_sun(vector: Sequence[int]) -> SunColoring:
+    """The sun for an admissible vector: odd total by the odd
+    construction, even total by the even one."""
+    return build_sun_odd(vector) if sum(vector) % 2 == 1 else build_sun_even(vector)
 
 
-def _cluster_positions_by_color(
-    ends: Sequence[int], coloring: EdgeColoring
-) -> List[int]:
-    """Cluster positions reordered to ascending (color, source edge id),
-    i.e. the order in which the block layout expects to meet them."""
-    return sorted(range(len(ends)), key=lambda p: (coloring.assignment[ends[p] // 2], ends[p]))
-
-
-def _suns_to_truncation(
-    x: Multigraph, coloring: EdgeColoring, suns: Mapping[int, SunColoring]
+def _glue_suns(
+    x: Multigraph, coloring: EdgeColoring, build: Callable[[Tuple[int, ...]], SunColoring]
 ) -> Tuple[Truncation, EdgeColoring]:
-    """Glue per-vertex suns over a matching coloring of the source."""
+    """Glue one sun per cluster over a parity-balanced coloring of x.
+
+    The matching edges keep coloring; build(vector) makes the sun for
+    each distinct color vector, once.  A cluster meets its sun's blocks
+    with its positions in ascending (color, end id) order.  Raises
+    GraphError if coloring is not parity-balanced or build refuses a
+    vector.
+    """
+    vectors = _color_vectors(x, coloring)
+    if not _balanced(vectors):
+        raise GraphError("coloring is not parity-balanced")
+    suns: Dict[Tuple[int, ...], SunColoring] = {}
+    for v, vec in vectors.items():
+        if vec not in suns:
+            try:
+                suns[vec] = build(vec)
+            except GraphError as exc:
+                raise GraphError(f"vertex {v} with color vector {vec}: {exc}") from exc
+    color_of = coloring.assignment
     _, clusters = excise(x)
     colors: Dict[int, Dict[Tuple[int, int], int]] = {}
-    for v in x.vertices:
-        order = _cluster_positions_by_color(clusters[v], coloring)
-        sun = suns[v]
+    for v, ends in clusters.items():
+        order = sorted(range(len(ends)), key=lambda p: (color_of[ends[p] // 2], ends[p]))
+        sun = suns[vectors[v]]
         colors[v] = {
             tuple(sorted((order[a], order[b]))): c
             for (a, b), c in zip(sun.constituent_edges, sun.constituent_colors)
         }
     # Each cluster's color map is keyed by its constituent edges.
-    tr = assemble(x, colors)
-    palette = max([coloring.palette_size] + [suns[v].palette_size for v in x.vertices])
-    return tr, tr.color(coloring.assignment, colors.__getitem__, palette)
+    tr = Truncation(x, colors)
+    palette = max([coloring.palette_size] + [sun.palette_size for sun in suns.values()])
+    return tr, tr.color(color_of, colors.__getitem__, palette)
 
 
 def semiregular_truncation(
@@ -523,19 +549,7 @@ def semiregular_truncation(
     """
     if x.size == 0:
         raise GraphError("source graph has no edges")
-    if not is_parity_balanced(x, coloring):
-        raise GraphError("coloring is not parity-balanced")
-    suns: Dict[int, SunColoring] = {}
-    for v in x.vertices:
-        vec = _vector_at(x, coloring, v)
-        try:
-            if x.valency(v) % 2 == 1:
-                suns[v] = build_sun_odd(vec)
-            else:
-                suns[v] = build_sun_even(vec)
-        except GraphError as exc:
-            raise GraphError(f"vertex {v} with color vector {vec}: {exc}") from exc
-    return _suns_to_truncation(x, coloring, suns)
+    return _glue_suns(x, coloring, _build_sun)
 
 
 @dataclass(frozen=True)
@@ -574,10 +588,7 @@ def regular_truncation(
                     "ii", f"vertex {v} has valency {x.valency(v)} below d = {d}"
                 )
         base = EdgeColoring({eid: 0 for eid in x.edge_ids}, 1)
-        suns = {v: build_sun_valency((x.valency(v),), d - 1) for v in x.vertices}
-        tr, col = _suns_to_truncation(x, base, suns)
-        col = EdgeColoring(col.assignment, d)
-        return tr, col
+        return _glue_suns(x, base, lambda vec: build_sun_valency(vec, d - 1))
     for v in x.vertices:
         val = x.valency(v)
         if val % 2 == 1 and val < d:

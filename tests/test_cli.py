@@ -274,6 +274,12 @@ class TestOracle:
         assert out["decided"] is False
         assert "undecided" in err
 
+    def test_negative_budget_is_a_domain_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "oracle", write_graph(tmp_path, k4()), "--budget", "-1")
+        assert code == 1
+        assert out is None
+        assert err == "error: --budget must be nonnegative\n"
+
     def test_edge_cap_guard(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "oracle", write_graph(tmp_path, petersen()), "--edge-cap", "5"
@@ -342,6 +348,9 @@ class TestVerify:
         code, verdict, _ = run(capsys, "verify", tr_file, cfile)
         assert code == 0
         assert verdict == {"proper": True, "palette": 3, "colors_used": 3}
+        # color-strong's own output verifies as it stands.
+        strong_file = write_obj(tmp_path, strong, "strong.json")
+        assert run(capsys, "verify", tr_file, strong_file)[:2] == (0, verdict)
         # The flattened truncation is what gets checked: recolor one
         # constituent edge like a matching edge at its end.
         flat = truncation_from_obj(out).graph
@@ -374,7 +383,9 @@ class TestVerify:
 
 
 class TestDemo:
-    @pytest.mark.parametrize("name", ["petersen", "two-k5-bridge", "k4"])
+    @pytest.mark.parametrize(
+        "name", ["petersen", "two-k5-bridge", "k4", "k5", "k33", "q3", "3-prism"]
+    )
     def test_plain_graphs(self, capsys, name):
         code, out, _ = run(capsys, "demo", name)
         assert code == 0

@@ -23,6 +23,7 @@ from truncolor.cyclic_coloring import (
     is_enabling,
     vector3_admissible,
     _cycle_components,
+    _cyclic_from_parity,
     _single_cycle_sun,
 )
 from truncolor.errors import GraphError, UndecidedError
@@ -275,6 +276,13 @@ class TestParityCriterion:
     def test_rejects_low_valency(self):
         with pytest.raises(GraphError, match="valency 2"):
             cyclic_class_one(cycle_graph(5))
+
+    def test_unbalanced_coloring_is_a_graph_error(self):
+        # Every vertex of K4 sees color 0 three times and colors 1, 2
+        # zero times: even counts at odd valency.
+        monochrome = EdgeColoring({e: 0 for e in k4().edge_ids}, 3)
+        with pytest.raises(GraphError, match="not parity-balanced"):
+            _cyclic_from_parity(k4(), monochrome)
 
 
 class TestCutEdgeObstruction:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import truncolor.sun as sun_module
 from truncolor.catalog import k4, petersen, prism3
-from truncolor.coloring import EdgeColoring, is_proper
+from truncolor.coloring import EdgeColoring, is_proper, solve_edge_coloring
 from truncolor.errors import GraphError, UndecidedError
 from truncolor.multigraph import Multigraph
 from truncolor.sun import (
@@ -330,8 +330,6 @@ class TestParityBalance:
 
     def test_proper_coloring_of_cubic_graph_is_balanced(self):
         g = k4()
-        from truncolor.coloring import solve_edge_coloring
-
         sol, _ = solve_edge_coloring(g, 3)
         assert is_parity_balanced(g, EdgeColoring(sol, 3))
 
@@ -365,6 +363,24 @@ class TestSemiregular:
         with pytest.raises(GraphError):
             semiregular_truncation(g, alternating)
 
+    def test_one_sun_per_distinct_vector(self, monkeypatch):
+        # K4 properly 3-colored (vector (1, 1, 1) at four vertices) beside
+        # a monochrome doubled triangle ((4, 0, 0) at three vertices).
+        g = disjoint_union(
+            k4(), Multigraph(range(3), [(0, 1), (1, 2), (2, 0), (0, 1), (1, 2), (2, 0)])
+        )
+        sol, _ = solve_edge_coloring(k4(), 3)
+        coloring = EdgeColoring({**sol, **{e: 0 for e in range(6, 12)}}, 3)
+        built = []
+        for name in ("build_sun_odd", "build_sun_even"):
+            real = getattr(sun_module, name)
+            monkeypatch.setattr(
+                sun_module, name, lambda vec, real=real: built.append(tuple(vec)) or real(vec)
+            )
+        tr, out = semiregular_truncation(g, coloring)
+        assert sorted(built) == [(1, 1, 1), (4, 0, 0)]
+        assert is_proper(tr.graph, out)
+
 
 class TestRegularTruncation:
     def test_even_valency_route(self):
@@ -383,6 +399,23 @@ class TestRegularTruncation:
         tr, coloring = out
         assert is_proper(tr.graph, coloring)
         assert tr.graph.regular_valency() == 3
+
+    def test_even_route_builds_one_sun_per_vector(self, monkeypatch):
+        # The circulant C40(1, 2) is 4-regular: every vertex has vector (4,).
+        g = Multigraph(range(40), [(i, (i + s) % 40) for i in range(40) for s in (1, 2)])
+        real = sun_module.build_sun_valency
+        calls = []
+        monkeypatch.setattr(
+            sun_module,
+            "build_sun_valency",
+            lambda vec, k: calls.append((tuple(vec), k)) or real(vec, k),
+        )
+        out = regular_truncation(g, 4)
+        assert not isinstance(out, Infeasible)
+        tr, coloring = out
+        assert calls == [((4,), 3)]
+        assert tr.graph.regular_valency() == 4
+        assert coloring.palette_size == 4 and is_proper(tr.graph, coloring)
 
     def test_even_target_below_source_valency(self):
         # Valency 4 with target 2 satisfies the even clause (even, >= d),
