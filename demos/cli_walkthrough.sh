@@ -40,6 +40,8 @@ truncolor cyclic-color k4.json --strategy classone > k4_cyclic.json
 truncolor verify k4_cyclic.json
 truncolor cyclic-color k4.json --strategy enabling > k4_enabling.json
 truncolor verify k4_enabling.json
+truncolor cyclic-color k4.json --strategy enabling --enabling-edges 0,5 > k4_enabling_edges.json
+truncolor verify k4_enabling_edges.json
 truncolor cyclic-color petersen.json --strategy enabling || echo "exit $? as expected: no class I cyclic truncation"
 
 echo "all steps verified"

@@ -50,7 +50,7 @@ from .cyclic_coloring import (
     vector3_admissible,
 )
 from .errors import GraphError, UndecidedError
-from .multigraph import Multigraph, MultigraphBuilder
+from .multigraph import Multigraph
 from .strong_arboreal import NotApplicable, arboreal_is_class_one, color_by_strong
 from .sun import (
     Infeasible,
@@ -67,7 +67,6 @@ from .sun import (
 from .truncation import (
     Truncation,
     arboreal_truncation,
-    assemble,
     complete_truncation,
     contract,
     cyclic_truncation,
@@ -85,7 +84,6 @@ __all__ = [
     "GraphError",
     "Infeasible",
     "Multigraph",
-    "MultigraphBuilder",
     "NotApplicable",
     "OracleResult",
     "SunColoring",
@@ -95,7 +93,6 @@ __all__ = [
     "admissible",
     "arboreal_is_class_one",
     "arboreal_truncation",
-    "assemble",
     "build_sun_even",
     "build_sun_odd",
     "build_sun_valency",

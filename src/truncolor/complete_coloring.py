@@ -11,6 +11,10 @@ D-1 positions with dummy pendants, colored as order D-1, and restricted
 to its real positions.  When no edge-feasible coloring exists the complete
 truncation provably needs D+1 colors, and a witness of the exhausted
 search is returned instead.
+
+`subtruncation_coloring` restricts that coloring to any truncation that
+keeps D, so it applies to every even-D source and to every odd-D source
+with an edge-feasible coloring; it runs no class test of its own.
 """
 
 from __future__ import annotations
@@ -315,17 +319,17 @@ def color_complete_truncation(
 
 
 def subtruncation_coloring(
-    x: Multigraph,
-    tr: Truncation,
-    *,
-    budget: Optional[int] = None,
-    assume_class_one: bool = False,
+    x: Multigraph, tr: Truncation, *, budget: Optional[int] = None
 ) -> EdgeColoring:
-    """Color any truncation of a class I source with max-valency colors.
+    """Color a truncation of x with max-valency colors by restriction.
 
     Every truncation embeds in the complete one, so the coloring is the
-    restriction of color_complete_truncation's output.  The source must
-    be class I and the truncation must preserve the maximum valency.
+    restriction of color_complete_truncation's output.  It applies when
+    the truncation keeps the source's maximum valency D and the complete
+    truncation is D-colorable: always for even D, and for odd D exactly
+    when x has an edge-feasible coloring (every class I source has one).
+    Otherwise raises GraphError with the ClassIIWitness's reason, or
+    UndecidedError if that search exceeds budget nodes.
     """
     if tr.source.edges != x.edges or tr.source.vertices != x.vertices:
         raise GraphError("truncation was not built from the given source graph")
@@ -334,13 +338,9 @@ def subtruncation_coloring(
         raise GraphError(
             f"truncation has maximum valency {tr.graph.max_valency()}, source has {delta}"
         )
-    if not assume_class_one:
-        cap = max(x.size, 40)
-        if classify(x, budget=budget, edge_cap=cap) != CLASS_I:
-            raise GraphError("source graph is not class I")
     full = color_complete_truncation(x, budget=budget)
     if isinstance(full, ClassIIWitness):
-        raise AssertionError("class I source yielded no complete-truncation coloring")
+        raise GraphError(full.reason)
     comp, coloring = full
 
     def pair_color(v: int) -> Dict[Tuple[int, int], int]:

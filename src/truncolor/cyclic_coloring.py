@@ -6,7 +6,9 @@ parity of that vertex's valency.  Necessity is the parity lemma on each
 cluster.  Sufficiency is `_cyclic_from_parity`, which every strategy
 shares: the vectors are admissible, and the sun gluing of `sun` puts
 one `_single_cycle_sun` per distinct vector, a single cycle, on each
-cluster of that vector.  Strategies only supply the coloring:
+cluster of that vector.  That sun is a closed form: one cyclic word of
+edge colors, read off the vector in time linear in its total, with no
+search and no repair.  Strategies only supply the coloring:
 `cyclic_from_class_one` folds a d-coloring, `color_via_enabling` walks
 Euler tours, `cyclic_class_one` searches.  `cyclic_even_valency` glues
 its own coloring and keeps any cycle orders.  A 3-valent graph with a
@@ -20,7 +22,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from .coloring import EdgeColoring, is_proper
 from .errors import GraphError
 from .multigraph import Multigraph
-from .sun import SunColoring, _build_sun, _glue_suns, _parity_coloring_search, admissible
+from .sun import SunColoring, _glue_suns, _parity_coloring_search, admissible, pendant_layout
 from .truncation import Truncation, cyclic_truncation
 
 __all__ = [
@@ -81,50 +83,46 @@ def _cycle_components(r: int, edges: Sequence[Tuple[int, int]]) -> List[List[int
 
 
 def _single_cycle_sun(vector3: Sequence[int]) -> SunColoring:
-    """A sun for a 3-color vector whose constituent is one cycle.
+    """The sun for an admissible 3-color vector whose constituent is one cycle.
 
-    The direct construction can leave several cycles; any two proper
-    cycles share a color (each uses at least two of the three), so a
-    same-colored pair of edges from different cycles is swapped for its
-    cross pair, preserving every vertex's color multiset and merging
-    the components.  Repeats until a single cycle remains.
+    Every end sees the two colors other than its pendant once on the
+    cycle, so color c colors (r - x_c) / 2 <= r / 2 cycle edges.  With
+    the edge colors laid out by count, most frequent first (ties by
+    color), on slots 0, 2, 4, ... and then 1, 3, 5, ..., no two
+    neighbouring edges share a color.  The cycle vertex between edges i-1 and i takes the third
+    color as its pendant; the ends of each pendant color are numbered in
+    the order the walk reaches them, inside that color's block of
+    pendant_layout.
     """
+    if len(vector3) != 3 or not admissible(vector3):
+        raise GraphError(f"vector {tuple(vector3)} is not an admissible 3-color vector")
     r = sum(vector3)
-    base = _build_sun(vector3)
-    edges: Dict[Tuple[int, int], int] = dict(
-        zip(base.constituent_edges, base.constituent_colors)
-    )
-    while True:
-        comps = _cycle_components(r, list(edges))
-        if len(comps) <= 1:
-            break
-        comps.sort(key=min)
-        in_a = set(comps[0])
-        in_b = set(comps[1])
-        colors_a = {c for (p, q), c in edges.items() if p in in_a}
-        colors_b = {c for (p, q), c in edges.items() if p in in_b}
-        common = colors_a & colors_b
-        if not common:
-            raise AssertionError("two proper cycles with disjoint color sets")
-        gamma = min(common)
-        ea = min(e for e, c in edges.items() if c == gamma and e[0] in in_a)
-        eb = min(e for e, c in edges.items() if c == gamma and e[0] in in_b)
-        del edges[ea]
-        del edges[eb]
-        for pair in (
-            tuple(sorted((ea[0], eb[0]))),
-            tuple(sorted((ea[1], eb[1]))),
-        ):
-            if pair in edges:
-                raise AssertionError("cross edge already present")
-            edges[pair] = gamma
+    counts = [(r - x) // 2 for x in vector3]
+    by_count = sorted(range(3), key=lambda c: (-counts[c], c))
+    laid = [c for c in by_count for _ in range(counts[c])]
+    word = [0] * r
+    half = (r + 1) // 2
+    word[0::2], word[1::2] = laid[:half], laid[half:]
+    # nxt is the next free position in each pendant color's block.
+    starts = [0, vector3[0], vector3[0] + vector3[1]]
+    nxt = list(starts)
+    pos: List[int] = []
+    for i in range(r):
+        pendant = 3 - word[i - 1] - word[i]
+        pos.append(nxt[pendant])
+        nxt[pendant] += 1
+    if nxt != starts[1:] + [r]:
+        raise AssertionError("the cycle walk does not meet every position once")
+    edges = {
+        (min(pos[i - 1], pos[i]), max(pos[i - 1], pos[i])): word[i - 1] for i in range(r)
+    }
     pairs = sorted(edges)
     sun = SunColoring(
         vector=tuple(vector3),
-        pendant_colors=base.pendant_colors,
+        pendant_colors=pendant_layout(vector3),
         constituent_edges=tuple(pairs),
         constituent_colors=tuple(edges[p] for p in pairs),
-        palette_size=base.palette_size,
+        palette_size=3,
     )
     sun.validate(regular=2)
     return sun

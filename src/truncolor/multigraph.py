@@ -13,7 +13,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import GraphError
 
-__all__ = ["Multigraph", "MultigraphBuilder"]
+__all__ = ["Multigraph"]
 
 
 class Multigraph:
@@ -139,21 +139,24 @@ class Multigraph:
         seen: set = set()
         out: List[frozenset] = []
         for root in self._vertices:
-            if root in seen:
-                continue
-            comp = {root}
-            queue = [root]
-            seen.add(root)
-            while queue:
-                v = queue.pop()
-                for eid in self._incidence[v]:
-                    w = self.other_end(eid, v)
-                    if w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        queue.append(w)
-            out.append(frozenset(comp))
+            if root not in seen:
+                comp = self._reach(root)
+                seen |= comp
+                out.append(frozenset(comp))
         return out
+
+    def _reach(self, root: int) -> set:
+        """The vertices of root's component, by one search from root."""
+        comp = {root}
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for eid in self._incidence[v]:
+                w = self.other_end(eid, v)
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        return comp
 
     def bridges(self) -> frozenset:
         """Edge ids whose removal disconnects their component.
@@ -208,7 +211,7 @@ class Multigraph:
         """
         if root not in self._incidence:
             raise GraphError(f"no vertex {root} in graph")
-        comp = next(c for c in self.components() if root in c)
+        comp = self._reach(root)
         for v in comp:
             if len(self._incidence[v]) % 2 != 0:
                 raise GraphError(
@@ -254,25 +257,3 @@ class Multigraph:
                 raise GraphError(f"no edge with id {eid}")
         kept = {eid: pair for eid, pair in self._edges.items() if eid not in drop}
         return Multigraph(self._vertices, kept)
-
-
-class MultigraphBuilder:
-    """Mutable accumulator; owns its data until build() is called."""
-
-    def __init__(self):
-        self._vertices: set = set()
-        self._edges: List[Tuple[int, int]] = []
-
-    def add_vertex(self, v: int) -> "MultigraphBuilder":
-        self._vertices.add(v)
-        return self
-
-    def add_edge(self, u: int, w: int) -> int:
-        """Returns the new edge's id (position in insertion order)."""
-        self._vertices.add(u)
-        self._vertices.add(w)
-        self._edges.append((u, w))
-        return len(self._edges) - 1
-
-    def build(self) -> Multigraph:
-        return Multigraph(self._vertices, self._edges)

@@ -39,7 +39,7 @@ from .canonical import _norm, class_of_pair, scheme_class
 from .coloring import EdgeColoring, _clash_error, is_proper, solve_edge_coloring
 from .errors import GraphError, UndecidedError
 from .multigraph import Multigraph
-from .truncation import Truncation, excise
+from .truncation import Truncation
 
 __all__ = [
     "SunColoring",
@@ -523,10 +523,11 @@ def _glue_suns(
             except GraphError as exc:
                 raise GraphError(f"vertex {v} with color vector {vec}: {exc}") from exc
     color_of = coloring.assignment
-    _, clusters = excise(x)
     colors: Dict[int, Dict[Tuple[int, int], int]] = {}
-    for v, ends in clusters.items():
-        order = sorted(range(len(ends)), key=lambda p: (color_of[ends[p] // 2], ends[p]))
+    for v in x.vertices:
+        # Incident ids ascend, like the cluster positions of v.
+        ids = x.incident(v)
+        order = sorted(range(len(ids)), key=lambda p: (color_of[ids[p]], ids[p]))
         sun = suns[vectors[v]]
         colors[v] = {
             tuple(sorted((order[a], order[b]))): c

@@ -24,7 +24,6 @@ from .multigraph import Multigraph
 __all__ = [
     "Truncation",
     "excise",
-    "assemble",
     "complete_truncation",
     "cyclic_truncation",
     "arboreal_truncation",
@@ -99,7 +98,11 @@ def _normalize(v: int, size: int, pairs: Iterable[PositionPair]) -> List[Positio
 
 
 class Truncation:
-    """A source multigraph together with one constituent per cluster."""
+    """A source multigraph together with one constituent per cluster.
+
+    Constituent edges are pairs of cluster positions; omitted vertices
+    get empty constituents.
+    """
 
     def __init__(self, source: Multigraph, constituents: Mapping[int, Iterable[PositionPair]]):
         self.source = source
@@ -187,17 +190,6 @@ class Truncation:
         if not is_proper(self.graph, out):
             raise _clash_error(self.graph, out, "truncation coloring")
         return out
-
-
-def assemble(
-    source: Multigraph, constituents: Mapping[int, Iterable[PositionPair]]
-) -> Truncation:
-    """Build a truncation from a source graph and constituent choices.
-
-    Constituent edges are pairs of cluster positions; omitted vertices
-    get empty constituents.
-    """
-    return Truncation(source, constituents)
 
 
 def complete_truncation(g: Multigraph) -> Truncation:

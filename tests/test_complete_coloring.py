@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import truncolor.complete_coloring as complete_coloring
+
 from truncolor.catalog import k4, k5, k33, path_graph, petersen, two_k5_bridge
 from truncolor.coloring import CLASS_I, CLASS_II, EdgeColoring, classify, is_proper
 from truncolor.complete_coloring import (
@@ -19,7 +21,7 @@ from truncolor.complete_coloring import (
 from truncolor.errors import GraphError
 from truncolor.multigraph import Multigraph
 from truncolor.truncation import (
-    assemble,
+    Truncation,
     complete_truncation,
     contract,
     cyclic_truncation,
@@ -200,12 +202,18 @@ class TestSubtruncationColoring:
         assert coloring.palette_size == 3
         assert is_proper(tr.graph, coloring)
 
-    def test_assume_class_one_matches_checked_run(self):
-        g = k33()
-        tr = cyclic_truncation(g)
-        checked = subtruncation_coloring(g, tr)
-        assumed = subtruncation_coloring(g, tr, assume_class_one=True)
-        assert checked.assignment == assumed.assignment
+    def test_colors_class_two_even_source_without_the_oracle(self, monkeypatch):
+        # K5 is class II with maximum valency 4; a star in each cluster
+        # keeps valency 4, and restriction needs no class test.
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("subtruncation_coloring ran the exact oracle")
+
+        monkeypatch.setattr(complete_coloring, "classify", no_oracle)
+        g = k5()
+        tr = Truncation(g, {v: [(0, 1), (0, 2), (0, 3)] for v in g.vertices})
+        coloring = subtruncation_coloring(g, tr)
+        assert coloring.palette_size == 4
+        assert is_proper(tr.graph, coloring)
 
     def test_rejects_foreign_source(self):
         tr = cyclic_truncation(k4())
@@ -214,7 +222,7 @@ class TestSubtruncationColoring:
 
     def test_rejects_lowered_max_valency(self):
         g = k4()
-        tr = assemble(g, {v: [] for v in g.vertices})
+        tr = Truncation(g, {v: [] for v in g.vertices})
         assert tr.graph.max_valency() == 1
         with pytest.raises(GraphError):
             subtruncation_coloring(g, tr)

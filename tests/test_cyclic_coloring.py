@@ -63,10 +63,18 @@ class TestVectorVerdicts:
             vector3_admissible(1, 1, 0)
 
 
+# At three colors a vector is admissible iff its entries share a parity.
+ADMISSIBLE_3_VECTORS = [
+    (a, b, r - a - b)
+    for r in range(3, 25)
+    for a in range(r + 1)
+    for b in range(r + 1 - a)
+    if a % 2 == b % 2 == (r - a - b) % 2
+]
+
+
 class TestSingleCycleSuns:
-    @pytest.mark.parametrize(
-        "vec", [(1, 1, 1), (3, 3, 3), (3, 3, 1), (2, 2, 2), (5, 1, 1), (2, 0, 4), (1, 1, 5)]
-    )
+    @pytest.mark.parametrize("vec", ADMISSIBLE_3_VECTORS)
     def test_merged_to_one_cycle(self, vec):
         sun = _single_cycle_sun(vec)
         sun.validate(regular=2)
@@ -82,6 +90,11 @@ class TestSingleCycleSuns:
             prev, cur = cur, nxt
             steps += 1
         assert steps == r
+
+    @pytest.mark.parametrize("vec", [(2, 1, 1), (3, 0, 0), (3, 2, 1), (1, 1, 0)])
+    def test_inadmissible_vector_raises(self, vec):
+        with pytest.raises(GraphError):
+            _single_cycle_sun(vec)
 
 
 class TestEvenValencyRoute:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from truncolor.errors import GraphError
-from truncolor.multigraph import Multigraph, MultigraphBuilder
+from truncolor.multigraph import Multigraph
 
 from conftest import random_multigraph
 
@@ -44,16 +44,6 @@ class TestConstruction:
         assert g.valency(0) == g.valency(1) == 3
         assert g.multiplicity() == 3
         assert not g.is_simple()
-
-    def test_builder_returns_ids_in_insertion_order(self):
-        b = MultigraphBuilder()
-        assert b.add_edge(0, 1) == 0
-        assert b.add_edge(1, 2) == 1
-        b.add_vertex(9)
-        g = b.build()
-        assert g.endpoints(0) == (0, 1)
-        assert 9 in g
-        assert g.valency(9) == 0
 
 
 class TestValencySum:
@@ -107,6 +97,14 @@ class TestEulerTour:
         g = Multigraph(range(2), [(0, 1)])
         with pytest.raises(GraphError):
             g.euler_tour(0)
+
+    def test_tour_searches_only_the_root_component(self, monkeypatch):
+        def no_components(self):
+            raise AssertionError("euler_tour listed every component")
+
+        monkeypatch.setattr(Multigraph, "components", no_components)
+        g = Multigraph(range(6), [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        assert sorted(g.euler_tour(4)) == [3, 4, 5]
 
     def test_tours_of_random_even_graphs(self, rng):
         for _ in range(60):

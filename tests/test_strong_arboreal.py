@@ -10,8 +10,8 @@ from truncolor.coloring import is_proper
 from truncolor.multigraph import Multigraph
 from truncolor.strong_arboreal import NotApplicable, arboreal_is_class_one, color_by_strong
 from truncolor.truncation import (
+    Truncation,
     arboreal_truncation,
-    assemble,
     complete_truncation,
     cyclic_truncation,
 )
@@ -70,7 +70,7 @@ class TestColorByStrong:
         g = Multigraph(range(11), [(0, leaf) for leaf in leaves])
         pete = petersen()
         pairs = [pete.endpoints(eid) for eid in sorted(pete.edge_ids)]
-        tr = assemble(g, {0: pairs})
+        tr = Truncation(g, {0: pairs})
         out = color_by_strong(tr)
         assert isinstance(out, NotApplicable)
         assert out.vertex == 0

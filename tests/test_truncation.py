@@ -11,7 +11,6 @@ from truncolor.multigraph import Multigraph
 from truncolor.truncation import (
     Truncation,
     arboreal_truncation,
-    assemble,
     complete_truncation,
     contract,
     cyclic_truncation,
@@ -160,13 +159,6 @@ class TestRoundTrip:
             assert back.edges == x.edges
             for eid in x.edge_ids:
                 assert back_coloring.color_of(eid) == coloring.color_of(eid)
-
-    def test_assemble_equals_constructor(self):
-        x = k4()
-        constituents = {v: [(0, 1), (1, 2)] for v in x.vertices}
-        a = assemble(x, constituents)
-        b = Truncation(x, constituents)
-        assert a.graph.edges == b.graph.edges
 
     def test_truncated_tetrahedron_shape(self):
         tr = cyclic_truncation(k4(), None)
