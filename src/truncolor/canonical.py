@@ -75,21 +75,15 @@ def scheme_class(n: int, t: int) -> Tuple[Tuple[int, int], ...]:
     (even n) or near-perfect matchings missing one vertex (odd n).
     """
     _check_n(n)
-    count = scheme_class_count(n)
-    if not 0 <= t < count:
-        raise GraphError(f"class index {t} out of range for order {n}")
     mod = _cycle_len(n)
-    center = _norm(1 + t, mod)
-    edges: List[Tuple[int, int]] = []
-    if n % 2 == 0:
-        edges.append((0, center))
-        span = (n - 2) // 2
-    else:
-        span = (n - 1) // 2
-    for k in range(1, span + 1):
-        a = _norm(center - k, mod)
-        b = _norm(center + k, mod)
-        edges.append((min(a, b), max(a, b)))
+    if not 0 <= t < mod:
+        raise GraphError(f"class index {t} out of range for order {n}")
+    # The centre is the residue 1+t; _norm(i, mod) is (i-1) % mod + 1.
+    edges: List[Tuple[int, int]] = [(0, t + 1)] if n % 2 == 0 else []
+    for k in range(1, (mod + 1) // 2):
+        a = (t - k) % mod + 1
+        b = (t + k) % mod + 1
+        edges.append((a, b) if a < b else (b, a))
     return tuple(edges)
 
 

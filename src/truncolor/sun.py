@@ -22,6 +22,13 @@ are antipodal on the circle of r-1 residues; the layout moves the one
 block that can be centred opposite the hub block (see _even_layout).
 A final renaming sorts the names back into ascending color blocks.
 
+Both constructions share one tail, `_finish`: they collect their edges
+as (name, name, color) triples, which are sorted once and renamed to
+positions, and every sun is checked by `SunColoring.validate`.  That
+check accepts a proper sun in one pass over its plain lists; it builds
+the sun as a graph only to name a breach, so a build costs little more
+than its output.
+
 Semiregular, regular and class I cyclic truncations share one gluing,
 `_glue_suns`: it counts each vertex's color vector once over a
 parity-balanced coloring of the source, builds one sun per distinct
@@ -35,8 +42,8 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .canonical import _norm, class_of_pair, scheme_class
-from .coloring import EdgeColoring, _clash_error, is_proper, solve_edge_coloring
+from .canonical import class_of_pair, scheme_class
+from .coloring import EdgeColoring, _clash_error, solve_edge_coloring
 from .errors import GraphError, UndecidedError
 from .multigraph import Multigraph
 from .truncation import Truncation
@@ -85,33 +92,80 @@ class SunColoring:
             assignment[r + idx] = self.constituent_colors[idx]
         return Multigraph(range(2 * r), edges), EdgeColoring(assignment, self.palette_size)
 
-    def constituent_valencies(self) -> Tuple[int, ...]:
-        deg = [0] * self.r
-        for a, b in self.constituent_edges:
-            deg[a] += 1
-            deg[b] += 1
-        return tuple(deg)
-
     def validate(self, regular: Optional[int] = None) -> None:
-        """Construction self-check; raises AssertionError on any breach."""
-        pairs = {(min(a, b), max(a, b)) for a, b in self.constituent_edges}
-        if len(pairs) != len(self.constituent_edges):
-            raise AssertionError("constituent repeats an edge")
-        g, col = self.sun_graph()
-        if not is_proper(g, col):
-            raise _clash_error(g, col, "sun coloring")
-        counts = [0] * self.palette_size
+        """Construction self-check; raises AssertionError on any breach.
+
+        A proper sun is accepted in one pass over the plain lists:
+        positions in 0..r-1 and colors in the palette (min and max over
+        the flattened lists), no repeated edge, and no clash, with one
+        color bitmask per position seeded by its pendant color; the same
+        loop counts valencies.  Only a breach builds sun_graph(), and
+        _breach walks the sun again to name the offender.
+        """
+        r, palette = self.r, self.palette_size
+        edges, colors = self.constituent_edges, self.constituent_colors
+        ends = list(chain.from_iterable(edges))
+        hues = [*self.pendant_colors, *colors]
+        deg = [0] * r
+        accepted = (
+            len(colors) == len(edges)
+            and (not ends or (min(ends) >= 0 and max(ends) < r))
+            and (not hues or (min(hues) >= 0 and max(hues) < palette))
+            and len(set(map(frozenset, edges))) == len(edges)
+        )
+        if accepted:
+            masks = [1 << c for c in self.pendant_colors]
+            for (a, b), c in zip(edges, colors):
+                bit = 1 << c
+                if a == b or (masks[a] | masks[b]) & bit:
+                    accepted = False
+                    break
+                masks[a] |= bit
+                masks[b] |= bit
+                deg[a] += 1
+                deg[b] += 1
+        if not accepted:
+            raise self._breach()
+        counts = [0] * palette
         for c in self.pendant_colors:
             counts[c] += 1
-        expect = list(self.vector) + [0] * (self.palette_size - len(self.vector))
+        expect = list(self.vector) + [0] * (palette - len(self.vector))
         if counts != expect:
             raise AssertionError("pendant colors do not realize the vector")
         if regular is not None:
-            vals = set(self.constituent_valencies()) or {0}
+            vals = set(deg) or {0}
             if vals != {regular}:
                 raise AssertionError(
                     f"constituent valencies {sorted(vals)} instead of {regular}-regular"
                 )
+
+    def _breach(self) -> AssertionError:
+        """The error naming the first breach that validate's accept pass found."""
+        r, palette = self.r, self.palette_size
+        edges, colors = self.constituent_edges, self.constituent_colors
+        if len(colors) != len(edges):
+            return AssertionError(f"{len(colors)} constituent colors for {len(edges)} edges")
+        for pos, c in enumerate(self.pendant_colors):
+            if not 0 <= c < palette:
+                return AssertionError(
+                    f"pendant color {c} at position {pos} outside palette 0..{palette - 1}"
+                )
+        seen = set()
+        for (a, b), c in zip(edges, colors):
+            if not (0 <= a < r and 0 <= b < r):
+                return AssertionError(f"constituent edge {(a, b)} leaves positions 0..{r - 1}")
+            if not 0 <= c < palette:
+                return AssertionError(
+                    f"constituent edge {(a, b)} has color {c} outside palette 0..{palette - 1}"
+                )
+            if a == b:
+                return AssertionError(f"constituent edge {(a, b)} is a loop")
+            key = (min(a, b), max(a, b))
+            if key in seen:
+                return AssertionError(f"constituent repeats an edge: {key}")
+            seen.add(key)
+        g, col = self.sun_graph()
+        return _clash_error(g, col, "sun coloring")
 
 
 def _check_vector(vector: Sequence[int]) -> Tuple[int, int]:
@@ -149,31 +203,26 @@ def pendant_layout(vector: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _add_edge(store: Dict[Tuple[int, int], int], pair: Tuple[int, int], color: int) -> None:
-    a, b = pair
-    key = (min(a, b), max(a, b))
-    if key[0] == key[1]:
-        raise AssertionError(f"degenerate constituent edge at {key[0]}")
-    if key in store:
-        raise AssertionError(f"constituent edge {key} assigned twice")
-    store[key] = color
-
-
 def _finish(
     vector: Sequence[int],
-    edge_color: Dict[Tuple[int, int], int],
+    triples: List[Tuple[int, int, int]],
     palette: int,
-    name_to_pos,
+    position: Sequence[int],
     regular: int,
 ) -> SunColoring:
-    pairs = sorted(edge_color)
+    """The one tail of both builders.
+
+    triples are (name_a, name_b, color) with name_a < name_b; they are
+    sorted once, so edges come out in name order, and position maps each
+    name to its sun position.  validate rejects loops and repeated edges.
+    """
+    triples.sort()
+    ends = [(position[a], position[b]) for a, b, _ in triples]
     sun = SunColoring(
         vector=tuple(vector),
         pendant_colors=pendant_layout(vector),
-        constituent_edges=tuple(
-            tuple(sorted((name_to_pos(a), name_to_pos(b)))) for a, b in pairs
-        ),
-        constituent_colors=tuple(edge_color[p] for p in pairs),
+        constituent_edges=tuple((p, q) if p < q else (q, p) for p, q in ends),
+        constituent_colors=tuple(c for _, _, c in triples),
         palette_size=palette,
     )
     sun.validate(regular=regular)
@@ -194,16 +243,18 @@ def build_sun_odd(vector: Sequence[int]) -> SunColoring:
         raise GraphError("odd-parity construction needs every entry odd")
     if not admissible(vector):
         raise GraphError(f"vector {tuple(vector)} is not admissible")
-    edge_color: Dict[Tuple[int, int], int] = {}
+    triples: List[Tuple[int, int, int]] = []
     start = 1
     for i, x in enumerate(vector):
         center = start + (x - 1) // 2
         for k in range((x - 1) // 2 + 1, (r - 1) // 2 + 1):
-            p = _norm(center - k, r)
-            q = _norm(center + k, r)
-            _add_edge(edge_color, (p, q), i)
+            # Names reduce into 1..r.
+            p = (center - k - 1) % r + 1
+            q = (center + k - 1) % r + 1
+            triples.append((p, q, i) if p < q else (q, p, i))
         start += x
-    return _finish(vector, edge_color, d, lambda name: name - 1, d - 1)
+    # Name n sits at position n - 1.
+    return _finish(vector, triples, d, range(-1, r), d - 1)
 
 
 def _even_layout(r: int, nz: Sequence[Tuple[int, int]]) -> List[Tuple[int, List[int]]]:
@@ -271,31 +322,31 @@ def _even_layout(r: int, nz: Sequence[Tuple[int, int]]) -> List[Tuple[int, List[
 
 def _even_core(
     vector: Sequence[int],
-) -> Tuple[Dict[Tuple[int, int], int], Iterator[Tuple[Tuple[int, int], ...]], List[int]]:
+) -> Tuple[List[Tuple[int, int, int]], Iterator[Tuple[Tuple[int, int], ...]], List[int]]:
     """Shared even-parity construction.
 
-    Returns (edges, pool, position) where pool yields the perfect
-    matchings still fully available and position maps construction
-    names to sun positions.  Names 0..r-1 form K_r's scheme with hub 0.
-    Each nonzero color takes the class whose pairs tile its pendant
-    names (see _even_layout) and keeps that class's other pairs as its
-    edges; the tiling pairs together form the leftover matching.  The
-    pool is the unused classes, built only when taken, then the
-    leftover.  Positions sort the names back into ascending color
-    blocks.
+    Returns (triples, pool, position): triples are the base edges as
+    (name_a, name_b, color) with name_a < name_b, ready for _finish;
+    pool yields the perfect matchings still fully available; position
+    maps construction names to sun positions.  Names 0..r-1 form K_r's
+    scheme with hub 0.  Each nonzero color takes the class whose pairs
+    tile its pendant names (see _even_layout) and keeps that class's
+    other pairs as its edges; the tiling pairs together form the
+    leftover matching.  The pool is the unused classes, built only when
+    taken, then the leftover.  Positions sort the names back into
+    ascending color blocks.  The caller has checked the vector; an
+    all-even vector is always admissible.
     """
-    r, d = _check_vector(vector)
+    r = sum(vector)
     if any(x % 2 for x in vector):
         raise GraphError("even-parity construction needs every entry even")
-    if not admissible(vector):
-        raise GraphError(f"vector {tuple(vector)} is not admissible")
     nz = sorted(((i, x) for i, x in enumerate(vector) if x > 0), key=lambda b: (-b[1], b[0]))
     layout = _even_layout(r, nz)
     pend = [0] * r
     for c, names in layout:
         for p in names:
             pend[p] = c
-    edge_color: Dict[Tuple[int, int], int] = {}
+    triples: List[Tuple[int, int, int]] = []
     leftover: List[Tuple[int, int]] = []
     used = set()
     for c, names in layout:
@@ -307,7 +358,7 @@ def _even_core(
             if pend[a] == c:
                 leftover.append((a, b))
             else:
-                _add_edge(edge_color, (a, b), c)
+                triples.append((a, b, c))
     if len(used) < len(layout):
         # Two blocks on one class: each took the other's pairs, so the
         # class is spent and nothing is left over.
@@ -317,9 +368,10 @@ def _even_core(
         [tuple(sorted(leftover))] if leftover else [],
     )
     position = [0] * r
-    for p, name in enumerate(sorted(range(r), key=lambda v: (pend[v], v))):
+    # A stable sort keeps names ascending inside each color block.
+    for p, name in enumerate(sorted(range(r), key=pend.__getitem__)):
         position[name] = p
-    return edge_color, pool, position
+    return triples, pool, position
 
 
 def build_sun_even(vector: Sequence[int]) -> SunColoring:
@@ -344,16 +396,15 @@ def build_sun_valency(vector: Sequence[int], k: int) -> SunColoring:
         raise GraphError(
             f"target valency {k} outside {base}..{r - 1} for vector {tuple(vector)}"
         )
-    edge_color, pool, position = _even_core(vector)
+    triples, pool, position = _even_core(vector)
     need = k - base
     fresh = max(0, need - len(zeros))
     for color in (zeros + list(range(d, d + fresh)))[:need]:
         matching = next(pool, None)
         if matching is None:
             raise AssertionError(f"no free matching left for color {color}")
-        for pair in matching:
-            _add_edge(edge_color, pair, color)
-    return _finish(vector, edge_color, d + fresh, position.__getitem__, k)
+        triples.extend((a, b, color) for a, b in matching)
+    return _finish(vector, triples, d + fresh, position, k)
 
 
 # ---- exhaustive negative verification ---- #

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from truncolor.canonical import (
@@ -58,6 +60,29 @@ class TestScheme:
         for t in range(scheme_class_count(n)):
             for pair in scheme_class(n, t):
                 assert class_of_pair(n, pair) == t
+
+    def test_every_class_up_to_order_64_is_pinned(self):
+        # sha256 over repr(scheme_class(n, t)) for n = 2..64 and every t.
+        digest = hashlib.sha256()
+        count = 0
+        for n in range(2, 65):
+            for t in range(scheme_class_count(n)):
+                edges = scheme_class(n, t)
+                digest.update(repr(edges).encode())
+                for pair in edges:
+                    assert class_of_pair(n, pair) == t
+                count += 1
+        assert count == 2047
+        assert digest.hexdigest() == (
+            "f47e4d81a4ea4e4d964e55288528ee67f3fc8ebdfb87768f737e393fce870961"
+        )
+
+    def test_class_index_out_of_range(self):
+        for n, t in [(8, 7), (8, -1), (9, 9)]:
+            with pytest.raises(GraphError, match=f"class index {t} out of range"):
+                scheme_class(n, t)
+        with pytest.raises(GraphError):
+            scheme_class(1, 0)
 
     def test_anchor_rejects_non_cycle_edges(self):
         with pytest.raises(GraphError):

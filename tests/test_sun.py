@@ -1,4 +1,6 @@
+import hashlib
 import random
+from dataclasses import replace
 from itertools import combinations, groupby, permutations, product
 
 import pytest
@@ -58,6 +60,13 @@ def build(vector):
     return build_sun_odd(vector) if r % 2 == 1 else build_sun_even(vector)
 
 
+# sha256 over repr(sun) of each build, in the order of the sweeps below;
+# pinned so that a rewrite of the builders must reproduce every sun.
+ODD_SUNS_SHA256 = "0a25ad5da7ff755463b0be48990137825b7c9d7ab0500e9caf86cce90841c843"
+EVEN_SUNS_SHA256 = "eb089fa74a1e566dbe45014d3ae8fa2cd4b6688e9ff5d4f8b8d0fb8afd22ca89"
+VALENCY_SUNS_SHA256 = "cbdd36f7b54790e4d4786623c75a9aa26ffc3849e6e5af25a1ababed393f80b2"
+
+
 class TestAdmissibility:
     def test_parity_rule(self):
         assert admissible((1, 1, 1))
@@ -83,6 +92,7 @@ class TestBuiltSuns:
         # Odd r only: TestEvenLayout builds every even-r vector up to
         # ten, and an admissible vector with even r is all even.
         checked = 0
+        digest = hashlib.sha256()
         for r in range(1, 11, 2):
             for d in range(1, r + 1):
                 for vector in all_vectors(r, d):
@@ -91,8 +101,10 @@ class TestBuiltSuns:
                     sun = build(vector)
                     sun.validate(regular=d - 1)
                     assert pendant_counts(sun) == vector
+                    digest.update(repr(sun).encode())
                     checked += 1
         assert checked == 55
+        assert digest.hexdigest() == ODD_SUNS_SHA256
 
     def test_counting_identity_per_color(self):
         # Pendants of color i fill what the constituent leaves uncovered:
@@ -128,24 +140,48 @@ def no_search(monkeypatch):
     monkeypatch.setattr(sun_module, "solve_edge_coloring", refuse)
 
 
+@pytest.fixture
+def no_graph(monkeypatch):
+    """Make any graph built inside the sun module fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sun build or validate built a Multigraph")
+
+    monkeypatch.setattr(sun_module, "Multigraph", refuse)
+
+
 class TestEvenLayout:
     def test_every_even_vector_up_to_ten_builds_without_search(self, no_search):
         checked = 0
+        digest = hashlib.sha256()
         for r in range(2, 11, 2):
             for vector in even_vectors(r):
                 sun = build_sun_even(vector)
                 sun.validate(regular=len(vector) - 1)
                 assert pendant_counts(sun) == vector
+                digest.update(repr(sun).encode())
                 checked += 1
         assert checked == 5946
+        assert digest.hexdigest() == EVEN_SUNS_SHA256
 
     def test_every_valency_target_up_to_eight(self, no_search):
+        checked = 0
+        digest = hashlib.sha256()
         for r in range(2, 9, 2):
             for vector in even_vectors(r):
                 for k in range(sum(1 for x in vector if x) - 1, r):
                     sun = build_sun_valency(vector, k)
                     sun.validate(regular=k)
                     assert pendant_counts(sun)[: len(vector)] == vector
+                    digest.update(repr(sun).encode())
+                    checked += 1
+        assert checked == 5642
+        assert digest.hexdigest() == VALENCY_SUNS_SHA256
+
+    def test_every_even_vector_up_to_eight_builds_without_a_graph(self, no_graph):
+        for r in range(2, 9, 2):
+            for vector in even_vectors(r):
+                build_sun_even(vector).validate(regular=len(vector) - 1)
 
     @pytest.mark.parametrize(
         "vector",
@@ -208,6 +244,80 @@ class TestValidateMessages:
             match=r"sun coloring is not proper: edges 0 and 2 share color 0 at vertex 0",
         ):
             sun.validate()
+
+
+# Vector (2, 2): pendants 0, 0, 1, 1 and the matching (0, 1), (2, 3) in
+# the colors the pendants leave free.
+PROPER_SUN = SunColoring(
+    vector=(2, 2),
+    pendant_colors=(0, 0, 1, 1),
+    constituent_edges=((0, 1), (2, 3)),
+    constituent_colors=(1, 0),
+    palette_size=2,
+)
+
+
+class TestMalformedSuns:
+    @pytest.mark.parametrize(
+        "changes, regular, message",
+        [
+            (dict(constituent_edges=((0, 1), (0, 1), (2, 3)), constituent_colors=(1, 2, 0),
+                  palette_size=3), None, r"constituent repeats an edge: \(0, 1\)"),
+            (dict(constituent_edges=((0, 1), (1, 0), (2, 3)), constituent_colors=(1, 2, 0),
+                  palette_size=3), None, r"constituent repeats an edge: \(0, 1\)"),
+            (dict(constituent_edges=((0, 0), (2, 3))), None,
+             r"constituent edge \(0, 0\) is a loop"),
+            (dict(constituent_edges=((-1, 1), (2, 3))), None,
+             r"constituent edge \(-1, 1\) leaves positions 0\.\.3"),
+            # Position 4 is the stub of pendant 0 in sun_graph().
+            (dict(constituent_edges=((0, 4), (2, 3))), None,
+             r"constituent edge \(0, 4\) leaves positions 0\.\.3"),
+            (dict(constituent_colors=(2, 0)), None,
+             r"constituent edge \(0, 1\) has color 2 outside palette 0\.\.1"),
+            (dict(constituent_colors=(-1, 0)), None,
+             r"constituent edge \(0, 1\) has color -1 outside palette 0\.\.1"),
+            (dict(pendant_colors=(0, 0, 1, 2)), None,
+             r"pendant color 2 at position 3 outside palette 0\.\.1"),
+            (dict(constituent_colors=(1,)), None, r"1 constituent colors for 2 edges"),
+            (dict(constituent_colors=(0, 0)), None,
+             r"sun coloring is not proper: edges 0 and 4 share color 0 at vertex 0"),
+            (dict(vector=(3, 1)), None, r"pendant colors do not realize the vector"),
+            (dict(), 2, r"constituent valencies \[1\] instead of 2-regular"),
+        ],
+        ids=[
+            "repeat", "reversed-repeat", "loop", "negative-position", "stub-position",
+            "color-past-palette", "negative-color", "pendant-past-palette", "colors-short",
+            "clash", "wrong-vector", "wrong-regularity",
+        ],
+    )
+    def test_each_breach_is_named(self, changes, regular, message):
+        PROPER_SUN.validate(regular=1)
+        with pytest.raises(AssertionError, match=message):
+            replace(PROPER_SUN, **changes).validate(regular=regular)
+
+    def test_edges_reaching_pendant_stubs_are_rejected(self):
+        # Positions 2 and 3 are the stubs r..2r-1 of sun_graph().
+        sun = SunColoring((1, 1), (0, 1), ((0, 3), (1, 2)), (2, 2), 3)
+        with pytest.raises(AssertionError, match="leaves positions 0..1"):
+            sun.validate()
+        with pytest.raises(AssertionError, match="leaves positions 0..1"):
+            SunColoring((1, 1), (0, 1), ((0, 2),), (2,), 3).validate(regular=1)
+
+    def test_accepts_exactly_the_proper_recolorings(self):
+        # Recolor one constituent edge in every palette color: validate
+        # must agree with the properness of the plain sun graph.
+        for vector in [(2, 2, 2), (4, 2, 0), (3, 1, 1), (1, 1, 1, 1, 1)]:
+            sun = build(vector)
+            for idx in range(len(sun.constituent_edges)):
+                for c in range(sun.palette_size):
+                    colors = list(sun.constituent_colors)
+                    colors[idx] = c
+                    other = replace(sun, constituent_colors=tuple(colors))
+                    if is_proper(*other.sun_graph()):
+                        other.validate()
+                    else:
+                        with pytest.raises(AssertionError, match="is not proper"):
+                            other.validate()
 
 
 class TestTotallyInadmissible:
