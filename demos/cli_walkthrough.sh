@@ -26,6 +26,12 @@ truncolor demo two-k5-bridge > bridge.json
 truncolor truncate bridge.json --kind complete > bridge_complete.json
 truncolor color-strong bridge_complete.json || echo "exit $? as expected: the K5 constituent is overfull in 4 colors"
 
+echo "== complete truncations stored by reference"
+# Both files carry the truncation as its source plus "kind": "complete";
+# verify rebuilds it and checks the bundle's nested coloring against it.
+truncolor color-complete bridge.json > bridge_bundle.json
+truncolor verify bridge_complete.json bridge_bundle.json
+
 echo "== sun verdicts"
 truncolor sun --vector 3,3,1 --dot sun.dot
 truncolor sun --vector 2,1,1

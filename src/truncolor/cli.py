@@ -3,6 +3,9 @@
 Every subcommand reads JSON files and returns its exit code, its JSON
 result and what --dot should draw; `main` alone writes the result to
 stdout as one compact JSON line and the drawing to the --dot file.
+`color-complete` bundles and `truncate --kind complete` store their
+complete truncation by reference, as the source plus "kind":
+"complete"; every other truncation spells out its constituents.
 `verify` takes a bundle, or a graph or truncation file plus a file
 holding the coloring itself or nesting it under "coloring", as a
 `color-strong` result does; a bundle's flat "vertices" and
@@ -75,10 +78,18 @@ Drawing = Tuple[Multigraph, Optional[EdgeColoring], Optional[Truncation]]
 Result = Tuple[int, Dict[str, object], Optional[Drawing]]
 
 
-def _bundle(obj: Dict[str, object], tr: Truncation, coloring: EdgeColoring) -> Result:
-    """Success with obj followed by the truncation, its flat graph and
-    the coloring: the bundle `verify` reads back."""
-    obj["truncation"] = truncation_to_obj(tr)
+def _complete_obj(tr: Truncation) -> Dict[str, object]:
+    """A complete truncation by reference: its source and kind, which
+    truncation_from_obj rebuilds with complete_truncation."""
+    return {"source": graph_to_obj(tr.source), "kind": "complete"}
+
+
+def _bundle(
+    obj: Dict[str, object], tr_obj: Dict[str, object], tr: Truncation, coloring: EdgeColoring
+) -> Result:
+    """Success with obj followed by the truncation as tr_obj, its flat
+    graph and the coloring: the bundle `verify` reads back."""
+    obj["truncation"] = tr_obj
     obj.update(graph_to_obj(tr.graph))
     obj["coloring"] = coloring_to_obj(coloring)
     return EXIT_OK, obj, (tr.graph, coloring, tr)
@@ -102,7 +113,7 @@ def cmd_truncate(args) -> Result:
     tr = _TRUNCATIONS[args.kind](load_graph(args.graph))
     flat = tr.graph
     obj = {
-        **truncation_to_obj(tr),
+        **(_complete_obj(tr) if args.kind == "complete" else truncation_to_obj(tr)),
         "kind": args.kind,
         **graph_to_obj(flat),
         "max_valency": flat.max_valency(),
@@ -124,7 +135,7 @@ def cmd_color_complete(args) -> Result:
         print(f"class II: {out.reason}", file=sys.stderr)
         return EXIT_DOMAIN, obj, None
     tr, coloring = out
-    return _bundle({"class": "I", "delta": g.max_valency()}, tr, coloring)
+    return _bundle({"class": "I", "delta": g.max_valency()}, _complete_obj(tr), tr, coloring)
 
 
 def cmd_cyclic_color(args) -> Result:
@@ -167,7 +178,7 @@ def cmd_cyclic_color(args) -> Result:
             raise GraphError("--enabling-edges repeats an edge id")
         obj["enabling_edges"] = sorted(y)
         tr, coloring = color_via_enabling(g, y)
-    return _bundle(obj, tr, coloring)
+    return _bundle(obj, truncation_to_obj(tr), tr, coloring)
 
 
 def cmd_color_strong(args) -> Result:
@@ -219,12 +230,13 @@ def cmd_oracle(args) -> Result:
 
 def _verify_graph(obj: object, origin: str) -> Multigraph:
     """The graph a verify input describes: a bundle's truncation, a
-    truncation, or a plain graph.  A bundle or truncation file that
-    also carries "vertices" and "edges" must carry the truncation's own
-    flattened graph."""
+    truncation (with its constituents, or by reference as "kind"), or a
+    plain graph.  A bundle or truncation file that also carries
+    "vertices" and "edges" must carry the truncation's own flattened
+    graph."""
     if isinstance(obj, dict) and "truncation" in obj:
         g = truncation_from_obj(obj["truncation"], origin).graph
-    elif isinstance(obj, dict) and "source" in obj and "constituents" in obj:
+    elif isinstance(obj, dict) and "source" in obj and ("constituents" in obj or "kind" in obj):
         g = truncation_from_obj(obj, origin).graph
     else:
         return graph_from_obj(obj, origin)
@@ -242,7 +254,8 @@ def _check_flat_edges(edges: object, g: Multigraph, origin: str) -> None:
         raise GraphError(f'{origin}: "edges" must be a list')
 
     def flat():
-        return map(list, map(g.endpoints, g.edge_ids))
+        # g is a flattening, whose edge map holds ids 0..size-1 in order.
+        return map(list, g.edges.values())
 
     if len(edges) == g.size and all(map(eq, edges, flat())):
         return

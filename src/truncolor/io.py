@@ -3,9 +3,15 @@
 Graph files are objects with "vertices" and "edges", where an edge's
 position in the array is its id.  Colorings carry a palette size and a
 color per edge id.  Truncation files bundle the source graph with a map
-from source vertex to constituent edges over cluster positions.  All
-loaders point at the offending file (and line, for syntax errors) when
-they reject input.
+from source vertex to constituent edges over cluster positions.  A
+complete truncation is fixed by its source, so it may be stored by
+reference instead: the source plus "kind": "complete" and no
+"constituents", which the loader rebuilds with complete_truncation.
+Given "constituents", the loader reads them and ignores "kind"; without
+them, any kind but "complete" is rejected.  All loaders point at the
+offending file (and line, for syntax errors) when they reject input,
+and a JSON object that repeats a key is rejected, not read as its last
+value.
 
 Each strict check runs in two steps.  A whole-list pass with C-level
 builtins (the set of element types, pair lengths, a superset test for
@@ -26,7 +32,7 @@ from .coloring import EdgeColoring, first_clash as _first_clash
 from .errors import GraphError
 from .multigraph import Multigraph
 from .sun import SunColoring
-from .truncation import Truncation
+from .truncation import Truncation, complete_truncation
 
 __all__ = [
     "load_json",
@@ -62,9 +68,18 @@ DOT_COLORS = (
 
 
 def load_json(path: str) -> object:
+    def unique(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                _require(key not in seen, path, f"duplicate key {json.dumps(key)}")
+                seen.add(key)
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
     except OSError as exc:
         raise GraphError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
@@ -142,7 +157,8 @@ def graph_to_obj(g: Multigraph) -> Dict[str, object]:
         raise GraphError("graph has non-contiguous edge ids; rebuild before serializing")
     return {
         "vertices": list(g.vertices),
-        "edges": [list(g.endpoints(eid)) for eid in ids],
+        # Ids are contiguous, so the edge map holds them in id order.
+        "edges": list(map(list, g.edges.values())),
     }
 
 
@@ -182,7 +198,15 @@ def coloring_to_obj(coloring: EdgeColoring) -> Dict[str, object]:
 def truncation_from_obj(obj: object, origin: str = "<truncation>") -> Truncation:
     _require(isinstance(obj, dict), origin, "truncation must be a JSON object")
     _require("source" in obj, origin, 'missing "source"')
-    _require("constituents" in obj, origin, 'missing "constituents"')
+    if "constituents" not in obj:
+        _require("kind" in obj, origin, 'missing "constituents" (or "kind": "complete")')
+        kind = obj["kind"]
+        _require(
+            kind == "complete",
+            origin,
+            f'"kind" is {json.dumps(kind)}; without "constituents" it must be "complete"',
+        )
+        return complete_truncation(graph_from_obj(obj["source"], origin))
     source = graph_from_obj(obj["source"], origin)
     raw = obj["constituents"]
     _require(isinstance(raw, dict), origin, '"constituents" must be an object')

@@ -111,12 +111,21 @@ class Truncation:
         for v in constituents:
             if v not in self.clusters:
                 raise GraphError(f"constituent given for unknown vertex {v}")
+        # Clusters of one size given the same pairs object (as
+        # complete_truncation gives them) share one checked, sorted
+        # tuple.  Each entry keeps its raw object alive, so no id is
+        # reused while the memo lives.
+        memo: Dict[Tuple[int, int], Tuple[object, Tuple[PositionPair, ...]]] = {}
         for v, ends in self.clusters.items():
             size = len(ends)
-            pairs = tuple(constituents.get(v, ()))
-            if not _ascending_and_simple(pairs, size):
-                pairs = _normalize(v, size, pairs)
-            cleaned[v] = tuple(sorted(pairs))
+            raw = constituents.get(v, ())
+            key = (id(raw), size)
+            if key not in memo:
+                pairs = tuple(raw)
+                if not _ascending_and_simple(pairs, size):
+                    pairs = _normalize(v, size, pairs)
+                memo[key] = (raw, tuple(sorted(pairs)))
+            cleaned[v] = memo[key][1]
         self.constituents = cleaned
         self._flat: Optional[Multigraph] = None
         self._constituent_edge_ids: Dict[int, Tuple[int, ...]] = {}

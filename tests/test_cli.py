@@ -49,7 +49,19 @@ class TestTruncate:
         assert out["max_valency"] == 3
         assert len(out["vertices"]) == 12
         assert len(out["edges"]) == 18
+        # K4's cyclic constituents are triangles, complete graphs, but
+        # only the complete kind is written by reference.
+        assert len(out["constituents"]) == 4
         truncation_from_obj(out)  # emitted object reloads as a truncation
+
+    def test_complete_truncation_is_written_by_reference(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "truncate", write_graph(tmp_path, k5()), "--kind", "complete")
+        assert code == 0
+        assert list(out) == ["source", "kind", "vertices", "edges", "max_valency"]
+        assert out["kind"] == "complete" and out["source"] == graph_to_obj(k5())
+        flat = truncation_from_obj(out).graph
+        assert out["edges"] == graph_to_obj(flat)["edges"]
+        assert out["max_valency"] == 4
 
     def test_dot_output(self, capsys, tmp_path):
         dot = tmp_path / "t.dot"
@@ -83,6 +95,14 @@ class TestColorComplete:
         code2, verdict, _ = run(capsys, "verify", bundle)
         assert code2 == 0
         assert verdict["proper"] is True
+
+    def test_bundle_stores_its_truncation_by_reference(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "color-complete", write_graph(tmp_path, two_k5_bridge()))
+        assert code == 0
+        assert out["truncation"] == {"source": graph_to_obj(two_k5_bridge()), "kind": "complete"}
+        tr, coloring = color_complete_truncation(two_k5_bridge())
+        assert out["coloring"] == coloring_to_obj(coloring)
+        assert out["edges"] == graph_to_obj(tr.graph)["edges"]
 
     def test_bridge_graph_succeeds(self, capsys, tmp_path):
         code, out, _ = run(capsys, "color-complete", write_graph(tmp_path, two_k5_bridge()))
@@ -317,6 +337,71 @@ class TestVerify:
         files = [write_obj(tmp_path, out, "tr.json"), write_obj(tmp_path, colors, "c.json")]
         code, _, err = run(capsys, "verify", *files)
         assert code == 1 and "edges[4] is" in err
+
+    def test_files_with_explicit_constituents_still_verify(self, capsys, tmp_path):
+        # The form written before complete truncations were stored by
+        # reference: every pair spelled out, and "kind" in truncate files.
+        tr, coloring = color_complete_truncation(k4())
+        bundle = {
+            "class": "I",
+            "delta": 3,
+            "truncation": truncation_to_obj(tr),
+            **graph_to_obj(tr.graph),
+            "coloring": coloring_to_obj(coloring),
+        }
+        code, verdict, _ = run(capsys, "verify", write_obj(tmp_path, bundle, "old.json"))
+        assert code == 0 and verdict["proper"] is True
+        colors = write_obj(tmp_path, coloring_to_obj(coloring), "c.json")
+        old_tr = {**truncation_to_obj(tr), **graph_to_obj(tr.graph)}
+        for kind in (None, "complete"):
+            obj = old_tr if kind is None else {**old_tr, "kind": kind}
+            code, verdict, _ = run(capsys, "verify", write_obj(tmp_path, obj, "tr.json"), colors)
+            assert code == 0 and verdict["proper"] is True
+
+    def test_compact_truncation_file_plus_bundle(self, capsys, tmp_path):
+        gfile = write_graph(tmp_path, two_k5_bridge())
+        code, tr, _ = run(capsys, "truncate", gfile, "--kind", "complete")
+        assert code == 0 and "constituents" not in tr
+        code, bundle, _ = run(capsys, "color-complete", gfile)
+        assert code == 0
+        files = [write_obj(tmp_path, tr, "tr.json"), write_obj(tmp_path, bundle, "b.json")]
+        code, verdict, _ = run(capsys, "verify", *files)
+        assert code == 0
+        assert verdict == {"proper": True, "palette": 5, "colors_used": 5}
+
+    def test_compact_truncation_file_flat_graph_must_match(self, capsys, tmp_path):
+        # Without constituents the file still goes through the
+        # truncation path, so its flat edges are compared, not loaded.
+        tr, coloring = color_complete_truncation(k4())
+        out = {"source": graph_to_obj(k4()), "kind": "complete", **graph_to_obj(tr.graph)}
+        assert run(capsys, "truncate", write_graph(tmp_path, k4()))[1] == {**out, "max_valency": 3}
+        colors = write_obj(tmp_path, coloring_to_obj(coloring), "c.json")
+        out["edges"][7] = [0, 5]
+        code, verdict, err = run(capsys, "verify", write_obj(tmp_path, out, "tr.json"), colors)
+        assert code == 1 and verdict is None
+        assert "edges[7] is [0, 5], but edge 7 of the flattened truncation is" in err
+
+    @pytest.mark.parametrize("kind", ["cyclic", 3])
+    def test_compact_form_of_another_kind_is_rejected(self, capsys, tmp_path, kind):
+        obj = {"source": graph_to_obj(k4()), "kind": kind}
+        colors = write_obj(tmp_path, {"palette": 3, "colors": [0, 1, 2, 2, 1, 0]}, "c.json")
+        path = write_obj(tmp_path, obj, "tr.json")
+        code, out, err = run(capsys, "verify", path, colors)
+        assert code == 1 and out is None
+        assert err.startswith(f"error: {path}: ") and '"kind" is' in err
+        bundle = write_obj(tmp_path, {"truncation": obj, "coloring": {}}, "b.json")
+        code, out, err = run(capsys, "verify", bundle)
+        assert code == 1 and out is None and f"{bundle}: " in err
+
+    def test_duplicate_key_is_rejected(self, capsys, tmp_path):
+        # With the last "colors" kept, this improper coloring of K4
+        # would verify as proper.
+        gfile = write_graph(tmp_path, k4())
+        cfile = tmp_path / "dup.json"
+        cfile.write_text('{"palette": 3, "colors": [0,0,0,0,0,0], "colors": [0,1,2,2,1,0]}')
+        code, out, err = run(capsys, "verify", gfile, str(cfile))
+        assert code == 1 and out is None
+        assert err == f'error: {cfile}: duplicate key "colors"\n'
 
     def test_two_file_clash_report(self, capsys, tmp_path):
         g = k4()

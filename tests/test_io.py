@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from truncolor.catalog import k4, petersen
+from truncolor.catalog import k4, petersen, two_k5_bridge
 from truncolor.coloring import EdgeColoring
 from truncolor.errors import GraphError
 from truncolor.io import (
@@ -24,7 +24,7 @@ from truncolor.io import (
 )
 from truncolor.multigraph import Multigraph
 from truncolor.sun import build_sun_odd
-from truncolor.truncation import cyclic_truncation
+from truncolor.truncation import complete_truncation, cyclic_truncation
 
 
 class TestGraphRoundTrip:
@@ -54,6 +54,18 @@ class TestGraphRoundTrip:
         path = tmp_path / "broken.json"
         path.write_text('{"vertices": [0, 1],\n  "edges": }')
         with pytest.raises(GraphError, match=r"broken\.json:2:"):
+            load_json(str(path))
+
+    def test_duplicate_key_rejected(self, tmp_path):
+        # json alone keeps the last value, so the repeated key could
+        # swap a proper coloring in for an improper one, or a second
+        # edge list in for the first.
+        path = tmp_path / "dup.json"
+        path.write_text('{"palette": 3, "colors": [0,0,0,0,0,0], "colors": [0,1,2,2,1,0]}')
+        with pytest.raises(GraphError, match=re.escape(f'{path}: duplicate key "colors"')):
+            load_json(str(path))
+        path.write_text('{"source": {"vertices": [0, 1], "edges": [[0, 1]], "edges": []}}')
+        with pytest.raises(GraphError, match='duplicate key "edges"'):
             load_json(str(path))
 
     def test_missing_file_names_path(self, tmp_path):
@@ -142,6 +154,60 @@ class TestTruncationRoundTrip:
         obj["constituents"]["0"] = [[False, True], [1, 2], [0, 2]]
         with pytest.raises(GraphError, match="integers"):
             truncation_from_obj(obj)
+
+
+class TestCompleteByReference:
+    """A complete truncation is stored as its source plus "kind":
+    "complete"; the loader rebuilds the constituents."""
+
+    @pytest.mark.parametrize("build", [k4, petersen, two_k5_bridge])
+    def test_compact_form_round_trips(self, build, tmp_path):
+        tr = complete_truncation(build())
+        obj = {"source": graph_to_obj(tr.source), "kind": "complete"}
+        path = tmp_path / "tr.json"
+        path.write_text(json.dumps(obj))
+        again = load_truncation(str(path))
+        assert again.source.edges == tr.source.edges
+        assert again.constituents == tr.constituents
+        assert again.graph.edges == tr.graph.edges
+
+    def test_explicit_constituents_still_load(self):
+        # Files written before the compact form spell out every pair,
+        # with or without "kind"; "kind" is then not consulted.
+        tr = complete_truncation(k4())
+        old = truncation_to_obj(tr)
+        assert truncation_from_obj(old).constituents == tr.constituents
+        for kind in ("complete", "cyclic"):
+            loaded = truncation_from_obj({**old, "kind": kind})
+            assert loaded.constituents == tr.constituents
+
+    @pytest.mark.parametrize(
+        "kind,message",
+        [
+            ("cyclic", '"kind" is "cyclic"'),
+            ("arboreal", '"kind" is "arboreal"'),
+            ("Complete", '"kind" is "Complete"'),
+            (["complete"], '"kind" is ["complete"]'),
+            (1, '"kind" is 1'),
+            (None, '"kind" is null'),
+        ],
+    )
+    def test_other_kinds_need_constituents(self, kind, message):
+        obj = {"source": graph_to_obj(k4()), "kind": kind}
+        with pytest.raises(GraphError, match=re.escape(f"tr.json: {message}")):
+            truncation_from_obj(obj, "tr.json")
+
+    def test_missing_kind_and_constituents(self):
+        with pytest.raises(GraphError, match=re.escape('tr.json: missing "constituents"')):
+            truncation_from_obj({"source": graph_to_obj(k4())}, "tr.json")
+
+    def test_same_size_clusters_share_one_constituent(self):
+        obj = {"source": graph_to_obj(two_k5_bridge()), "kind": "complete"}
+        tr = truncation_from_obj(obj)
+        # Vertices 0 and 5 carry the bridge: valency 5, the others 4.
+        assert tr.constituents[0] is tr.constituents[5]
+        assert all(tr.constituents[v] is tr.constituents[1] for v in (2, 3, 4, 6, 7, 8, 9))
+        assert tr.constituents[0] is not tr.constituents[1]
 
 
 class TestReportsAndDot:

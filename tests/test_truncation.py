@@ -123,6 +123,33 @@ class TestValidation:
         with pytest.raises(GraphError, match=r"repeats edge \(0, 2\)"):
             Truncation(k4(), {0: [(0, 2), (1, 2), (0, 2)]})
 
+    def test_shared_pairs_are_checked_once_per_size(self):
+        # Valencies: vertex 0 has 3, vertices 1 and 2 have 2, vertex 3 has 1.
+        g = Multigraph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2)])
+        shared = [(1, 0)]
+        tr = Truncation(g, {0: shared, 1: shared, 2: shared})
+        assert tr.constituents[0] == tr.constituents[1] == ((0, 1),)
+        assert tr.constituents[1] is tr.constituents[2]
+        assert tr.constituents[0] is not tr.constituents[1]
+        assert tr.constituents[3] == ()
+
+    def test_shared_pairs_are_checked_at_each_size(self):
+        # (0, 2) fits vertex 0's three positions but not vertex 1's two.
+        g = Multigraph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2)])
+        shared = [(0, 2)]
+        with pytest.raises(GraphError, match="constituent at vertex 1 uses position outside 0..1"):
+            Truncation(g, {0: shared, 1: shared})
+
+    def test_distinct_pair_lists_are_checked_on_their_own(self):
+        g = Multigraph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2)])
+        with pytest.raises(GraphError, match="constituent at vertex 2 has a loop at position 1"):
+            Truncation(g, {1: [(0, 1)], 2: [(1, 1)]})
+        # One bad object shared by clusters of one size is reported at
+        # the first of them, as a walk over every cluster would.
+        bad = [(1, 1)]
+        with pytest.raises(GraphError, match="constituent at vertex 1 has a loop at position 1"):
+            Truncation(g, {1: bad, 2: bad})
+
     def test_unknown_vertex_rejected(self):
         with pytest.raises(GraphError, match="unknown"):
             Truncation(k4(), {9: []})
