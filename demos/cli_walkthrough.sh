@@ -9,6 +9,28 @@ workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 cd "$workdir"
 
+# expect_fail PREFIX WHY COMMAND...: COMMAND must fail as a domain
+# error: exit 1, stderr starting with PREFIX, and no Python traceback.
+expect_fail() {
+    prefix=$1 why=$2
+    shift 2
+    status=0
+    "$@" 2> stderr.txt || status=$?
+    if [ "$status" -ne 1 ] || grep -q Traceback stderr.txt; then
+        echo "FAIL: '$*' exited $status, expected 1 ($why)" >&2
+        cat stderr.txt >&2
+        exit 1
+    fi
+    case $(cat stderr.txt) in
+        "$prefix"*) echo "exit 1 as expected: $why" ;;
+        *)
+            echo "FAIL: '$*' stderr does not start with '$prefix'" >&2
+            cat stderr.txt >&2
+            exit 1
+            ;;
+    esac
+}
+
 echo "== demo graph"
 truncolor demo k4 > k4.json
 truncolor oracle k4.json
@@ -24,7 +46,8 @@ truncolor color-strong k4_arboreal.json > k4_strong.json
 truncolor verify k4_arboreal.json k4_strong.json
 truncolor demo two-k5-bridge > bridge.json
 truncolor truncate bridge.json --kind complete > bridge_complete.json
-truncolor color-strong bridge_complete.json || echo "exit $? as expected: the K5 constituent is overfull in 4 colors"
+expect_fail "not applicable:" "the K5 constituent is overfull in 4 colors" \
+    truncolor color-strong bridge_complete.json
 
 echo "== complete truncations stored by reference"
 # Both files carry the truncation as its source plus "kind": "complete";
@@ -38,7 +61,7 @@ truncolor sun --vector 2,1,1
 
 echo "== class II detection via the oracle"
 truncolor demo petersen > petersen.json
-truncolor color-complete petersen.json || echo "exit $? as expected: class II witness"
+expect_fail "class II:" "class II witness" truncolor color-complete petersen.json
 truncolor oracle petersen.json
 
 echo "== cubic routes"
@@ -48,6 +71,7 @@ truncolor cyclic-color k4.json --strategy enabling > k4_enabling.json
 truncolor verify k4_enabling.json
 truncolor cyclic-color k4.json --strategy enabling --enabling-edges 0,5 > k4_enabling_edges.json
 truncolor verify k4_enabling_edges.json
-truncolor cyclic-color petersen.json --strategy enabling || echo "exit $? as expected: no class I cyclic truncation"
+expect_fail "error:" "no class I cyclic truncation" \
+    truncolor cyclic-color petersen.json --strategy enabling
 
 echo "all steps verified"

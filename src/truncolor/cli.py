@@ -292,7 +292,7 @@ def cmd_verify(args) -> Result:
     if not single and isinstance(colors, dict) and "coloring" in colors:
         colors = colors["coloring"]
     coloring = coloring_from_obj(colors, args.files[-1])
-    if coloring.assignment.keys() != set(g.edge_ids):
+    if coloring.assignment.keys() != g.edges.keys():
         raise GraphError("coloring does not cover exactly the graph's edges")
     clash = first_clash(g, coloring)
     if clash is None:

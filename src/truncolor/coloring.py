@@ -1,5 +1,10 @@
 """Edge colorings, properness checking, and exact search.
 
+first_clash checks a graph (for `verify`, is_proper and the oracle).
+An end of a truncation meets only its matching edge and its cluster's
+constituent edges, so truncation colorings and suns are checked one
+cluster at a time by cluster_clash, with no flat graph.
+
 One backtracking kernel, solve_edge_coloring, serves three jobs: the
 exact chromatic index oracle, list edge coloring, and the
 palette-feasibility searches used by the truncation colorings.
@@ -28,6 +33,7 @@ at all: a Misra-Gries coloring with D + 1 colors is its certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import GraphError, UndecidedError
@@ -37,6 +43,7 @@ __all__ = [
     "EdgeColoring",
     "OracleResult",
     "first_clash",
+    "cluster_clash",
     "is_proper",
     "solve_edge_coloring",
     "chromatic_index",
@@ -114,6 +121,32 @@ def first_clash(
     return None
 
 
+def cluster_clash(
+    pendant: Sequence[int], pairs: Sequence[Tuple[int, int]], colors: Sequence[int]
+) -> Optional[Tuple[int, int, int, int]]:
+    """The first clash inside one cluster of r positions, or None.
+
+    pendant[p] is the color of the matching edge at position p; pairs
+    are the constituent edges (loop-free position pairs), colors their
+    nonnegative colors.  A clash is (position, earlier, later, color) in
+    the ids of the cluster's sun graph, where the matching edge at p is
+    p and pair k is r + k: later is the first pair whose color its
+    position has already seen, earlier the edge that put it there.
+    """
+    masks = [1 << c for c in pendant]
+    for (a, b), c in zip(pairs, colors):
+        bit = 1 << c
+        if (masks[a] | masks[b]) & bit:
+            p = a if masks[a] & bit else b
+            # Sun graph ids of the edges with color c at p, in order.
+            ids = [p] if pendant[p] == c else []
+            ids += [k for k, e, d in zip(count(len(pendant)), pairs, colors) if d == c and p in e]
+            return p, ids[0], ids[1], c
+        masks[a] |= bit
+        masks[b] |= bit
+    return None
+
+
 def is_proper(g: Multigraph, coloring: EdgeColoring) -> bool:
     """True iff no two edges sharing a vertex share a color.
 
@@ -127,13 +160,18 @@ def is_proper(g: Multigraph, coloring: EdgeColoring) -> bool:
     return first_clash(g, coloring) is None
 
 
-def _clash_error(g: Multigraph, coloring: EdgeColoring, what: str) -> AssertionError:
-    """The error for an improper coloring of g, naming its first clash."""
-    v, e1, e2 = first_clash(g, coloring)
+def _clash_error(what: str, v: int, e1: int, e2: int, color: int) -> AssertionError:
+    """The error for an improper coloring: edges e1 and e2 share color at v."""
     return AssertionError(
-        f"{what} is not proper: edges {e1} and {e2} share color "
-        f"{coloring.assignment[e1]} at vertex {v}"
+        f"{what} is not proper: edges {e1} and {e2} share color {color} at vertex {v}"
     )
+
+
+def _require_proper(g: Multigraph, coloring: EdgeColoring, what: str) -> None:
+    """Raise the AssertionError naming g's first clash, if any."""
+    if not is_proper(g, coloring):
+        v, e1, e2 = first_clash(g, coloring)
+        raise _clash_error(what, v, e1, e2, coloring.assignment[e1])
 
 
 @dataclass(frozen=True)
@@ -388,8 +426,7 @@ def chromatic_index(
         # Overfull and simple: chi' >= delta + 1 by counting, and
         # Vizing's theorem gives a coloring with delta + 1 colors.
         cert = EdgeColoring(_vizing_coloring(g), lo)
-        if not is_proper(g, cert):
-            raise _clash_error(g, cert, "Vizing coloring")
+        _require_proper(g, cert, "Vizing coloring")
         return OracleResult(True, lo, cert, 0, lo)
     hi = delta + g.multiplicity()
     total_nodes = 0
@@ -401,8 +438,7 @@ def chromatic_index(
         total_nodes += nodes
         if assignment is not None:
             cert = EdgeColoring(assignment, k)
-            if not is_proper(g, cert):
-                raise _clash_error(g, cert, "oracle certificate")
+            _require_proper(g, cert, "oracle certificate")
             return OracleResult(True, k, cert, total_nodes, k)
     raise AssertionError(
         "no coloring found within the multiplicity bound; this cannot happen"

@@ -10,7 +10,7 @@ the conflict paths.  A constituent of order at most D-2 is padded to
 D-1 positions with dummy pendants, colored as order D-1, and restricted
 to its real positions.  When no edge-feasible coloring exists the complete
 truncation provably needs D+1 colors, and a witness of the exhausted
-search is returned instead.
+search is returned instead.  Checks run per cluster (cluster_clash).
 
 `subtruncation_coloring` restricts that coloring to any truncation that
 keeps D, so it applies to every even-D source and to every odd-D source
@@ -28,6 +28,7 @@ from .coloring import (
     EdgeColoring,
     _clash_error,
     classify,
+    cluster_clash,
     first_clash,
     solve_edge_coloring,
 )
@@ -244,12 +245,10 @@ def color_delta_minus_one(
                 cur = e[0] if e[1] == cur else e[1]
                 color_now = c_last if color_now == c_prev else c_prev
 
-    # Final local check before translating back to positions: the
-    # cluster with a pendant stub m + lbl at every label lbl.
-    cluster = Multigraph(range(2 * m), [(lbl, m + lbl) for lbl in range(m)] + list(edge_color))
-    local = EdgeColoring(dict(enumerate(pend_at_label + list(edge_color.values()))), palette)
-    if first_clash(cluster, local, range(m)) is not None:
-        raise _clash_error(cluster, local, "constituent coloring after repair")
+    # Final local check before translating back to positions.
+    clash = cluster_clash(pend_at_label, list(edge_color), list(edge_color.values()))
+    if clash is not None:
+        raise _clash_error("constituent coloring after repair", *clash)
 
     out: Dict[Tuple[int, int], int] = {}
     for (p, q), c in edge_color.items():
@@ -302,7 +301,7 @@ def color_complete_truncation(
         )
 
     def pair_color(v: int) -> Dict[Tuple[int, int], int]:
-        pend = [feas[end // 2] for end in tr.clusters[v]]
+        pend = tr.pendant_colors(v, feas)
         size = len(pend)
         if size == delta:
             # All pendant colors distinct: align each end with the
@@ -344,8 +343,8 @@ def subtruncation_coloring(
     comp, coloring = full
 
     def pair_color(v: int) -> Dict[Tuple[int, int], int]:
-        ids = comp.constituent_edge_ids(v)
-        return {pair: coloring.color_of(eid) for pair, eid in zip(comp.constituents[v], ids)}
+        colors = map(coloring.assignment.__getitem__, comp.constituent_edge_ids(v))
+        return dict(zip(comp.constituents[v], colors))
 
     return tr.color(coloring.assignment, pair_color, delta)
 

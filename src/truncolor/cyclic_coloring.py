@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from .coloring import EdgeColoring, is_proper
 from .errors import GraphError
 from .multigraph import Multigraph
-from .sun import SunColoring, _glue_suns, _parity_coloring_search, admissible, pendant_layout
+from .sun import SunColoring, _finish, _glue_suns, _parity_coloring_search, admissible
 from .truncation import Truncation, cyclic_truncation
 
 __all__ = [
@@ -57,31 +57,6 @@ def vector3_admissible(x1: int, x2: int, x3: int) -> Tuple[str, bool]:
     return verdict, universal
 
 
-def _cycle_components(r: int, edges: Sequence[Tuple[int, int]]) -> List[List[int]]:
-    """Vertex lists of the cycles of a 2-regular graph on 0..r-1."""
-    adj: Dict[int, List[int]] = {i: [] for i in range(r)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    if any(len(ns) != 2 for ns in adj.values()):
-        raise AssertionError("constituent is not 2-regular")
-    seen: set = set()
-    comps: List[List[int]] = []
-    for start in range(r):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        prev, cur = start, adj[start][0]
-        while cur != start:
-            cyc.append(cur)
-            seen.add(cur)
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, nxt
-        comps.append(cyc)
-    return comps
-
-
 def _single_cycle_sun(vector3: Sequence[int]) -> SunColoring:
     """The sun for an admissible 3-color vector whose constituent is one cycle.
 
@@ -113,19 +88,12 @@ def _single_cycle_sun(vector3: Sequence[int]) -> SunColoring:
         nxt[pendant] += 1
     if nxt != starts[1:] + [r]:
         raise AssertionError("the cycle walk does not meet every position once")
-    edges = {
-        (min(pos[i - 1], pos[i]), max(pos[i - 1], pos[i])): word[i - 1] for i in range(r)
-    }
-    pairs = sorted(edges)
-    sun = SunColoring(
-        vector=tuple(vector3),
-        pendant_colors=pendant_layout(vector3),
-        constituent_edges=tuple(pairs),
-        constituent_colors=tuple(edges[p] for p in pairs),
-        palette_size=3,
-    )
-    sun.validate(regular=2)
-    return sun
+    # A bijection onto the positions, so the walk closes one cycle
+    # through all of them.
+    triples = [
+        (min(pos[i - 1], pos[i]), max(pos[i - 1], pos[i]), word[i - 1]) for i in range(r)
+    ]
+    return _finish(vector3, triples, 3, range(r), 2)
 
 
 def _require_cyclic_source(x: Multigraph) -> None:
@@ -137,19 +105,10 @@ def _require_cyclic_source(x: Multigraph) -> None:
 def _cyclic_from_parity(
     x: Multigraph, coloring3: EdgeColoring
 ) -> Tuple[Truncation, EdgeColoring]:
-    """The cyclic truncation glued over a parity-balanced 3-coloring.
-
-    The matching edges keep coloring3, and each cluster gets the
-    single-cycle sun for its vertex's color vector (one sun per
-    distinct vector).  Raises GraphError if coloring3 is not
-    parity-balanced, and AssertionError if a constituent is not a
-    single cycle.
-    """
-    tr, out = _glue_suns(x, coloring3, _single_cycle_sun)
-    for v in x.vertices:
-        if len(_cycle_components(len(tr.clusters[v]), tr.constituents[v])) != 1:
-            raise AssertionError(f"constituent at vertex {v} is not a single cycle")
-    return tr, out
+    """The cyclic truncation glued over a parity-balanced 3-coloring,
+    one single-cycle sun per distinct color vector; GraphError if
+    coloring3 is not parity-balanced."""
+    return _glue_suns(x, coloring3, _single_cycle_sun)
 
 
 def cyclic_even_valency(
@@ -171,16 +130,11 @@ def cyclic_even_valency(
 
     def pair_color(v: int) -> Dict[Tuple[int, int], int]:
         size = x.valency(v)
-        order = (
-            list(cycle_orders[v])
-            if cycle_orders and v in cycle_orders
-            else list(range(size))
-        )
-        colors: Dict[Tuple[int, int], int] = {}
-        for i in range(size):
-            a, b = order[i], order[(i + 1) % size]
-            colors[(min(a, b), max(a, b))] = 1 if i % 2 == 0 else 2
-        return colors
+        order = list(cycle_orders[v]) if cycle_orders and v in cycle_orders else list(range(size))
+        return {
+            (min(a, b), max(a, b)): 1 + i % 2
+            for i, (a, b) in enumerate(zip(order, order[1:] + order[:1]))
+        }
 
     return tr, tr.color(dict.fromkeys(tr.matching, 0), pair_color, 3)
 

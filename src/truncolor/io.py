@@ -152,13 +152,17 @@ def load_graph(path: str) -> Multigraph:
 
 
 def graph_to_obj(g: Multigraph) -> Dict[str, object]:
-    ids = g.edge_ids
-    if tuple(ids) != tuple(range(len(ids))):
+    edges = g.edges
+    ids = edges.keys()
+    # Distinct ascending ids, as a Multigraph keeps them: ints 0 to len-1.
+    if ids and not (
+        _only(ids, int) and next(iter(ids)) == 0 and next(reversed(ids)) == len(ids) - 1
+    ):
         raise GraphError("graph has non-contiguous edge ids; rebuild before serializing")
     return {
         "vertices": list(g.vertices),
         # Ids are contiguous, so the edge map holds them in id order.
-        "edges": list(map(list, g.edges.values())),
+        "edges": list(map(list, edges.values())),
     }
 
 
@@ -195,6 +199,14 @@ def coloring_to_obj(coloring: EdgeColoring) -> Dict[str, object]:
     }
 
 
+def _built(origin: str, build, *args) -> Truncation:
+    """build(*args), with its GraphError prefixed by origin."""
+    try:
+        return build(*args)
+    except GraphError as exc:
+        raise GraphError(f"{origin}: {exc}") from None
+
+
 def truncation_from_obj(obj: object, origin: str = "<truncation>") -> Truncation:
     _require(isinstance(obj, dict), origin, "truncation must be a JSON object")
     _require("source" in obj, origin, 'missing "source"')
@@ -206,7 +218,7 @@ def truncation_from_obj(obj: object, origin: str = "<truncation>") -> Truncation
             origin,
             f'"kind" is {json.dumps(kind)}; without "constituents" it must be "complete"',
         )
-        return complete_truncation(graph_from_obj(obj["source"], origin))
+        return _built(origin, complete_truncation, graph_from_obj(obj["source"], origin))
     source = graph_from_obj(obj["source"], origin)
     raw = obj["constituents"]
     _require(isinstance(raw, dict), origin, '"constituents" must be an object')
@@ -229,7 +241,7 @@ def truncation_from_obj(obj: object, origin: str = "<truncation>") -> Truncation
                     f"constituents[{key}][{i}] must be a pair of integers",
                 )
         constituents[v] = list(map(tuple, pairs))
-    return Truncation(source, constituents)
+    return _built(origin, Truncation, source, constituents)
 
 
 def load_truncation(path: str) -> Truncation:

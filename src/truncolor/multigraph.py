@@ -9,6 +9,7 @@ need the two ends of every edge to sit at distinct vertices.
 from __future__ import annotations
 
 from itertools import count
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import GraphError
@@ -68,8 +69,9 @@ class Multigraph:
         return tuple(self._edges)
 
     @property
-    def edges(self) -> Dict[int, Tuple[int, int]]:
-        return dict(self._edges)
+    def edges(self) -> Mapping[int, Tuple[int, int]]:
+        """Read-only view of the edge map, in ascending id order."""
+        return MappingProxyType(self._edges)
 
     @property
     def order(self) -> int:

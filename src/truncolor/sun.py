@@ -25,9 +25,10 @@ A final renaming sorts the names back into ascending color blocks.
 Both constructions share one tail, `_finish`: they collect their edges
 as (name, name, color) triples, which are sorted once and renamed to
 positions, and every sun is checked by `SunColoring.validate`.  That
-check accepts a proper sun in one pass over its plain lists; it builds
-the sun as a graph only to name a breach, so a build costs little more
-than its output.
+check reads the plain lists: whole-list passes for ranges, loops and
+repeats, then the cluster checker every truncation coloring shares,
+`coloring.cluster_clash`.  No check builds the sun as a graph, so a
+build costs little more than its output; `sun_graph` exists for DOT.
 
 Semiregular, regular and class I cyclic truncations share one gluing,
 `_glue_suns`: it counts each vertex's color vector once over a
@@ -40,10 +41,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations
+from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .canonical import class_of_pair, scheme_class
-from .coloring import EdgeColoring, _clash_error, solve_edge_coloring
+from .coloring import EdgeColoring, _clash_error, cluster_clash, solve_edge_coloring
 from .errors import GraphError, UndecidedError
 from .multigraph import Multigraph
 from .truncation import Truncation
@@ -82,50 +84,33 @@ class SunColoring:
         """The sun as a plain graph: pendant edge at position p has id p,
         reaching a stub vertex r+p; constituent edges follow with ids r+i."""
         r = self.r
-        edges: Dict[int, Tuple[int, int]] = {}
-        assignment: Dict[int, int] = {}
-        for pos in range(r):
-            edges[pos] = (pos, r + pos)
-            assignment[pos] = self.pendant_colors[pos]
-        for idx, (a, b) in enumerate(self.constituent_edges):
-            edges[r + idx] = (a, b)
-            assignment[r + idx] = self.constituent_colors[idx]
-        return Multigraph(range(2 * r), edges), EdgeColoring(assignment, self.palette_size)
+        edges = [(pos, r + pos) for pos in range(r)] + list(self.constituent_edges)
+        colors = dict(enumerate([*self.pendant_colors, *self.constituent_colors]))
+        return Multigraph(range(2 * r), edges), EdgeColoring(colors, self.palette_size)
 
     def validate(self, regular: Optional[int] = None) -> None:
         """Construction self-check; raises AssertionError on any breach.
 
-        A proper sun is accepted in one pass over the plain lists:
-        positions in 0..r-1 and colors in the palette (min and max over
-        the flattened lists), no repeated edge, and no clash, with one
-        color bitmask per position seeded by its pendant color; the same
-        loop counts valencies.  Only a breach builds sun_graph(), and
-        _breach walks the sun again to name the offender.
+        Whole-list passes accept positions and colors in range, no loop
+        and no repeated edge (_breach names a failure); then
+        cluster_clash names a clash in sun_graph()'s edge ids.
         """
         r, palette = self.r, self.palette_size
         edges, colors = self.constituent_edges, self.constituent_colors
         ends = list(chain.from_iterable(edges))
         hues = [*self.pendant_colors, *colors]
-        deg = [0] * r
-        accepted = (
+        firsts, seconds = ends[0::2], ends[1::2]
+        if not (
             len(colors) == len(edges)
             and (not ends or (min(ends) >= 0 and max(ends) < r))
             and (not hues or (min(hues) >= 0 and max(hues) < palette))
-            and len(set(map(frozenset, edges))) == len(edges)
-        )
-        if accepted:
-            masks = [1 << c for c in self.pendant_colors]
-            for (a, b), c in zip(edges, colors):
-                bit = 1 << c
-                if a == b or (masks[a] | masks[b]) & bit:
-                    accepted = False
-                    break
-                masks[a] |= bit
-                masks[b] |= bit
-                deg[a] += 1
-                deg[b] += 1
-        if not accepted:
+            # Each edge both ways: 2|E| distinct pairs iff no loop or repeat.
+            and len(set(zip(firsts, seconds)).union(zip(seconds, firsts))) == 2 * len(edges)
+        ):
             raise self._breach()
+        clash = cluster_clash(self.pendant_colors, edges, colors)
+        if clash is not None:
+            raise _clash_error("sun coloring", *clash)
         counts = [0] * palette
         for c in self.pendant_colors:
             counts[c] += 1
@@ -133,6 +118,9 @@ class SunColoring:
         if counts != expect:
             raise AssertionError("pendant colors do not realize the vector")
         if regular is not None:
+            deg = [0] * r
+            for p in ends:
+                deg[p] += 1
             vals = set(deg) or {0}
             if vals != {regular}:
                 raise AssertionError(
@@ -140,7 +128,7 @@ class SunColoring:
                 )
 
     def _breach(self) -> AssertionError:
-        """The error naming the first breach that validate's accept pass found."""
+        """The error naming the first breach of validate's whole-list passes."""
         r, palette = self.r, self.palette_size
         edges, colors = self.constituent_edges, self.constituent_colors
         if len(colors) != len(edges):
@@ -164,8 +152,7 @@ class SunColoring:
             if key in seen:
                 return AssertionError(f"constituent repeats an edge: {key}")
             seen.add(key)
-        g, col = self.sun_graph()
-        return _clash_error(g, col, "sun coloring")
+        return AssertionError("validate rejected a well-formed sun")  # pragma: no cover
 
 
 def _check_vector(vector: Sequence[int]) -> Tuple[int, int]:
@@ -221,8 +208,8 @@ def _finish(
     sun = SunColoring(
         vector=tuple(vector),
         pendant_colors=pendant_layout(vector),
-        constituent_edges=tuple((p, q) if p < q else (q, p) for p, q in ends),
-        constituent_colors=tuple(c for _, _, c in triples),
+        constituent_edges=tuple([(p, q) if p < q else (q, p) for p, q in ends]),
+        constituent_colors=tuple(map(itemgetter(2), triples)),
         palette_size=palette,
     )
     sun.validate(regular=regular)

@@ -8,7 +8,10 @@ graph on 2|E| vertices whose matching edges are in bijection with the
 source edges, which is what contraction exploits to invert the process.
 
 Within a cluster, ends are ordered by their source edge id; constituent
-edges are given as pairs of these 0-based cluster positions.
+edges are given as pairs of these 0-based cluster positions.  Only this
+module maps positions to ends and edge ids.  Colorings are glued and
+checked cluster by cluster (coloring.cluster_clash); the flat graph is
+an output format, built on first access to Truncation.graph.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from itertools import chain, combinations
 from operator import itemgetter, lt
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .coloring import EdgeColoring, _clash_error, is_proper
+from .coloring import EdgeColoring, _clash_error, cluster_clash
 from .errors import GraphError
 from .multigraph import Multigraph
 
@@ -50,8 +53,7 @@ def excise(g: Multigraph) -> Tuple[Dict[int, Tuple[int, int]], Dict[int, Tuple[i
     _require_no_isolated(g)
     matching: Dict[int, Tuple[int, int]] = {}
     clusters: Dict[int, List[int]] = {v: [] for v in g.vertices}
-    for eid in sorted(g.edge_ids):
-        u, w = g.endpoints(eid)
+    for eid, (u, w) in g.edges.items():
         matching[eid] = (2 * eid, 2 * eid + 1)
         clusters[u].append(2 * eid)
         clusters[w].append(2 * eid + 1)
@@ -107,10 +109,14 @@ class Truncation:
     def __init__(self, source: Multigraph, constituents: Mapping[int, Iterable[PositionPair]]):
         self.source = source
         self.matching, self.clusters = excise(source)
-        cleaned: Dict[int, Tuple[PositionPair, ...]] = {}
         for v in constituents:
             if v not in self.clusters:
                 raise GraphError(f"constituent given for unknown vertex {v}")
+        self.constituents: Dict[int, Tuple[PositionPair, ...]] = {}
+        # Flat ids: matching edges keep their source edge ids, and each
+        # cluster's constituent edges take the next block, in vertex order.
+        self._ids: Dict[int, range] = {}
+        nxt = next(reversed(self.matching), -1) + 1
         # Clusters of one size given the same pairs object (as
         # complete_truncation gives them) share one checked, sorted
         # tuple.  Each entry keeps its raw object alive, so no id is
@@ -125,41 +131,31 @@ class Truncation:
                 if not _ascending_and_simple(pairs, size):
                     pairs = _normalize(v, size, pairs)
                 memo[key] = (raw, tuple(sorted(pairs)))
-            cleaned[v] = memo[key][1]
-        self.constituents = cleaned
+            self.constituents[v] = pairs = memo[key][1]
+            self._ids[v] = range(nxt, nxt + len(pairs))
+            nxt += len(pairs)
         self._flat: Optional[Multigraph] = None
-        self._constituent_edge_ids: Dict[int, Tuple[int, ...]] = {}
 
     # ---- flattened form ---- #
 
     @property
     def graph(self) -> Multigraph:
-        """The truncation as a plain multigraph on end vertices.
-
-        Matching edges keep their source edge ids; constituent edges get
-        fresh ids above them, grouped by source vertex.
-        """
+        """The truncation as a plain multigraph on end vertices, built on
+        first access.  Matching edges keep their source edge ids;
+        constituent edges take the ids above, grouped by source vertex."""
         if self._flat is None:
             vertices = list(chain.from_iterable(self.matching.values()))
             edges: Dict[int, Tuple[int, int]] = dict(self.matching)
-            nxt = max(self.matching) + 1 if self.matching else 0
-            for v in sorted(self.clusters):
-                ends = self.clusters[v]
-                pairs = self.constituents[v]
-                ids = tuple(range(nxt, nxt + len(pairs)))
-                edges.update(zip(ids, [(ends[i], ends[j]) for i, j in pairs]))
-                self._constituent_edge_ids[v] = ids
-                nxt += len(pairs)
+            for v, ends in self.clusters.items():
+                pairs = [(ends[i], ends[j]) for i, j in self.constituents[v]]
+                edges.update(zip(self._ids[v], pairs))
             self._flat = Multigraph(vertices, edges)
         return self._flat
 
     def edge_kind(self, eid: int) -> str:
         if eid in self.matching:
             return "matching"
-        # Constituent ids run on from the largest matching id, which
-        # excise puts last.
-        first = next(reversed(self.matching), -1) + 1
-        if isinstance(eid, int) and first <= eid < first + self.graph.size - len(self.matching):
+        if isinstance(eid, int) and any(eid in ids for ids in self._ids.values()):
             return "constituent"
         raise GraphError(f"no edge with id {eid} in truncation")
 
@@ -169,11 +165,15 @@ class Truncation:
 
     def constituent_edge_ids(self, v: int) -> Tuple[int, ...]:
         """Flattened ids of v's constituent edges, in constituent order."""
-        self.graph
         try:
-            return self._constituent_edge_ids[v]
+            return tuple(self._ids[v])
         except KeyError:
             raise GraphError(f"no vertex {v} in source graph") from None
+
+    def pendant_colors(self, v: int, matching_colors: Mapping[int, int]) -> List[int]:
+        """Color of the matching edge at each position of v's cluster, read
+        from matching_colors by source edge id (end 2e or 2e+1 is on e)."""
+        return [matching_colors[end >> 1] for end in self.clusters[v]]
 
     def color(
         self,
@@ -187,17 +187,25 @@ class Truncation:
         matching edge.  pair_color(v) maps each constituent edge of v,
         as a position pair (i, j) with i < j, to its color; it is called
         once per cluster with a nonempty constituent, one cluster at a
-        time.  Raises AssertionError if the result is not proper.
+        time.  Each cluster is checked by cluster_clash; a clash raises
+        AssertionError naming it by flat ids and end vertex.
         """
         assignment = {eid: matching_colors[eid] for eid in self.matching}
+        glued: List[Tuple[int, List[int]]] = []
         for v, pairs in self.constituents.items():
-            if not pairs:
-                continue
-            colors = pair_color(v)
-            assignment.update(zip(self.constituent_edge_ids(v), map(colors.__getitem__, pairs)))
-        out = EdgeColoring(assignment, palette)
-        if not is_proper(self.graph, out):
-            raise _clash_error(self.graph, out, "truncation coloring")
+            if pairs:
+                colors = list(map(pair_color(v).__getitem__, pairs))
+                assignment.update(zip(self._ids[v], colors))
+                glued.append((v, colors))
+        out = EdgeColoring(assignment, palette)  # palette range first
+        for v, colors in glued:
+            clash = cluster_clash(self.pendant_colors(v, assignment), self.constituents[v], colors)
+            if clash is not None:
+                # From sun graph ids to flat ids and the end vertex.
+                p, e1, e2, c = clash
+                end, r, ids = self.clusters[v][p], len(self.clusters[v]), self._ids[v]
+                earlier = end >> 1 if e1 < r else ids[e1 - r]
+                raise _clash_error("truncation coloring", end, earlier, ids[e2 - r], c)
         return out
 
 

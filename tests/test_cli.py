@@ -393,6 +393,21 @@ class TestVerify:
         code, out, err = run(capsys, "verify", bundle)
         assert code == 1 and out is None and f"{bundle}: " in err
 
+    def test_truncation_build_errors_name_the_file(self, capsys, tmp_path):
+        # Vertex 2 is isolated: building the complete truncation fails.
+        obj = {"source": {"vertices": [0, 1, 2], "edges": [[0, 1]]}, "kind": "complete"}
+        path = write_obj(tmp_path, obj, "iso.json")
+        colors = write_obj(tmp_path, {"palette": 1, "colors": [0]}, "c1.json")
+        code, out, err = run(capsys, "verify", path, colors)
+        assert code == 1 and out is None
+        assert err == f"error: {path}: vertex 2 is isolated; truncation needs valency >= 1\n"
+        # A constituent position outside its cluster is named the same way.
+        obj = {"source": {"vertices": [0, 1], "edges": [[0, 1]]}, "constituents": {"0": [[0, 1]]}}
+        path = write_obj(tmp_path, obj, "outside.json")
+        code, out, err = run(capsys, "verify", path, colors)
+        assert code == 1 and out is None
+        assert err == f"error: {path}: constituent at vertex 0 uses position outside 0..0\n"
+
     def test_duplicate_key_is_rejected(self, capsys, tmp_path):
         # With the last "colors" kept, this improper coloring of K4
         # would verify as proper.

@@ -12,6 +12,7 @@ from truncolor.coloring import (
     EdgeColoring,
     chromatic_index,
     classify,
+    cluster_clash,
     first_clash,
     is_proper,
     list_edge_coloring,
@@ -50,6 +51,28 @@ class TestEdgeColoring:
         assert first_clash(g, coloring, at=[2, 1]) == (1, 0, 1)
         with pytest.raises(GraphError):
             first_clash(g, EdgeColoring({0: 0, 1: 1}, 2), at=[3])
+
+
+class TestClusterClash:
+    # Three positions, all with pendant color 3, and the triangle on them.
+    PENDANT = [3, 3, 3]
+    TRIANGLE = [(0, 1), (1, 2), (0, 2)]
+
+    def test_proper_cluster(self):
+        assert cluster_clash(self.PENDANT, self.TRIANGLE, [0, 1, 2]) is None
+        assert cluster_clash([0, 1], [], []) is None
+
+    # Witnesses use sun graph ids: the matching edge at position p is
+    # edge p, pair k is edge 3 + k.
+    def test_pair_meets_a_pendant(self):
+        assert cluster_clash(self.PENDANT, self.TRIANGLE, [0, 3, 2]) == (1, 1, 4, 3)
+        assert cluster_clash([0, 1, 2], self.TRIANGLE, [2, 0, 0]) == (0, 0, 5, 0)
+
+    def test_pair_meets_an_earlier_pair(self):
+        # Pair 2 (0, 2) meets pair 0 at position 0; pair 1 (1, 2) meets
+        # pair 0 at position 1.
+        assert cluster_clash(self.PENDANT, self.TRIANGLE, [0, 1, 0]) == (0, 3, 5, 0)
+        assert cluster_clash(self.PENDANT, self.TRIANGLE, [0, 0, 1]) == (1, 3, 4, 0)
 
 
 class TestOracle:

@@ -22,7 +22,6 @@ from truncolor.cyclic_coloring import (
     cyclic_from_class_one,
     is_enabling,
     vector3_admissible,
-    _cycle_components,
     _cyclic_from_parity,
     _single_cycle_sun,
 )
@@ -32,6 +31,31 @@ from truncolor.sun import is_parity_balanced
 from truncolor.truncation import contract, cyclic_truncation
 
 from conftest import disjoint_union, prism_graph
+
+
+def _cycle_components(r, edges):
+    """Vertex lists of the cycles of a 2-regular graph on 0..r-1."""
+    adj = {i: [] for i in range(r)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    if any(len(ns) != 2 for ns in adj.values()):
+        raise AssertionError("constituent is not 2-regular")
+    seen = set()
+    comps = []
+    for start in range(r):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        prev, cur = start, adj[start][0]
+        while cur != start:
+            cyc.append(cur)
+            seen.add(cur)
+            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+            prev, cur = cur, nxt
+        comps.append(cyc)
+    return comps
 
 
 def doubled_triangle():

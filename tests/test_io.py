@@ -87,6 +87,26 @@ class TestGraphRoundTrip:
         with pytest.raises(GraphError, match="repeats"):
             graph_from_obj({"vertices": [0, 1, 1], "edges": [[0, 1]]})
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            {0: (0, 1), 2: (1, 2)},
+            {1: (0, 1), 2: (1, 2)},
+            {0: (0, 1), 1.5: (1, 2), 2: (0, 2)},
+            {False: (0, 1), True: (1, 2)},
+        ],
+        ids=["gap", "not-from-zero", "non-int-between-int-ends", "bool-keys"],
+    )
+    def test_non_contiguous_ids_rejected(self, edges):
+        with pytest.raises(GraphError, match="non-contiguous"):
+            graph_to_obj(Multigraph(range(3), edges))
+
+    def test_without_edges_result_needs_contiguous_ids(self):
+        with pytest.raises(GraphError, match="non-contiguous"):
+            graph_to_obj(k4().without_edges([2]))
+        # Dropping the last id leaves 0..4.
+        assert graph_to_obj(k4().without_edges([5]))["edges"] == graph_to_obj(k4())["edges"][:5]
+
     def test_missing_keys(self):
         with pytest.raises(GraphError, match="vertices"):
             graph_from_obj({"edges": []})
@@ -118,6 +138,19 @@ class TestColoringRoundTrip:
     def test_non_contiguous_ids_rejected(self):
         with pytest.raises(GraphError, match="contiguous"):
             coloring_to_obj(EdgeColoring({0: 0, 2: 1}, 2))
+
+    @pytest.mark.parametrize(
+        "assignment",
+        [
+            {1: 0, 2: 1},
+            {0: 0, 1.5: 1, 2: 0},
+            dict.fromkeys(k4().without_edges([2]).edge_ids, 0),
+        ],
+        ids=["not-from-zero", "non-int-between-int-ends", "without-edges"],
+    )
+    def test_other_non_contiguous_maps_rejected(self, assignment):
+        with pytest.raises(GraphError, match="non-contiguous"):
+            coloring_to_obj(EdgeColoring(assignment, 2))
 
 
 class TestTruncationRoundTrip:

@@ -38,6 +38,14 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Multigraph([0, 1], [(0, 2)])
 
+    def test_edge_map_is_read_only(self):
+        g = Multigraph([0, 1], [(0, 1)])
+        with pytest.raises(TypeError):
+            g.edges[1] = (0, 1)
+        with pytest.raises(TypeError):
+            del g.edges[0]
+        assert g.edges == {0: (0, 1)} and g.size == 1
+
     def test_parallel_edges_kept_distinct(self):
         g = Multigraph([0, 1], [(0, 1), (0, 1), (1, 0)])
         assert g.size == 3

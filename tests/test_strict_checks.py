@@ -195,18 +195,20 @@ class TestTruncationObjects:
         elif kind in ("repeat", "reversed repeat"):
             pairs.append(pairs[i][::-1] if kind == "reversed repeat" else list(pairs[i]))
             message = (
-                f"constituent at vertex {v} repeats edge {(min(pairs[i]), max(pairs[i]))}; "
-                "constituents are simple"
+                f"<truncation>: constituent at vertex {v} repeats edge "
+                f"{(min(pairs[i]), max(pairs[i]))}; constituents are simple"
             )
         elif kind == "loop":
             p = data.draw(st.integers(0, size - 1))
             pairs.insert(i, [p, p])
-            message = f"constituent at vertex {v} has a loop at position {p}"
+            message = f"<truncation>: constituent at vertex {v} has a loop at position {p}"
         else:
             p = data.draw(st.integers(0, size - 1))
             q = data.draw(st.sampled_from([-1, size, size + 4]))
             pairs.insert(i, data.draw(st.sampled_from([[p, q], [q, p]])))
-            message = f"constituent at vertex {v} uses position outside 0..{size - 1}"
+            message = (
+                f"<truncation>: constituent at vertex {v} uses position outside 0..{size - 1}"
+            )
         rejects(truncation_from_obj, bad, message)
 
 

@@ -1,13 +1,20 @@
 import re
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import truncolor.complete_coloring as complete_coloring
 import truncolor.truncation as truncation_module
 
 from truncolor.catalog import k4, k5, petersen, q3
-from truncolor.coloring import EdgeColoring, is_proper
+from truncolor.coloring import EdgeColoring, _vizing_coloring, first_clash, is_proper
+from truncolor.complete_coloring import color_complete_truncation
+from truncolor.cyclic_coloring import cyclic_class_one, cyclic_even_valency
 from truncolor.errors import GraphError
 from truncolor.multigraph import Multigraph
+from truncolor.sun import regular_truncation, semiregular_truncation
 from truncolor.truncation import (
     Truncation,
     arboreal_truncation,
@@ -229,3 +236,89 @@ class TestColor:
         e1, e2, v = map(int, found.groups())
         assert e1 != e2
         assert v in tr.graph.endpoints(e1) and v in tr.graph.endpoints(e2)
+
+
+CLASH = re.compile(
+    r"truncation coloring is not proper: edges (\d+) and (\d+) share color (\d+) at vertex (\d+)"
+)
+
+
+@st.composite
+def small_truncations(draw):
+    """A source on up to five vertices with up to seven edges, parallel
+    ones allowed, and any simple constituent on each cluster."""
+    n = draw(st.integers(2, 5))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, min_size=1, max_size=7))
+    x = Multigraph(sorted({v for e in edges for v in e}), edges)
+    constituents = {}
+    for v in x.vertices:
+        every = list(combinations(range(x.valency(v)), 2))
+        constituents[v] = draw(st.lists(st.sampled_from(every), unique=True)) if every else []
+    return Truncation(x, constituents)
+
+
+class TestClusterCheck:
+    @given(small_truncations())
+    @settings(max_examples=80, deadline=None)
+    def test_accepts_exactly_what_first_clash_accepts(self, tr):
+        # Recolor each edge of a proper Vizing coloring in every palette
+        # color: the cluster checks behind Truncation.color must accept
+        # exactly the recolorings with no clash on the flat graph, and
+        # name a real clash otherwise.
+        flat = tr.graph
+        base = _vizing_coloring(flat)
+        palette = flat.max_valency() + 1
+        for eid in flat.edge_ids:
+            for c in range(palette):
+                recolored = EdgeColoring({**base, eid: c}, palette)
+                colors = recolored.assignment
+
+                def pair_color(v):
+                    ids = tr.constituent_edge_ids(v)
+                    return dict(zip(tr.constituents[v], map(colors.__getitem__, ids)))
+
+                if first_clash(flat, recolored) is None:
+                    assert tr.color(colors, pair_color, palette) == recolored
+                    continue
+                with pytest.raises(AssertionError) as exc:
+                    tr.color(colors, pair_color, palette)
+                e1, e2, color, end = map(int, CLASH.fullmatch(str(exc.value)).groups())
+                assert e1 != e2 and colors[e1] == colors[e2] == color
+                assert end in flat.endpoints(e1) and end in flat.endpoints(e2)
+
+
+@pytest.fixture
+def no_flat(monkeypatch):
+    """Make flattening a truncation, or a graph built inside
+    complete_coloring, fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a constructive route built a flat graph")
+
+    monkeypatch.setattr(Truncation, "graph", property(refuse))
+    monkeypatch.setattr(complete_coloring, "Multigraph", refuse)
+
+
+class TestRoutesWithoutTheFlatGraph:
+    def odd_padded_source(self):
+        # D = 7: vertex 1's cluster has order 7, vertex 0's order 5 and
+        # vertex 2's order 2, both padded to 6 positions.
+        return Multigraph([0, 1, 2], [(0, 1)] * 5 + [(1, 2)] * 2)
+
+    def test_routes_build_and_check_without_flattening(self, no_flat, monkeypatch):
+        built = [
+            color_complete_truncation(k5()),
+            color_complete_truncation(self.odd_padded_source()),
+            cyclic_even_valency(k5()),
+            semiregular_truncation(
+                Multigraph(range(3), [(0, 1), (1, 2), (2, 0)] * 2),
+                EdgeColoring({0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}, 2),
+            ),
+            regular_truncation(k5(), 4),
+            regular_truncation(k4(), 3),
+            cyclic_class_one(q3()),
+        ]
+        monkeypatch.undo()
+        for tr, coloring in built:
+            assert is_proper(tr.graph, coloring)
