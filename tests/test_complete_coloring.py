@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -161,7 +162,40 @@ class TestAgainstOracle:
             assert is_proper(colored.graph, coloring)
 
 
+# sha256 of the sorted colorings of every pendant vector for palettes 3
+# and 5, then of 12 seeded vectors per odd palette 7..51 (see
+# delta_minus_one_sample).
+DELTA_MINUS_ONE_SHA256 = "04fdbd94d43ce7331a58b1d2a3bf49966b7affdf3cc0d12f541c76db90a0f6a9"
+
+
+def delta_minus_one_sample():
+    for palette in (3, 5):
+        for pend in product(range(palette), repeat=palette - 1):
+            yield pend, palette
+    rng = random.Random(15)
+    for palette in range(7, 52, 2):
+        for _ in range(12):
+            colors = rng.sample(range(palette), rng.randint(2, palette))
+            yield tuple(rng.choice(colors) for _ in range(palette - 1)), palette
+
+
+def reserved_colors(pend):
+    """c(t-1) and c(t): the two most frequent pendant colors, ties by
+    color.  No class takes them, so only the repair can use them."""
+    return sorted(set(pend), key=lambda c: (pend.count(c), c))[-2:]
+
+
 class TestDeltaMinusOneConstituent:
+    def test_colorings_are_pinned(self):
+        digest = hashlib.sha256()
+        repaired = 0
+        for pend, palette in delta_minus_one_sample():
+            out = color_delta_minus_one(pend, palette)
+            digest.update(repr(sorted(out.items())).encode())
+            repaired += palette >= 7 and not set(reserved_colors(pend)).isdisjoint(out.values())
+        assert repaired == 265
+        assert digest.hexdigest() == DELTA_MINUS_ONE_SHA256
+
     def _check(self, pend, palette):
         out = color_delta_minus_one(pend, palette)
         m = len(pend)
