@@ -12,8 +12,8 @@ holding the coloring itself or nesting it under "coloring", as a
 "edges", like those a `truncate` file carries, must match its
 truncation's flattened graph.  Exit codes: 0 for success, 1 for
 domain errors (bad input, failed verification, inapplicable route,
-unwritable --dot path), 2 when the exact oracle ran out of budget
-before deciding; a negative --budget is a domain error.
+unwritable --dot path) and usage errors, 2 when the exact oracle ran
+out of budget before deciding; a negative --budget is a domain error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import json
 import random
 import sys
 from operator import eq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .catalog import catalog as named_instances, k4 as _k4, q3 as _q3
 from .coloring import (
@@ -326,8 +326,15 @@ def cmd_demo(args) -> Result:
     return EXIT_OK, obj, (g, None, tr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, not argparse's 2 ("undecided"); subparsers inherit this."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_DOMAIN, f"error: {message}\n{self.format_usage()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="truncolor",
         description="Generalized truncations of multigraphs and their edge colorings.",
     )
@@ -403,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # Checked here, not by an argparse type: argparse exits 2, the code
-    # for "undecided".
     if getattr(args, "budget", None) is not None and args.budget < 0:
         print("error: --budget must be nonnegative", file=sys.stderr)
         return EXIT_DOMAIN

@@ -32,7 +32,7 @@ at all: a Misra-Gries coloring with D + 1 colors is its certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 

@@ -5,8 +5,8 @@ cluster's complete constituent is colored canonically inside {1..D-1}.
 For odd D the matching must carry an edge-feasible coloring of the
 source (all colors distinct at D-valent vertices); constituents are
 then colored according to their order: D via the missing-color
-alignment, and D-1 via canonical classes plus an alternating repair of
-the conflict paths.  A constituent of order at most D-2 is padded to
+alignment, and D-1 via canonical classes plus one alternating walk
+along each conflict path.  A constituent of order at most D-2 is padded to
 D-1 positions with dummy pendants, colored as order D-1, and restricted
 to its real positions.  When no edge-feasible coloring exists the complete
 truncation provably needs D+1 colors, and a witness of the exhausted
@@ -14,15 +14,18 @@ search is returned instead.  Checks run per cluster (cluster_clash).
 
 `subtruncation_coloring` restricts that coloring to any truncation that
 keeps D, so it applies to every even-D source and to every odd-D source
-with an edge-feasible coloring; it runs no class test of its own.
+with an edge-feasible coloring; it runs no class test of its own and,
+like the full construction, builds no flat graph.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import cycle
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .canonical import class_of_pair, scheme_class, scheme_class_count
+from .canonical import class_of_pair, scheme_class
 from .coloring import (
     CLASS_I,
     EdgeColoring,
@@ -113,140 +116,92 @@ def color_delta_minus_one(
     into a multiplicity sequence s_1 <= ... <= s_t (ties by color
     index); put one end of the most frequent color at the scheme hub,
     lay the rest in ascending blocks around the cycle, give the class
-    anchored inside block i (i <= t-2) that block's color, hand the
-    remaining classes the non-pendant colors, then repair the conflict
-    edges (color equal to a pendant at an endpoint) by alternating the
-    two reserved colors c(t-1), c(t) along each conflict path.
+    anchored inside block i (i <= t-2) that block's color, and hand the
+    other classes the colors absent from the cluster (for t = 1 one is
+    left over).  The conflict edges (color equal to a pendant at an
+    endpoint) form paths; one walk along each recolors it alternately
+    with the reserved colors c(t-1), c(t), from c(t) at a c(t-1) end.
     """
     m = len(pendant_colors)
     if m != palette - 1:
         raise GraphError(f"cluster of size {m} is not palette - 1 = {palette - 1}")
     if palette % 2 == 0 or palette < 3:
         raise GraphError(f"this constituent case needs an odd palette >= 3, got {palette}")
-    for c in pendant_colors:
+    mult = Counter(pendant_colors)
+    for c in mult:
         if not 0 <= c < palette:
             raise GraphError(f"pendant color {c} outside palette of {palette}")
-    mult: Dict[int, int] = {}
-    for c in pendant_colors:
-        mult[c] = mult.get(c, 0) + 1
     sequence = sorted(mult.items(), key=lambda kv: (kv[1], kv[0]))  # (color, count)
-    seq_colors = [c for c, _ in sequence]
-    seq_sizes = [s for _, s in sequence]
     t = len(sequence)
-    c_last = seq_colors[-1]
-    c_prev = seq_colors[-2] if t >= 2 else None
+    c_last = sequence[-1][0]
+    c_prev = sequence[-2][0] if t >= 2 else None
 
-    # Scheme labels: hub 0 is the first position carrying c(t); cycle
-    # labels 1..m-1 hold the blocks of c(1)..c(t-1) and then the rest of
-    # c(t), each block in ascending position order.
-    positions_by_color: Dict[int, List[int]] = {c: [] for c in seq_colors}
-    for pos, c in enumerate(pendant_colors):
-        positions_by_color[c].append(pos)
-    hub_pos = positions_by_color[c_last][0]
-    label_to_pos: List[int] = [hub_pos]
-    for c in seq_colors[:-1]:
-        label_to_pos.extend(positions_by_color[c])
-    label_to_pos.extend(positions_by_color[c_last][1:])
+    # Scheme labels: a stable sort by rank lays out the blocks of
+    # c(1)..c(t), each in ascending position order; then the first
+    # position carrying c(t) moves to the hub, label 0.
+    rank = {c: i for i, (c, _) in enumerate(sequence)}
+    label_to_pos = sorted(range(m), key=lambda p: rank[pendant_colors[p]])
+    label_to_pos.insert(0, label_to_pos.pop(m - sequence[-1][1]))
     if len(label_to_pos) != m:
         raise AssertionError("block layout lost a position")
-    pend_at_label = [pendant_colors[p] for p in label_to_pos]
+    pend = [pendant_colors[p] for p in label_to_pos]  # by label
 
+    # The block on labels b..b+s-1 takes the class of the cycle edge
+    # (lo, lo + 1) at its middle, lo rounded down.
     class_color: Dict[int, int] = {}
-    n_classes = scheme_class_count(m)  # = m - 1
-    if t <= 2:
-        avoid = {c_last} if c_prev is None else {c_prev, c_last}
-        free = [c for c in range(palette) if c not in avoid]
-        for idx in range(n_classes):
-            class_color[idx] = free[idx]
-    else:
-        taken: set = set()
-        b = 1
-        for i in range(t - 2):
-            s = seq_sizes[i]
-            # The block on labels b..b+s-1 takes the class of the cycle
-            # edge (lo, lo + 1) at its middle, lo rounded down.
-            lo = b + (s - 1) // 2
-            idx = class_of_pair(m, (lo, lo + 1))
-            if idx in taken:
-                raise AssertionError("two blocks claimed the same class")
-            taken.add(idx)
-            class_color[idx] = seq_colors[i]
-            b += s
-        rest_colors = sorted(set(range(palette)) - set(seq_colors))
-        free_classes = [idx for idx in range(n_classes) if idx not in taken]
-        if len(rest_colors) != len(free_classes):
-            raise AssertionError("class/color accounting is off")
-        for idx, c in zip(free_classes, rest_colors):
-            class_color[idx] = c
-
-    edge_color: Dict[Tuple[int, int], int] = {}
-    for idx in range(n_classes):
-        for pair in scheme_class(m, idx):
-            edge_color[pair] = class_color[idx]
+    b = 1
+    for c, s in sequence[: t - 2]:
+        lo = b + (s - 1) // 2
+        idx = class_of_pair(m, (lo, lo + 1))
+        if idx in class_color:
+            raise AssertionError("two blocks claimed the same class")
+        class_color[idx] = c
+        b += s
+    rest = sorted(set(range(palette)) - mult.keys())
+    free_classes = [idx for idx in range(m - 1) if idx not in class_color]
+    if len(rest) != len(free_classes) + (t == 1):
+        raise AssertionError("class/color accounting is off")
+    class_color.update(zip(free_classes, rest))
+    edge_color = {pair: class_color[idx] for idx in range(m - 1) for pair in scheme_class(m, idx)}
 
     # Literal conflict scan: an edge clashing with a pendant at either
     # endpoint.  The construction guarantees these form disjoint paths
     # with at most one c(t-1)-pendant terminal each; assert all of it.
-    conflicts = [
-        pair
-        for pair, c in edge_color.items()
-        if c == pend_at_label[pair[0]] or c == pend_at_label[pair[1]]
-    ]
-    if conflicts:
-        if t <= 2:
-            raise AssertionError("conflicts cannot arise when t <= 2")
-        adj: Dict[int, List[Tuple[int, int]]] = {}
-        for pair in conflicts:
-            adj.setdefault(pair[0], []).append(pair)
-            adj.setdefault(pair[1], []).append(pair)
-        if any(len(es) > 2 for es in adj.values()):
-            raise AssertionError("conflict subgraph has a vertex of degree > 2")
-        seen: set = set()
-        for start_pair in sorted(conflicts):
-            if start_pair in seen:
-                continue
-            # Collect this component's edges, then check path shape.
-            comp_edges = {start_pair}
-            frontier = [start_pair]
-            while frontier:
-                e = frontier.pop()
-                for lbl in e:
-                    for nxt in adj[lbl]:
-                        if nxt not in comp_edges:
-                            comp_edges.add(nxt)
-                            frontier.append(nxt)
-            seen |= comp_edges
-            degree: Dict[int, int] = {}
-            for e in comp_edges:
-                for lbl in e:
-                    degree[lbl] = degree.get(lbl, 0) + 1
-            ends = sorted(lbl for lbl, dg in degree.items() if dg == 1)
-            if len(ends) != 2 or len(comp_edges) != len(degree) - 1:
-                raise AssertionError("conflict component is not a path")
-            prev_pendants = [lbl for lbl in ends if pend_at_label[lbl] == c_prev]
-            if len(prev_pendants) > 1:
-                raise AssertionError("both path terminals demand the reserved color")
-            if prev_pendants:
-                startv = prev_pendants[0]
-                first = c_last
-            else:
-                startv = ends[0]
-                first = c_prev
-            cur = startv
-            color_now = first
-            walked: set = set()
-            while True:
-                nxt_edges = [e for e in adj[cur] if e in comp_edges and e not in walked]
-                if not nxt_edges:
-                    break
-                e = nxt_edges[0]
-                edge_color[e] = color_now
-                walked.add(e)
-                cur = e[0] if e[1] == cur else e[1]
-                color_now = c_last if color_now == c_prev else c_prev
+    conflicts = [e for e, c in edge_color.items() if c == pend[e[0]] or c == pend[e[1]]]
+    if conflicts and t <= 2:
+        raise AssertionError("conflicts cannot arise when t <= 2")
+    adj: Dict[int, List[Tuple[int, int]]] = {}
+    for e in conflicts:
+        adj.setdefault(e[0], []).append(e)
+        adj.setdefault(e[1], []).append(e)
+    if any(len(es) > 2 for es in adj.values()):
+        raise AssertionError("conflict subgraph has a vertex of degree > 2")
+    # Walk each path from its lower terminal, leaving each inner label by its
+    # other edge and dropping the labels passed; any left lie on cycles.
+    for end in sorted(lbl for lbl, es in adj.items() if len(es) == 1):
+        if end not in adj:
+            continue
+        e = adj.pop(end)[0]
+        path = [e]
+        cur = e[0] + e[1] - end
+        while len(adj[cur]) == 2:
+            es = adj.pop(cur)
+            e = es[es[0] == e]
+            path.append(e)
+            cur = e[0] + e[1] - cur
+        del adj[cur]
+        terminals = (pend[end], pend[cur])
+        if terminals == (c_prev, c_prev):
+            raise AssertionError("both path terminals demand the reserved color")
+        if terminals[1] == c_prev:
+            path.reverse()
+        colors = (c_last, c_prev) if c_prev in terminals else (c_prev, c_last)
+        edge_color.update(zip(path, cycle(colors)))
+    if adj:
+        raise AssertionError("conflict component is not a path")
 
     # Final local check before translating back to positions.
-    clash = cluster_clash(pend_at_label, list(edge_color), list(edge_color.values()))
+    clash = cluster_clash(pend, list(edge_color), list(edge_color.values()))
     if clash is not None:
         raise _clash_error("constituent coloring after repair", *clash)
 
@@ -333,10 +288,8 @@ def subtruncation_coloring(
     if tr.source.edges != x.edges or tr.source.vertices != x.vertices:
         raise GraphError("truncation was not built from the given source graph")
     delta = x.max_valency()
-    if tr.graph.max_valency() != delta:
-        raise GraphError(
-            f"truncation has maximum valency {tr.graph.max_valency()}, source has {delta}"
-        )
+    if tr.max_valency() != delta:
+        raise GraphError(f"truncation has maximum valency {tr.max_valency()}, source has {delta}")
     full = color_complete_truncation(x, budget=budget)
     if isinstance(full, ClassIIWitness):
         raise GraphError(full.reason)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .coloring import EdgeColoring, solve_edge_coloring
-from .errors import GraphError
 from .multigraph import Multigraph
 from .truncation import Truncation, _is_forest, arboreal_truncation
 
@@ -74,23 +73,21 @@ def color_by_strong(
     must be class I for the search to fit; when one is not,
     NotApplicable reports it.
     """
-    flat = tr.graph
-    delta = flat.max_valency()
+    delta = tr.max_valency()
     cluster_colors: Dict[int, Dict[Tuple[int, int], int]] = {}
     for v in sorted(tr.source.vertices):
         pairs = tr.constituents[v]
         if not pairs:
             continue
-        cluster = tr.clusters[v]
-        critical = any(flat.valency(end) == delta for end in cluster)
-        if _is_forest(len(cluster), pairs):
-            pair_color = _greedy_forest_colors(range(len(cluster)), pairs)
+        size = len(tr.clusters[v])
+        if _is_forest(size, pairs):
+            pair_color = _greedy_forest_colors(range(size), pairs)
         else:
             # Edge ids of the cluster's own graph follow the pair order.
-            sub = Multigraph(range(len(cluster)), pairs)
+            sub = Multigraph(range(size), pairs)
             solved, _ = solve_edge_coloring(sub, delta - 1, budget=budget)
             if solved is None:
-                if critical:
+                if delta in tr.end_valencies(v):
                     reason = (
                         f"constituent at source vertex {v} holds a valency-{delta} end "
                         f"but admits no {delta - 1}-coloring"

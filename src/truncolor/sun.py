@@ -222,8 +222,9 @@ def build_sun_odd(vector: Sequence[int]) -> SunColoring:
     Ends carry residue names 1..r (mod r).  Color i's block sits at
     names B_i..B_i+x_i-1 with center a = B_i+(x_i-1)/2; its constituent
     edges are the chords [a-k, a+k] for k from (x_i-1)/2+1 out to
-    (r-1)/2.  Distinct centers give distinct chord sums mod r, so the
-    classes never collide.
+    (r-1)/2, the odd scheme's class centred at a less its first
+    (x_i-1)/2 chords (none when x_i = r).  Distinct centers give
+    distinct classes, so the colors never collide.
     """
     r, d = _check_vector(vector)
     if any(x % 2 == 0 for x in vector):
@@ -233,12 +234,8 @@ def build_sun_odd(vector: Sequence[int]) -> SunColoring:
     triples: List[Tuple[int, int, int]] = []
     start = 1
     for i, x in enumerate(vector):
-        center = start + (x - 1) // 2
-        for k in range((x - 1) // 2 + 1, (r - 1) // 2 + 1):
-            # Names reduce into 1..r.
-            p = (center - k - 1) % r + 1
-            q = (center + k - 1) % r + 1
-            triples.append((p, q, i) if p < q else (q, p, i))
+        if x < r:  # r = 1 has no scheme; x is odd, so x // 2 = (x - 1) / 2
+            triples += [(p, q, i) for p, q in scheme_class(r, start + x // 2 - 1)[x // 2 :]]
         start += x
     # Name n sits at position n - 1.
     return _finish(vector, triples, d, range(-1, r), d - 1)

@@ -16,6 +16,7 @@ an output format, built on first access to Truncation.graph.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain, combinations
 from operator import itemgetter, lt
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -169,6 +170,18 @@ class Truncation:
             return tuple(self._ids[v])
         except KeyError:
             raise GraphError(f"no vertex {v} in source graph") from None
+
+    def end_valencies(self, v: int) -> List[int]:
+        """Valency in the flat graph of the end at each position of v's
+        cluster: its matching edge plus its constituent edges."""
+        degree = Counter(chain.from_iterable(self.constituents[v]))
+        return [1 + degree[i] for i in range(len(self.clusters[v]))]
+
+    def max_valency(self) -> int:
+        """The flat graph's maximum valency, read from the constituents."""
+        if not self.clusters:
+            raise GraphError("max_valency of an empty graph is undefined")
+        return max(max(self.end_valencies(v)) for v in self.clusters)
 
     def pendant_colors(self, v: int, matching_colors: Mapping[int, int]) -> List[int]:
         """Color of the matching edge at each position of v's cluster, read

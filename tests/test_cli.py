@@ -300,6 +300,26 @@ class TestOracle:
         assert out is None
         assert err == "error: --budget must be nonnegative\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["oracle"], ["oracle", "g.json", "--budget", "abc"], ["demo", "nosuch"]],
+        ids=["no-command", "no-graph", "budget-abc", "unknown-demo"],
+    )
+    def test_usage_errors_exit_one(self, capsys, argv):
+        # Exit 2 is reserved for an undecided oracle.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: truncolor oracle")
+
     def test_edge_cap_guard(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "oracle", write_graph(tmp_path, petersen()), "--edge-cap", "5"

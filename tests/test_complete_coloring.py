@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import truncolor.complete_coloring as complete_coloring
 
 from truncolor.catalog import k4, k5, k33, path_graph, petersen, two_k5_bridge
-from truncolor.coloring import CLASS_I, CLASS_II, EdgeColoring, classify, is_proper
+from truncolor.coloring import CLASS_II, EdgeColoring, classify, is_proper
 from truncolor.complete_coloring import (
     ClassIIWitness,
     color_complete_truncation,

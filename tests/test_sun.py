@@ -1,5 +1,4 @@
 import hashlib
-import random
 from dataclasses import replace
 from itertools import combinations, groupby, permutations, product
 

@@ -10,10 +10,11 @@ import truncolor.truncation as truncation_module
 
 from truncolor.catalog import k4, k5, petersen, q3
 from truncolor.coloring import EdgeColoring, _vizing_coloring, first_clash, is_proper
-from truncolor.complete_coloring import color_complete_truncation
+from truncolor.complete_coloring import color_complete_truncation, subtruncation_coloring
 from truncolor.cyclic_coloring import cyclic_class_one, cyclic_even_valency
 from truncolor.errors import GraphError
 from truncolor.multigraph import Multigraph
+from truncolor.strong_arboreal import color_by_strong
 from truncolor.sun import regular_truncation, semiregular_truncation
 from truncolor.truncation import (
     Truncation,
@@ -64,6 +65,17 @@ class TestTruncationShape:
                 for end in tr.clusters[v]:
                     assert flat.valency(end) == x.valency(v)
             assert flat.max_valency() == x.max_valency()
+
+    def test_end_valencies_match_the_flat_graph(self, rng):
+        for _ in range(20):
+            x = random_multigraph(rng)
+            for tr in (complete_truncation(x), arboreal_truncation(x)):
+                flat = tr.graph
+                for v, ends in tr.clusters.items():
+                    assert tr.end_valencies(v) == [flat.valency(end) for end in ends]
+                assert tr.max_valency() == flat.max_valency()
+        with pytest.raises(GraphError, match="empty"):
+            Truncation(Multigraph([], []), {}).max_valency()
 
     def test_cyclic_truncation_is_cubic(self, rng):
         for _ in range(20):
@@ -319,6 +331,19 @@ class TestRoutesWithoutTheFlatGraph:
             regular_truncation(k4(), 3),
             cyclic_class_one(q3()),
         ]
+        # Routes that color a given truncation; color_by_strong searches
+        # K5's 4-cycle constituents cluster by cluster.
+        padded = self.odd_padded_source()
+        for tr, color in [
+            (arboreal_truncation(k4()), color_by_strong),
+            (cyclic_truncation(k5()), color_by_strong),
+            (cyclic_truncation(k4()), lambda tr: subtruncation_coloring(k4(), tr)),
+            (
+                Truncation(padded, {1: list(combinations(range(7), 2))}),
+                lambda tr: subtruncation_coloring(padded, tr),
+            ),
+        ]:
+            built.append((tr, color(tr)))
         monkeypatch.undo()
         for tr, coloring in built:
             assert is_proper(tr.graph, coloring)
