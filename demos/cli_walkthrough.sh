@@ -42,8 +42,13 @@ head -3 k4_tr.dot
 
 echo "== strong constituents"
 truncolor truncate k4.json --kind arboreal > k4_arboreal.json
-truncolor color-strong k4_arboreal.json > k4_strong.json
+truncolor color-strong k4_arboreal.json --dot k4_strong.dot > k4_strong.json
 truncolor verify k4_arboreal.json k4_strong.json
+# The drawing flattens the truncation only when --dot asks for it.
+if [ ! -s k4_strong.dot ] || ! grep -q -- ' -- ' k4_strong.dot; then
+    echo "FAIL: color-strong --dot wrote no edges" >&2
+    exit 1
+fi
 truncolor demo two-k5-bridge > bridge.json
 truncolor truncate bridge.json --kind complete > bridge_complete.json
 expect_fail "not applicable:" "the K5 constituent is overfull in 4 colors" \

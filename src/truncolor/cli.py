@@ -14,11 +14,19 @@ truncation's flattened graph.  Exit codes: 0 for success, 1 for
 domain errors (bad input, failed verification, inapplicable route,
 unwritable --dot path) and usage errors, 2 when the exact oracle ran
 out of budget before deciding; a negative --budget is a domain error.
+
+`main` pauses the cyclic garbage collector from argument parsing to its
+return, JSON and --dot output included, and turns it back on only if
+it was on before, however the command ends.  This is safe because a
+command's data (parsed JSON lists, graphs, truncations, colorings)
+form no reference cycles: a collection could free nothing, and would
+only re-walk them.  Library callers keep their own collector policy.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -188,8 +196,9 @@ def cmd_color_strong(args) -> Result:
         print(f"not applicable: {out.reason}", file=sys.stderr)
         obj = {"applicable": False, "vertex": out.vertex, "delta": out.delta, "reason": out.reason}
         return EXIT_DOMAIN, obj, None
-    obj = {"applicable": True, "delta": tr.graph.max_valency(), "coloring": coloring_to_obj(out)}
-    return EXIT_OK, obj, (tr.graph, out, tr)
+    obj = {"applicable": True, "delta": tr.max_valency(), "coloring": coloring_to_obj(out)}
+    # Only a drawing needs the flat graph.
+    return EXIT_OK, obj, (tr.graph, out, tr) if args.dot else None
 
 
 def cmd_sun(args) -> Result:
@@ -413,6 +422,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "budget", None) is not None and args.budget < 0:
         print("error: --budget must be nonnegative", file=sys.stderr)
         return EXIT_DOMAIN
+    # The command's data hold no reference cycles (see the module
+    # docstring): pause the collector for it, then restore the caller's.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(args)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed command, write its JSON and drawing; the exit code."""
     try:
         code, obj, drawing = args.func(args)
     except GraphError as exc:

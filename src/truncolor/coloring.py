@@ -109,8 +109,16 @@ def first_clash(
     all of g's); an uncolored edge at a checked vertex is a GraphError."""
     assignment = coloring.assignment
     for v in g.vertices if at is None else at:
+        ids = g.incident(v)
+        # From valency 6 up, one set pass costs less than the walk, which
+        # then runs only to name a repeat or an uncolored edge; below 6
+        # the walk alone is cheaper.
+        if len(ids) > 5:
+            colors = set(map(assignment.get, ids))
+            if len(colors) == len(ids) and None not in colors:
+                continue
         seen: Dict[int, int] = {}
-        for eid in g.incident(v):
+        for eid in ids:
             try:
                 c = assignment[eid]
             except KeyError:

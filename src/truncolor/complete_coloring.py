@@ -255,6 +255,11 @@ def color_complete_truncation(
             ),
         )
 
+    # Padded clusters that see one pendant vector share one coloring.
+    # A cluster of fewer than D/2 positions keeps only its own pairs, so
+    # the memo holds at most about four entries per constituent edge.
+    padded_colorings: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {}
+
     def pair_color(v: int) -> Dict[Tuple[int, int], int]:
         pend = tr.pendant_colors(v, feas)
         size = len(pend)
@@ -267,7 +272,13 @@ def color_complete_truncation(
             }
         # Pad smaller clusters to D-1 positions with dummy pendant
         # color 0; restricting to the real positions stays proper.
-        return color_delta_minus_one(pend + [0] * (delta - 1 - size), delta)
+        key = tuple(pend)
+        if key not in padded_colorings:
+            full = color_delta_minus_one(pend + [0] * (delta - 1 - size), delta)
+            if 2 * size < delta:
+                full = {pair: full[pair] for pair in tr.constituents[v]}
+            padded_colorings[key] = full
+        return padded_colorings[key]
 
     return tr, tr.color(feas, pair_color, delta)
 

@@ -190,13 +190,16 @@ def load_coloring(path: str) -> EdgeColoring:
 
 
 def coloring_to_obj(coloring: EdgeColoring) -> Dict[str, object]:
-    ids = sorted(coloring.assignment)
-    if tuple(ids) != tuple(range(len(ids))):
-        raise GraphError("coloring has non-contiguous edge ids; rebuild before serializing")
-    return {
-        "palette": coloring.palette_size,
-        "colors": [coloring.assignment[eid] for eid in ids],
-    }
+    assignment = coloring.assignment
+    # Colorings the routes emit already hold ids 0..n-1 in order.
+    if list(assignment) == list(range(len(assignment))):
+        colors = list(assignment.values())
+    else:
+        ids = sorted(assignment)
+        if ids != list(range(len(ids))):
+            raise GraphError("coloring has non-contiguous edge ids; rebuild before serializing")
+        colors = [assignment[eid] for eid in ids]
+    return {"palette": coloring.palette_size, "colors": colors}
 
 
 def _built(origin: str, build, *args) -> Truncation:

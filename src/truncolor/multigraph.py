@@ -58,6 +58,26 @@ class Multigraph:
         self._edges: Dict[int, Tuple[int, int]] = norm
         self._incidence: Dict[int, Tuple[int, ...]] = {v: tuple(ids) for v, ids in inc.items()}
 
+    @classmethod
+    def _trusted(
+        cls,
+        vertices: Tuple[int, ...],
+        edges: Dict[int, Tuple[int, int]],
+        incidence: Dict[int, Tuple[int, ...]],
+    ) -> "Multigraph":
+        """A graph from the three slots as given, with no check at all.
+
+        The caller guarantees what __init__ would establish: vertices
+        sorted and distinct; edges in ascending id order, each pair
+        sorted, loop-free and on known vertices; incidence with one
+        entry per vertex listing its edge ids in ascending order.
+        """
+        g = cls.__new__(cls)
+        g._vertices = vertices
+        g._edges = edges
+        g._incidence = incidence
+        return g
+
     # ---- basic accessors ---- #
 
     @property

@@ -143,14 +143,31 @@ class Truncation:
     def graph(self) -> Multigraph:
         """The truncation as a plain multigraph on end vertices, built on
         first access.  Matching edges keep their source edge ids;
-        constituent edges take the ids above, grouped by source vertex."""
+        constituent edges take the ids above, grouped by source vertex.
+
+        Built by Multigraph._trusted, without __init__'s checks, on what
+        excise and __init__ have already established: ends ascend with
+        their source edge ids, so the vertices come out sorted; within a
+        cluster they ascend with position, and every constituent pair is
+        (i, j) with 0 <= i < j < size and no repeat, so each flat pair
+        is sorted and loop-free; ids ascend from the matching through
+        the clusters in vertex order, so each end lists its matching
+        edge, then its constituent edges in ascending id, as __init__
+        would.
+        """
         if self._flat is None:
-            vertices = list(chain.from_iterable(self.matching.values()))
             edges: Dict[int, Tuple[int, int]] = dict(self.matching)
+            inc: Dict[int, List[int]] = {
+                end: [end >> 1] for end in chain.from_iterable(self.matching.values())
+            }
             for v, ends in self.clusters.items():
-                pairs = [(ends[i], ends[j]) for i, j in self.constituents[v]]
-                edges.update(zip(self._ids[v], pairs))
-            self._flat = Multigraph(vertices, edges)
+                at = [inc[end] for end in ends]
+                for eid, (i, j) in zip(self._ids[v], self.constituents[v]):
+                    edges[eid] = (ends[i], ends[j])
+                    at[i].append(eid)
+                    at[j].append(eid)
+            incidence = {end: tuple(ids) for end, ids in inc.items()}
+            self._flat = Multigraph._trusted(tuple(inc), edges, incidence)
         return self._flat
 
     def edge_kind(self, eid: int) -> str:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -7,17 +8,21 @@ from pathlib import Path
 import pytest
 
 import truncolor
+import truncolor.cli as cli
+from truncolor.canonical import complete_graph
 from truncolor.catalog import k4, k5, petersen, q3, two_k5_bridge
 from truncolor.cli import main
 from truncolor.complete_coloring import color_complete_truncation
 from truncolor.io import (
+    coloring_from_obj,
     coloring_to_obj,
     graph_from_obj,
     graph_to_obj,
     truncation_from_obj,
+    to_dot,
     truncation_to_obj,
 )
-from truncolor.truncation import arboreal_truncation
+from truncolor.truncation import Truncation, arboreal_truncation
 
 from conftest import prism_graph
 
@@ -232,6 +237,29 @@ class TestColorStrong:
         assert code == 0
         assert out["applicable"] is True
         assert out["coloring"]["palette"] == out["delta"] == 3
+
+    def test_flattens_only_to_draw(self, capsys, tmp_path, monkeypatch):
+        tr_file = self._truncation_file(capsys, tmp_path, k4(), "arboreal")
+        flattened = []
+        graph = Truncation.graph
+
+        def counted(tr):
+            if tr._flat is None:
+                flattened.append(tr)
+            return graph.fget(tr)
+
+        monkeypatch.setattr(Truncation, "graph", property(counted))
+        code, out, _ = run(capsys, "color-strong", tr_file)
+        assert code == 0 and out["delta"] == 3
+        assert flattened == []
+        dot = tmp_path / "strong.dot"
+        code, drawn, _ = run(capsys, "color-strong", tr_file, "--dot", str(dot))
+        assert code == 0 and drawn == out
+        assert len(flattened) == 1
+        monkeypatch.undo()
+        tr = arboreal_truncation(k4())
+        coloring = coloring_from_obj(out["coloring"])
+        assert dot.read_text() == to_dot(tr.graph, coloring, tr.matching_ids, tr.clusters)
 
     def test_cyclic_cubic_truncation_is_not_applicable(self, capsys, tmp_path):
         tr_file = self._truncation_file(capsys, tmp_path, q3(), "cyclic")
@@ -591,6 +619,70 @@ class TestOutput:
         assert code == 1
         assert out["kind"] == "complete"
         assert err.startswith("error: ") and "t.dot" in err
+
+
+class Interrupted(BaseException):
+    """Stands in for KeyboardInterrupt or a deadline signal."""
+
+
+# Runs of main by how they end, each with the subcommand it goes through.
+ENDINGS = {
+    "ok": ("cmd_demo", lambda f: ["demo", "k4"], 0),
+    "graph-error": ("cmd_oracle", lambda f: ["oracle", f["graph"] + ".absent"], 1),
+    "undecided": ("cmd_oracle", lambda f: ["oracle", f["petersen"], "--budget", "1"], 2),
+    "base-exception": ("cmd_demo", lambda f: ["demo", "k4"], Interrupted),
+}
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+    @pytest.mark.parametrize("ending", sorted(ENDINGS))
+    def test_main_leaves_the_collector_as_it_found_it(
+        self, capsys, inputs, monkeypatch, ending, enabled
+    ):
+        name, argv, want = ENDINGS[ending]
+        command = getattr(cli, name)
+        during = []
+
+        def watched(args):
+            during.append(gc.isenabled())
+            if want is Interrupted:
+                raise Interrupted
+            return command(args)
+
+        monkeypatch.setattr(cli, name, watched)
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            if want is Interrupted:
+                with pytest.raises(Interrupted):
+                    main(argv(inputs))
+            else:
+                assert main(argv(inputs)) == want
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable() if was else gc.disable()
+        assert during == [False]
+
+    def test_no_garbage_grows_with_the_input(self, capsys, tmp_path):
+        # Objects left unreachable by one color-complete run: argparse's,
+        # not the input's, so K17 leaves no more than K5.
+        def unreachable(n):
+            path = write_graph(tmp_path, complete_graph(n), f"k{n}.json")
+            gc.collect()
+            assert main(["color-complete", path]) == 0
+            capsys.readouterr()
+            return gc.collect()
+
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            unreachable(5)
+            k17, k5_again = unreachable(17), unreachable(5)
+        finally:
+            if was:
+                gc.enable()
+        assert k17 <= k5_again
 
 
 class TestEntryPoint:

@@ -53,6 +53,55 @@ class TestEdgeColoring:
             first_clash(g, EdgeColoring({0: 0, 1: 1}, 2), at=[3])
 
 
+def reference_first_clash(g, coloring, at=None):
+    """first_clash as one walk over each vertex's edges."""
+    for v in g.vertices if at is None else at:
+        seen = {}
+        for eid in g.incident(v):
+            if eid not in coloring.assignment:
+                raise GraphError(f"no color assigned to edge {eid}")
+            c = coloring.assignment[eid]
+            if c in seen:
+                return (v, seen[c], eid)
+            seen[c] = eid
+    return None
+
+
+@st.composite
+def partial_colorings(draw):
+    """A small multigraph with valencies on both sides of first_clash's
+    set pass, a proper coloring (each edge its own color) with a few
+    edges recolored and a few left uncolored, and the vertices to check
+    (all, or a drawn list)."""
+    n = draw(st.integers(2, 5))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    g = Multigraph(range(n), draw(st.lists(pair, max_size=24)))
+    palette = g.size + 1
+    assignment = dict(zip(g.edge_ids, g.edge_ids))
+    if g.size:
+        eid = st.sampled_from(g.edge_ids)
+        assignment.update(draw(st.dictionaries(eid, st.integers(0, palette - 1), max_size=3)))
+        for gone in draw(st.sets(eid, max_size=2)):
+            del assignment[gone]
+    at = draw(st.none() | st.lists(st.sampled_from(g.vertices)))
+    return g, EdgeColoring(assignment, palette), at
+
+
+class TestFirstClash:
+    @given(partial_colorings())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_reference_walk(self, case):
+        g, coloring, at = case
+        try:
+            want = reference_first_clash(g, coloring, at)
+        except GraphError as exc:
+            with pytest.raises(GraphError) as got:
+                first_clash(g, coloring, at)
+            assert str(got.value) == str(exc)
+        else:
+            assert first_clash(g, coloring, at) == want
+
+
 class TestClusterClash:
     # Three positions, all with pendant color 3, and the triangle on them.
     PENDANT = [3, 3, 3]

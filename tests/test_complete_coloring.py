@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import truncolor.complete_coloring as complete_coloring
 
 from truncolor.catalog import k4, k5, k33, path_graph, petersen, two_k5_bridge
-from truncolor.coloring import CLASS_II, EdgeColoring, classify, is_proper
+from truncolor.coloring import CLASS_II, EdgeColoring, classify, first_clash, is_proper
 from truncolor.complete_coloring import (
     ClassIIWitness,
     color_complete_truncation,
@@ -226,6 +226,52 @@ class TestDeltaMinusOneConstituent:
             color_delta_minus_one((0, 1, 2), 5)  # wrong cluster size
         with pytest.raises(GraphError):
             color_delta_minus_one((0, 1, 5, 2), 5)  # color outside palette
+
+
+def hub_source(d, path, extra=()):
+    """A hub of valency d with leaves 1..d, a path of `path` more
+    vertices hung off leaf 1, and any extra edges."""
+    walk = [1, *range(d + 1, d + 1 + path)]
+    edges = [(0, leaf) for leaf in range(1, d + 1)] + list(zip(walk, walk[1:]))
+    return Multigraph(range(d + 1 + path), edges + list(extra))
+
+
+class TestPaddedClusters:
+    def counted(self, monkeypatch):
+        calls = []
+
+        def counted(pend, palette):
+            calls.append(tuple(pend))
+            return color_delta_minus_one(pend, palette)
+
+        monkeypatch.setattr(complete_coloring, "color_delta_minus_one", counted)
+        return calls
+
+    def test_one_call_per_padded_vector_on_the_hub(self, monkeypatch):
+        # 2,000 order-2 clusters at D = 41, all with one padded vector.
+        calls = self.counted(monkeypatch)
+        tr, coloring = color_complete_truncation(hub_source(41, 2000))
+        assert len(calls) == 1
+        assert first_clash(tr.graph, coloring) is None
+
+    def test_shared_colorings_equal_per_cluster_ones(self, monkeypatch):
+        # D = 7: order-2 clusters on the path, order-3 clusters at 2 and
+        # 3, and an order-4 cluster at 4, seeing several padded vectors.
+        x = hub_source(7, 12, [(2, 3), (2, 3), (4, 5), (4, 6), (4, 19)])
+        calls = self.counted(monkeypatch)
+        tr, coloring = color_complete_truncation(x)
+        colors = coloring.assignment
+        padded, vectors = 0, set()
+        for v, ends in tr.clusters.items():
+            if len(ends) in (1, 7):
+                continue
+            padded += 1
+            pend = tr.pendant_colors(v, colors)
+            vectors.add(tuple(pend))
+            want = color_delta_minus_one(pend + [0] * (6 - len(ends)), 7)
+            got = dict(zip(tr.constituents[v], map(colors.__getitem__, tr.constituent_edge_ids(v))))
+            assert got == {pair: want[pair] for pair in tr.constituents[v]}
+        assert padded > len(calls) == len(vectors) > 1
 
 
 class TestSubtruncationColoring:

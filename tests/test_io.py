@@ -139,6 +139,18 @@ class TestColoringRoundTrip:
         with pytest.raises(GraphError, match="contiguous"):
             coloring_to_obj(EdgeColoring({0: 0, 2: 1}, 2))
 
+    def test_contiguous_ids_in_any_order(self):
+        # Ids 0..n-1 listed out of order serialize by id, as in order.
+        unordered = coloring_to_obj(EdgeColoring({2: 1, 0: 2, 1: 0}, 3))
+        assert unordered == coloring_to_obj(EdgeColoring({0: 2, 1: 0, 2: 1}, 3))
+        assert json.dumps(unordered) == '{"palette": 3, "colors": [2, 0, 1]}'
+
+    def test_a_gap_after_reordering_is_rejected(self):
+        with pytest.raises(
+            GraphError, match="^coloring has non-contiguous edge ids; rebuild before serializing$"
+        ):
+            coloring_to_obj(EdgeColoring({2: 1, 0: 0, 3: 1}, 2))
+
     @pytest.mark.parametrize(
         "assignment",
         [

@@ -1,5 +1,5 @@
 import re
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +124,106 @@ class TestTruncationShape:
         for eid in (-1, 1, 3, 4, 9):
             with pytest.raises(GraphError, match=f"no edge with id {eid} in truncation"):
                 tr.edge_kind(eid)
+
+
+def checked_flat(tr):
+    """The flat graph built the checked way, through Multigraph.__init__."""
+    edges = dict(tr.matching)
+    for v, ends in tr.clusters.items():
+        pairs = [(ends[i], ends[j]) for i, j in tr.constituents[v]]
+        edges.update(zip(tr.constituent_edge_ids(v), pairs))
+    return Multigraph(chain.from_iterable(tr.matching.values()), edges)
+
+
+def assert_flat_as_checked(tr):
+    flat, want = tr.graph, checked_flat(tr)
+    assert flat.vertices == want.vertices
+    assert list(flat.edges.items()) == list(want.edges.items())
+    for v in want.vertices:
+        assert flat.incident(v) == want.incident(v)
+    assert flat.max_valency() == want.max_valency()
+    with pytest.raises(GraphError, match="no vertex"):
+        flat.incident(max(want.vertices) + 1)
+
+
+@st.composite
+def shared_constituent_truncations(draw):
+    """A source with parallel edges and clusters of several sizes, where
+    some clusters are left out or given empty lists (the empty tuple is
+    one object at every size), some share one pair list whatever their
+    size, and the rest get their own pairs."""
+    n = draw(st.integers(2, 6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pair, min_size=1, max_size=10))
+    x = Multigraph(sorted({v for e in edges for v in e}), edges)
+    shared = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(2, 3)), max_size=2, unique=True))
+    constituents = {}
+    for v in x.vertices:
+        size = x.valency(v)
+        every = list(combinations(range(size), 2))
+        choice = draw(st.sampled_from(["omit", "empty", "shared", "own"]))
+        if choice == "empty":
+            constituents[v] = []
+        elif choice == "shared" and all(j < size for _, j in shared):
+            constituents[v] = shared
+        elif choice == "own" and every:
+            constituents[v] = draw(st.lists(st.sampled_from(every), unique=True))
+    return Truncation(x, constituents)
+
+
+class TestTrustedFlattening:
+    """Truncation.graph skips Multigraph.__init__'s checks; it must build
+    the same vertices, edge map (order included) and incidence."""
+
+    def test_routes_truncations(self, rng):
+        for _ in range(30):
+            x = random_multigraph(rng, max_vertices=7, max_edges=14)
+            assert_flat_as_checked(complete_truncation(x))
+            assert_flat_as_checked(arboreal_truncation(x))
+            if all(x.valency(v) >= 3 for v in x.vertices):
+                assert_flat_as_checked(cyclic_truncation(x))
+        for x in (k4(), k5(), q3(), petersen()):
+            orders = {v: rng.sample(range(x.valency(v)), x.valency(v)) for v in x.vertices}
+            for tr in (complete_truncation(x), cyclic_truncation(x, orders), arboreal_truncation(x)):
+                assert_flat_as_checked(tr)
+
+    @given(shared_constituent_truncations())
+    @settings(max_examples=150, deadline=None)
+    def test_custom_and_shared_constituents(self, tr):
+        assert_flat_as_checked(tr)
+
+    def test_empty_constituents_on_clusters_of_different_sizes(self):
+        # Valencies 1, 3, 2, 2: every cluster left empty gets the one
+        # empty tuple, the smallest cluster first.
+        g = Multigraph(range(4), [(0, 1), (1, 2), (1, 3), (2, 3)])
+        for tr in (Truncation(g, {}), Truncation(g, {0: [], 2: [(0, 1)]})):
+            assert_flat_as_checked(tr)
+
+    def test_non_contiguous_source_edge_ids(self, rng):
+        # Source ids with gaps: constituent ids run on past the largest.
+        x = k5().without_edges([1, 9])
+        assert set(x.edge_ids) == {0, 2, 3, 4, 5, 6, 7, 8}
+        orders = {v: rng.sample(range(x.valency(v)), x.valency(v)) for v in x.vertices}
+        for tr in (
+            complete_truncation(x),
+            cyclic_truncation(x, orders),
+            arboreal_truncation(x),
+            Truncation(x, {0: [(0, 2)], 2: [(0, 2)], 4: [(1, 2)]}),
+        ):
+            assert_flat_as_checked(tr)
+
+    def test_flattens_once_without_the_checked_constructor(self, monkeypatch):
+        tr = complete_truncation(k5())
+        built = []
+        init = Multigraph.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Multigraph, "__init__", counted)
+        assert tr.graph is tr.graph
+        assert built == []
 
 
 class TestValidation:
