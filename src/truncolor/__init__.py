@@ -9,15 +9,7 @@ exact backtracking oracle supplies ground-truth chromatic indices for
 everything small enough to check.
 """
 
-from .canonical import (
-    canonical_coloring,
-    class_of_pair,
-    complete_graph,
-    missing_color,
-    scheme_anchor,
-    scheme_class,
-    scheme_class_count,
-)
+from .canonical import class_of_pair, complete_graph, scheme_class, scheme_class_count
 from .catalog import catalog
 from .coloring import (
     CLASS_I,
@@ -35,7 +27,6 @@ from .complete_coloring import (
     color_complete_truncation,
     find_edge_feasible,
     is_edge_feasible,
-    regular_odd_equivalence,
     subtruncation_coloring,
 )
 from .cyclic_coloring import (
@@ -51,7 +42,7 @@ from .cyclic_coloring import (
 )
 from .errors import GraphError, UndecidedError
 from .multigraph import Multigraph
-from .strong_arboreal import NotApplicable, arboreal_is_class_one, color_by_strong
+from .strong_arboreal import NotApplicable, color_by_strong
 from .sun import (
     Infeasible,
     SunColoring,
@@ -91,12 +82,10 @@ __all__ = [
     "Truncation",
     "UndecidedError",
     "admissible",
-    "arboreal_is_class_one",
     "arboreal_truncation",
     "build_sun_even",
     "build_sun_odd",
     "build_sun_valency",
-    "canonical_coloring",
     "catalog",
     "chromatic_index",
     "class_of_pair",
@@ -119,10 +108,7 @@ __all__ = [
     "is_parity_balanced",
     "is_proper",
     "list_edge_coloring",
-    "missing_color",
-    "regular_odd_equivalence",
     "regular_truncation",
-    "scheme_anchor",
     "scheme_class",
     "scheme_class_count",
     "semiregular_truncation",

@@ -8,28 +8,20 @@ deleted: n classes of (n-1)/2 edges each, and every vertex misses
 exactly one class.
 
 Scheme vertices are "names": 0..n-1 when n is even, 1..n when n is odd
-(residues modulo the cycle length, with 0 reserved for the hub).  The
-class with the short anchor edge [a, a+1] near the cycle's far side is
-addressable by that anchor.
+(residues modulo the cycle length, with 0 reserved for the hub).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from .coloring import EdgeColoring
 from .errors import GraphError
 from .multigraph import Multigraph
 
 __all__ = [
-    "scheme_vertex_names",
     "scheme_class_count",
     "scheme_class",
-    "scheme_anchor",
-    "class_by_anchor",
     "class_of_pair",
-    "canonical_coloring",
-    "missing_color",
 ]
 
 
@@ -38,28 +30,14 @@ def _cycle_len(n: int) -> int:
     return n - 1 if n % 2 == 0 else n
 
 
-def _norm(i: int, mod: int) -> int:
-    """Reduce i into the residue set {1..mod}."""
-    r = i % mod
-    return r if r != 0 else mod
-
-
 def _check_n(n: int) -> None:
     if n < 2:
         raise GraphError(f"canonical scheme needs order >= 2, got {n}")
 
 
 def _is_name(n: int, a: int) -> bool:
-    # Same range as scheme_vertex_names(n), without building it.
+    # Whether a is a scheme vertex name: 0..n-1 for even n, 1..n for odd n.
     return n % 2 <= a <= n - 1 + n % 2
-
-
-def scheme_vertex_names(n: int) -> Tuple[int, ...]:
-    """Names of the scheme's vertices: hub 0 plus residues, or residues alone."""
-    _check_n(n)
-    if n % 2 == 0:
-        return tuple(range(n))
-    return tuple(range(1, n + 1))
 
 
 def scheme_class_count(n: int) -> int:
@@ -78,44 +56,13 @@ def scheme_class(n: int, t: int) -> Tuple[Tuple[int, int], ...]:
     mod = _cycle_len(n)
     if not 0 <= t < mod:
         raise GraphError(f"class index {t} out of range for order {n}")
-    # The centre is the residue 1+t; _norm(i, mod) is (i-1) % mod + 1.
+    # The centre is the residue 1+t; (i-1) % mod + 1 reduces i into 1..mod.
     edges: List[Tuple[int, int]] = [(0, t + 1)] if n % 2 == 0 else []
     for k in range(1, (mod + 1) // 2):
         a = (t - k) % mod + 1
         b = (t + k) % mod + 1
         edges.append((a, b) if a < b else (b, a))
     return tuple(edges)
-
-
-def scheme_anchor(n: int, t: int) -> Tuple[int, int]:
-    """The length-1 cycle edge [a, a+1] lying in class t."""
-    _check_n(n)
-    mod = _cycle_len(n)
-    if mod < 3:
-        raise GraphError(f"order {n} scheme has no anchor edges")
-    base = n // 2 if n % 2 == 0 else (n + 1) // 2
-    a = _norm(base + t, mod)
-    b = _norm(base + 1 + t, mod)
-    return (min(a, b), max(a, b))
-
-
-def class_by_anchor(n: int, edge: Tuple[int, int]) -> int:
-    """Inverse of scheme_anchor.  Rejects pairs that are not cycle edges."""
-    _check_n(n)
-    mod = _cycle_len(n)
-    if mod < 3:
-        raise GraphError(f"order {n} scheme has no anchor edges")
-    a, b = edge
-    if not (_is_name(n, a) and _is_name(n, b)) or 0 in (a, b):
-        raise GraphError(f"{edge} is not a cycle edge of the order-{n} scheme")
-    if _norm(a + 1, mod) == b:
-        lo = a
-    elif _norm(b + 1, mod) == a:
-        lo = b
-    else:
-        raise GraphError(f"{edge} is not a length-1 cycle edge of the order-{n} scheme")
-    base = n // 2 if n % 2 == 0 else (n + 1) // 2
-    return (lo - base) % mod
 
 
 def class_of_pair(n: int, pair: Tuple[int, int]) -> int:
@@ -140,38 +87,3 @@ def complete_graph(n: int) -> Multigraph:
         raise GraphError(f"complete graph needs order >= 1, got {n}")
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return Multigraph(range(n), edges)
-
-
-def _name_of_vertex(n: int, v: int) -> int:
-    # Graph vertices 0..n-1 map onto scheme names; odd schemes shift by one.
-    return v if n % 2 == 0 else v + 1
-
-
-def canonical_coloring(n: int) -> EdgeColoring:
-    """Proper edge coloring of complete_graph(n) from the scheme classes.
-
-    Uses n-1 colors for even n and n colors for odd n, which is optimal
-    in both cases.
-    """
-    _check_n(n)
-    g = complete_graph(n)
-    assignment: Dict[int, int] = {}
-    for eid, (u, w) in g.edges.items():
-        pair = (_name_of_vertex(n, u), _name_of_vertex(n, w))
-        assignment[eid] = class_of_pair(n, pair)
-    return EdgeColoring(assignment, scheme_class_count(n))
-
-
-def missing_color(g: Multigraph, coloring: EdgeColoring, v: int) -> int:
-    """The one palette color absent at v.
-
-    Intended for proper colorings of odd-order complete graphs, where
-    every vertex misses exactly one color; errors if the count is off.
-    """
-    present = {coloring.color_of(eid) for eid in g.incident(v)}
-    absent = [c for c in range(coloring.palette_size) if c not in present]
-    if len(absent) != 1:
-        raise GraphError(
-            f"vertex {v} misses {len(absent)} colors, expected exactly one"
-        )
-    return absent[0]

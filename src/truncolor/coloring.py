@@ -75,14 +75,16 @@ class EdgeColoring:
             raise GraphError("palette size must be nonnegative")
         colors = self.assignment.values()
         # One pass with min and max for plain ints; any other value
-        # types, or a color out of range, go through the walk that
-        # names the first offending edge.
+        # type (bool and float included), or a color out of range, goes
+        # through the walk that names the first offending edge.
         if colors and not (
             set(map(type, colors)) <= {int}
             and min(colors) >= 0
             and max(colors) < self.palette_size
         ):
             for eid, c in self.assignment.items():
+                if type(c) is not int:
+                    raise GraphError(f"edge {eid} has color {c!r}, not an int")
                 if not 0 <= c < self.palette_size:
                     raise GraphError(
                         f"edge {eid} has color {c} outside palette of size {self.palette_size}"
@@ -93,9 +95,6 @@ class EdgeColoring:
             return self.assignment[eid]
         except KeyError:
             raise GraphError(f"no color assigned to edge {eid}") from None
-
-    def covers(self, eids: Iterable[int]) -> bool:
-        return all(eid in self.assignment for eid in eids)
 
     def used_colors(self) -> frozenset:
         return frozenset(self.assignment.values())

@@ -27,10 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .canonical import class_of_pair, scheme_class
 from .coloring import (
-    CLASS_I,
     EdgeColoring,
     _clash_error,
-    classify,
     cluster_clash,
     first_clash,
     solve_edge_coloring,
@@ -46,7 +44,6 @@ __all__ = [
     "color_complete_truncation",
     "color_delta_minus_one",
     "subtruncation_coloring",
-    "regular_odd_equivalence",
 ]
 
 
@@ -312,23 +309,3 @@ def subtruncation_coloring(
 
     return tr.color(coloring.assignment, pair_color, delta)
 
-
-def regular_odd_equivalence(
-    x: Multigraph, *, budget: Optional[int] = None
-) -> Tuple[bool, bool]:
-    """Whether x and its complete truncation are class I; always equal.
-
-    Both sides are decided by the exact oracle (edge caps sized to the
-    instances); disagreement would falsify the construction and raises.
-    """
-    d = x.regular_valency()
-    if d is None:
-        raise GraphError("graph is not regular")
-    if d % 2 == 0:
-        raise GraphError(f"valency {d} is even; this equivalence needs odd valency")
-    side_x = classify(x, budget=budget, edge_cap=max(x.size, 40))
-    tr = complete_truncation(x)
-    side_tr = classify(tr.graph, budget=budget, edge_cap=max(tr.graph.size, 40))
-    if (side_x == CLASS_I) != (side_tr == CLASS_I):
-        raise AssertionError("source and complete truncation disagree on class")
-    return side_x == CLASS_I, side_tr == CLASS_I

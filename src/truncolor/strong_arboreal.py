@@ -13,13 +13,13 @@ positions, so its cost does not grow with the rest of the truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .coloring import EdgeColoring, solve_edge_coloring
 from .multigraph import Multigraph
-from .truncation import Truncation, _is_forest, arboreal_truncation
+from .truncation import Truncation, _is_forest
 
-__all__ = ["NotApplicable", "color_by_strong", "arboreal_is_class_one"]
+__all__ = ["NotApplicable", "color_by_strong"]
 
 
 @dataclass(frozen=True)
@@ -101,20 +101,3 @@ def color_by_strong(
         cluster_colors[v] = {pair: c + 1 for pair, c in pair_color.items()}
     return tr.color(dict.fromkeys(tr.matching, 0), cluster_colors.__getitem__, max(delta, 1))
 
-
-def arboreal_is_class_one(
-    x: Multigraph,
-    forests: Optional[Mapping[int, Sequence[Tuple[int, int]]]] = None,
-    *,
-    budget: Optional[int] = None,
-) -> Tuple[Truncation, EdgeColoring]:
-    """Build a forest-constituent truncation and color it optimally.
-
-    Always succeeds: forests are class I, so the strong-constituent
-    route applies unconditionally.
-    """
-    tr = arboreal_truncation(x, forests)
-    out = color_by_strong(tr, budget=budget)
-    if isinstance(out, NotApplicable):
-        raise AssertionError(f"forest constituents reported class II: {out.reason}")
-    return tr, out

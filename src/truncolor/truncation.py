@@ -170,13 +170,6 @@ class Truncation:
             self._flat = Multigraph._trusted(tuple(inc), edges, incidence)
         return self._flat
 
-    def edge_kind(self, eid: int) -> str:
-        if eid in self.matching:
-            return "matching"
-        if isinstance(eid, int) and any(eid in ids for ids in self._ids.values()):
-            return "constituent"
-        raise GraphError(f"no edge with id {eid} in truncation")
-
     @property
     def matching_ids(self) -> Tuple[int, ...]:
         return tuple(sorted(self.matching))
@@ -241,7 +234,6 @@ class Truncation:
 
 def complete_truncation(g: Multigraph) -> Truncation:
     """Insert the complete graph on every cluster."""
-    _require_no_isolated(g)
     # Clusters of one size share one tuple of pairs.
     sizes = {v: g.valency(v) for v in g.vertices}
     pairs = {size: tuple(combinations(range(size), 2)) for size in set(sizes.values())}
@@ -301,7 +293,6 @@ def arboreal_truncation(
     The default forest is the path through the cluster in position
     order.  Supplied constituents are checked for acyclicity.
     """
-    _require_no_isolated(g)
     cons: Dict[int, List[PositionPair]] = {}
     for v in g.vertices:
         size = g.valency(v)

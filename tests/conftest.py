@@ -1,9 +1,13 @@
 import random
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import pytest
 
+from truncolor.canonical import class_of_pair, complete_graph, scheme_class_count
+from truncolor.coloring import CLASS_I, EdgeColoring, classify
+from truncolor.errors import GraphError
 from truncolor.multigraph import Multigraph
+from truncolor.truncation import complete_truncation
 
 
 def random_multigraph(
@@ -45,6 +49,54 @@ def disjoint_union(*graphs: Multigraph) -> Multigraph:
         vertices.extend(v + off for v in g.vertices)
         pairs.extend((u + off, w + off) for u, w in (g.endpoints(e) for e in g.edge_ids))
     return Multigraph(vertices, pairs)
+
+
+def doubled_triangle() -> Multigraph:
+    return Multigraph(range(3), [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)])
+
+
+def canonical_coloring(n: int) -> EdgeColoring:
+    """Proper edge coloring of complete_graph(n) from the scheme classes.
+
+    Uses n-1 colors for even n and n colors for odd n, which is optimal
+    in both cases.  Odd schemes name the graph's vertex v as v + 1.
+    """
+    shift = n % 2
+    g = complete_graph(n)
+    assignment = {eid: class_of_pair(n, (u + shift, w + shift)) for eid, (u, w) in g.edges.items()}
+    return EdgeColoring(assignment, scheme_class_count(n))
+
+
+def missing_color(g: Multigraph, coloring: EdgeColoring, v: int) -> int:
+    """The one palette color absent at v.
+
+    Intended for proper colorings of odd-order complete graphs, where
+    every vertex misses exactly one color; errors if the count is off.
+    """
+    present = {coloring.color_of(eid) for eid in g.incident(v)}
+    absent = [c for c in range(coloring.palette_size) if c not in present]
+    if len(absent) != 1:
+        raise GraphError(f"vertex {v} misses {len(absent)} colors, expected exactly one")
+    return absent[0]
+
+
+def regular_odd_equivalence(x: Multigraph, *, budget: Optional[int] = None) -> Tuple[bool, bool]:
+    """Whether x and its complete truncation are class I; always equal.
+
+    Both sides are decided by the exact oracle (edge caps sized to the
+    instances); disagreement would falsify the construction and raises.
+    """
+    d = x.regular_valency()
+    if d is None:
+        raise GraphError("graph is not regular")
+    if d % 2 == 0:
+        raise GraphError(f"valency {d} is even; this equivalence needs odd valency")
+    side_x = classify(x, budget=budget, edge_cap=max(x.size, 40))
+    tr = complete_truncation(x)
+    side_tr = classify(tr.graph, budget=budget, edge_cap=max(tr.graph.size, 40))
+    if (side_x == CLASS_I) != (side_tr == CLASS_I):
+        raise AssertionError("source and complete truncation disagree on class")
+    return side_x == CLASS_I, side_tr == CLASS_I
 
 
 @pytest.fixture

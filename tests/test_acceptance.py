@@ -9,7 +9,7 @@ import random
 import time
 from typing import Iterator, Tuple
 
-from truncolor.canonical import canonical_coloring, complete_graph, missing_color
+from truncolor.canonical import complete_graph
 from truncolor.catalog import k4, k5, k33, petersen, prism3, two_k5_bridge
 from truncolor.coloring import CLASS_II, chromatic_index, is_proper, solve_edge_coloring
 from truncolor.coloring import EdgeColoring
@@ -17,7 +17,6 @@ from truncolor.complete_coloring import (
     ClassIIWitness,
     color_complete_truncation,
     is_edge_feasible,
-    regular_odd_equivalence,
 )
 from truncolor.cyclic_coloring import (
     color_via_enabling,
@@ -41,17 +40,19 @@ from truncolor.truncation import (
     cyclic_truncation,
 )
 
-from conftest import random_multigraph
+from conftest import (
+    canonical_coloring,
+    doubled_triangle,
+    missing_color,
+    random_multigraph,
+    regular_odd_equivalence,
+)
 
 
 def star_with_tail() -> Multigraph:
     # Valencies 3, 1, 1, 2, 1: cluster orders hit the maximum, one
     # below it, and two below it in a single instance.
     return Multigraph(range(5), [(0, 1), (0, 2), (0, 3), (3, 4)])
-
-
-def doubled_triangle() -> Multigraph:
-    return Multigraph(range(3), [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)])
 
 
 def same_multigraph(a: Multigraph, b: Multigraph) -> bool:

@@ -2,19 +2,46 @@ import hashlib
 
 import pytest
 
-from truncolor.canonical import (
-    canonical_coloring,
-    class_by_anchor,
-    class_of_pair,
-    complete_graph,
-    missing_color,
-    scheme_anchor,
-    scheme_class,
-    scheme_class_count,
-    scheme_vertex_names,
-)
+from truncolor.canonical import class_of_pair, complete_graph, scheme_class, scheme_class_count
 from truncolor.coloring import is_proper
 from truncolor.errors import GraphError
+
+from conftest import canonical_coloring, missing_color
+
+
+def scheme_vertex_names(n):
+    """Hub 0 plus residues 1..n-1 for even n; residues 1..n for odd n."""
+    return tuple(range(n % 2, n + n % 2))
+
+
+def _anchor_base(n):
+    # The cycle length, and the residue where anchor 0 starts.
+    mod = n - 1 if n % 2 == 0 else n
+    if mod < 3:
+        raise GraphError(f"order {n} scheme has no anchor edges")
+    return mod, (n + 1) // 2
+
+
+def scheme_anchor(n, t):
+    """The length-1 cycle edge [a, a+1] (residues in 1..mod) in class t."""
+    mod, base = _anchor_base(n)
+    a, b = (base + t - 1) % mod + 1, (base + t) % mod + 1
+    return (min(a, b), max(a, b))
+
+
+def class_by_anchor(n, edge):
+    """Inverse of scheme_anchor; rejects pairs that are not cycle edges."""
+    mod, base = _anchor_base(n)
+    a, b = sorted(edge)
+    if a < 1 or b > mod:
+        raise GraphError(f"{edge} is not a cycle edge of the order-{n} scheme")
+    if b == a + 1:
+        lo = a
+    elif (a, b) == (1, mod):
+        lo = mod
+    else:
+        raise GraphError(f"{edge} is not a length-1 cycle edge of the order-{n} scheme")
+    return (lo - base) % mod
 
 
 class TestScheme:

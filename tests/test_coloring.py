@@ -30,6 +30,11 @@ class TestEdgeColoring:
         with pytest.raises(GraphError):
             EdgeColoring({0: 3}, 3)
 
+    @pytest.mark.parametrize("bad", [1.5, True, "1"], ids=["float", "bool", "str"])
+    def test_names_the_first_color_that_is_not_an_int(self, bad):
+        with pytest.raises(GraphError, match=f"^edge 1 has color {bad!r}, not an int$"):
+            EdgeColoring({0: 0, 1: bad, 2: True}, 3)
+
     def test_is_proper_requires_total_coverage(self):
         g = Multigraph([0, 1, 2], [(0, 1), (1, 2)])
         with pytest.raises(GraphError, match="coloring does not cover edge 1"):
@@ -222,7 +227,7 @@ class TestOracle:
         g = Multigraph(range(n), pairs)
         k = g.max_valency() + 1
         col = EdgeColoring(_vizing_coloring(g), k)
-        assert col.covers(g.edge_ids)
+        assert col.assignment.keys() == g.edges.keys()
         assert is_proper(g, col)
 
     def test_budget_exhaustion_reports_undecided(self):

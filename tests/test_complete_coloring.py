@@ -16,7 +16,6 @@ from truncolor.complete_coloring import (
     color_delta_minus_one,
     find_edge_feasible,
     is_edge_feasible,
-    regular_odd_equivalence,
     subtruncation_coloring,
 )
 from truncolor.errors import GraphError
@@ -27,6 +26,8 @@ from truncolor.truncation import (
     contract,
     cyclic_truncation,
 )
+
+from conftest import regular_odd_equivalence
 
 
 class TestEdgeFeasibility:
@@ -284,11 +285,13 @@ class TestSubtruncationColoring:
 
     def test_colors_class_two_even_source_without_the_oracle(self, monkeypatch):
         # K5 is class II with maximum valency 4; a star in each cluster
-        # keeps valency 4, and restriction needs no class test.
-        def no_oracle(*args, **kwargs):
-            raise AssertionError("subtruncation_coloring ran the exact oracle")
+        # keeps valency 4, and restriction needs no class test and no
+        # search of any kind.
+        def no_search(*args, **kwargs):
+            raise AssertionError("subtruncation_coloring ran an exact search")
 
-        monkeypatch.setattr(complete_coloring, "classify", no_oracle)
+        assert not hasattr(complete_coloring, "classify")
+        monkeypatch.setattr(complete_coloring, "solve_edge_coloring", no_search)
         g = k5()
         tr = Truncation(g, {v: [(0, 1), (0, 2), (0, 3)] for v in g.vertices})
         coloring = subtruncation_coloring(g, tr)

@@ -3,8 +3,15 @@ import re
 
 import pytest
 
-from truncolor.catalog import k4, petersen, two_k5_bridge
-from truncolor.coloring import EdgeColoring
+from truncolor.catalog import k4, k5, k33, petersen, prism3, two_k5_bridge
+from truncolor.coloring import EdgeColoring, chromatic_index, solve_edge_coloring
+from truncolor.complete_coloring import color_complete_truncation, subtruncation_coloring
+from truncolor.cyclic_coloring import (
+    color_via_enabling,
+    cyclic_class_one,
+    cyclic_even_valency,
+    cyclic_from_class_one,
+)
 from truncolor.errors import GraphError
 from truncolor.io import (
     DOT_COLORS,
@@ -23,8 +30,11 @@ from truncolor.io import (
     truncation_to_obj,
 )
 from truncolor.multigraph import Multigraph
-from truncolor.sun import build_sun_odd
-from truncolor.truncation import complete_truncation, cyclic_truncation
+from truncolor.strong_arboreal import color_by_strong
+from truncolor.sun import build_sun_even, build_sun_odd, regular_truncation, semiregular_truncation
+from truncolor.truncation import arboreal_truncation, complete_truncation, cyclic_truncation
+
+from conftest import doubled_triangle
 
 
 class TestGraphRoundTrip:
@@ -163,6 +173,35 @@ class TestColoringRoundTrip:
     def test_other_non_contiguous_maps_rejected(self, assignment):
         with pytest.raises(GraphError, match="non-contiguous"):
             coloring_to_obj(EdgeColoring(assignment, 2))
+
+
+def route_colorings():
+    """One emitted coloring per route, labelled by route."""
+    k4_base = EdgeColoring(solve_edge_coloring(k4(), 3)[0], 3)
+    balanced = EdgeColoring({0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2}, 3)
+    yield "complete-odd", color_complete_truncation(k33())[1]
+    yield "complete-even", color_complete_truncation(k5())[1]
+    yield "subtruncation", subtruncation_coloring(k4(), cyclic_truncation(k4()))
+    yield "cyclic-even", cyclic_even_valency(k5())[1]
+    yield "cyclic-classone", cyclic_from_class_one(k4(), k4_base)[1]
+    yield "cyclic-enabling", color_via_enabling(k4(), [0, 5])[1]
+    yield "cyclic-search", cyclic_class_one(prism3())[1]
+    yield "strong", color_by_strong(arboreal_truncation(petersen()))
+    yield "regular-even", regular_truncation(doubled_triangle(), 4)[1]
+    yield "regular-odd", regular_truncation(prism3(), 3)[1]
+    yield "semiregular", semiregular_truncation(doubled_triangle(), balanced)[1]
+    yield "sun-odd", build_sun_odd((1, 1, 1)).sun_graph()[1]
+    yield "sun-even", build_sun_even((2, 2)).sun_graph()[1]
+    yield "oracle", chromatic_index(petersen()).certificate
+
+
+class TestRouteColoringsRoundTrip:
+    @pytest.mark.parametrize(
+        "coloring", [pytest.param(c, id=label) for label, c in route_colorings()]
+    )
+    def test_every_route_survives_json(self, coloring):
+        obj = json.loads(json.dumps(coloring_to_obj(coloring)))
+        assert coloring_from_obj(obj) == coloring
 
 
 class TestTruncationRoundTrip:

@@ -8,7 +8,7 @@ from truncolor.canonical import complete_graph
 from truncolor.catalog import k4, k5, path_graph, petersen, q3
 from truncolor.coloring import is_proper
 from truncolor.multigraph import Multigraph
-from truncolor.strong_arboreal import NotApplicable, arboreal_is_class_one, color_by_strong
+from truncolor.strong_arboreal import NotApplicable, color_by_strong
 from truncolor.truncation import (
     Truncation,
     arboreal_truncation,
@@ -30,6 +30,19 @@ def random_forests(g, rng):
                 pairs.append((rng.randrange(i), i))
         forests[v] = pairs
     return forests
+
+
+def arboreal_is_class_one(x, forests=None):
+    """Build a forest-constituent truncation and color it optimally.
+
+    Always succeeds: forests are class I, so the strong-constituent
+    route applies unconditionally.
+    """
+    tr = arboreal_truncation(x, forests)
+    out = color_by_strong(tr)
+    if isinstance(out, NotApplicable):
+        raise AssertionError(f"forest constituents reported class II: {out.reason}")
+    return tr, out
 
 
 class TestColorByStrong:

@@ -104,26 +104,27 @@ class TestTruncationShape:
             cyclic_truncation(x, orders)
         assert calls == []
 
-    def test_edge_kind_and_id_split(self):
+    def test_matching_and_constituent_ids_split_the_flat_edges(self):
         tr = complete_truncation(k4())
         flat = tr.graph
-        kinds = {tr.edge_kind(eid) for eid in flat.edge_ids}
-        assert kinds == {"matching", "constituent"}
-        for eid in tr.matching_ids:
-            assert tr.edge_kind(eid) == "matching"
-            assert eid in tr.source.edges
+        constituent = [eid for v in tr.source.vertices for eid in tr.constituent_edge_ids(v)]
+        assert tr.matching_ids == tuple(sorted(tr.source.edges))
+        assert set(tr.matching_ids).isdisjoint(constituent)
+        assert sorted(tr.matching_ids + tuple(constituent)) == sorted(flat.edge_ids)
 
-    def test_edge_kind_rejects_ids_outside_the_flat_graph(self):
-        # Source ids 0, 2, 5: constituent ids run on from 6.
+    def test_id_split_with_non_contiguous_source_ids(self):
+        # Source ids 0, 2, 5: constituent ids run on from 6, and no other
+        # id is an edge of the truncation.
         x = Multigraph(range(3), {0: (0, 1), 2: (1, 2), 5: (0, 2)})
         tr = complete_truncation(x)
-        for eid in tr.graph.edge_ids:
-            want = "matching" if eid in (0, 2, 5) else "constituent"
-            assert tr.edge_kind(eid) == want
+        assert tr.matching_ids == (0, 2, 5)
+        assert [tr.constituent_edge_ids(v) for v in x.vertices] == [(6,), (7,), (8,)]
         assert set(tr.graph.edge_ids) == {0, 2, 5, 6, 7, 8}
+        coloring = color_complete_truncation(x)[1]
+        assert coloring.assignment.keys() == tr.graph.edges.keys()
         for eid in (-1, 1, 3, 4, 9):
-            with pytest.raises(GraphError, match=f"no edge with id {eid} in truncation"):
-                tr.edge_kind(eid)
+            assert eid not in tr.graph.edges
+            assert eid not in coloring.assignment
 
 
 def checked_flat(tr):
