@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -27,7 +28,7 @@ from truncolor.cyclic_coloring import (
 )
 from truncolor.errors import GraphError, UndecidedError
 from truncolor.multigraph import Multigraph
-from truncolor.sun import is_parity_balanced
+from truncolor.sun import _parity_coloring_search, is_parity_balanced
 from truncolor.truncation import contract, cyclic_truncation
 
 from conftest import disjoint_union, prism_graph
@@ -320,6 +321,53 @@ class TestParityCriterion:
         monochrome = EdgeColoring({e: 0 for e in k4().edge_ids}, 3)
         with pytest.raises(GraphError, match="not parity-balanced"):
             _cyclic_from_parity(k4(), monochrome)
+
+
+# The parity search's smallest deciding budget on each source, and a
+# sha256 over repr((palette_size, sorted assignment)) of its coloring,
+# or None where no parity-conforming coloring exists.
+PARITY_SEARCH_PINS = {
+    "k4": (k4(), 3, 12, "69ccb5312a37102244a04cf9c60c5266cc111d3ea60c95d1f97ab6d408d3ae08"),
+    "q3": (q3(), 3, 24, "1ada50523bb9d0efd90225d194b5819e23e936c40a19388e8c1bff7a1d3b3949"),
+    "prism3": (prism_graph(3), 3, 18, "61cbbdb0108c0a79476a85a56744c4633f82980b3fb283f1c03285b8261698df"),
+    "prism8": (prism_graph(8), 3, 48, "1c14fe5a483b52c5825f5bb3308930ee86dd23e4173c92813c5d083cfd711bf1"),
+    "prism10": (prism_graph(10), 3, 60, "5d9ca4e42ef28a21c0e73211c8113af641ee8b2e61f87c9057d7daf93ab95e10"),
+    "petersen": (petersen(), 3, 117, None),
+    "bridged": (BRIDGED, 3, 6, None),
+    "prism20+petersen": (disjoint_union(prism_graph(20), petersen()), 3, 237, None),
+    "petersen+prism20": (disjoint_union(petersen(), prism_graph(20)), 3, 117, None),
+    "prism8+k4+prism5": (
+        disjoint_union(prism_graph(8), k4(), prism_graph(5)),
+        3,
+        90,
+        "fa8bc69151b51acf7bad7be8e17554f41519d27d5eb6c7d4a41d9a057e36787e",
+    ),
+    # regular_truncation's clause (i) search: a bridge forbids parity
+    # conformity; valencies 5, 5, 6 admit it.
+    "bonds-bridged-d5": (Multigraph(range(4), [(0, 1)] * 5 + [(1, 2)] + [(2, 3)] * 5), 5, 10, None),
+    "triangle-d5": (
+        Multigraph(range(3), [(0, 1)] * 2 + [(0, 2)] * 3 + [(1, 2)] * 3),
+        5,
+        27,
+        "b2de42aeceda2653f319e25a34a2acaa1c3171ff65764e95026e2c10e34f8c52",
+    ),
+}
+
+
+class TestParitySearchPins:
+    @pytest.mark.parametrize("name", sorted(PARITY_SEARCH_PINS))
+    def test_nodes_and_colorings_are_pinned(self, name):
+        g, d, nodes, digest = PARITY_SEARCH_PINS[name]
+        with pytest.raises(UndecidedError) as err:
+            _parity_coloring_search(g, d, nodes - 1)
+        assert err.value.nodes == nodes
+        found = _parity_coloring_search(g, d, nodes)
+        if digest is None:
+            assert found is None
+        else:
+            text = repr((found.palette_size, sorted(found.assignment.items())))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
+            assert is_parity_balanced(g, found)
 
 
 class TestCutEdgeObstruction:
