@@ -647,91 +647,69 @@ def _parity_coloring_search(
     """Exhaustive search for a d-coloring where each color's count at a
     vertex matches the vertex's valency parity.
 
-    Each connected component is searched on its own, in the order of
-    its first edge, under one shared node budget; the first component
-    with no such coloring ends the search with None.
+    One loop walks the edges sorted by (component, endpoints, id) under
+    one node budget.  A vertex keeps the mask of colors it sees an odd
+    number of times and its count of uncolored edges; a branch dies
+    when the wrong parities outnumber those edges or differ from them
+    in parity.  As in `solve_edge_coloring`, an edge tries the colors
+    in use plus one fresh color, counted afresh in each component.
+    Components are independent, so backtracking past a component's
+    first edge ends the search with None.  Raises UndecidedError when
+    the budget runs out first.
     """
     comp_of = {v: i for i, comp in enumerate(x.components()) for v in comp}
-    groups: Dict[int, List[int]] = {}
-    for eid in sorted(x.edge_ids, key=lambda e: (x.endpoints(e), e)):
-        groups.setdefault(comp_of[x.endpoints(eid)[0]], []).append(eid)
-    assignment: Dict[int, int] = {}
-    nodes: Optional[int] = 0
-    for eids in groups.values():
-        nodes = _parity_component_search(x, eids, d, budget, nodes, assignment)
-        if nodes is None:
-            return None
-    return EdgeColoring(assignment, d)
-
-
-def _parity_component_search(
-    x: Multigraph,
-    eids: Sequence[int],
-    d: int,
-    budget: Optional[int],
-    nodes: int,
-    assignment: Dict[int, int],
-) -> Optional[int]:
-    """Parity search over one component's edges eids, in that order.
-
-    nodes counts the nodes spent before this component, against budget.
-    On success the colors go into assignment and the new node total is
-    returned; None means the component has no coloring.  Color-permutation
-    symmetry is broken by capping fresh colors.  The search state at
-    depth i is the color on edge i and the colors left to try there; it
-    lives in arrays, not in Python stack frames.
-    """
-    m = len(eids)
-    ends = [x.endpoints(eid) for eid in eids]
-    touched = {v for pair in ends for v in pair}
-    want = {v: x.valency(v) % 2 for v in touched}
-    counts: Dict[int, List[int]] = {v: [0] * d for v in touched}
-    remaining: Dict[int, int] = {v: x.valency(v) for v in touched}
-    color: List[int] = [-1] * m
-    limit: List[int] = [0] * m  # colors 0..limit-1 may go on edge i
-    use_count = [0] * d
-
-    def vertex_ok(v: int) -> bool:
-        wrong = sum(1 for c in counts[v] if c % 2 != want[v])
-        rem = remaining[v]
-        return wrong <= rem and (rem - wrong) % 2 == 0
-
-    def fresh_limit() -> int:
-        bound = 0
-        for c in range(d):
-            if use_count[c] > 0:
-                bound = c + 1
-        return min(d, bound + 1)
-
+    walk = sorted((comp_of[u], u, w, eid) for eid, (u, w) in x.edges.items())
+    ends = [(u, w) for _, u, w, _ in walk]
+    first = [i == 0 or walk[i - 1][0] != walk[i][0] for i in range(len(walk))]
+    full = (1 << d) - 1
+    want = {v: full if x.valency(v) % 2 else 0 for v in x.vertices}
+    odd = dict.fromkeys(x.vertices, 0)
+    left = {v: x.valency(v) for v in x.vertices}
+    color: List[int] = [-1] * len(walk)
+    use_count: List[int] = [0] * d
+    used = 0  # bitmask of colors on at least one edge of this component
+    nodes = 0
     i = 0
-    limit[0] = fresh_limit()
-    while i >= 0:
+    while i < len(walk):
         u, w = ends[i]
         c = color[i]
         if c >= 0:
-            remaining[u] += 1
-            remaining[w] += 1
-            counts[u][c] -= 1
-            counts[w][c] -= 1
+            bit = 1 << c
+            odd[u] ^= bit
+            odd[w] ^= bit
+            left[u] += 1
+            left[w] += 1
             use_count[c] -= 1
+            if not use_count[c]:
+                used ^= bit
+        elif first[i]:
+            use_count = [0] * d
+            used = 0
         c += 1
-        if c == limit[i]:
+        if c == min(d, used.bit_length() + 1):
+            if first[i]:
+                return None
             color[i] = -1
             i -= 1
             continue
         nodes += 1
         if budget is not None and nodes > budget:
-            raise UndecidedError("parity coloring search exceeded budget", nodes)
+            raise UndecidedError(
+                f"parity coloring search exceeded budget of {budget} nodes", nodes
+            )
         color[i] = c
+        bit = 1 << c
+        if not use_count[c]:
+            used |= bit
         use_count[c] += 1
-        counts[u][c] += 1
-        counts[w][c] += 1
-        remaining[u] -= 1
-        remaining[w] -= 1
-        if vertex_ok(u) and vertex_ok(w):
-            if i + 1 == m:
-                assignment.update(zip(eids, color))
-                return nodes
+        odd[u] ^= bit
+        odd[w] ^= bit
+        left[u] -= 1
+        left[w] -= 1
+        for v in (u, w):
+            wrong = (odd[v] ^ want[v]).bit_count()
+            if wrong > left[v] or (left[v] - wrong) % 2:
+                break
+        else:
             i += 1
-            limit[i] = fresh_limit()
-    return None
+    return EdgeColoring({eid: c for (*_, eid), c in zip(walk, color)}, d)
