@@ -9,20 +9,21 @@ workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 cd "$workdir"
 
-# expect_fail PREFIX WHY COMMAND...: COMMAND must fail as a domain
-# error: exit 1, stderr starting with PREFIX, and no Python traceback.
+# expect_fail STATUS PREFIX WHY COMMAND...: COMMAND must exit with
+# STATUS (1 for a domain error, 2 for an undecided search), with stderr
+# starting with PREFIX and no Python traceback.
 expect_fail() {
-    prefix=$1 why=$2
-    shift 2
+    want=$1 prefix=$2 why=$3
+    shift 3
     status=0
     "$@" 2> stderr.txt || status=$?
-    if [ "$status" -ne 1 ] || grep -q Traceback stderr.txt; then
-        echo "FAIL: '$*' exited $status, expected 1 ($why)" >&2
+    if [ "$status" -ne "$want" ] || grep -q Traceback stderr.txt; then
+        echo "FAIL: '$*' exited $status, expected $want ($why)" >&2
         cat stderr.txt >&2
         exit 1
     fi
     case $(cat stderr.txt) in
-        "$prefix"*) echo "exit 1 as expected: $why" ;;
+        "$prefix"*) echo "exit $want as expected: $why" ;;
         *)
             echo "FAIL: '$*' stderr does not start with '$prefix'" >&2
             cat stderr.txt >&2
@@ -51,7 +52,7 @@ if [ ! -s k4_strong.dot ] || ! grep -q -- ' -- ' k4_strong.dot; then
 fi
 truncolor demo two-k5-bridge > bridge.json
 truncolor truncate bridge.json --kind complete > bridge_complete.json
-expect_fail "not applicable:" "the K5 constituent is overfull in 4 colors" \
+expect_fail 1 "not applicable:" "the K5 constituent is overfull in 4 colors" \
     truncolor color-strong bridge_complete.json
 
 echo "== complete truncations stored by reference"
@@ -66,7 +67,7 @@ truncolor sun --vector 2,1,1
 
 echo "== class II detection via the oracle"
 truncolor demo petersen > petersen.json
-expect_fail "class II:" "class II witness" truncolor color-complete petersen.json
+expect_fail 1 "class II:" "class II witness" truncolor color-complete petersen.json
 truncolor oracle petersen.json
 
 echo "== cubic routes"
@@ -76,7 +77,10 @@ truncolor cyclic-color k4.json --strategy enabling > k4_enabling.json
 truncolor verify k4_enabling.json
 truncolor cyclic-color k4.json --strategy enabling --enabling-edges 0,5 > k4_enabling_edges.json
 truncolor verify k4_enabling_edges.json
-expect_fail "error:" "no class I cyclic truncation" \
+expect_fail 1 "error:" "no class I cyclic truncation" \
     truncolor cyclic-color petersen.json --strategy enabling
+expect_fail 2 "undecided: parity coloring search exceeded budget of 0 nodes" \
+    "the parity search is out of budget" \
+    truncolor cyclic-color petersen.json --strategy enabling --budget 0
 
 echo "all steps verified"

@@ -17,7 +17,6 @@ from .coloring import (
     EdgeColoring,
     OracleResult,
     chromatic_index,
-    classify,
     is_proper,
     list_edge_coloring,
     solve_edge_coloring,
@@ -89,7 +88,6 @@ __all__ = [
     "catalog",
     "chromatic_index",
     "class_of_pair",
-    "classify",
     "color_by_strong",
     "color_complete_truncation",
     "color_via_enabling",

@@ -47,7 +47,6 @@ __all__ = [
     "is_proper",
     "solve_edge_coloring",
     "chromatic_index",
-    "classify",
     "CLASS_I",
     "CLASS_II",
     "list_edge_coloring",
@@ -450,24 +449,6 @@ def chromatic_index(
     raise AssertionError(
         "no coloring found within the multiplicity bound; this cannot happen"
     )  # pragma: no cover
-
-
-def classify(
-    g: Multigraph,
-    *,
-    budget: Optional[int] = None,
-    edge_cap: int = DEFAULT_EDGE_CAP,
-) -> str:
-    """CLASS_I when the chromatic index equals the maximum valency."""
-    if g.size == 0:
-        raise GraphError("classification needs at least one edge")
-    res = chromatic_index(g, budget=budget, edge_cap=edge_cap)
-    if not res.decided:
-        raise UndecidedError("classification undecided: oracle budget exhausted", res.nodes)
-    delta = g.max_valency()
-    if res.chi < delta:  # pragma: no cover
-        raise AssertionError("chromatic index below maximum valency")
-    return CLASS_I if res.chi == delta else CLASS_II
 
 
 def list_edge_coloring(

@@ -280,21 +280,18 @@ def color_complete_truncation(
     return tr, tr.color(feas, pair_color, delta)
 
 
-def subtruncation_coloring(
-    x: Multigraph, tr: Truncation, *, budget: Optional[int] = None
-) -> EdgeColoring:
-    """Color a truncation of x with max-valency colors by restriction.
+def subtruncation_coloring(tr: Truncation, *, budget: Optional[int] = None) -> EdgeColoring:
+    """Color a truncation with its source's max-valency colors by restriction.
 
     Every truncation embeds in the complete one, so the coloring is the
     restriction of color_complete_truncation's output.  It applies when
     the truncation keeps the source's maximum valency D and the complete
     truncation is D-colorable: always for even D, and for odd D exactly
-    when x has an edge-feasible coloring (every class I source has one).
-    Otherwise raises GraphError with the ClassIIWitness's reason, or
-    UndecidedError if that search exceeds budget nodes.
+    when the source has an edge-feasible coloring (every class I source
+    has one).  Otherwise raises GraphError with the ClassIIWitness's
+    reason, or UndecidedError if that search exceeds budget nodes.
     """
-    if tr.source.edges != x.edges or tr.source.vertices != x.vertices:
-        raise GraphError("truncation was not built from the given source graph")
+    x = tr.source
     delta = x.max_valency()
     if tr.max_valency() != delta:
         raise GraphError(f"truncation has maximum valency {tr.max_valency()}, source has {delta}")

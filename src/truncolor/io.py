@@ -286,11 +286,10 @@ def to_dot(
     coloring: Optional[EdgeColoring] = None,
     bold_ids: Iterable[int] = (),
     clusters: Optional[Dict[int, Sequence[int]]] = None,
-    name: str = "G",
 ) -> str:
     """DOT text; bold_ids render bold, clusters group vertices visually."""
     bold = set(bold_ids)
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     grouped: set = set()
     if clusters:
         for cv in sorted(clusters):

@@ -34,7 +34,9 @@ Semiregular, regular and class I cyclic truncations share one gluing,
 `_glue_suns`: it counts each vertex's color vector once over a
 parity-balanced coloring of the source, builds one sun per distinct
 vector, and lays each cluster's positions out in ascending color blocks
-to meet that sun.
+to meet that sun.  Where that coloring is searched for, one loop in
+`_parity_coloring_search` does it on `coloring.solve_edge_coloring`'s
+conventions, tracking color-count parities per vertex.
 """
 
 from __future__ import annotations
@@ -647,19 +649,17 @@ def _parity_coloring_search(
     """Exhaustive search for a d-coloring where each color's count at a
     vertex matches the vertex's valency parity.
 
-    One loop walks the edges sorted by (component, endpoints, id) under
-    one node budget.  A vertex keeps the mask of colors it sees an odd
-    number of times and its count of uncolored edges; a branch dies
-    when the wrong parities outnumber those edges or differ from them
-    in parity.  As in `solve_edge_coloring`, an edge tries the colors
-    in use plus one fresh color, counted afresh in each component.
-    Components are independent, so backtracking past a component's
+    One loop walks the edges sorted by (component, endpoints, id).  A
+    vertex keeps the mask of colors it sees an odd number of times and
+    its count of uncolored edges; a branch dies when the wrong parities
+    outnumber those edges or differ from them in parity.  As in
+    `solve_edge_coloring`, an edge tries the colors in use in its
+    component plus one fresh color.  Backtracking past a component's
     first edge ends the search with None.  Raises UndecidedError when
     the budget runs out first.
     """
     comp_of = {v: i for i, comp in enumerate(x.components()) for v in comp}
     walk = sorted((comp_of[u], u, w, eid) for eid, (u, w) in x.edges.items())
-    ends = [(u, w) for _, u, w, _ in walk]
     first = [i == 0 or walk[i - 1][0] != walk[i][0] for i in range(len(walk))]
     full = (1 << d) - 1
     want = {v: full if x.valency(v) % 2 else 0 for v in x.vertices}
@@ -671,7 +671,7 @@ def _parity_coloring_search(
     nodes = 0
     i = 0
     while i < len(walk):
-        u, w = ends[i]
+        _, u, w, _ = walk[i]
         c = color[i]
         if c >= 0:
             bit = 1 << c
@@ -683,6 +683,7 @@ def _parity_coloring_search(
             if not use_count[c]:
                 used ^= bit
         elif first[i]:
+            # A new component: no color is in use in it yet.
             use_count = [0] * d
             used = 0
         c += 1

@@ -82,10 +82,15 @@ def _ascending_and_simple(pairs: Tuple[PositionPair, ...], size: int) -> bool:
 
 def _normalize(v: int, size: int, pairs: Iterable[PositionPair]) -> List[PositionPair]:
     """Pairs of v's constituent as ascending tuples, or the GraphError
-    for the first loop, out-of-range position or repeated edge."""
+    for the first pair that is not two plain ints, loop, out-of-range
+    position or repeated edge."""
     out: List[PositionPair] = []
     seen = set()
-    for i, j in pairs:
+    for n, pair in enumerate(pairs):
+        two = type(pair) in (tuple, list) and len(pair) == 2
+        if not (two and type(pair[0]) is type(pair[1]) is int):
+            raise GraphError(f"constituent at vertex {v}: pair {n} is not a pair of integers")
+        i, j = pair
         if i == j:
             raise GraphError(f"constituent at vertex {v} has a loop at position {i}")
         if not (0 <= i < size and 0 <= j < size):
@@ -293,22 +298,18 @@ def arboreal_truncation(
     The default forest is the path through the cluster in position
     order.  Supplied constituents are checked for acyclicity.
     """
-    cons: Dict[int, List[PositionPair]] = {}
-    for v in g.vertices:
-        size = g.valency(v)
-        if forests and v in forests:
-            pairs = [tuple(p) for p in forests[v]]
-        else:
-            pairs = [(i, i + 1) for i in range(size - 1)]
-        for i, j in pairs:
-            if not (0 <= i < size and 0 <= j < size):
-                raise GraphError(
-                    f"forest at vertex {v} uses position outside 0..{size - 1}"
-                )
-        if not _is_forest(size, pairs):
+    forests = forests or {}
+    tr = Truncation(
+        g,
+        {
+            v: forests[v] if v in forests else [(i, i + 1) for i in range(g.valency(v) - 1)]
+            for v in g.vertices
+        },
+    )
+    for v, pairs in tr.constituents.items():
+        if not _is_forest(len(tr.clusters[v]), pairs):
             raise GraphError(f"constituent at vertex {v} contains a cycle; not a forest")
-        cons[v] = [(min(i, j), max(i, j)) for i, j in pairs]
-    return Truncation(g, cons)
+    return tr
 
 
 def contract(tr: Truncation, coloring: EdgeColoring) -> Tuple[Multigraph, EdgeColoring]:

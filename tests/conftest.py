@@ -4,7 +4,7 @@ from typing import List, Optional, Tuple
 import pytest
 
 from truncolor.canonical import class_of_pair, complete_graph, scheme_class_count
-from truncolor.coloring import CLASS_I, EdgeColoring, classify
+from truncolor.coloring import CLASS_I, EdgeColoring, chromatic_index
 from truncolor.errors import GraphError
 from truncolor.multigraph import Multigraph
 from truncolor.truncation import complete_truncation
@@ -91,9 +91,10 @@ def regular_odd_equivalence(x: Multigraph, *, budget: Optional[int] = None) -> T
         raise GraphError("graph is not regular")
     if d % 2 == 0:
         raise GraphError(f"valency {d} is even; this equivalence needs odd valency")
-    side_x = classify(x, budget=budget, edge_cap=max(x.size, 40))
+    side_x = chromatic_index(x, budget=budget, edge_cap=max(x.size, 40)).classify(d)
     tr = complete_truncation(x)
-    side_tr = classify(tr.graph, budget=budget, edge_cap=max(tr.graph.size, 40))
+    res_tr = chromatic_index(tr.graph, budget=budget, edge_cap=max(tr.graph.size, 40))
+    side_tr = res_tr.classify(d)
     if (side_x == CLASS_I) != (side_tr == CLASS_I):
         raise AssertionError("source and complete truncation disagree on class")
     return side_x == CLASS_I, side_tr == CLASS_I

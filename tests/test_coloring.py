@@ -11,7 +11,6 @@ from truncolor.coloring import (
     CLASS_II,
     EdgeColoring,
     chromatic_index,
-    classify,
     cluster_clash,
     first_clash,
     is_proper,
@@ -146,7 +145,6 @@ class TestOracle:
         res = chromatic_index(g)
         assert res.decided and res.chi == chi
         assert res.classify(g.max_valency()) == verdict
-        assert classify(g) == verdict
 
     def test_certificate_is_proper_and_tight(self, rng):
         for _ in range(40):

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 import truncolor.complete_coloring as complete_coloring
 
 from truncolor.catalog import k4, k5, k33, path_graph, petersen, two_k5_bridge
-from truncolor.coloring import CLASS_II, EdgeColoring, classify, first_clash, is_proper
+from truncolor.coloring import (
+    CLASS_II,
+    EdgeColoring,
+    chromatic_index,
+    first_clash,
+    is_proper,
+)
 from truncolor.complete_coloring import (
     ClassIIWitness,
     color_complete_truncation,
@@ -107,7 +113,8 @@ class TestCompleteTruncationColoring:
 
     def test_witness_agrees_with_oracle(self):
         tr = complete_truncation(petersen())
-        assert classify(tr.graph, edge_cap=tr.graph.size) == CLASS_II
+        g = tr.graph
+        assert chromatic_index(g, edge_cap=g.size).classify(g.max_valency()) == CLASS_II
 
     def test_low_valency_clusters_via_padding(self):
         # A source with valencies 3, 2, 1: clusters below delta - 1 are
@@ -156,7 +163,8 @@ class TestAgainstOracle:
         assume(tr.graph.size <= 40)
         out = color_complete_truncation(x)
         if isinstance(out, ClassIIWitness):
-            assert classify(tr.graph, edge_cap=40) == CLASS_II
+            g = tr.graph
+            assert chromatic_index(g, edge_cap=40).classify(g.max_valency()) == CLASS_II
         else:
             colored, coloring = out
             assert coloring.palette_size == x.max_valency()
@@ -279,7 +287,7 @@ class TestSubtruncationColoring:
     def test_cyclic_subtruncation_of_k4(self):
         g = k4()
         tr = cyclic_truncation(g)
-        coloring = subtruncation_coloring(g, tr)
+        coloring = subtruncation_coloring(tr)
         assert coloring.palette_size == 3
         assert is_proper(tr.graph, coloring)
 
@@ -294,27 +302,22 @@ class TestSubtruncationColoring:
         monkeypatch.setattr(complete_coloring, "solve_edge_coloring", no_search)
         g = k5()
         tr = Truncation(g, {v: [(0, 1), (0, 2), (0, 3)] for v in g.vertices})
-        coloring = subtruncation_coloring(g, tr)
+        coloring = subtruncation_coloring(tr)
         assert coloring.palette_size == 4
         assert is_proper(tr.graph, coloring)
-
-    def test_rejects_foreign_source(self):
-        tr = cyclic_truncation(k4())
-        with pytest.raises(GraphError):
-            subtruncation_coloring(k33(), tr)
 
     def test_rejects_lowered_max_valency(self):
         g = k4()
         tr = Truncation(g, {v: [] for v in g.vertices})
         assert tr.graph.max_valency() == 1
         with pytest.raises(GraphError):
-            subtruncation_coloring(g, tr)
+            subtruncation_coloring(tr)
 
     def test_rejects_class_two_source(self):
         g = petersen()
         tr = cyclic_truncation(g)
         with pytest.raises(GraphError):
-            subtruncation_coloring(g, tr)
+            subtruncation_coloring(tr)
 
 
 class TestRegularOddEquivalence:

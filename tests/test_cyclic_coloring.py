@@ -234,7 +234,8 @@ class TestEnablingRoute:
         assert cyclic_class_one(petersen()) is None
 
     def test_search_budget_raises(self):
-        with pytest.raises(UndecidedError):
+        message = "^parity coloring search exceeded budget of 1 nodes$"
+        with pytest.raises(UndecidedError, match=message):
             cyclic_class_one(petersen(), budget=1)
 
 

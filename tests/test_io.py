@@ -181,7 +181,7 @@ def route_colorings():
     balanced = EdgeColoring({0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2}, 3)
     yield "complete-odd", color_complete_truncation(k33())[1]
     yield "complete-even", color_complete_truncation(k5())[1]
-    yield "subtruncation", subtruncation_coloring(k4(), cyclic_truncation(k4()))
+    yield "subtruncation", subtruncation_coloring(cyclic_truncation(k4()))
     yield "cyclic-even", cyclic_even_valency(k5())[1]
     yield "cyclic-classone", cyclic_from_class_one(k4(), k4_base)[1]
     yield "cyclic-enabling", color_via_enabling(k4(), [0, 5])[1]
@@ -316,9 +316,8 @@ class TestReportsAndDot:
             coloring,
             bold_ids=[1],
             clusters={7: [0, 1], 8: [2, 3]},
-            name="T",
         )
-        assert text.startswith("graph T {")
+        assert text.startswith("graph G {")
         assert "subgraph cluster_7 {" in text
         assert "subgraph cluster_8 {" in text
         assert f"color={DOT_COLORS[0]}" in text

@@ -5,6 +5,7 @@ them as a plain per-element construction would, and reject every
 mutated object with the message that names its first bad entry."""
 
 import copy
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,12 @@ from hypothesis import strategies as st
 
 from truncolor.coloring import EdgeColoring
 from truncolor.errors import GraphError
-from truncolor.io import coloring_from_obj, graph_from_obj, truncation_from_obj
+from truncolor.io import (
+    coloring_from_obj,
+    graph_from_obj,
+    truncation_from_obj,
+    truncation_to_obj,
+)
 from truncolor.multigraph import Multigraph
 from truncolor.truncation import Truncation
 
@@ -210,6 +216,46 @@ class TestTruncationObjects:
                 f"<truncation>: constituent at vertex {v} uses position outside 0..{size - 1}"
             )
         rejects(truncation_from_obj, bad, message)
+
+
+class TestTruncationPairs:
+    """Truncation checks its own pairs, so every truncation it builds
+    writes an object that truncation_from_obj loads back."""
+
+    @given(truncation_objs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pairs_that_are_not_int_pairs_are_named(self, obj, data):
+        if not any(obj["constituents"].values()):
+            return
+        key, i = constituent_slot(obj, data)
+        source = graph_from_obj(obj["source"])
+        constituents = {int(k): list(pairs) for k, pairs in obj["constituents"].items()}
+        pair = list(constituents[int(key)][i])
+        kind = data.draw(st.sampled_from(["type", "length", "not a pair"]))
+        if kind == "type":
+            pair[data.draw(st.integers(0, 1))] = data.draw(st.sampled_from(NOT_INTS))
+        elif kind == "length":
+            pair.append(0)
+        if kind == "not a pair":
+            bad = data.draw(st.sampled_from(NOT_INTS + (frozenset(pair), range(*pair))))
+        else:
+            bad = data.draw(st.sampled_from([pair, tuple(pair)]))
+        constituents[int(key)][i] = bad
+        message = f"constituent at vertex {key}: pair {i} is not a pair of integers"
+        rejects(lambda c: Truncation(source, c), constituents, message)
+
+    @given(truncation_objs(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_constructed_truncations_round_trip(self, obj, as_tuples):
+        source = graph_from_obj(obj["source"])
+        constituents = {
+            int(k): [tuple(p) if as_tuples else p for p in pairs]
+            for k, pairs in obj["constituents"].items()
+        }
+        tr = Truncation(source, constituents)
+        back = truncation_from_obj(json.loads(json.dumps(truncation_to_obj(tr))))
+        assert back.source.edges == tr.source.edges
+        assert back.constituents == tr.constituents
 
 
 class TestMultigraphPairs:

@@ -282,6 +282,18 @@ class TestValidation:
         with pytest.raises(GraphError, match="outside"):
             arboreal_truncation(k4(), {0: [(0, 3)]})
 
+    @pytest.mark.parametrize(
+        "pairs,message",
+        [
+            ([(1, 1)], "has a loop at position 1"),
+            ([(0, 1), (1, 0)], r"repeats edge \(0, 1\)"),
+            ([(0, 1.0)], ": pair 0 is not a pair of integers"),
+        ],
+    )
+    def test_arboreal_names_loops_repeats_and_non_int_pairs(self, pairs, message):
+        with pytest.raises(GraphError, match="constituent at vertex 0 ?" + message):
+            arboreal_truncation(k4(), {0: pairs})
+
     def test_cyclic_rejects_low_valency(self):
         g = Multigraph([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
         with pytest.raises(GraphError):
@@ -438,10 +450,10 @@ class TestRoutesWithoutTheFlatGraph:
         for tr, color in [
             (arboreal_truncation(k4()), color_by_strong),
             (cyclic_truncation(k5()), color_by_strong),
-            (cyclic_truncation(k4()), lambda tr: subtruncation_coloring(k4(), tr)),
+            (cyclic_truncation(k4()), subtruncation_coloring),
             (
                 Truncation(padded, {1: list(combinations(range(7), 2))}),
-                lambda tr: subtruncation_coloring(padded, tr),
+                subtruncation_coloring,
             ),
         ]:
             built.append((tr, color(tr)))
