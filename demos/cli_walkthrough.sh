@@ -70,6 +70,21 @@ truncolor demo petersen > petersen.json
 expect_fail 1 "class II:" "class II witness" truncolor color-complete petersen.json
 truncolor oracle petersen.json
 
+echo "== class II decided with no search"
+# The doubled triangle with a pendant edge at each vertex (D = 5): its
+# core, the valency-5 vertices, is the doubled triangle, whose 6 edges
+# on 3 vertices need 6 colors, so the witness costs 0 nodes.
+cat > tri.json <<'JSON'
+{"vertices": [0, 1, 2, 3, 4, 5],
+ "edges": [[0, 1], [0, 1], [1, 2], [1, 2], [0, 2], [0, 2], [0, 3], [1, 4], [2, 5]]}
+JSON
+truncolor color-complete tri.json --witness --budget 0 > tri_witness.json
+if ! grep -q '"nodes": 0' tri_witness.json; then
+    echo "FAIL: the doubled-triangle witness spent search nodes" >&2
+    cat tri_witness.json >&2
+    exit 1
+fi
+
 echo "== cubic routes"
 truncolor cyclic-color k4.json --strategy classone > k4_cyclic.json
 truncolor verify k4_cyclic.json

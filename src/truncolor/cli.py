@@ -47,7 +47,6 @@ from .cyclic_coloring import (
     cyclic_class_one,
     cyclic_even_valency,
     cyclic_from_class_one,
-    vector3_admissible,
 )
 from .errors import GraphError, UndecidedError
 from .io import (
@@ -207,9 +206,7 @@ def cmd_sun(args) -> Result:
     if admissible(vector):
         sun = _build_sun(vector)
         return EXIT_OK, sun_report(sun), (*sun.sun_graph(), None)
-    if d == 3 and r >= 3:
-        verdict, _ = vector3_admissible(*vector)
-    elif r <= 8 and verify_totally_inadmissible(vector):
+    if d == 3 or (r <= 8 and verify_totally_inadmissible(vector)):
         verdict = "TOTALLY_INADMISSIBLE"
     else:
         verdict = "INADMISSIBLE"

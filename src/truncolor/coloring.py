@@ -6,15 +6,15 @@ constituent edges, so truncation colorings and suns are checked one
 cluster at a time by cluster_clash, with no flat graph.
 
 One backtracking kernel, solve_edge_coloring, serves three jobs: the
-exact chromatic index oracle, list edge coloring, and the
-palette-feasibility searches used by the truncation colorings.
+exact chromatic index oracle, list edge coloring, and the core searches
+behind edge-feasible colorings (complete_coloring).
 
 Set-up is one pass over the edges: endpoint pairs by edge index, the
-edge indices at each vertex, a neighbor list per edge (edges sharing a
-constrained endpoint), and a static rank (decreasing endpoint valency
-sum, then edge id).  The search keeps a bitmask of allowed colors per
-edge, always branches on a most-constrained edge (fewest allowed colors
-by int.bit_count, ties broken by the static rank), forward-checks
+edge indices at each vertex, a neighbor list per edge (edges sharing an
+endpoint), and a static rank (decreasing endpoint valency sum, then edge
+id).  The search keeps a bitmask of allowed colors per edge, always
+branches on a most-constrained edge (fewest allowed colors by
+int.bit_count, ties broken by the static rank), forward-checks
 neighbors after every assignment, and, whenever no lists are given,
 breaks color symmetry by allowing at most one fresh color per branch
 point.  It runs on an explicit stack of frames (edge, colors left to
@@ -24,10 +24,10 @@ search space is a proof of UNSAT; exhausting the node budget is
 reported as undecided, never as an answer.
 
 Every color class is a matching, so no palette below the overfull bound
-ceil(|E| / floor(|V|/2)) fits: the kernel refutes one before any set-up
-unless distinctness is enforced only at some vertices, and the oracle
-starts at max(D, that bound).  An overfull simple graph needs no search
-at all: a Misra-Gries coloring with D + 1 colors is its certificate.
+ceil(|E| / floor(|V|/2)) fits: the kernel refutes one before any set-up,
+and the oracle starts at max(D, that bound).  An overfull simple graph
+needs no search at all: a Misra-Gries coloring with D + 1 colors is its
+certificate.
 """
 
 from __future__ import annotations
@@ -99,14 +99,11 @@ class EdgeColoring:
         return frozenset(self.assignment.values())
 
 
-def first_clash(
-    g: Multigraph, coloring: EdgeColoring, at: Optional[Iterable[int]] = None
-) -> Optional[Tuple[int, int, int]]:
+def first_clash(g: Multigraph, coloring: EdgeColoring) -> Optional[Tuple[int, int, int]]:
     """(vertex, edge, edge) for the first two same-colored edges meeting
-    at a vertex, or None.  Only the vertices in at are checked (default:
-    all of g's); an uncolored edge at a checked vertex is a GraphError."""
+    at a vertex, or None.  An uncolored edge is a GraphError."""
     assignment = coloring.assignment
-    for v in g.vertices if at is None else at:
+    for v in g.vertices:
         ids = g.incident(v)
         # From valency 6 up, one set pass costs less than the walk, which
         # then runs only to name a repeat or an uncolored edge; below 6
@@ -208,7 +205,6 @@ def solve_edge_coloring(
     k: int,
     *,
     lists: Optional[Mapping[int, int]] = None,
-    constrained_vertices: Optional[Iterable[int]] = None,
     budget: Optional[int] = None,
 ) -> Tuple[Optional[Dict[int, int]], int]:
     """Search for a proper assignment of colors < k to every edge.
@@ -216,11 +212,9 @@ def solve_edge_coloring(
     lists: optional per-edge allowed-color bitmasks (list coloring).
         Without lists every color is interchangeable, and the search
         breaks that symmetry.
-    constrained_vertices: if given, distinctness is enforced only at
-        these vertices; other vertices impose nothing.  Without them a
-        palette below the overfull bound is refuted with no search.
     budget: maximum number of assignments tried before giving up.
 
+    A palette below the overfull bound is refuted with no search.
     Returns (assignment or None, nodes spent).  Raises UndecidedError
     when the budget runs out first.
     """
@@ -228,7 +222,7 @@ def solve_edge_coloring(
     m = len(eids)
     if m == 0:
         return {}, 0
-    if k <= 0 or (constrained_vertices is None and _overfull_bound(g) > k):
+    if k <= 0 or _overfull_bound(g) > k:
         return None, 0
     symmetric = lists is None
     full = (1 << k) - 1
@@ -248,18 +242,10 @@ def solve_edge_coloring(
     for i, (u, w) in enumerate(ends):
         incident[u].append(i)
         incident[w].append(i)
-    if constrained_vertices is None:
-        reach = incident
-    else:
-        reach = {v: [] for v in g.vertices}
-        for v in constrained_vertices:
-            if v not in incident:
-                raise GraphError(f"no vertex {v} in graph")
-            reach[v] = incident[v]
-    # Edges sharing a constrained endpoint.  The edge itself and a
-    # parallel twin may be listed twice: forward checking skips colored
-    # edges and colors already struck, so repeats change nothing.
-    neighbors = [reach[u] + reach[w] for u, w in ends]
+    # Edges sharing an endpoint.  The edge itself and a parallel twin
+    # may be listed twice: forward checking skips colored edges and
+    # colors already struck, so repeats change nothing.
+    neighbors = [incident[u] + incident[w] for u, w in ends]
     # Static tie-break rank: busiest endpoints first, then lower id.
     # Edge indices follow edge ids, and the sort is stable.
     load = [-len(incident[u]) - len(incident[w]) for u, w in ends]

@@ -3,36 +3,33 @@
 For even maximum valency every matching edge takes color 0 and each
 cluster's complete constituent is colored canonically inside {1..D-1}.
 For odd D the matching must carry an edge-feasible coloring of the
-source (all colors distinct at D-valent vertices); constituents are
-then colored according to their order: D via the missing-color
+source (all colors distinct at D-valent vertices).  One exists exactly
+when the core, the subgraph on the D-valent vertices, is D-colorable: an
+edge outside the core has at most one D-valent end, and the colors free
+there finish the coloring.  So only the core is searched.  Constituents
+are then colored according to their order: D via the missing-color
 alignment, and D-1 via canonical classes plus one alternating walk
-along each conflict path.  A constituent of order at most D-2 is padded to
-D-1 positions with dummy pendants, colored as order D-1, and restricted
-to its real positions.  When no edge-feasible coloring exists the complete
-truncation provably needs D+1 colors, and a witness of the exhausted
-search is returned instead.  Checks run per cluster (cluster_clash).
+along each conflict path.  A constituent of order at most D-2 is padded
+to D-1 positions with dummy pendants, colored as order D-1, and
+restricted to its real positions.  Otherwise the complete truncation
+provably needs D+1 colors, and a witness of the exhausted search is
+returned instead.  Checks run per cluster (cluster_clash).
 
-`subtruncation_coloring` restricts that coloring to any truncation that
-keeps D, so it applies to every even-D source and to every odd-D source
-with an edge-feasible coloring; it runs no class test of its own and,
-like the full construction, builds no flat graph.
+`subtruncation_coloring` reads the same per-cluster rule on the clusters
+of any truncation that keeps D, so it applies to every even-D source and
+to every odd-D source with an edge-feasible coloring; like the full
+construction, it builds no flat graph (nor the complete truncation).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import cycle
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import combinations, cycle
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .canonical import class_of_pair, scheme_class
-from .coloring import (
-    EdgeColoring,
-    _clash_error,
-    cluster_clash,
-    first_clash,
-    solve_edge_coloring,
-)
+from .coloring import EdgeColoring, _clash_error, cluster_clash, solve_edge_coloring
 from .errors import GraphError
 from .multigraph import Multigraph
 from .truncation import Truncation, complete_truncation
@@ -72,16 +69,32 @@ def is_edge_feasible(x: Multigraph, coloring: EdgeColoring) -> bool:
         raise GraphError(
             f"coloring uses palette of {coloring.palette_size} > {delta} colors"
         )
-    at = [v for v in x.vertices if x.valency(v) == delta]
-    return first_clash(x, coloring, at) is None
+    color = coloring.color_of
+    ids_at = map(x.incident, x.vertices)
+    return all(len(set(map(color, ids))) == delta for ids in ids_at if len(ids) == delta)
 
 
-def _feasible_search(
-    x: Multigraph, budget: Optional[int]
-) -> Tuple[Optional[Dict[int, int]], int]:
+def _feasible_search(x: Multigraph, budget: Optional[int]) -> Tuple[Optional[Dict[int, int]], int]:
+    """(edge-feasible coloring of x or None, nodes) from a search of the
+    core.  Each core vertex gives its free colors, ascending, to its other
+    edges in id order; edges with no max-valency end take 0."""
     delta = x.max_valency()
-    constrained = [v for v in x.vertices if x.valency(v) == delta]
-    return solve_edge_coloring(x, delta, constrained_vertices=constrained, budget=budget)
+    core = [v for v in x.vertices if x.valency(v) == delta]
+    in_core = set(core)
+    pairs = x.edges
+    core_edges = {eid: pairs[eid] for eid in pairs if in_core.issuperset(pairs[eid])}
+    found, nodes = solve_edge_coloring(Multigraph(core, core_edges), delta, budget=budget)
+    if found is None:
+        return None, nodes
+    assignment = dict.fromkeys(pairs, 0)
+    assignment.update(found)
+    for v in core:
+        ids = x.incident(v)
+        free = iter(sorted(set(range(delta)).difference(map(found.get, ids))))
+        for eid in ids:
+            if eid not in found:
+                assignment[eid] = next(free)
+    return assignment, nodes
 
 
 def find_edge_feasible(
@@ -89,8 +102,8 @@ def find_edge_feasible(
 ) -> Optional[EdgeColoring]:
     """Search for an edge-feasible coloring; None after exhaustion.
 
-    Enforces distinctness only at maximum-valency vertices, which is
-    exactly the edge-feasibility constraint.
+    Searches only the core, the subgraph induced by the maximum-valency
+    vertices, and completes its coloring with the free colors.
     """
     delta = x.max_valency()
     if delta % 2 == 0:
@@ -211,21 +224,18 @@ def color_delta_minus_one(
 
 # ---- the full construction ---- #
 
-def color_complete_truncation(
-    x: Multigraph, *, budget: Optional[int] = None
-) -> Union[Tuple[Truncation, EdgeColoring], ClassIIWitness]:
-    """Color the complete truncation of x with exactly max-valency colors.
-
-    Returns the truncation and coloring, or a ClassIIWitness when the
-    maximum valency is odd and no edge-feasible coloring of x exists
-    (then no such coloring of the truncation exists either).
-    """
-    tr = complete_truncation(x)
-    delta = x.max_valency()
+def _complete_colors(
+    tr: Truncation, budget: Optional[int]
+) -> Union[Tuple[Dict[int, int], Callable], ClassIIWitness]:
+    """The complete truncation's coloring rule, read on tr's clusters:
+    (matching colors, pair_color) for Truncation.color with the source's
+    maximum valency as palette, or a ClassIIWitness.  pair_color(v)
+    colors v's constituent, whatever subgraph of the complete one it is."""
+    delta = tr.source.max_valency()
     if delta % 2 == 0:
         # Even D: the matching takes color 0 and each cluster gets the
         # canonical classes shifted into 1..D-1.  Clusters of one size
-        # have the same complete constituent, so they share one table.
+        # share one table.
         tables: Dict[int, Dict[Tuple[int, int], int]] = {}
 
         def pair_color(v: int) -> Dict[Tuple[int, int], int]:
@@ -234,27 +244,23 @@ def color_complete_truncation(
                 shift = size % 2
                 tables[size] = {
                     (i, j): 1 + class_of_pair(size, (i + shift, j + shift))
-                    for i, j in tr.constituents[v]
+                    for i, j in combinations(range(size), 2)
                 }
             return tables[size]
 
-        return tr, tr.color(dict.fromkeys(tr.matching, 0), pair_color, delta)
+        return dict.fromkeys(tr.matching, 0), pair_color
 
-    feas, nodes = _feasible_search(x, budget)
+    feas, nodes = _feasible_search(tr.source, budget)
     if feas is None:
-        return ClassIIWitness(
-            delta=delta,
-            nodes=nodes,
-            reason=(
-                "exhaustive search found no coloring with all colors distinct "
-                f"at valency-{delta} vertices; the complete truncation needs "
-                f"{delta + 1} colors"
-            ),
+        reason = (
+            "exhaustive search found no coloring with all colors distinct at "
+            f"valency-{delta} vertices; the complete truncation needs {delta + 1} colors"
         )
+        return ClassIIWitness(delta, nodes, reason)
 
     # Padded clusters that see one pendant vector share one coloring.
-    # A cluster of fewer than D/2 positions keeps only its own pairs, so
-    # the memo holds at most about four entries per constituent edge.
+    # A cluster of fewer than D/2 positions keeps only the pairs among
+    # its own positions: at most about four entries per constituent edge.
     padded_colorings: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {}
 
     def pair_color(v: int) -> Dict[Tuple[int, int], int]:
@@ -273,36 +279,45 @@ def color_complete_truncation(
         if key not in padded_colorings:
             full = color_delta_minus_one(pend + [0] * (delta - 1 - size), delta)
             if 2 * size < delta:
-                full = {pair: full[pair] for pair in tr.constituents[v]}
+                full = {pair: full[pair] for pair in combinations(range(size), 2)}
             padded_colorings[key] = full
         return padded_colorings[key]
 
-    return tr, tr.color(feas, pair_color, delta)
+    return feas, pair_color
+
+
+def color_complete_truncation(
+    x: Multigraph, *, budget: Optional[int] = None
+) -> Union[Tuple[Truncation, EdgeColoring], ClassIIWitness]:
+    """Color the complete truncation of x with exactly max-valency colors.
+
+    Returns the truncation and coloring, or a ClassIIWitness when the
+    maximum valency is odd and no edge-feasible coloring of x exists
+    (then no such coloring of the truncation exists either).
+    """
+    tr = complete_truncation(x)
+    rule = _complete_colors(tr, budget)
+    if isinstance(rule, ClassIIWitness):
+        return rule
+    return tr, tr.color(*rule, x.max_valency())
 
 
 def subtruncation_coloring(tr: Truncation, *, budget: Optional[int] = None) -> EdgeColoring:
-    """Color a truncation with its source's max-valency colors by restriction.
+    """Color a truncation with its source's max-valency colors.
 
     Every truncation embeds in the complete one, so the coloring is the
-    restriction of color_complete_truncation's output.  It applies when
+    restriction of color_complete_truncation's output, read cluster by
+    cluster without building the complete truncation.  It applies when
     the truncation keeps the source's maximum valency D and the complete
     truncation is D-colorable: always for even D, and for odd D exactly
     when the source has an edge-feasible coloring (every class I source
     has one).  Otherwise raises GraphError with the ClassIIWitness's
     reason, or UndecidedError if that search exceeds budget nodes.
     """
-    x = tr.source
-    delta = x.max_valency()
+    delta = tr.source.max_valency()
     if tr.max_valency() != delta:
         raise GraphError(f"truncation has maximum valency {tr.max_valency()}, source has {delta}")
-    full = color_complete_truncation(x, budget=budget)
-    if isinstance(full, ClassIIWitness):
-        raise GraphError(full.reason)
-    comp, coloring = full
-
-    def pair_color(v: int) -> Dict[Tuple[int, int], int]:
-        colors = map(coloring.assignment.__getitem__, comp.constituent_edge_ids(v))
-        return dict(zip(comp.constituents[v], colors))
-
-    return tr.color(coloring.assignment, pair_color, delta)
-
+    rule = _complete_colors(tr, budget)
+    if isinstance(rule, ClassIIWitness):
+        raise GraphError(rule.reason)
+    return tr.color(*rule, delta)

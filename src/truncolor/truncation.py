@@ -255,6 +255,10 @@ def cyclic_truncation(
     must be at least 3 so the inserted graphs really are cycles.
     """
     _require_no_isolated(g)
+    cycle_orders = cycle_orders or {}
+    for v in cycle_orders:
+        if v not in g:
+            raise GraphError(f"constituent given for unknown vertex {v}")
     cons: Dict[int, List[PositionPair]] = {}
     for v in g.vertices:
         size = g.valency(v)
@@ -262,7 +266,7 @@ def cyclic_truncation(
             raise GraphError(
                 f"vertex {v} has valency {size}; cyclic truncation needs valency >= 3"
             )
-        order = list(cycle_orders[v]) if cycle_orders and v in cycle_orders else list(range(size))
+        order = list(cycle_orders.get(v, range(size)))
         if sorted(order) != list(range(size)):
             raise GraphError(
                 f"cycle order at vertex {v} is not a permutation of 0..{size - 1}"
@@ -298,14 +302,8 @@ def arboreal_truncation(
     The default forest is the path through the cluster in position
     order.  Supplied constituents are checked for acyclicity.
     """
-    forests = forests or {}
-    tr = Truncation(
-        g,
-        {
-            v: forests[v] if v in forests else [(i, i + 1) for i in range(g.valency(v) - 1)]
-            for v in g.vertices
-        },
-    )
+    paths = {v: [(i, i + 1) for i in range(g.valency(v) - 1)] for v in g.vertices}
+    tr = Truncation(g, {**paths, **(forests or {})})
     for v, pairs in tr.constituents.items():
         if not _is_forest(len(tr.clusters[v]), pairs):
             raise GraphError(f"constituent at vertex {v} contains a cycle; not a forest")

@@ -1,5 +1,5 @@
 import random
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import pytest
 
@@ -98,6 +98,42 @@ def regular_odd_equivalence(x: Multigraph, *, budget: Optional[int] = None) -> T
     if (side_x == CLASS_I) != (side_tr == CLASS_I):
         raise AssertionError("source and complete truncation disagree on class")
     return side_x == CLASS_I, side_tr == CLASS_I
+
+
+def brute_force(
+    g: Multigraph, k: int, lists: Optional[Dict[int, int]], constrained: Iterable[int]
+) -> bool:
+    """Whether a coloring with colors < k (each within its edge's list
+    bitmask, if lists are given) exists that is proper at every vertex
+    in constrained, by trying every assignment in edge-id order with a
+    clash test after each edge (no heuristics)."""
+    eids = sorted(g.edge_ids)
+    at = set(constrained)
+    choice = {}
+
+    def ok(eid):
+        for v in g.endpoints(eid):
+            if v in at and any(
+                f != eid and f in choice and choice[f] == choice[eid]
+                for f in g.incident(v)
+            ):
+                return False
+        return True
+
+    def extend(i):
+        if i == len(eids):
+            return True
+        eid = eids[i]
+        for c in range(k):
+            if lists is not None and not lists[eid] >> c & 1:
+                continue
+            choice[eid] = c
+            if ok(eid) and extend(i + 1):
+                return True
+            del choice[eid]
+        return False
+
+    return extend(0)
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from truncolor.coloring import (
 from truncolor.errors import GraphError, UndecidedError
 from truncolor.multigraph import Multigraph
 
-from conftest import prism_graph, random_multigraph
+from conftest import brute_force, prism_graph, random_multigraph
 
 
 class TestEdgeColoring:
@@ -46,20 +46,10 @@ class TestEdgeColoring:
         assert not is_proper(g, EdgeColoring({0: 0, 1: 0}, 1))
         assert is_proper(g, EdgeColoring({0: 0, 1: 1}, 2))
 
-    def test_first_clash_checks_only_the_given_vertices(self):
-        # Path 0-1-2-3 colored 0, 0, 1: the one clash is at vertex 1.
-        g = Multigraph(range(4), [(0, 1), (1, 2), (2, 3)])
-        coloring = EdgeColoring({0: 0, 1: 0, 2: 1}, 2)
-        assert first_clash(g, coloring) == (1, 0, 1)
-        assert first_clash(g, coloring, at=[0, 2, 3]) is None
-        assert first_clash(g, coloring, at=[2, 1]) == (1, 0, 1)
-        with pytest.raises(GraphError):
-            first_clash(g, EdgeColoring({0: 0, 1: 1}, 2), at=[3])
 
-
-def reference_first_clash(g, coloring, at=None):
+def reference_first_clash(g, coloring):
     """first_clash as one walk over each vertex's edges."""
-    for v in g.vertices if at is None else at:
+    for v in g.vertices:
         seen = {}
         for eid in g.incident(v):
             if eid not in coloring.assignment:
@@ -75,8 +65,7 @@ def reference_first_clash(g, coloring, at=None):
 def partial_colorings(draw):
     """A small multigraph with valencies on both sides of first_clash's
     set pass, a proper coloring (each edge its own color) with a few
-    edges recolored and a few left uncolored, and the vertices to check
-    (all, or a drawn list)."""
+    edges recolored and a few left uncolored."""
     n = draw(st.integers(2, 5))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
     g = Multigraph(range(n), draw(st.lists(pair, max_size=24)))
@@ -87,23 +76,22 @@ def partial_colorings(draw):
         assignment.update(draw(st.dictionaries(eid, st.integers(0, palette - 1), max_size=3)))
         for gone in draw(st.sets(eid, max_size=2)):
             del assignment[gone]
-    at = draw(st.none() | st.lists(st.sampled_from(g.vertices)))
-    return g, EdgeColoring(assignment, palette), at
+    return g, EdgeColoring(assignment, palette)
 
 
 class TestFirstClash:
     @given(partial_colorings())
     @settings(max_examples=200, deadline=None)
     def test_matches_the_reference_walk(self, case):
-        g, coloring, at = case
+        g, coloring = case
         try:
-            want = reference_first_clash(g, coloring, at)
+            want = reference_first_clash(g, coloring)
         except GraphError as exc:
             with pytest.raises(GraphError) as got:
-                first_clash(g, coloring, at)
+                first_clash(g, coloring)
             assert str(got.value) == str(exc)
         else:
-            assert first_clash(g, coloring, at) == want
+            assert first_clash(g, coloring) == want
 
 
 class TestClusterClash:
@@ -256,14 +244,6 @@ class TestSolver:
         sol, nodes = solve_edge_coloring(g, 2, lists={0: 0})
         assert sol is None and nodes == 0
 
-    def test_constrained_vertices_relax_the_rest(self):
-        # A path of 2 edges can be monochrome if the middle vertex is free.
-        g = Multigraph([0, 1, 2], [(0, 1), (1, 2)])
-        sol, _ = solve_edge_coloring(g, 1, constrained_vertices=[0, 2])
-        assert sol == {0: 0, 1: 0}
-        sol2, _ = solve_edge_coloring(g, 1)
-        assert sol2 is None
-
     @given(st.integers(3, 6))
     @settings(max_examples=4, deadline=None)
     def test_list_coloring_full_lists_matches_plain(self, n):
@@ -302,13 +282,8 @@ class TestSolver:
                 eid: data.draw(st.integers(0, full), label=f"list {eid}")
                 for eid in g.edge_ids
             }
-        constrained = data.draw(
-            st.none() | st.lists(st.sampled_from(g.vertices), unique=True),
-            label="constrained",
-        )
-        sol, nodes = solve_edge_coloring(g, k, lists=lists, constrained_vertices=constrained)
-        at = g.vertices if constrained is None else constrained
-        expected = _brute_force(g, k, lists, at)
+        sol, nodes = solve_edge_coloring(g, k, lists=lists)
+        expected = brute_force(g, k, lists, g.vertices)
         assert (sol is not None) == expected
         if sol is not None:
             assert sorted(sol) == sorted(g.edge_ids)
@@ -317,7 +292,7 @@ class TestSolver:
                 assert 0 <= c < k
                 if lists is not None:
                     assert lists[eid] >> c & 1
-            for v in at:
+            for v in g.vertices:
                 seen = [sol[eid] for eid in g.incident(v)]
                 assert len(seen) == len(set(seen))
 
@@ -342,35 +317,3 @@ class TestSolver:
                 assert is_proper(g, col)
                 for eid in g.edge_ids:
                     assert col.color_of(eid) != eid % k
-
-
-def _brute_force(g, k, lists, constrained):
-    """Whether a proper coloring exists, by trying every assignment in
-    edge-id order with a clash test after each edge (no heuristics)."""
-    eids = sorted(g.edge_ids)
-    at = set(constrained)
-    choice = {}
-
-    def ok(eid):
-        for v in g.endpoints(eid):
-            if v in at and any(
-                f != eid and f in choice and choice[f] == choice[eid]
-                for f in g.incident(v)
-            ):
-                return False
-        return True
-
-    def extend(i):
-        if i == len(eids):
-            return True
-        eid = eids[i]
-        for c in range(k):
-            if lists is not None and not lists[eid] >> c & 1:
-                continue
-            choice[eid] = c
-            if ok(eid) and extend(i + 1):
-                return True
-            del choice[eid]
-        return False
-
-    return extend(0)

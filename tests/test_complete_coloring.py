@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -33,7 +33,7 @@ from truncolor.truncation import (
     cyclic_truncation,
 )
 
-from conftest import regular_odd_equivalence
+from conftest import brute_force, regular_odd_equivalence
 
 
 class TestEdgeFeasibility:
@@ -152,6 +152,76 @@ def small_sources(draw):
     edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
     pairs = draw(st.lists(edge, min_size=1, max_size=9))
     return Multigraph(sorted({v for p in pairs for v in p}), pairs)
+
+
+class TestCoreLemma:
+    """An edge-feasible coloring exists exactly when the core (the
+    subgraph on the maximum-valency vertices) is max-valency colorable."""
+
+    @given(small_sources())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_brute_force(self, x):
+        delta = x.max_valency()
+        assume(delta % 2 == 1)
+        top = [v for v in x.vertices if x.valency(v) == delta]
+        coloring = find_edge_feasible(x)
+        assert (coloring is not None) == brute_force(x, delta, None, top)
+        if coloring is not None:
+            assert coloring.assignment.keys() == x.edges.keys()
+            assert is_edge_feasible(x, coloring)
+
+    def test_overfull_core_is_refuted_without_search(self):
+        # The doubled triangle has 6 edges on 3 vertices, so 5 colors
+        # hold at most 5 of them; a pendant edge per vertex raises the
+        # valency to 5 and leaves the core as it is.
+        doubled = [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)]
+        x = Multigraph(range(6), doubled + [(0, 3), (1, 4), (2, 5)])
+        out = color_complete_truncation(x, budget=0)
+        assert isinstance(out, ClassIIWitness)
+        assert (out.delta, out.nodes) == (5, 0)
+
+    def test_core_coloring_is_completed_with_free_colors(self):
+        # The hub's core is the hub alone: its edges take 0..4 in id
+        # order, and the path edges, with no valency-5 end, take 0.
+        x = hub_source(5, 2)
+        coloring = find_edge_feasible(x, budget=0)
+        assert coloring.assignment == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 0, 6: 0}
+
+
+@st.composite
+def subtruncations(draw):
+    """A small source and a truncation of it that keeps a complete
+    constituent on one cluster of maximum size and any subset of the
+    complete pairs elsewhere."""
+    x = draw(small_sources())
+    delta = x.max_valency()
+    keep = next(v for v in x.vertices if x.valency(v) == delta)
+    constituents = {}
+    for v in x.vertices:
+        pairs = list(combinations(range(x.valency(v)), 2))
+        if v != keep and pairs:
+            pairs = draw(st.lists(st.sampled_from(pairs), unique=True))
+        constituents[v] = pairs
+    return Truncation(x, constituents)
+
+
+class TestSubtruncationIsRestriction:
+    @given(subtruncations())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_restricted_complete_coloring(self, tr):
+        full = color_complete_truncation(tr.source)
+        if isinstance(full, ClassIIWitness):
+            with pytest.raises(GraphError, match="^exhaustive search found no coloring"):
+                subtruncation_coloring(tr)
+            return
+        comp, coloring = full
+        colors = coloring.assignment
+        got = subtruncation_coloring(tr).assignment
+        for eid in tr.matching:
+            assert got[eid] == colors[eid]
+        for v, pairs in tr.constituents.items():
+            want = dict(zip(comp.constituents[v], map(colors.get, comp.constituent_edge_ids(v))))
+            assert list(map(got.get, tr.constituent_edge_ids(v))) == list(map(want.get, pairs))
 
 
 class TestAgainstOracle:

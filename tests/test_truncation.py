@@ -282,6 +282,10 @@ class TestValidation:
         with pytest.raises(GraphError, match="outside"):
             arboreal_truncation(k4(), {0: [(0, 3)]})
 
+    def test_arboreal_rejects_unknown_vertex(self):
+        with pytest.raises(GraphError, match="^constituent given for unknown vertex 99$"):
+            arboreal_truncation(k4(), {99: [(0, 1)]})
+
     @pytest.mark.parametrize(
         "pairs,message",
         [
@@ -302,6 +306,10 @@ class TestValidation:
     def test_cyclic_rejects_bad_order(self):
         with pytest.raises(GraphError):
             cyclic_truncation(k4(), {0: [0, 1, 1]})
+
+    def test_cyclic_rejects_unknown_vertex(self):
+        with pytest.raises(GraphError, match="^constituent given for unknown vertex 99$"):
+            cyclic_truncation(k4(), {99: [0, 1, 2]})
 
 
 class TestRoundTrip:
@@ -415,14 +423,29 @@ class TestClusterCheck:
 
 @pytest.fixture
 def no_flat(monkeypatch):
-    """Make flattening a truncation, or a graph built inside
-    complete_coloring, fail the test."""
+    """Make flattening a truncation fail the test, and so a graph built
+    inside complete_coloring that is larger than the source it searches
+    (the core it may build is a subgraph of that source)."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a constructive route built a flat graph")
 
+    sources = []
+    search = complete_coloring._feasible_search
+
+    def noting(x, budget):
+        sources.append(x)
+        return search(x, budget)
+
+    def bounded(vertices, edges):
+        g = Multigraph(vertices, edges)
+        if not sources or g.order > sources[-1].order or g.size > sources[-1].size:
+            refuse()
+        return g
+
     monkeypatch.setattr(Truncation, "graph", property(refuse))
-    monkeypatch.setattr(complete_coloring, "Multigraph", refuse)
+    monkeypatch.setattr(complete_coloring, "_feasible_search", noting)
+    monkeypatch.setattr(complete_coloring, "Multigraph", bounded)
 
 
 class TestRoutesWithoutTheFlatGraph:
