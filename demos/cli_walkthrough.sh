@@ -98,4 +98,20 @@ expect_fail 2 "undecided: parity coloring search exceeded budget of 0 nodes" \
     "the parity search is out of budget" \
     truncolor cyclic-color petersen.json --strategy enabling --budget 0
 
+echo "== bad input names its file"
+# The loaders check JSON shape; the graph, coloring and truncation
+# objects check every other rule, and their message follows the file name.
+echo '{"vertices": [0, 1], "edges": [[0, 0]]}' > loop.json
+expect_fail 1 "error: loop.json: edge 0 is a loop" "a loop in the graph" \
+    truncolor oracle loop.json
+echo '{"palette": 3, "colors": [true, 1, 2, 2, 1, 0]}' > bool.json
+expect_fail 1 "error: bool.json: edge 0 has color True, not an int" "a boolean color" \
+    truncolor verify k4.json bool.json
+cat > half.json <<'JSON'
+{"source": {"vertices": [0, 1], "edges": [[0, 1], [0, 1]]},
+ "constituents": {"0": [[0, 1.5]], "1": []}}
+JSON
+expect_fail 1 "error: half.json: constituent at vertex" "a non-integer constituent position" \
+    truncolor color-strong half.json
+
 echo "all steps verified"

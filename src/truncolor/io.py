@@ -13,20 +13,21 @@ offending file (and line, for syntax errors) when they reject input,
 and a JSON object that repeats a key is rejected, not read as its last
 value.
 
-Each strict check runs in two steps.  A whole-list pass with C-level
-builtins (the set of element types, pair lengths, a superset test for
-vertex membership, min and max for ranges) accepts valid input without
-a Python call per element.  Only when that pass fails does the
-element-by-element walk run; it finds the first offending entry, names
-its index, and so decides every input exactly as it alone would.
+Loaders check only JSON shape, each list in two steps: a whole-list
+pass with C-level builtins (the set of element types, pair lengths)
+accepts valid input without a Python call per element, and only when
+it fails does a walk name the first offending entry.  Every other rule
+has one checker, the object that enforces it, whose message comes
+behind the file prefix: Multigraph names loops and unknown vertices,
+EdgeColoring colors that are no plain int in the palette, and
+Truncation bad constituent pairs.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
-from operator import itemgetter, ne
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from .coloring import EdgeColoring, first_clash as _first_clash
 from .errors import GraphError
@@ -126,25 +127,14 @@ def graph_from_obj(obj: object, origin: str = "<graph>") -> Multigraph:
     vset = set(vertices)
     _require(len(vset) == len(vertices), origin, '"vertices" repeats a vertex id')
     _require(isinstance(edges, list), origin, '"edges" must be a list')
-    if not (
-        _int_pairs(edges)
-        and all(map(ne, map(itemgetter(0), edges), map(itemgetter(1), edges)))
-        and vset.issuperset(chain.from_iterable(edges))
-    ):
+    if not _int_pairs(edges):
         for i, e in enumerate(edges):
             _require(
                 isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e),
                 origin,
                 f"edges[{i}] must be a pair of integers",
             )
-            u, w = e
-            _require(u != w, origin, f"edges[{i}] is a loop at vertex {u}")
-            _require(
-                u in vset and w in vset,
-                origin,
-                f"edges[{i}] touches a vertex missing from \"vertices\"",
-            )
-    return Multigraph(vertices, list(map(tuple, edges)))
+    return _built(origin, Multigraph, vertices, list(map(tuple, edges)))
 
 
 def load_graph(path: str) -> Multigraph:
@@ -173,16 +163,8 @@ def coloring_from_obj(obj: object, origin: str = "<coloring>") -> EdgeColoring:
     palette = obj["palette"]
     colors = obj["colors"]
     _require(_is_int(palette) and palette >= 0, origin, '"palette" must be a nonnegative integer')
-    _require(
-        isinstance(colors, list)
-        and (_only(colors, int) or all(_is_int(c) for c in colors)),
-        origin,
-        '"colors" must be a list of integers',
-    )
-    if colors and not (min(colors) >= 0 and max(colors) < palette):
-        for i, c in enumerate(colors):
-            _require(0 <= c < palette, origin, f"colors[{i}] = {c} is outside the palette")
-    return EdgeColoring(dict(enumerate(colors)), palette)
+    _require(isinstance(colors, list), origin, '"colors" must be a list')
+    return _built(origin, EdgeColoring, dict(enumerate(colors)), palette)
 
 
 def load_coloring(path: str) -> EdgeColoring:
@@ -202,7 +184,10 @@ def coloring_to_obj(coloring: EdgeColoring) -> Dict[str, object]:
     return {"palette": coloring.palette_size, "colors": colors}
 
 
-def _built(origin: str, build, *args) -> Truncation:
+T = TypeVar("T")
+
+
+def _built(origin: str, build: Callable[..., T], *args) -> T:
     """build(*args), with its GraphError prefixed by origin."""
     try:
         return build(*args)
@@ -236,14 +221,9 @@ def truncation_from_obj(obj: object, origin: str = "<truncation>") -> Truncation
         if v is None or key != str(v):
             raise GraphError(f"{origin}: constituent key {key!r} is not a vertex")
         _require(isinstance(pairs, list), origin, f"constituents[{key}] must be a list")
-        if not _int_pairs(pairs):
-            for i, pair in enumerate(pairs):
-                _require(
-                    isinstance(pair, list) and len(pair) == 2 and all(_is_int(x) for x in pair),
-                    origin,
-                    f"constituents[{key}][{i}] must be a pair of integers",
-                )
-        constituents[v] = list(map(tuple, pairs))
+        # Lists become the tuples Truncation's whole-list check accepts;
+        # anything else goes as it is, for Truncation to name.
+        constituents[v] = list(map(tuple, pairs)) if _only(pairs, list) else pairs
     return _built(origin, Truncation, source, constituents)
 
 

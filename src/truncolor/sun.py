@@ -25,8 +25,8 @@ A final renaming sorts the names back into ascending color blocks.
 Both constructions share one tail, `_finish`: they collect their edges
 as (name, name, color) triples, which are sorted once and renamed to
 positions, and every sun is checked by `SunColoring.validate`.  That
-check reads the plain lists: whole-list passes for ranges, loops and
-repeats, then the cluster checker every truncation coloring shares,
+check reads the plain lists: Truncation's pair check, whole-list color
+passes, then the cluster checker every truncation coloring shares,
 `coloring.cluster_clash`.  No check builds the sun as a graph, so a
 build costs little more than its output; `sun_graph` exists for DOT.
 
@@ -50,7 +50,7 @@ from .canonical import class_of_pair, scheme_class
 from .coloring import EdgeColoring, _clash_error, cluster_clash, solve_edge_coloring
 from .errors import GraphError, UndecidedError
 from .multigraph import Multigraph
-from .truncation import Truncation
+from .truncation import Truncation, _ascending_and_simple, _normalize
 
 __all__ = [
     "SunColoring",
@@ -93,21 +93,24 @@ class SunColoring:
     def validate(self, regular: Optional[int] = None) -> None:
         """Construction self-check; raises AssertionError on any breach.
 
-        Whole-list passes accept positions and colors in range, no loop
-        and no repeated edge (_breach names a failure); then
-        cluster_clash names a clash in sun_graph()'s edge ids.
+        The constituent pair check Truncation uses accepts the edges, or
+        names the first bad pair; whole-list passes accept one color per
+        edge and plain-int colors in the palette (_breach names a
+        failure); then cluster_clash names a clash in sun_graph()'s edge
+        ids.
         """
         r, palette = self.r, self.palette_size
         edges, colors = self.constituent_edges, self.constituent_colors
-        ends = list(chain.from_iterable(edges))
+        if not _ascending_and_simple(edges, r):
+            try:
+                _normalize("sun constituent", r, edges)
+            except GraphError as exc:
+                raise AssertionError(str(exc)) from None
         hues = [*self.pendant_colors, *colors]
-        firsts, seconds = ends[0::2], ends[1::2]
         if not (
             len(colors) == len(edges)
-            and (not ends or (min(ends) >= 0 and max(ends) < r))
+            and set(map(type, hues)) <= {int}
             and (not hues or (min(hues) >= 0 and max(hues) < palette))
-            # Each edge both ways: 2|E| distinct pairs iff no loop or repeat.
-            and len(set(zip(firsts, seconds)).union(zip(seconds, firsts))) == 2 * len(edges)
         ):
             raise self._breach()
         clash = cluster_clash(self.pendant_colors, edges, colors)
@@ -121,7 +124,7 @@ class SunColoring:
             raise AssertionError("pendant colors do not realize the vector")
         if regular is not None:
             deg = [0] * r
-            for p in ends:
+            for p in chain.from_iterable(edges):
                 deg[p] += 1
             vals = set(deg) or {0}
             if vals != {regular}:
@@ -130,30 +133,25 @@ class SunColoring:
                 )
 
     def _breach(self) -> AssertionError:
-        """The error naming the first breach of validate's whole-list passes."""
-        r, palette = self.r, self.palette_size
+        """The error naming the first breach of validate's color passes."""
+        palette = self.palette_size
         edges, colors = self.constituent_edges, self.constituent_colors
         if len(colors) != len(edges):
             return AssertionError(f"{len(colors)} constituent colors for {len(edges)} edges")
         for pos, c in enumerate(self.pendant_colors):
+            if type(c) is not int:
+                return AssertionError(f"pendant color {c!r} at position {pos} is not an int")
             if not 0 <= c < palette:
                 return AssertionError(
                     f"pendant color {c} at position {pos} outside palette 0..{palette - 1}"
                 )
-        seen = set()
-        for (a, b), c in zip(edges, colors):
-            if not (0 <= a < r and 0 <= b < r):
-                return AssertionError(f"constituent edge {(a, b)} leaves positions 0..{r - 1}")
+        for e, c in zip(edges, colors):
+            if type(c) is not int:
+                return AssertionError(f"constituent edge {e} has color {c!r}, not an int")
             if not 0 <= c < palette:
                 return AssertionError(
-                    f"constituent edge {(a, b)} has color {c} outside palette 0..{palette - 1}"
+                    f"constituent edge {e} has color {c} outside palette 0..{palette - 1}"
                 )
-            if a == b:
-                return AssertionError(f"constituent edge {(a, b)} is a loop")
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                return AssertionError(f"constituent repeats an edge: {key}")
-            seen.add(key)
         return AssertionError("validate rejected a well-formed sun")  # pragma: no cover
 
 

@@ -37,12 +37,6 @@ __all__ = [
 PositionPair = Tuple[int, int]
 
 
-def _require_no_isolated(g: Multigraph) -> None:
-    for v in g.vertices:
-        if g.valency(v) == 0:
-            raise GraphError(f"vertex {v} is isolated; truncation needs valency >= 1")
-
-
 def excise(g: Multigraph) -> Tuple[Dict[int, Tuple[int, int]], Dict[int, Tuple[int, ...]]]:
     """Split every edge into two labelled ends.
 
@@ -51,7 +45,9 @@ def excise(g: Multigraph) -> Tuple[Dict[int, Tuple[int, int]], Dict[int, Tuple[i
     source edge id to its end pair, clusters map each source vertex to
     its ends in ascending source edge order.
     """
-    _require_no_isolated(g)
+    for v in g.vertices:
+        if g.valency(v) == 0:
+            raise GraphError(f"vertex {v} is isolated; truncation needs valency >= 1")
     matching: Dict[int, Tuple[int, int]] = {}
     clusters: Dict[int, List[int]] = {v: [] for v in g.vertices}
     for eid, (u, w) in g.edges.items():
@@ -80,26 +76,26 @@ def _ascending_and_simple(pairs: Tuple[PositionPair, ...], size: int) -> bool:
     )
 
 
-def _normalize(v: int, size: int, pairs: Iterable[PositionPair]) -> List[PositionPair]:
-    """Pairs of v's constituent as ascending tuples, or the GraphError
-    for the first pair that is not two plain ints, loop, out-of-range
-    position or repeated edge."""
+def _normalize(what: str, size: int, pairs: Iterable[PositionPair]) -> List[PositionPair]:
+    """The pairs of a constituent on positions 0..size-1 as ascending
+    tuples, or the GraphError, labelled by what, for the first pair that
+    is not two plain ints, loop, out-of-range position or repeated edge.
+    The one check of constituent pairs: Truncation and
+    SunColoring.validate both call it."""
     out: List[PositionPair] = []
     seen = set()
     for n, pair in enumerate(pairs):
         two = type(pair) in (tuple, list) and len(pair) == 2
         if not (two and type(pair[0]) is type(pair[1]) is int):
-            raise GraphError(f"constituent at vertex {v}: pair {n} is not a pair of integers")
+            raise GraphError(f"{what}: pair {n} is not a pair of integers")
         i, j = pair
         if i == j:
-            raise GraphError(f"constituent at vertex {v} has a loop at position {i}")
+            raise GraphError(f"{what} has a loop at position {i}")
         if not (0 <= i < size and 0 <= j < size):
-            raise GraphError(f"constituent at vertex {v} uses position outside 0..{size - 1}")
+            raise GraphError(f"{what} uses position outside 0..{size - 1}")
         key = (min(i, j), max(i, j))
         if key in seen:
-            raise GraphError(
-                f"constituent at vertex {v} repeats edge {key}; constituents are simple"
-            )
+            raise GraphError(f"{what} repeats edge {key}; constituents are simple")
         seen.add(key)
         out.append(key)
     return out
@@ -135,7 +131,7 @@ class Truncation:
             if key not in memo:
                 pairs = tuple(raw)
                 if not _ascending_and_simple(pairs, size):
-                    pairs = _normalize(v, size, pairs)
+                    pairs = _normalize(f"constituent at vertex {v}", size, pairs)
                 memo[key] = (raw, tuple(sorted(pairs)))
             self.constituents[v] = pairs = memo[key][1]
             self._ids[v] = range(nxt, nxt + len(pairs))
@@ -254,7 +250,6 @@ def cyclic_truncation(
     around its cycle; the default is ascending order.  Every valency
     must be at least 3 so the inserted graphs really are cycles.
     """
-    _require_no_isolated(g)
     cycle_orders = cycle_orders or {}
     for v in cycle_orders:
         if v not in g:

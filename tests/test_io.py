@@ -52,12 +52,14 @@ class TestGraphRoundTrip:
 
     def test_loop_diagnostic_names_entry(self):
         obj = {"vertices": [0, 1], "edges": [[0, 1], [1, 1]]}
-        with pytest.raises(GraphError, match=r"edges\[1\].*loop"):
+        with pytest.raises(
+            GraphError, match="^<graph>: edge 1 is a loop at vertex 1; loops are not supported$"
+        ):
             graph_from_obj(obj)
 
     def test_unknown_endpoint_diagnostic(self):
         obj = {"vertices": [0, 1], "edges": [[0, 2]]}
-        with pytest.raises(GraphError, match="edges"):
+        with pytest.raises(GraphError, match="^<graph>: edge 0 references unknown vertex 2$"):
             graph_from_obj(obj)
 
     def test_malformed_json_names_file_and_line(self, tmp_path):
@@ -142,7 +144,7 @@ class TestColoringRoundTrip:
     def test_booleans_rejected(self):
         with pytest.raises(GraphError, match="palette"):
             coloring_from_obj({"palette": True, "colors": [False]})
-        with pytest.raises(GraphError, match="integers"):
+        with pytest.raises(GraphError, match="^<coloring>: edge 0 has color False, not an int$"):
             coloring_from_obj({"palette": 2, "colors": [False]})
 
     def test_non_contiguous_ids_rejected(self):

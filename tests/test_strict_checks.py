@@ -1,8 +1,9 @@
-"""The strict loaders and constructors check whole lists first and walk
-element by element only after that check fails.  These properties pin
-that the two steps together accept exactly the valid objects, build
-them as a plain per-element construction would, and reject every
-mutated object with the message that names its first bad entry."""
+"""The strict loaders check JSON shape, and the objects they build check
+every other rule; each check takes whole lists first and walks element
+by element only after that fails.  These properties pin that the two
+steps together accept exactly the valid objects, build them as a plain
+per-element construction would, and reject every mutated object with
+the message of the rule's one checker, naming its first bad entry."""
 
 import copy
 import json
@@ -108,44 +109,47 @@ class TestGraphObjects:
         elif kind == "loop":
             u = bad["edges"][i][side]
             bad["edges"][i] = [u, u]
-            message = f"<graph>: edges[{i}] is a loop at vertex {u}"
+            message = f"<graph>: edge {i} is a loop at vertex {u}; loops are not supported"
         else:
-            bad["edges"][i][side] = max(bad["vertices"]) + 1
-            message = f'<graph>: edges[{i}] touches a vertex missing from "vertices"'
+            x = bad["edges"][i][side] = max(bad["vertices"]) + 1
+            message = f"<graph>: edge {i} references unknown vertex {x}"
         rejects(graph_from_obj, bad, message)
 
 
 class TestColoringObjects:
-    @given(st.integers(1, 6), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_valid_and_mutated_colorings(self, palette, data):
-        colors = data.draw(st.lists(st.integers(0, palette - 1), min_size=1, max_size=20))
-        loaded = coloring_from_obj({"palette": palette, "colors": colors})
-        assert loaded.assignment == dict(enumerate(colors))
-        assert loaded.palette_size == palette
-        i = data.draw(st.integers(0, len(colors) - 1))
-        bad = list(colors)
-        if data.draw(st.booleans()):
-            bad[i] = data.draw(st.sampled_from(NOT_INTS))
-            message = '<coloring>: "colors" must be a list of integers'
-        else:
-            bad[i] = data.draw(st.sampled_from([-1, -7, palette, palette + 3]))
-            message = f"<coloring>: colors[{i}] = {bad[i]} is outside the palette"
-        rejects(coloring_from_obj, {"palette": palette, "colors": bad}, message)
+    """EdgeColoring checks colors, so the loader and the constructor
+    accept the same colorings and name a bad color alike."""
 
+    @pytest.mark.parametrize(
+        "build, prefix",
+        [
+            (lambda a, k: coloring_from_obj({"palette": k, "colors": [*a.values()]}),
+             "<coloring>: "),
+            (EdgeColoring, ""),
+        ],
+        ids=["loader", "constructor"],
+    )
     @given(st.integers(1, 6), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_edge_coloring_names_first_bad_edge(self, palette, data):
-        ids = data.draw(st.lists(st.integers(0, 50), min_size=1, max_size=12, unique=True))
-        assignment = {eid: data.draw(st.integers(0, palette - 1)) for eid in ids}
-        assert EdgeColoring(assignment, palette).assignment == assignment
-        eid = data.draw(st.sampled_from(ids))
-        assignment[eid] = data.draw(st.sampled_from([-1, palette, palette + 2]))
-        with pytest.raises(GraphError) as exc:
-            EdgeColoring(assignment, palette)
-        assert str(exc.value) == (
-            f"edge {eid} has color {assignment[eid]} outside palette of size {palette}"
+    def test_bad_colors_are_named(self, build, prefix, palette, data):
+        colors = data.draw(st.lists(st.integers(0, palette - 1), min_size=1, max_size=20))
+        n = len(colors)
+        # The loader reads edge ids from list positions; the constructor takes any.
+        ids = range(n) if prefix else data.draw(
+            st.lists(st.integers(0, 50), min_size=n, max_size=n, unique=True)
         )
+        assignment = dict(zip(ids, colors))
+        built = build(assignment, palette)
+        assert built.assignment == assignment
+        assert built.palette_size == palette
+        eid = data.draw(st.sampled_from(ids))
+        if data.draw(st.booleans()):
+            assignment[eid] = data.draw(st.sampled_from(NOT_INTS))
+            message = f"edge {eid} has color {assignment[eid]!r}, not an int"
+        else:
+            assignment[eid] = data.draw(st.sampled_from([-1, -7, palette, palette + 3]))
+            message = f"edge {eid} has color {assignment[eid]} outside palette of size {palette}"
+        rejects(lambda a: build(a, palette), assignment, prefix + message)
 
 
 def constituent_slot(obj, data):
@@ -192,12 +196,13 @@ class TestTruncationObjects:
             pairs = bad["constituents"][key]
             i = data.draw(st.integers(0, len(pairs)))
         v, size = int(key), sizes[int(key)]
+        not_a_pair = f"<truncation>: constituent at vertex {v}: pair {i} is not a pair of integers"
         if kind == "type":
             pairs[i][data.draw(st.integers(0, 1))] = data.draw(st.sampled_from(NOT_INTS))
-            message = f"<truncation>: constituents[{key}][{i}] must be a pair of integers"
+            message = not_a_pair
         elif kind == "length":
             pairs[i] = pairs[i] + [0]
-            message = f"<truncation>: constituents[{key}][{i}] must be a pair of integers"
+            message = not_a_pair
         elif kind in ("repeat", "reversed repeat"):
             pairs.append(pairs[i][::-1] if kind == "reversed repeat" else list(pairs[i]))
             message = (

@@ -261,22 +261,35 @@ class TestMalformedSuns:
         "changes, regular, message",
         [
             (dict(constituent_edges=((0, 1), (0, 1), (2, 3)), constituent_colors=(1, 2, 0),
-                  palette_size=3), None, r"constituent repeats an edge: \(0, 1\)"),
+                  palette_size=3), None,
+             r"^sun constituent repeats edge \(0, 1\); constituents are simple$"),
             (dict(constituent_edges=((0, 1), (1, 0), (2, 3)), constituent_colors=(1, 2, 0),
-                  palette_size=3), None, r"constituent repeats an edge: \(0, 1\)"),
+                  palette_size=3), None,
+             r"^sun constituent repeats edge \(0, 1\); constituents are simple$"),
             (dict(constituent_edges=((0, 0), (2, 3))), None,
-             r"constituent edge \(0, 0\) is a loop"),
+             r"^sun constituent has a loop at position 0$"),
             (dict(constituent_edges=((-1, 1), (2, 3))), None,
-             r"constituent edge \(-1, 1\) leaves positions 0\.\.3"),
+             r"^sun constituent uses position outside 0\.\.3$"),
             # Position 4 is the stub of pendant 0 in sun_graph().
             (dict(constituent_edges=((0, 4), (2, 3))), None,
-             r"constituent edge \(0, 4\) leaves positions 0\.\.3"),
+             r"^sun constituent uses position outside 0\.\.3$"),
+            # Not a comparison's TypeError or an unpacking's ValueError,
+            # and a bool position is no int, so (True, 1) is not a loop.
+            *[(dict(constituent_edges=(bad, (2, 3))), None,
+               r"^sun constituent: pair 0 is not a pair of integers$")
+              for bad in [(0.0, 1), ("0", 1), (0, 1, 2), (True, 1)]],
             (dict(constituent_colors=(2, 0)), None,
              r"constituent edge \(0, 1\) has color 2 outside palette 0\.\.1"),
             (dict(constituent_colors=(-1, 0)), None,
              r"constituent edge \(0, 1\) has color -1 outside palette 0\.\.1"),
+            (dict(constituent_colors=(1.0, 0)), None,
+             r"^constituent edge \(0, 1\) has color 1\.0, not an int$"),
+            (dict(constituent_colors=("1", 0)), None,
+             r"^constituent edge \(0, 1\) has color '1', not an int$"),
             (dict(pendant_colors=(0, 0, 1, 2)), None,
              r"pendant color 2 at position 3 outside palette 0\.\.1"),
+            (dict(pendant_colors=(0, 0, 1.0, 1)), None,
+             r"^pendant color 1\.0 at position 2 is not an int$"),
             (dict(constituent_colors=(1,)), None, r"1 constituent colors for 2 edges"),
             (dict(constituent_colors=(0, 0)), None,
              r"sun coloring is not proper: edges 0 and 4 share color 0 at vertex 0"),
@@ -285,7 +298,9 @@ class TestMalformedSuns:
         ],
         ids=[
             "repeat", "reversed-repeat", "loop", "negative-position", "stub-position",
-            "color-past-palette", "negative-color", "pendant-past-palette", "colors-short",
+            "float-position", "str-position", "triple-position", "bool-position",
+            "color-past-palette", "negative-color", "float-color", "str-color",
+            "pendant-past-palette", "float-pendant", "colors-short",
             "clash", "wrong-vector", "wrong-regularity",
         ],
     )
@@ -297,9 +312,10 @@ class TestMalformedSuns:
     def test_edges_reaching_pendant_stubs_are_rejected(self):
         # Positions 2 and 3 are the stubs r..2r-1 of sun_graph().
         sun = SunColoring((1, 1), (0, 1), ((0, 3), (1, 2)), (2, 2), 3)
-        with pytest.raises(AssertionError, match="leaves positions 0..1"):
+        message = r"^sun constituent uses position outside 0\.\.1$"
+        with pytest.raises(AssertionError, match=message):
             sun.validate()
-        with pytest.raises(AssertionError, match="leaves positions 0..1"):
+        with pytest.raises(AssertionError, match=message):
             SunColoring((1, 1), (0, 1), ((0, 2),), (2,), 3).validate(regular=1)
 
     def test_accepts_exactly_the_proper_recolorings(self):

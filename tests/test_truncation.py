@@ -303,6 +303,14 @@ class TestValidation:
         with pytest.raises(GraphError):
             cyclic_truncation(g, None)
 
+    def test_cyclic_names_an_isolated_vertex_by_its_valency(self):
+        # K4 plus isolated vertex 4: the valency rule, not excision, rejects it.
+        g = Multigraph(range(5), k4().edges)
+        with pytest.raises(
+            GraphError, match="^vertex 4 has valency 0; cyclic truncation needs valency >= 3$"
+        ):
+            cyclic_truncation(g)
+
     def test_cyclic_rejects_bad_order(self):
         with pytest.raises(GraphError):
             cyclic_truncation(k4(), {0: [0, 1, 1]})
