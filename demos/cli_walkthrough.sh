@@ -61,6 +61,22 @@ echo "== complete truncations stored by reference"
 truncolor color-complete bridge.json > bridge_bundle.json
 truncolor verify bridge_complete.json bridge_bundle.json
 
+echo "== small clusters in a small palette"
+# K_{2,5} (D = 5): two order-5 clusters and five order-2 clusters; each
+# order-2 cluster is colored in palette 3 and mapped back into D colors.
+cat > k25.json <<'JSON'
+{"vertices": [0, 1, 2, 3, 4, 5, 6],
+ "edges": [[0, 2], [1, 2], [0, 3], [1, 3], [0, 4], [1, 4], [0, 5], [1, 5], [0, 6], [1, 6]]}
+JSON
+truncolor color-complete k25.json > k25_bundle.json
+truncolor verify k25_bundle.json > k25_verify.json
+if ! grep -q '"proper": true' k25_verify.json; then
+    echo "FAIL: the K_{2,5} coloring does not verify" >&2
+    cat k25_verify.json >&2
+    exit 1
+fi
+cat k25_verify.json
+
 echo "== sun verdicts"
 truncolor sun --vector 3,3,1 --dot sun.dot
 truncolor sun --vector 2,1,1

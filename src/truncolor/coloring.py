@@ -70,8 +70,8 @@ class EdgeColoring:
 
     def __post_init__(self):
         object.__setattr__(self, "assignment", dict(self.assignment))
-        if self.palette_size < 0:
-            raise GraphError("palette size must be nonnegative")
+        if type(self.palette_size) is not int or self.palette_size < 0:
+            raise GraphError(f"palette size {self.palette_size!r} is not a nonnegative int")
         colors = self.assignment.values()
         # One pass with min and max for plain ints; any other value
         # type (bool and float included), or a color out of range, goes

@@ -9,11 +9,14 @@ edge outside the core has at most one D-valent end, and the colors free
 there finish the coloring.  So only the core is searched.  Constituents
 are then colored according to their order: D via the missing-color
 alignment, and D-1 via canonical classes plus one alternating walk
-along each conflict path.  A constituent of order at most D-2 is padded
-to D-1 positions with dummy pendants, colored as order D-1, and
-restricted to its real positions.  Otherwise the complete truncation
-provably needs D+1 colors, and a witness of the exhausted search is
-returned instead.  Checks run per cluster (cluster_clash).
+along each conflict path.  A constituent of order s <= D-2 is colored
+as order P-1 in the least odd palette P >= s+1, padded with dummy
+pendants, and restricted to its real positions; its palette maps back
+to the colors present at the cluster, then the absent ones.  So each
+constituent costs time linear in its size.  Without an edge-feasible
+coloring the complete truncation provably needs D+1 colors, and a
+witness of the exhausted search is returned instead.  Checks run per
+cluster (cluster_clash).
 
 `subtruncation_coloring` reads the same per-cluster rule on the clusters
 of any truncation that keeps D, so it applies to every even-D source and
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, cycle
+from itertools import combinations, cycle, islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .canonical import class_of_pair, scheme_class
@@ -222,6 +225,25 @@ def color_delta_minus_one(
     return out
 
 
+def _small_cluster_colors(
+    pend: Sequence[int], palette: int
+) -> Dict[Tuple[int, int], int]:
+    """Color the complete constituent on a cluster of order s <= palette-2
+    in time linear in its size.  Relabel the q pendant colors present,
+    ascending, to 0..q-1, pad with dummy color 0 to order P-1 for the
+    least odd P >= s+1, color that as order P-1 in palette P, and map P
+    back to the colors present, then the absent ones ascending.
+    Restricting to the real positions stays proper."""
+    present = sorted(set(pend))
+    label = {c: k for k, c in enumerate(present)}
+    small = len(pend) + 1 | 1
+    padded = [label[c] for c in pend] + [0] * (small - 1 - len(pend))
+    absent = (c for c in range(palette) if c not in label)
+    back = present + list(islice(absent, small - len(present)))
+    full = color_delta_minus_one(padded, small)
+    return {pair: back[full[pair]] for pair in combinations(range(len(pend)), 2)}
+
+
 # ---- the full construction ---- #
 
 def _complete_colors(
@@ -258,29 +280,24 @@ def _complete_colors(
         )
         return ClassIIWitness(delta, nodes, reason)
 
-    # Padded clusters that see one pendant vector share one coloring.
-    # A cluster of fewer than D/2 positions keeps only the pairs among
-    # its own positions: at most about four entries per constituent edge.
+    # Clusters of order below D that see one pendant vector share one
+    # coloring.
     padded_colorings: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {}
+    half = (delta + 1) // 2
 
     def pair_color(v: int) -> Dict[Tuple[int, int], int]:
         pend = tr.pendant_colors(v, feas)
         size = len(pend)
         if size == delta:
             # All pendant colors distinct: align each end with the
-            # scheme vertex missing exactly its pendant color.
-            return {
-                (i, j): class_of_pair(size, (pend[i] + 1, pend[j] + 1))
-                for i, j in tr.constituents[v]
-            }
-        # Pad smaller clusters to D-1 positions with dummy pendant
-        # color 0; restricting to the real positions stays proper.
+            # scheme vertex missing exactly its pendant color.  This is
+            # class_of_pair(D, (a+1, b+1)) inlined: for odd D the chord
+            # {a+1, b+1} has residue sum 2 + 2t, so t = (a + b) / 2 mod D.
+            return {(i, j): (pend[i] + pend[j]) * half % delta for i, j in tr.constituents[v]}
         key = tuple(pend)
         if key not in padded_colorings:
-            full = color_delta_minus_one(pend + [0] * (delta - 1 - size), delta)
-            if 2 * size < delta:
-                full = {pair: full[pair] for pair in combinations(range(size), 2)}
-            padded_colorings[key] = full
+            rule = color_delta_minus_one if size == delta - 1 else _small_cluster_colors
+            padded_colorings[key] = rule(pend, delta)
         return padded_colorings[key]
 
     return feas, pair_color

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,11 @@ class TestEdgeColoring:
     def test_names_the_first_color_that_is_not_an_int(self, bad):
         with pytest.raises(GraphError, match=f"^edge 1 has color {bad!r}, not an int$"):
             EdgeColoring({0: 0, 1: bad, 2: True}, 3)
+
+    @pytest.mark.parametrize("bad", [True, 2.5, "3", -1], ids=["bool", "float", "str", "negative"])
+    def test_rejects_a_palette_that_is_not_a_nonnegative_int(self, bad):
+        with pytest.raises(GraphError, match=f"^palette size {re.escape(repr(bad))} is not a nonnegative int$"):
+            EdgeColoring({0: 0}, bad)
 
     def test_is_proper_requires_total_coverage(self):
         g = Multigraph([0, 1, 2], [(0, 1), (1, 2)])

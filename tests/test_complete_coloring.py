@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 import truncolor.complete_coloring as complete_coloring
 
+from truncolor.canonical import class_of_pair
 from truncolor.catalog import k4, k5, k33, path_graph, petersen, two_k5_bridge
 from truncolor.coloring import (
     CLASS_II,
     EdgeColoring,
     chromatic_index,
+    cluster_clash,
     first_clash,
     is_proper,
 )
@@ -117,8 +119,8 @@ class TestCompleteTruncationColoring:
         assert chromatic_index(g, edge_cap=g.size).classify(g.max_valency()) == CLASS_II
 
     def test_low_valency_clusters_via_padding(self):
-        # A source with valencies 3, 2, 1: clusters below delta - 1 are
-        # padded to delta - 1 positions and colored as that case.
+        # A source with valencies 3, 2, 1: order-2 clusters take the
+        # order delta - 1 case, and order-1 clusters have no pairs.
         g = Multigraph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2)])
         out = color_complete_truncation(g)
         assert not isinstance(out, ClassIIWitness)
@@ -320,7 +322,7 @@ class TestPaddedClusters:
         calls = []
 
         def counted(pend, palette):
-            calls.append(tuple(pend))
+            calls.append((tuple(pend), palette))
             return color_delta_minus_one(pend, palette)
 
         monkeypatch.setattr(complete_coloring, "color_delta_minus_one", counted)
@@ -347,10 +349,88 @@ class TestPaddedClusters:
             padded += 1
             pend = tr.pendant_colors(v, colors)
             vectors.add(tuple(pend))
-            want = color_delta_minus_one(pend + [0] * (6 - len(ends)), 7)
             got = dict(zip(tr.constituents[v], map(colors.__getitem__, tr.constituent_edge_ids(v))))
-            assert got == {pair: want[pair] for pair in tr.constituents[v]}
+            assert got == small_palette_rule(pend, 7)
         assert padded > len(calls) == len(vectors) > 1
+        assert {palette for _, palette in calls} == {3, 5}
+
+    @pytest.mark.parametrize("d", [101, 201])
+    def test_two_hubs_color_order_two_clusters_in_palette_three(self, monkeypatch, d):
+        # K_{2,d}: two order-d clusters and d order-2 clusters, each
+        # seeing a pendant color twice.
+        x = Multigraph(range(d + 2), [(h, m) for m in range(2, d + 2) for h in (0, 1)])
+        calls = self.counted(monkeypatch)
+        tr, coloring = color_complete_truncation(x)
+        assert coloring.palette_size == d
+        assert first_clash(tr.graph, coloring) is None
+        assert len(calls) == d
+        assert all(palette == 3 for _, palette in calls)
+
+
+def small_palette_rule(pend, d):
+    """The order s <= d-2 rule written out: color the present colors'
+    ranks, padded with 0 to order P-1, in the least odd palette P > s,
+    then read palette color k as the k-th of the present colors followed
+    by the absent ones."""
+    s = len(pend)
+    palette = s + 1 if s % 2 == 0 else s + 2
+    present = sorted(set(pend))
+    order = present + [c for c in range(d) if c not in present]
+    full = color_delta_minus_one([present.index(c) for c in pend] + [0] * (palette - 1 - s), palette)
+    return {(i, j): order[full[i, j]] for i, j in combinations(range(s), 2)}
+
+
+# sha256 of the small-cluster colorings of 12 seeded pendant vectors per
+# odd D in 5..51 (see small_cluster_sample).
+SMALL_CLUSTER_SHA256 = "f4fb62aeec30dccce9e9f2d3019c62f3666add609963b09a9396e7c0e3c4d506"
+
+
+def small_cluster_sample():
+    rng = random.Random(21)
+    for d in range(5, 52, 2):
+        for _ in range(12):
+            s = rng.randint(2, d - 2)
+            colors = rng.sample(range(d), rng.randint(1, s))
+            yield tuple(rng.choice(colors) for _ in range(s)), d
+
+
+class TestSmallClusters:
+    def test_colorings_are_pinned(self):
+        digest = hashlib.sha256()
+        for pend, d in small_cluster_sample():
+            out = complete_coloring._small_cluster_colors(pend, d)
+            assert out == small_palette_rule(pend, d)
+            digest.update(repr(sorted(out.items())).encode())
+        assert digest.hexdigest() == SMALL_CLUSTER_SHA256
+
+    @given(st.integers(2, 50).map(lambda k: 2 * k + 1), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_pair_colored_below_d_without_clash(self, d, data):
+        s = data.draw(st.integers(2, d - 2))
+        pend = data.draw(st.lists(st.integers(0, d - 1), min_size=s, max_size=s))
+        out = complete_coloring._small_cluster_colors(pend, d)
+        assert sorted(out) == list(combinations(range(s), 2))
+        assert all(0 <= c < d for c in out.values())
+        assert cluster_clash(pend, list(out), list(out.values())) is None
+
+
+class TestOrderDClusters:
+    def test_closed_form_is_the_odd_chord_rule(self):
+        # The order-D case reads class_of_pair(n, (a+1, b+1)) as
+        # (a + b) * ((n + 1) // 2) % n for odd n.
+        for n in range(3, 102, 2):
+            half = (n + 1) // 2
+            for a, b in combinations(range(n), 2):
+                assert (a + b) * half % n == class_of_pair(n, (a + 1, b + 1))
+
+    def test_order_d_clusters_follow_the_missing_color_alignment(self):
+        x = Multigraph(range(9), [(h, m) for m in range(2, 9) for h in (0, 1)])
+        tr, coloring = color_complete_truncation(x)
+        for v in (0, 1):
+            pend = tr.pendant_colors(v, coloring.assignment)
+            got = map(coloring.color_of, tr.constituent_edge_ids(v))
+            want = (class_of_pair(7, (pend[i] + 1, pend[j] + 1)) for i, j in tr.constituents[v])
+            assert list(got) == list(want)
 
 
 class TestSubtruncationColoring:
