@@ -80,6 +80,15 @@ cat k25_verify.json
 echo "== sun verdicts"
 truncolor sun --vector 3,3,1 --dot sun.dot
 truncolor sun --vector 2,1,1
+# An all-even vector takes the even construction: 8 ends, 4 colors, the
+# zero entry included.
+truncolor sun --vector 0,2,4,2 > even_sun.json
+if ! grep -q '"verdict": "ADMISSIBLE"' even_sun.json || ! grep -q '"palette": 4' even_sun.json; then
+    echo "FAIL: the even sun for 0,2,4,2 is not admissible in palette 4" >&2
+    cat even_sun.json >&2
+    exit 1
+fi
+cat even_sun.json
 
 echo "== class II detection via the oracle"
 truncolor demo petersen > petersen.json

@@ -226,21 +226,27 @@ def color_delta_minus_one(
 
 
 def _small_cluster_colors(
-    pend: Sequence[int], palette: int
+    pend: Sequence[int],
+    palette: int,
+    memo: Optional[Dict[Tuple[int, ...], Dict[Tuple[int, int], int]]] = None,
 ) -> Dict[Tuple[int, int], int]:
     """Color the complete constituent on a cluster of order s <= palette-2
     in time linear in its size.  Relabel the q pendant colors present,
     ascending, to 0..q-1, pad with dummy color 0 to order P-1 for the
     least odd P >= s+1, color that as order P-1 in palette P, and map P
     back to the colors present, then the absent ones ascending.
-    Restricting to the real positions stays proper."""
+    Restricting to the real positions stays proper.  memo shares the
+    padded coloring between clusters that differ only in color names."""
     present = sorted(set(pend))
     label = {c: k for k, c in enumerate(present)}
     small = len(pend) + 1 | 1
-    padded = [label[c] for c in pend] + [0] * (small - 1 - len(pend))
+    padded = tuple(label[c] for c in pend) + (0,) * (small - 1 - len(pend))
     absent = (c for c in range(palette) if c not in label)
     back = present + list(islice(absent, small - len(present)))
-    full = color_delta_minus_one(padded, small)
+    memo = {} if memo is None else memo
+    if padded not in memo:
+        memo[padded] = color_delta_minus_one(padded, small)
+    full = memo[padded]
     return {pair: back[full[pair]] for pair in combinations(range(len(pend)), 2)}
 
 
@@ -280,9 +286,9 @@ def _complete_colors(
         )
         return ClassIIWitness(delta, nodes, reason)
 
-    # Clusters of order below D that see one pendant vector share one
-    # coloring.
-    padded_colorings: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {}
+    # Clusters of order below D share colorings by the vector they pass
+    # to color_delta_minus_one, whose length fixes the palette (D or P).
+    colorings: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {}
     half = (delta + 1) // 2
 
     def pair_color(v: int) -> Dict[Tuple[int, int], int]:
@@ -294,11 +300,12 @@ def _complete_colors(
             # class_of_pair(D, (a+1, b+1)) inlined: for odd D the chord
             # {a+1, b+1} has residue sum 2 + 2t, so t = (a + b) / 2 mod D.
             return {(i, j): (pend[i] + pend[j]) * half % delta for i, j in tr.constituents[v]}
+        if size < delta - 1:
+            return _small_cluster_colors(pend, delta, colorings)
         key = tuple(pend)
-        if key not in padded_colorings:
-            rule = color_delta_minus_one if size == delta - 1 else _small_cluster_colors
-            padded_colorings[key] = rule(pend, delta)
-        return padded_colorings[key]
+        if key not in colorings:
+            colorings[key] = color_delta_minus_one(pend, delta)
+        return colorings[key]
 
     return feas, pair_color
 

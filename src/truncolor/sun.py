@@ -20,15 +20,19 @@ the scheme class with that centre minus the pairs inside its block.
 Two blocks need the same class only when their centres coincide or
 are antipodal on the circle of r-1 residues; the layout moves the one
 block that can be centred opposite the hub block (see _even_layout).
-A final renaming sorts the names back into ascending color blocks.
+The construction reads only its shape, the nonzero sizes in descending
+order and the whole matchings added, so `_even_shape` caches it once
+per shape on color slots; each build, permuted vectors included,
+renames slots to colors and names to positions in color blocks.
 
-Both constructions share one tail, `_finish`: they collect their edges
+Both constructions share one tail, `_finish`: they hand it their edges
 as (name, name, color) triples, which are sorted once and renamed to
-positions, and every sun is checked by `SunColoring.validate`.  That
-check reads the plain lists: Truncation's pair check, whole-list color
-passes, then the cluster checker every truncation coloring shares,
-`coloring.cluster_clash`.  No check builds the sun as a graph, so a
-build costs little more than its output; `sun_graph` exists for DOT.
+positions, and every sun, cached shape or not, is checked by
+`SunColoring.validate`.  That check reads the plain lists:
+Truncation's pair check, whole-list color passes, then the cluster
+checker every truncation coloring shares, `coloring.cluster_clash`.
+No check builds the sun as a graph, so a build costs little more than
+its output; `sun_graph` exists for DOT.
 
 Semiregular, regular and class I cyclic truncations share one gluing,
 `_glue_suns`: it counts each vertex's color vector once over a
@@ -42,9 +46,10 @@ conventions, tracking color-count parities per vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 from operator import itemgetter
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .canonical import class_of_pair, scheme_class
 from .coloring import EdgeColoring, _clash_error, cluster_clash, solve_edge_coloring
@@ -242,11 +247,12 @@ def build_sun_odd(vector: Sequence[int]) -> SunColoring:
 
 
 def _even_layout(r: int, nz: Sequence[Tuple[int, int]]) -> List[Tuple[int, List[int]]]:
-    """Construction names of each nonzero color's pendants, as (color, names).
+    """Construction names of each nonzero block's pendants, as (label, names).
 
-    nz lists the nonzero (color, count) blocks largest first, ties by
-    color.  The first block takes the hub 0 and names 1..x1-1, centred
-    at x1/2; the others take consecutive intervals of the arc x1..r-1.
+    nz lists the nonzero (label, count) blocks largest first, ties by
+    label; _even_shape labels them by slot.  The first block takes the
+    hub 0 and names 1..x1-1, centred at x1/2; the others take
+    consecutive intervals of the arc x1..r-1.
     Every block is symmetric about one centre on the circle of r-1
     residues, so it is a union of pairs of the class with that centre.
     Two blocks share a class only when their centres coincide or are
@@ -304,45 +310,41 @@ def _even_layout(r: int, nz: Sequence[Tuple[int, int]]) -> List[Tuple[int, List[
     return out
 
 
-def _even_core(
-    vector: Sequence[int],
-) -> Tuple[List[Tuple[int, int, int]], Iterator[Tuple[Tuple[int, int], ...]], List[int]]:
-    """Shared even-parity construction.
+@lru_cache(maxsize=256)
+def _even_shape(
+    sizes: Tuple[int, ...], extra: int
+) -> Tuple[Tuple[Tuple[int, int, int], ...], Tuple[Tuple[int, ...], ...]]:
+    """The even construction for one shape, on color slots.
 
-    Returns (triples, pool, position): triples are the base edges as
-    (name_a, name_b, color) with name_a < name_b, ready for _finish;
-    pool yields the perfect matchings still fully available; position
-    maps construction names to sun positions.  Names 0..r-1 form K_r's
-    scheme with hub 0.  Each nonzero color takes the class whose pairs
+    Slot i is the i-th of sizes, the nonzero entries largest first, and
+    slot len(sizes) + j the j-th of extra colors.  Returns (triples,
+    names): the edges as name-sorted (name_a, name_b, slot) with name_a
+    < name_b, and each slot's pendant names, ascending.  Names 0..r-1
+    form K_r's scheme with hub 0.  Each slot takes the class whose pairs
     tile its pendant names (see _even_layout) and keeps that class's
-    other pairs as its edges; the tiling pairs together form the
-    leftover matching.  The pool is the unused classes, built only when
-    taken, then the leftover.  Positions sort the names back into
-    ascending color blocks.  The caller has checked the vector; an
-    all-even vector is always admissible.
+    other pairs as its edges; the tiling pairs form the leftover
+    matching.  Each extra slot takes one whole matching: the unused
+    classes, built only when taken, then the leftover.
     """
-    r = sum(vector)
-    if any(x % 2 for x in vector):
-        raise GraphError("even-parity construction needs every entry even")
-    nz = sorted(((i, x) for i, x in enumerate(vector) if x > 0), key=lambda b: (-b[1], b[0]))
-    layout = _even_layout(r, nz)
+    r = sum(sizes)
+    layout = _even_layout(r, list(enumerate(sizes)))
     pend = [0] * r
-    for c, names in layout:
-        for p in names:
-            pend[p] = c
+    for slot, block in layout:
+        for p in block:
+            pend[p] = slot
     triples: List[Tuple[int, int, int]] = []
     leftover: List[Tuple[int, int]] = []
     used = set()
-    for c, names in layout:
+    for slot, block in layout:
         # The hub pairs with its block's centre; an arc block's ends pair.
-        pair = (0, names[len(names) // 2]) if names[0] == 0 else (names[0], names[-1])
+        pair = (0, block[len(block) // 2]) if block[0] == 0 else (block[0], block[-1])
         t = class_of_pair(r, pair)
         used.add(t)
         for a, b in scheme_class(r, t):
-            if pend[a] == c:
+            if pend[a] == slot:
                 leftover.append((a, b))
             else:
-                triples.append((a, b, c))
+                triples.append((a, b, slot))
     if len(used) < len(layout):
         # Two blocks on one class: each took the other's pairs, so the
         # class is spent and nothing is left over.
@@ -351,11 +353,12 @@ def _even_core(
         (scheme_class(r, t) for t in range(r - 1) if t not in used),
         [tuple(sorted(leftover))] if leftover else [],
     )
-    position = [0] * r
-    # A stable sort keeps names ascending inside each color block.
-    for p, name in enumerate(sorted(range(r), key=pend.__getitem__)):
-        position[name] = p
-    return triples, pool, position
+    for slot in range(len(sizes), len(sizes) + extra):
+        matching = next(pool, None)
+        if matching is None:
+            raise AssertionError(f"no free matching left for color slot {slot}")
+        triples.extend((a, b, slot) for a, b in matching)
+    return tuple(sorted(triples)), tuple(tuple(block) for _, block in sorted(layout))
 
 
 def build_sun_even(vector: Sequence[int]) -> SunColoring:
@@ -370,8 +373,11 @@ def build_sun_valency(vector: Sequence[int], k: int) -> SunColoring:
 
     d' is the number of nonzero entries; any k from d'-1 through r-1
     works.  The base construction is (d'-1)-regular; each step up adds
-    one whole perfect matching from the pool under a color not yet on
-    any pendant (zero-entry indices first, then fresh colors).
+    one whole perfect matching under a color not yet on any pendant
+    (zero-entry indices first, then fresh colors).  _even_shape caches
+    the construction by the nonzero entries, largest first and ties by
+    color, and k - (d'-1); a build renames its slots to colors and its
+    names, block by block in color order, to positions.
     """
     r, d = _check_vector(vector)
     zeros = [i for i, x in enumerate(vector) if x == 0]
@@ -380,15 +386,17 @@ def build_sun_valency(vector: Sequence[int], k: int) -> SunColoring:
         raise GraphError(
             f"target valency {k} outside {base}..{r - 1} for vector {tuple(vector)}"
         )
-    triples, pool, position = _even_core(vector)
+    if any(x % 2 for x in vector):
+        raise GraphError("even-parity construction needs every entry even")
+    nz = sorted(((i, x) for i, x in enumerate(vector) if x > 0), key=lambda b: (-b[1], b[0]))
     need = k - base
     fresh = max(0, need - len(zeros))
-    for color in (zeros + list(range(d, d + fresh)))[:need]:
-        matching = next(pool, None)
-        if matching is None:
-            raise AssertionError(f"no free matching left for color {color}")
-        triples.extend((a, b, color) for a, b in matching)
-    return _finish(vector, triples, d + fresh, position, k)
+    triples, names = _even_shape(tuple(x for _, x in nz), need)
+    colors = [i for i, _ in nz] + (zeros + list(range(d, d + fresh)))[:need]
+    position = [0] * r
+    for p, name in enumerate(chain.from_iterable(b for _, b in sorted(zip(colors, names)))):
+        position[name] = p
+    return _finish(vector, [(a, b, colors[s]) for a, b, s in triples], d + fresh, position, k)
 
 
 # ---- exhaustive negative verification ---- #

@@ -342,29 +342,31 @@ class TestPaddedClusters:
         calls = self.counted(monkeypatch)
         tr, coloring = color_complete_truncation(x)
         colors = coloring.assignment
-        padded, vectors = 0, set()
+        padded, vectors, relabeled = 0, set(), set()
+        pad = {2: 0, 3: 1, 4: 0}  # zeros up to order P-1, P = 3, 5, 5
         for v, ends in tr.clusters.items():
             if len(ends) in (1, 7):
                 continue
             padded += 1
             pend = tr.pendant_colors(v, colors)
             vectors.add(tuple(pend))
+            relabeled.add(tuple(sorted(set(pend)).index(c) for c in pend) + (0,) * pad[len(pend)])
             got = dict(zip(tr.constituents[v], map(colors.__getitem__, tr.constituent_edge_ids(v))))
             assert got == small_palette_rule(pend, 7)
-        assert padded > len(calls) == len(vectors) > 1
+        # One call per relabeled padded vector, not per pendant vector.
+        assert padded > len(vectors) > len(calls) == len(relabeled) > 1
         assert {palette for _, palette in calls} == {3, 5}
 
     @pytest.mark.parametrize("d", [101, 201])
     def test_two_hubs_color_order_two_clusters_in_palette_three(self, monkeypatch, d):
         # K_{2,d}: two order-d clusters and d order-2 clusters, each
-        # seeing a pendant color twice.
+        # seeing a pendant color twice, so all relabel to (0, 0).
         x = Multigraph(range(d + 2), [(h, m) for m in range(2, d + 2) for h in (0, 1)])
         calls = self.counted(monkeypatch)
         tr, coloring = color_complete_truncation(x)
         assert coloring.palette_size == d
         assert first_clash(tr.graph, coloring) is None
-        assert len(calls) == d
-        assert all(palette == 3 for _, palette in calls)
+        assert calls == [((0, 0), 3)]
 
 
 def small_palette_rule(pend, d):

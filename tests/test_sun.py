@@ -217,6 +217,8 @@ class TestEvenLayout:
             return real(n, t)
 
         monkeypatch.setattr(sun_module, "scheme_class", counted)
+        # Earlier builds may have cached these shapes.
+        sun_module._even_shape.cache_clear()
         # A 0-regular constituent needs only the color's own class.
         build_sun_even((1000,)).validate(regular=0)
         assert len(calls) == 1
@@ -226,6 +228,57 @@ class TestEvenLayout:
         calls.clear()
         build_sun_even((4, 4, 0, 0)).validate(regular=3)
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("vector", [(4, 2, 2, 0), (2, 2, 2, 2, 0, 0)])
+    def test_permuted_vectors_share_one_shape(self, monkeypatch, vector):
+        layouts = []
+        real = sun_module._even_layout
+
+        def counted(r, nz):
+            layouts.append(tuple(x for _, x in nz))
+            return real(r, nz)
+
+        monkeypatch.setattr(sun_module, "_even_layout", counted)
+        sun_module._even_shape.cache_clear()
+        warm = {perm: build_sun_even(perm) for perm in sorted(set(permutations(vector)))}
+        assert layouts == [tuple(sorted(vector, reverse=True)[: sum(1 for x in vector if x)])]
+        for perm, sun in warm.items():
+            sun_module._even_shape.cache_clear()
+            assert build_sun_even(perm) == sun
+
+    def test_every_build_validates_cache_hits_included(self, monkeypatch):
+        checks = []
+        real = SunColoring.validate
+
+        def counted(self, regular=None):
+            checks.append(self.vector)
+            return real(self, regular)
+
+        monkeypatch.setattr(SunColoring, "validate", counted)
+        sun_module._even_shape.cache_clear()
+        vectors = [(4, 2, 2, 0), (2, 4, 0, 2), (4, 2, 2, 0), (0, 2, 2, 4)]
+        for vector in vectors:
+            build_sun_even(vector)
+        assert checks == vectors
+        assert sun_module._even_shape.cache_info().misses == 1
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_warm_builds_equal_cold_ones(self, data):
+        # A random even vector warms the cache for a random permutation
+        # of it, at one random target valency.
+        half = data.draw(st.integers(1, 20), label="r/2")
+        d = data.draw(st.integers(1, 2 * half), label="d")
+        cuts = sorted(data.draw(st.lists(st.integers(0, half), min_size=d - 1, max_size=d - 1)))
+        vector = tuple(2 * (b - a) for a, b in zip([0] + cuts, cuts + [half]))
+        perm = tuple(data.draw(st.permutations(vector), label="permutation"))
+        k = data.draw(st.integers(sum(1 for x in vector if x) - 1, 2 * half - 1), label="k")
+        sun_module._even_shape.cache_clear()
+        cold = build_sun_valency(perm, k)
+        sun_module._even_shape.cache_clear()
+        build_sun_valency(vector, k)
+        assert build_sun_valency(perm, k) == cold
+        assert sun_module._even_shape.cache_info().hits == 1
 
 
 class TestValidateMessages:
