@@ -40,6 +40,17 @@ echo "== complete truncation, colored with max valency"
 truncolor color-complete k4.json --dot k4_tr.dot > k4_bundle.json
 truncolor verify k4_bundle.json
 head -3 k4_tr.dot
+# has_truncation_drawing FILE: the drawing groups each cluster and
+# draws the matching bold, so the truncation was flattened to draw it.
+has_truncation_drawing() {
+    if ! grep -q 'subgraph cluster_' "$1" || ! grep -q 'style=bold' "$1"; then
+        echo "FAIL: $1 lacks the clusters or the bold matching of a truncation" >&2
+        exit 1
+    fi
+}
+has_truncation_drawing k4_tr.dot
+truncolor truncate k4.json --kind cyclic --dot k4_cyclic_tr.dot > k4_cyclic_tr.json
+has_truncation_drawing k4_cyclic_tr.dot
 
 echo "== strong constituents"
 truncolor truncate k4.json --kind arboreal > k4_arboreal.json
@@ -94,6 +105,8 @@ echo "== class II detection via the oracle"
 truncolor demo petersen > petersen.json
 expect_fail 1 "class II:" "class II witness" truncolor color-complete petersen.json
 truncolor oracle petersen.json
+expect_fail 1 "error: --edge-cap must be nonnegative" "a negative edge cap" \
+    truncolor oracle petersen.json --edge-cap -1
 
 echo "== class II decided with no search"
 # The doubled triangle with a pendant edge at each vertex (D = 5): its

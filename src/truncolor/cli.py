@@ -3,6 +3,10 @@
 Every subcommand reads JSON files and returns its exit code, its JSON
 result and what --dot should draw; `main` alone writes the result to
 stdout as one compact JSON line and the drawing to the --dot file.
+A truncation's flat "vertices" and "edges" are written straight from
+its clusters (io.flat_graph_to_obj), and its drawing hands over the
+truncation itself, so the flat graph is built only for --dot, for
+`verify`'s check and for the cyclic demos' output.
 `color-complete` bundles and `truncate --kind complete` store their
 complete truncation by reference, as the source plus "kind":
 "complete"; every other truncation spells out its constituents.
@@ -13,7 +17,8 @@ holding the coloring itself or nesting it under "coloring", as a
 truncation's flattened graph.  Exit codes: 0 for success, 1 for
 domain errors (bad input, failed verification, inapplicable route,
 unwritable --dot path) and usage errors, 2 when the exact oracle ran
-out of budget before deciding; a negative --budget is a domain error.
+out of budget before deciding; a negative --budget or --edge-cap is a
+domain error.
 
 `main` pauses the cyclic garbage collector from argument parsing to its
 return, JSON and --dot output included, and turns it back on only if
@@ -31,7 +36,7 @@ import json
 import random
 import sys
 from operator import eq
-from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple, Union
 
 from .catalog import catalog as named_instances, k4 as _k4, q3 as _q3
 from .coloring import (
@@ -53,6 +58,7 @@ from .io import (
     coloring_from_obj,
     coloring_to_obj,
     first_clash,
+    flat_graph_to_obj,
     graph_from_obj,
     graph_to_obj,
     load_graph,
@@ -78,9 +84,10 @@ EXIT_DOMAIN = 1
 EXIT_UNDECIDED = 2
 
 
-# A drawing is what --dot renders: a graph, its coloring if any, and
-# the truncation it flattens if any (for clusters and bold matching).
-Drawing = Tuple[Multigraph, Optional[EdgeColoring], Optional[Truncation]]
+# A drawing is what --dot renders: a graph, or a truncation that is
+# flattened only then and drawn with its clusters and bold matching,
+# and its coloring if any.
+Drawing = Tuple[Union[Multigraph, Truncation], Optional[EdgeColoring]]
 # Every subcommand returns (exit code, JSON object, drawing or None).
 Result = Tuple[int, Dict[str, object], Optional[Drawing]]
 
@@ -97,9 +104,9 @@ def _bundle(
     """Success with obj followed by the truncation as tr_obj, its flat
     graph and the coloring: the bundle `verify` reads back."""
     obj["truncation"] = tr_obj
-    obj.update(graph_to_obj(tr.graph))
+    obj.update(flat_graph_to_obj(tr))
     obj["coloring"] = coloring_to_obj(coloring)
-    return EXIT_OK, obj, (tr.graph, coloring, tr)
+    return EXIT_OK, obj, (tr, coloring)
 
 
 def _parse_vector(text: str) -> List[int]:
@@ -118,14 +125,13 @@ _TRUNCATIONS = {
 
 def cmd_truncate(args) -> Result:
     tr = _TRUNCATIONS[args.kind](load_graph(args.graph))
-    flat = tr.graph
     obj = {
         **(_complete_obj(tr) if args.kind == "complete" else truncation_to_obj(tr)),
         "kind": args.kind,
-        **graph_to_obj(flat),
-        "max_valency": flat.max_valency(),
+        **flat_graph_to_obj(tr),
+        "max_valency": tr.max_valency(),
     }
-    return EXIT_OK, obj, (flat, None, tr)
+    return EXIT_OK, obj, (tr, None)
 
 
 def cmd_color_complete(args) -> Result:
@@ -196,8 +202,7 @@ def cmd_color_strong(args) -> Result:
         obj = {"applicable": False, "vertex": out.vertex, "delta": out.delta, "reason": out.reason}
         return EXIT_DOMAIN, obj, None
     obj = {"applicable": True, "delta": tr.max_valency(), "coloring": coloring_to_obj(out)}
-    # Only a drawing needs the flat graph.
-    return EXIT_OK, obj, (tr.graph, out, tr) if args.dot else None
+    return EXIT_OK, obj, (tr, out)
 
 
 def cmd_sun(args) -> Result:
@@ -205,7 +210,7 @@ def cmd_sun(args) -> Result:
     r, d = sum(vector), len(vector)
     if admissible(vector):
         sun = _build_sun(vector)
-        return EXIT_OK, sun_report(sun), (*sun.sun_graph(), None)
+        return EXIT_OK, sun_report(sun), sun.sun_graph()
     if d == 3 or (r <= 8 and verify_totally_inadmissible(vector)):
         verdict = "TOTALLY_INADMISSIBLE"
     else:
@@ -231,7 +236,7 @@ def cmd_oracle(args) -> Result:
     if res.certificate is None:
         return EXIT_OK, obj, None
     obj["coloring"] = coloring_to_obj(res.certificate)
-    return EXIT_OK, obj, (g, res.certificate, None)
+    return EXIT_OK, obj, (g, res.certificate)
 
 
 def _verify_graph(obj: object, origin: str) -> Multigraph:
@@ -304,7 +309,7 @@ def cmd_verify(args) -> Result:
     if clash is None:
         used = len(coloring.used_colors())
         obj = {"proper": True, "palette": coloring.palette_size, "colors_used": used}
-        return EXIT_OK, obj, (g, coloring, None)
+        return EXIT_OK, obj, (g, coloring)
     v, e1, e2 = clash
     c = coloring.color_of(e1)
     print(f"edges {e1} and {e2} share color {c} at vertex {v}", file=sys.stderr)
@@ -329,7 +334,7 @@ def cmd_demo(args) -> Result:
         "size": g.size,
         "max_valency": g.max_valency(),
     }
-    return EXIT_OK, obj, (g, None, tr)
+    return EXIT_OK, obj, (g if tr is None else tr, None)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -416,9 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "budget", None) is not None and args.budget < 0:
-        print("error: --budget must be nonnegative", file=sys.stderr)
-        return EXIT_DOMAIN
+    for flag, value in (
+        ("--budget", getattr(args, "budget", None)),
+        ("--edge-cap", getattr(args, "edge_cap", None)),
+    ):
+        if value is not None and value < 0:
+            print(f"error: {flag} must be nonnegative", file=sys.stderr)
+            return EXIT_DOMAIN
     # The command's data hold no reference cycles (see the module
     # docstring): pause the collector for it, then restore the caller's.
     was_enabled = gc.isenabled()
@@ -442,9 +451,11 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_UNDECIDED
     sys.stdout.write(json.dumps(obj) + "\n")
     if args.dot and drawing is not None:
-        g, coloring, tr = drawing
-        bold = tr.matching_ids if tr is not None else ()
-        clusters = tr.clusters if tr is not None else None
+        shape, coloring = drawing
+        if isinstance(shape, Truncation):
+            g, bold, clusters = shape.graph, shape.matching_ids, shape.clusters
+        else:
+            g, bold, clusters = shape, (), None
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(to_dot(g, coloring, bold, clusters))

@@ -12,6 +12,8 @@ them, any kind but "complete" is rejected.  All loaders point at the
 offending file (and line, for syntax errors) when they reject input,
 and a JSON object that repeats a key is rejected, not read as its last
 value.
+A truncation's flat graph is written straight from its clusters by
+flat_graph_to_obj, as graph_to_obj would write the built graph.
 
 Loaders check only JSON shape, each list in two steps: a whole-list
 pass with C-level builtins (the set of element types, pair lengths)
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, KeysView, List, Optional, Sequence, Tuple, TypeVar
 
 from .coloring import EdgeColoring, first_clash as _first_clash
 from .errors import GraphError
@@ -39,6 +41,7 @@ __all__ = [
     "load_json",
     "graph_from_obj",
     "graph_to_obj",
+    "flat_graph_to_obj",
     "load_graph",
     "coloring_from_obj",
     "coloring_to_obj",
@@ -141,19 +144,34 @@ def load_graph(path: str) -> Multigraph:
     return graph_from_obj(load_json(path), path)
 
 
-def graph_to_obj(g: Multigraph) -> Dict[str, object]:
-    edges = g.edges
-    ids = edges.keys()
-    # Distinct ascending ids, as a Multigraph keeps them: ints 0 to len-1.
+def _require_contiguous(ids: KeysView[int]) -> None:
+    """The rule for writing a graph: its edge ids, distinct and ascending
+    as a Multigraph keeps them, must be the ints 0 to len-1, since an
+    edge's id is its position in "edges"."""
     if ids and not (
         _only(ids, int) and next(iter(ids)) == 0 and next(reversed(ids)) == len(ids) - 1
     ):
         raise GraphError("graph has non-contiguous edge ids; rebuild before serializing")
+
+
+def graph_to_obj(g: Multigraph) -> Dict[str, object]:
+    edges = g.edges
+    _require_contiguous(edges.keys())
     return {
         "vertices": list(g.vertices),
         # Ids are contiguous, so the edge map holds them in id order.
         "edges": list(map(list, edges.values())),
     }
+
+
+def flat_graph_to_obj(tr: Truncation) -> Dict[str, object]:
+    """What graph_to_obj(tr.graph) writes, edges as tuples (json writes
+    them as arrays), without building tr.graph."""
+    # Constituent ids follow the last source edge id, so the flat ids
+    # are contiguous exactly when the source's are; the ends of source
+    # edges 0..m-1 are then 0..2m-1.
+    _require_contiguous(tr.matching.keys())
+    return {"vertices": list(range(2 * len(tr.matching))), "edges": tr.flat_edges()}
 
 
 def coloring_from_obj(obj: object, origin: str = "<coloring>") -> EdgeColoring:

@@ -10,8 +10,10 @@ source edges, which is what contraction exploits to invert the process.
 Within a cluster, ends are ordered by their source edge id; constituent
 edges are given as pairs of these 0-based cluster positions.  Only this
 module maps positions to ends and edge ids.  Colorings are glued and
-checked cluster by cluster (coloring.cluster_clash); the flat graph is
-an output format, built on first access to Truncation.graph.
+checked cluster by cluster (coloring.cluster_clash), each distinct
+cluster once.  Writers read the flat edges straight from the clusters
+(Truncation.flat_edges); the flat graph itself, built on first access
+to Truncation.graph, serves only checks and drawings.
 """
 
 from __future__ import annotations
@@ -171,6 +173,28 @@ class Truncation:
             self._flat = Multigraph._trusted(tuple(inc), edges, incidence)
         return self._flat
 
+    def flat_edges(self) -> List[Tuple[int, int]]:
+        """The flat graph's edges as (u, v) pairs in id order, read
+        straight from the clusters without building the graph: the
+        matching edges, then each cluster's constituent edges in vertex
+        order, as list(self.graph.edges.values()) gives them.
+        """
+        edges: List[Tuple[int, int]] = list(self.matching.values())
+        # Position columns once per constituent tuple, which the
+        # clusters of a complete truncation share.
+        columns: Dict[int, Tuple[List[int], List[int]]] = {}
+        for v, ends in self.clusters.items():
+            pairs = self.constituents[v]
+            cols = columns.get(id(pairs))
+            if cols is None:
+                cols = columns[id(pairs)] = (
+                    list(map(itemgetter(0), pairs)),
+                    list(map(itemgetter(1), pairs)),
+                )
+            at = ends.__getitem__
+            edges.extend(zip(map(at, cols[0]), map(at, cols[1])))
+        return edges
+
     @property
     def matching_ids(self) -> Tuple[int, ...]:
         return tuple(sorted(self.matching))
@@ -211,19 +235,30 @@ class Truncation:
         matching edge.  pair_color(v) maps each constituent edge of v,
         as a position pair (i, j) with i < j, to its color; it is called
         once per cluster with a nonempty constituent, one cluster at a
-        time.  Each cluster is checked by cluster_clash; a clash raises
-        AssertionError naming it by flat ids and end vertex.
+        time.  Each distinct cluster (constituent tuple, pendant colors,
+        pair colors) is checked once by cluster_clash, a pure function
+        of these; a clash raises AssertionError naming the first
+        clashing cluster by flat ids and end vertex.
         """
         assignment = {eid: matching_colors[eid] for eid in self.matching}
-        glued: List[Tuple[int, List[int]]] = []
+        glued: List[Tuple[int, Tuple[int, ...]]] = []
         for v, pairs in self.constituents.items():
             if pairs:
-                colors = list(map(pair_color(v).__getitem__, pairs))
+                colors = tuple(map(pair_color(v).__getitem__, pairs))
                 assignment.update(zip(self._ids[v], colors))
                 glued.append((v, colors))
         out = EdgeColoring(assignment, palette)  # palette range first
+        # The constituent tuple goes into the key by id, which is stable:
+        # self.constituents keeps every tuple alive.
+        checked = set()
         for v, colors in glued:
-            clash = cluster_clash(self.pendant_colors(v, assignment), self.constituents[v], colors)
+            pairs = self.constituents[v]
+            pendant = tuple(self.pendant_colors(v, assignment))
+            key = (id(pairs), pendant, colors)
+            if key in checked:
+                continue
+            checked.add(key)
+            clash = cluster_clash(pendant, pairs, colors)
             if clash is not None:
                 # From sun graph ids to flat ids and the end vertex.
                 p, e1, e2, c = clash

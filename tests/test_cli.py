@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -348,6 +349,12 @@ class TestOracle:
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: truncolor oracle")
 
+    def test_negative_edge_cap_is_a_domain_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "oracle", write_graph(tmp_path, k4()), "--edge-cap", "-1")
+        assert code == 1
+        assert out is None
+        assert err == "error: --edge-cap must be nonnegative\n"
+
     def test_edge_cap_guard(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "oracle", write_graph(tmp_path, petersen()), "--edge-cap", "5"
@@ -619,6 +626,79 @@ class TestOutput:
         assert code == 1
         assert out["kind"] == "complete"
         assert err.startswith("error: ") and "t.dot" in err
+
+
+# sha256 of stdout and of the --dot file, per command, on K5 and K9
+# graph files written by graph_to_obj: the bytes the flat graph's own
+# writer gave before truncations were written from their clusters.
+PINNED = {
+    "color-complete-k5": (
+        ["color-complete", "k5"],
+        "b4cf29a70ab8aff9c5f5b5dffd239da5890f5e45d312e93e4f99b85be0eefaf7",
+        "24d6a27bc6f1cce4a165f58d25a49340c8d0a2c8613ef5dbcf634643b0ded8ce",
+    ),
+    "color-complete-k9": (
+        ["color-complete", "k9"],
+        "b2cccdab6e24c9a05f30e833d11f9fbfbc1c7931678478bb47e1a8d3d6ded70e",
+        "d26cdbf7da1a9111ecdddcfa0b68e8213840bcb0397d1dcc240a70437ccaf15f",
+    ),
+    "cyclic-color-even-seed-3": (
+        ["cyclic-color", "k5", "--strategy", "even", "--seed", "3"],
+        "b5236d0679fca4ef757ac1b8d5c0cbaac01d4d5e6f1eeffacc53b26d6425732e",
+        "a30cb67ca5942c145a4864550786901dbe8251009cf3178ff2304c6dad7d4a4a",
+    ),
+    "truncate-complete": (
+        ["truncate", "k5", "--kind", "complete"],
+        "fdf824889e58683cd52554e7159c93ad23825a94357877e32fb12080ae4938f3",
+        "378d0921fe0472a99fa32dc9344b8a8017382ad7d030e16897d9a3868ed18975",
+    ),
+    "truncate-cyclic": (
+        ["truncate", "k5", "--kind", "cyclic"],
+        "98a8d198fa62df8db525012066980ae515cbee65ed525cc1d3faebb0b795e616",
+        "1a1f581edbd872f7b8fa3f395d85276c35b98b7b7e8690c01085a64601ce1829",
+    ),
+    "truncate-arboreal": (
+        ["truncate", "k5", "--kind", "arboreal"],
+        "2b8427db3a668035887d7cbb7b10252ec69c7067cfe86e0ed03bef7968bb1e0a",
+        "176ecc136ab7fba26545f3c780af498bd29453d059c83b3f345b8f8005ba650e",
+    ),
+}
+
+
+class TestPinnedBytes:
+    def argv(self, tmp_path, name):
+        files = {
+            "k5": write_graph(tmp_path, complete_graph(5), "k5.json"),
+            "k9": write_graph(tmp_path, complete_graph(9), "k9.json"),
+        }
+        return [files.get(arg, arg) for arg in PINNED[name][0]]
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_stdout_and_dot_bytes(self, capsys, tmp_path, name):
+        dot = tmp_path / "out.dot"
+        assert main(self.argv(tmp_path, name) + ["--dot", str(dot)]) == 0
+        out = capsys.readouterr().out
+        _, stdout_sha, dot_sha = PINNED[name]
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+        assert hashlib.sha256(dot.read_bytes()).hexdigest() == dot_sha
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_flattens_only_to_draw(self, capsys, tmp_path, monkeypatch, name):
+        argv = self.argv(tmp_path, name)
+        flattened = []
+        graph = Truncation.graph
+
+        def counted(tr):
+            if tr._flat is None:
+                flattened.append(tr)
+            return graph.fget(tr)
+
+        monkeypatch.setattr(Truncation, "graph", property(counted))
+        assert main(argv) == 0
+        assert flattened == []
+        assert main(argv + ["--dot", str(tmp_path / "out.dot")]) == 0
+        assert len(flattened) == 1
+        capsys.readouterr()
 
 
 class Interrupted(BaseException):

@@ -18,6 +18,7 @@ from truncolor.io import (
     coloring_from_obj,
     coloring_to_obj,
     first_clash,
+    flat_graph_to_obj,
     graph_from_obj,
     graph_to_obj,
     load_coloring,
@@ -118,6 +119,22 @@ class TestGraphRoundTrip:
             graph_to_obj(k4().without_edges([2]))
         # Dropping the last id leaves 0..4.
         assert graph_to_obj(k4().without_edges([5]))["edges"] == graph_to_obj(k4())["edges"][:5]
+
+    @pytest.mark.parametrize("build", [complete_truncation, cyclic_truncation, arboreal_truncation])
+    def test_flat_writer_matches_graph_to_obj(self, build):
+        tr = build(k5())
+        assert json.dumps(flat_graph_to_obj(tr)) == json.dumps(graph_to_obj(tr.graph))
+
+    @pytest.mark.parametrize("dropped", [[0], [3]], ids=["first", "middle"])
+    def test_flat_writer_needs_contiguous_ids(self, dropped):
+        # The same rule and error as graph_to_obj on the flat graph.
+        tr = complete_truncation(k4().without_edges(dropped))
+        with pytest.raises(GraphError) as flat:
+            graph_to_obj(tr.graph)
+        with pytest.raises(GraphError) as direct:
+            flat_graph_to_obj(tr)
+        assert str(direct.value) == str(flat.value)
+        assert "non-contiguous" in str(direct.value)
 
     def test_missing_keys(self):
         with pytest.raises(GraphError, match="vertices"):

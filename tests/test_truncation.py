@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import truncolor.complete_coloring as complete_coloring
 import truncolor.truncation as truncation_module
 
+from truncolor.canonical import complete_graph
 from truncolor.catalog import k4, k5, petersen, q3
 from truncolor.coloring import EdgeColoring, _vizing_coloring, first_clash, is_proper
 from truncolor.complete_coloring import color_complete_truncation, subtruncation_coloring
@@ -213,6 +214,21 @@ class TestTrustedFlattening:
         ):
             assert_flat_as_checked(tr)
 
+    @given(shared_constituent_truncations())
+    @settings(max_examples=150, deadline=None)
+    def test_flat_edges_are_the_flat_graphs_edges(self, tr):
+        # Custom, omitted and empty constituents; one pair list shared
+        # across clusters or each cluster its own.
+        assert tr.flat_edges() == list(tr.graph.edges.values())
+
+    def test_flat_edges_of_route_truncations(self, rng):
+        # Complete truncations share one tuple per cluster size, cyclic
+        # ones give each cluster its own; gaps in the source ids too.
+        for x in (k4(), k5(), q3(), petersen(), k5().without_edges([1, 9])):
+            orders = {v: rng.sample(range(x.valency(v)), x.valency(v)) for v in x.vertices}
+            for tr in (complete_truncation(x), cyclic_truncation(x, orders), arboreal_truncation(x)):
+                assert tr.flat_edges() == list(tr.graph.edges.values())
+
     def test_flattens_once_without_the_checked_constructor(self, monkeypatch):
         tr = complete_truncation(k5())
         built = []
@@ -377,6 +393,40 @@ class TestColor:
         e1, e2, v = map(int, found.groups())
         assert e1 != e2
         assert v in tr.graph.endpoints(e1) and v in tr.graph.endpoints(e2)
+
+
+    def test_repeated_cluster_with_other_pendant_colors_is_checked(self):
+        # On the 4-cycle every cluster has two ends and shares the one
+        # pair (0, 1), colored 2 everywhere.  Clusters 0 and 1 see
+        # pendant colors (0, 1) and pass; cluster 2 has the same shape
+        # and pair colors but pendant colors (1, 2), so its end 4 (edge
+        # 2 at vertex 2) clashes, as does cluster 3 after it.  A check
+        # keyed without the pendant colors would pass both.
+        tr = complete_truncation(Multigraph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)]))
+        assert tr.clusters[2] == (3, 4)
+        matching = {0: 0, 1: 1, 2: 2, 3: 1}
+        with pytest.raises(AssertionError) as exc:
+            tr.color(matching, lambda v: {(0, 1): 2}, 3)
+        e1, e2, color, end = map(int, CLASH.fullmatch(str(exc.value)).groups())
+        assert (e1, e2, color, end) == (2, tr.constituent_edge_ids(2)[0], 2, 4)
+
+    def test_checks_each_distinct_cluster_once(self, monkeypatch):
+        calls = []
+        check = truncation_module.cluster_clash
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(truncation_module, "cluster_clash", counted)
+        # K9 (D = 8): every cluster has the same shape, pendant colors
+        # and pair colors.
+        tr, coloring = color_complete_truncation(complete_graph(9))
+        assert len(calls) == 1 and first_clash(tr.graph, coloring) is None
+        # A cyclic truncation gives each cluster its own constituent.
+        calls.clear()
+        tr, coloring = cyclic_even_valency(k5())
+        assert len(calls) == len(tr.clusters) == 5
 
 
 CLASH = re.compile(
