@@ -61,6 +61,18 @@ if [ ! -s k4_strong.dot ] || ! grep -q -- ' -- ' k4_strong.dot; then
     echo "FAIL: color-strong --dot wrote no edges" >&2
     exit 1
 fi
+# Round trip through a cyclic truncation: K5 is 4-regular, so every
+# cluster holds a 4-cycle, colored in 2 colors, and the matching takes
+# the third.
+truncolor demo k5 > k5.json
+truncolor truncate k5.json --kind cyclic > k5_cyclic.json
+truncolor color-strong k5_cyclic.json > k5_cyclic_strong.json
+truncolor verify k5_cyclic.json k5_cyclic_strong.json > k5_cyclic_verify.json
+if ! grep -q '"proper": true' k5_cyclic_verify.json || ! grep -q '"palette": 3' k5_cyclic_verify.json; then
+    echo "FAIL: the strong coloring of K5's cyclic truncation does not verify in 3 colors" >&2
+    cat k5_cyclic_verify.json >&2
+    exit 1
+fi
 truncolor demo two-k5-bridge > bridge.json
 truncolor truncate bridge.json --kind complete > bridge_complete.json
 expect_fail 1 "not applicable:" "the K5 constituent is overfull in 4 colors" \
@@ -151,5 +163,13 @@ cat > half.json <<'JSON'
 JSON
 expect_fail 1 "error: half.json: constituent at vertex" "a non-integer constituent position" \
     truncolor color-strong half.json
+# JSON true equals 1 in Python, yet it is no position: vertex 1 is
+# named even though vertex 0 holds the equal pair [0, 1].
+cat > true.json <<'JSON'
+{"source": {"vertices": [0, 1], "edges": [[0, 1], [0, 1]]},
+ "constituents": {"0": [[0, 1]], "1": [[0, true]]}}
+JSON
+expect_fail 1 "error: true.json: constituent at vertex 1: pair 0 is not a pair of integers" \
+    "a boolean constituent position" truncolor color-strong true.json
 
 echo "all steps verified"

@@ -449,7 +449,8 @@ def _run(args: argparse.Namespace) -> int:
     except UndecidedError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    sys.stdout.write(json.dumps(obj) + "\n")
+    # No reference cycles (see the module docstring), so none to look for.
+    sys.stdout.write(json.dumps(obj, check_circular=False) + "\n")
     if args.dot and drawing is not None:
         shape, coloring = drawing
         if isinstance(shape, Truncation):

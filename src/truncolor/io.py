@@ -250,11 +250,14 @@ def load_truncation(path: str) -> Truncation:
 
 
 def truncation_to_obj(tr: Truncation) -> Dict[str, object]:
+    """The truncation with its constituents spelled out.  Clusters that
+    share a constituent tuple share one list of pairs in the object, so
+    copy it before editing one cluster's pairs in place."""
+    cons = tr.constituents
+    lists = {key: list(map(list, cons[v])) for key, v in tr.representatives().items()}
     return {
         "source": graph_to_obj(tr.source),
-        "constituents": {
-            str(v): [list(p) for p in tr.constituents[v]] for v in sorted(tr.constituents)
-        },
+        "constituents": {str(v): lists[id(cons[v])] for v in sorted(cons)},
     }
 
 

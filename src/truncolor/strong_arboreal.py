@@ -7,7 +7,9 @@ constituents take D-1 colors, all others fit in D-1 colors as well
 the matching takes the remaining fresh color.  Forest constituents are
 always class I, so arboreal truncations never fail this route.
 Each other constituent is searched as a graph on its own cluster
-positions, so its cost does not grow with the rest of the truncation.
+positions, so its cost does not grow with the rest of the truncation,
+and each distinct constituent is colored once: clusters that share a
+constituent tuple share its coloring.
 """
 
 from __future__ import annotations
@@ -74,8 +76,10 @@ def color_by_strong(
     NotApplicable reports it.
     """
     delta = tr.max_valency()
-    cluster_colors: Dict[int, Dict[Tuple[int, int], int]] = {}
-    for v in sorted(tr.source.vertices):
+    # Clusters that share a constituent tuple share its coloring, made at
+    # the first of them in vertex order, which also names a failure.
+    shared: Dict[int, Dict[Tuple[int, int], int]] = {}
+    for key, v in tr.representatives().items():
         pairs = tr.constituents[v]
         if not pairs:
             continue
@@ -98,6 +102,8 @@ def color_by_strong(
                     f"yet refused {delta - 1} colors"
                 )
             pair_color = {pair: solved[i] for i, pair in enumerate(pairs)}
-        cluster_colors[v] = {pair: c + 1 for pair, c in pair_color.items()}
-    return tr.color(dict.fromkeys(tr.matching, 0), cluster_colors.__getitem__, max(delta, 1))
+        shared[key] = {pair: c + 1 for pair, c in pair_color.items()}
+    return tr.color(
+        dict.fromkeys(tr.matching, 0), lambda v: shared[id(tr.constituents[v])], max(delta, 1)
+    )
 

@@ -9,7 +9,11 @@ source edges, which is what contraction exploits to invert the process.
 
 Within a cluster, ends are ordered by their source edge id; constituent
 edges are given as pairs of these 0-based cluster positions.  Only this
-module maps positions to ends and edge ids.  Colorings are glued and
+module maps positions to ends and edge ids.  Equal constituents on
+clusters of one size share one checked tuple, so every pass that
+depends only on the constituent (max_valency, the forest test, the
+writers' lists, color_by_strong's per-constituent coloring) runs once
+per distinct constituent.  Colorings are glued and
 checked cluster by cluster (coloring.cluster_clash), each distinct
 cluster once.  Writers read the flat edges straight from the clusters
 (Truncation.flat_edges); the flat graph itself, built on first access
@@ -107,7 +111,12 @@ class Truncation:
     """A source multigraph together with one constituent per cluster.
 
     Constituent edges are pairs of cluster positions; omitted vertices
-    get empty constituents.
+    get empty constituents.  Each constituent is stored as a checked
+    tuple of ascending pairs, one tuple object per (value, cluster
+    size): clusters of one size with equal pairs share it, however the
+    caller passed them, so a pass that depends only on the constituent
+    runs once per id(pairs).  (The empty tuple is one object at every
+    size; every such pass gives it the same answer at every size.)
     """
 
     def __init__(self, source: Multigraph, constituents: Mapping[int, Iterable[PositionPair]]):
@@ -121,21 +130,25 @@ class Truncation:
         # cluster's constituent edges take the next block, in vertex order.
         self._ids: Dict[int, range] = {}
         nxt = next(reversed(self.matching), -1) + 1
-        # Clusters of one size given the same pairs object (as
-        # complete_truncation gives them) share one checked, sorted
-        # tuple.  Each entry keeps its raw object alive, so no id is
-        # reused while the memo lives.
-        memo: Dict[Tuple[int, int], Tuple[object, Tuple[PositionPair, ...]]] = {}
+        # One checked, sorted tuple per (value, cluster size).  Each pairs
+        # object is checked once per cluster size (complete_truncation
+        # passes one object per size); each entry keeps its raw object
+        # alive, so no id is reused while the memo lives.  Checked pairs,
+        # plain ints only, are then shared by value: checking first keeps
+        # (0, True), which equals and hashes as (0, 1), from passing as it.
+        by_id: Dict[Tuple[int, int], Tuple[object, Tuple[PositionPair, ...]]] = {}
+        by_value: Dict[Tuple[Tuple[PositionPair, ...], int], Tuple[PositionPair, ...]] = {}
         for v, ends in self.clusters.items():
             size = len(ends)
             raw = constituents.get(v, ())
             key = (id(raw), size)
-            if key not in memo:
+            if key not in by_id:
                 pairs = tuple(raw)
                 if not _ascending_and_simple(pairs, size):
                     pairs = _normalize(f"constituent at vertex {v}", size, pairs)
-                memo[key] = (raw, tuple(sorted(pairs)))
-            self.constituents[v] = pairs = memo[key][1]
+                ordered = tuple(sorted(pairs))
+                by_id[key] = (raw, by_value.setdefault((ordered, size), ordered))
+            self.constituents[v] = pairs = by_id[key][1]
             self._ids[v] = range(nxt, nxt + len(pairs))
             nxt += len(pairs)
         self._flat: Optional[Multigraph] = None
@@ -212,11 +225,22 @@ class Truncation:
         degree = Counter(chain.from_iterable(self.constituents[v]))
         return [1 + degree[i] for i in range(len(self.clusters[v]))]
 
+    def representatives(self) -> Dict[int, int]:
+        """The first vertex, in vertex order, holding each distinct
+        constituent tuple, keyed by the tuple's id.  A pass that depends
+        only on the constituent runs on these vertices alone, and the
+        first of them that fails is the first vertex that fails."""
+        first: Dict[int, int] = {}
+        for v, pairs in self.constituents.items():
+            first.setdefault(id(pairs), v)
+        return first
+
     def max_valency(self) -> int:
-        """The flat graph's maximum valency, read from the constituents."""
+        """The flat graph's maximum valency, read from the constituents,
+        once per distinct constituent tuple."""
         if not self.clusters:
             raise GraphError("max_valency of an empty graph is undefined")
-        return max(max(self.end_valencies(v)) for v in self.clusters)
+        return max(max(self.end_valencies(v)) for v in self.representatives().values())
 
     def pendant_colors(self, v: int, matching_colors: Mapping[int, int]) -> List[int]:
         """Color of the matching edge at each position of v's cluster, read
@@ -334,8 +358,8 @@ def arboreal_truncation(
     """
     paths = {v: [(i, i + 1) for i in range(g.valency(v) - 1)] for v in g.vertices}
     tr = Truncation(g, {**paths, **(forests or {})})
-    for v, pairs in tr.constituents.items():
-        if not _is_forest(len(tr.clusters[v]), pairs):
+    for v in tr.representatives().values():
+        if not _is_forest(len(tr.clusters[v]), tr.constituents[v]):
             raise GraphError(f"constituent at vertex {v} contains a cycle; not a forest")
     return tr
 

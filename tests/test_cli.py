@@ -463,6 +463,21 @@ class TestVerify:
         assert code == 1 and out is None
         assert err == f"error: {path}: constituent at vertex 0 uses position outside 0..0\n"
 
+    def test_boolean_pair_after_an_equal_int_pair_is_named(self, capsys, tmp_path):
+        # [0, true] equals [0, 1] in Python, and must not pass as the
+        # checked constituent of vertex 0: vertex 1 is named as if alone.
+        source = {"vertices": [0, 1], "edges": [[0, 1], [0, 1]]}
+        colors = write_obj(tmp_path, {"palette": 3, "colors": [0, 0, 1, 1]}, "c.json")
+        message = "constituent at vertex 1: pair 0 is not a pair of integers"
+        for name, constituents in (
+            ("alone.json", {"1": [[0, True]]}),
+            ("after.json", {"0": [[0, 1]], "1": [[0, True]]}),
+        ):
+            path = write_obj(tmp_path, {"source": source, "constituents": constituents}, name)
+            code, out, err = run(capsys, "verify", path, colors)
+            assert code == 1 and out is None
+            assert err == f"error: {path}: {message}\n"
+
     def test_duplicate_key_is_rejected(self, capsys, tmp_path):
         # With the last "colors" kept, this improper coloring of K4
         # would verify as proper.

@@ -121,7 +121,38 @@ class TestColorByStrong:
         tr = cyclic_truncation(source)
         out = color_by_strong(tr)
         assert is_proper(tr.graph, out)
-        assert orders == [4] * 11
+        # In the default orders every cluster has the same 4-cycle,
+        # searched once for all eleven.
+        assert orders == [4]
+        # The three 4-cycles on four positions, in turn: one search per
+        # distinct constituent.
+        orders.clear()
+        cycles = ([0, 1, 2, 3], [0, 1, 3, 2], [0, 2, 1, 3])
+        tr = cyclic_truncation(source, {v: cycles[v % 3] for v in source.vertices})
+        out = color_by_strong(tr)
+        assert is_proper(tr.graph, out)
+        distinct = set(tr.constituents.values())
+        assert len(distinct) == 3 and orders == [4] * len(distinct)
+
+    def test_a_repeated_failing_constituent_is_named_at_its_first_vertex(self):
+        # K5's clusters of four: a triangle (a valency-3 end, D = 3) is
+        # class II in D - 1 = 2 colors.  Vertices 4 and 2 hold equal
+        # triangles, given in that order; vertex 3 another one.  The
+        # first failing vertex in sorted order is 2.
+        triangle = [(0, 1), (1, 2), (0, 2)]
+        constituents = {
+            4: triangle,
+            2: list(triangle),
+            3: [(1, 2), (2, 3), (1, 3)],
+            0: [(0, 1)],
+            1: [(2, 3)],
+        }
+        tr = Truncation(k5(), constituents)
+        assert tr.constituents[2] is tr.constituents[4]
+        out = color_by_strong(tr)
+        assert isinstance(out, NotApplicable)
+        assert (out.vertex, out.delta) == (2, 3)
+        assert out.reason.startswith("constituent at source vertex 2 holds a valency-3 end")
 
 
 class TestArborealRoute:

@@ -1,3 +1,4 @@
+import json
 import re
 from itertools import chain, combinations
 
@@ -14,6 +15,7 @@ from truncolor.coloring import EdgeColoring, _vizing_coloring, first_clash, is_p
 from truncolor.complete_coloring import color_complete_truncation, subtruncation_coloring
 from truncolor.cyclic_coloring import cyclic_class_one, cyclic_even_valency
 from truncolor.errors import GraphError
+from truncolor.io import graph_to_obj, load_truncation
 from truncolor.multigraph import Multigraph
 from truncolor.strong_arboreal import color_by_strong
 from truncolor.sun import regular_truncation, semiregular_truncation
@@ -286,6 +288,51 @@ class TestValidation:
         with pytest.raises(GraphError, match="constituent at vertex 1 has a loop at position 1"):
             Truncation(g, {1: bad, 2: bad})
 
+    def test_equal_pairs_share_one_tuple(self, tmp_path):
+        # Separate but equal pair lists on clusters of one size, in any
+        # order or orientation, share one checked tuple.
+        g = Multigraph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        tr = Truncation(g, {0: [(0, 1), (1, 2)], 1: [(1, 2), (0, 1)], 2: [[2, 1], (0, 1)]})
+        assert tr.constituents[0] == ((0, 1), (1, 2))
+        assert tr.constituents[0] is tr.constituents[1] is tr.constituents[2]
+        # A loaded file gives every cluster its own lists.
+        path = tmp_path / "tr.json"
+        path.write_text(json.dumps({
+            "source": graph_to_obj(g),
+            "constituents": {str(v): [[0, 2], [1, 2]] for v in g.vertices},
+        }))
+        loaded = load_truncation(str(path))
+        assert len(set(map(id, loaded.constituents.values()))) == 1
+        # On K5's clusters of four, cycle orders that trace one cycle,
+        # from any start in either direction, share its tuple.
+        orders = {0: [0, 1, 2, 3], 1: [2, 1, 0, 3], 2: [1, 3, 2, 0], 3: [3, 0, 1, 2], 4: [0, 2, 3, 1]}
+        tr = cyclic_truncation(k5(), orders)
+        assert tr.constituents[0] is tr.constituents[1] is tr.constituents[3]
+        assert tr.constituents[2] is tr.constituents[4]
+        assert tr.constituents[0] != tr.constituents[2]
+        # Each distinct tuple's first vertex, for passes run once per tuple.
+        assert tr.representatives() == {id(tr.constituents[0]): 0, id(tr.constituents[2]): 2}
+
+    def test_equal_pairs_on_clusters_of_different_sizes_are_distinct_tuples(self):
+        # Valencies: vertex 0 has 3, vertices 1 and 2 have 2.
+        g = Multigraph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2)])
+        tr = Truncation(g, {0: [(0, 1)], 1: [(0, 1)], 2: [(0, 1)]})
+        assert tr.constituents[0] == tr.constituents[1] == ((0, 1),)
+        assert tr.constituents[0] is not tr.constituents[1]
+        assert tr.constituents[1] is tr.constituents[2]
+
+    @pytest.mark.parametrize("bad", [(0, True), (False, 1), (True, 0)])
+    def test_bool_pairs_are_named_after_an_equal_int_pair(self, bad):
+        # (0, True) equals and hashes as (0, 1), but is no pair of plain
+        # ints: vertex 1 is named as if its constituent were alone.
+        g = Multigraph(range(2), [(0, 1), (0, 1)])
+        with pytest.raises(GraphError) as alone:
+            Truncation(g, {1: [bad]})
+        with pytest.raises(GraphError) as after:
+            Truncation(g, {0: [(0, 1)], 1: [bad]})
+        assert str(after.value) == str(alone.value)
+        assert str(alone.value) == "constituent at vertex 1: pair 0 is not a pair of integers"
+
     def test_unknown_vertex_rejected(self):
         with pytest.raises(GraphError, match="unknown"):
             Truncation(k4(), {9: []})
@@ -423,10 +470,29 @@ class TestColor:
         # and pair colors.
         tr, coloring = color_complete_truncation(complete_graph(9))
         assert len(calls) == 1 and first_clash(tr.graph, coloring) is None
-        # A cyclic truncation gives each cluster its own constituent.
+        # The cyclic truncation of K5 in the default orders: every
+        # cluster has the same 4-cycle, alternately colored from the
+        # same end, so one check covers all five.
         calls.clear()
         tr, coloring = cyclic_even_valency(k5())
-        assert len(calls) == len(tr.clusters) == 5
+        assert len(calls) == 1 and first_clash(tr.graph, coloring) is None
+        # Three distinct 4-cycles, and vertex 3's rotation of vertex 0's
+        # cycle colors it the other way round: one check per distinct
+        # (constituent, pendant colors, pair colors), vertex 4 sharing
+        # vertex 0's.
+        calls.clear()
+        orders = {0: [0, 1, 2, 3], 1: [0, 1, 3, 2], 2: [0, 2, 1, 3], 3: [1, 2, 3, 0], 4: [0, 1, 2, 3]}
+        tr, coloring = cyclic_even_valency(k5(), orders)
+        color_of = coloring.assignment.__getitem__
+        keys = {
+            (
+                tr.constituents[v],
+                tuple(tr.pendant_colors(v, coloring.assignment)),
+                tuple(map(color_of, tr.constituent_edge_ids(v))),
+            )
+            for v in tr.clusters
+        }
+        assert len(calls) == len(keys) == 4 and first_clash(tr.graph, coloring) is None
 
 
 CLASH = re.compile(
