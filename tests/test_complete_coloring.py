@@ -435,6 +435,66 @@ class TestOrderDClusters:
             assert list(got) == list(want)
 
 
+def complete_bipartite(a, b):
+    return Multigraph(range(a + b), [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def capped_source(rng, d):
+    """Two nonadjacent hubs of valency d on random partners, then random
+    edges between vertices of capacity d-1 or less until few fit."""
+    n = rng.randint(d + 3, 3 * d)
+    caps = [d, d] + [d - 1] * (n // 2) + [rng.randint(1, d - 1) for _ in range(n - 2 - n // 2)]
+    left, edges = caps[:], []
+    for hub in (0, 1):
+        for w in rng.sample(range(2, n), d):
+            edges.append((hub, w))
+            left[hub] -= 1
+            left[w] -= 1
+    for _ in range(4 * n * d):
+        u, w = rng.sample(range(2, n), 2)
+        if left[u] > 0 and left[w] > 0:
+            edges.append((u, w))
+            left[u] -= 1
+            left[w] -= 1
+    return Multigraph(sorted({v for e in edges for v in e}), edges)
+
+
+def order_d_minus_one_sources():
+    """Odd-D sources with order D-1 clusters: hubs with a second hub of
+    valency D-1, K_{D-1,D}, K_{2,3} and seeded random multigraphs whose
+    valency-D vertices are nonadjacent, so each has an edge-feasible
+    coloring."""
+    for d in range(3, 16, 2):
+        second = [(d + 1, leaf) for leaf in range(2, d - 1)]
+        yield hub_source(d, 6, second)
+    for d in (3, 5, 7, 9, 11):
+        yield complete_bipartite(d - 1, d)
+    yield complete_bipartite(2, 3)
+    rng = random.Random(25)
+    for _ in range(24):
+        yield capped_source(rng, rng.choice([3, 5, 7, 9, 11]))
+
+
+# sha256 of repr((palette, sorted assignment)) of color_complete_truncation
+# on each of order_d_minus_one_sources, in order; 234 of their clusters
+# have order D-1.
+ORDER_D_MINUS_ONE_SHA256 = "9e01f0041a8b37b618c1fb2f02e333798ad0a1715dbcdc452850e41ae3fefd2f"
+
+
+class TestOrderDMinusOneClusters:
+    def test_colorings_are_pinned(self):
+        digest = hashlib.sha256()
+        clusters = 0
+        for x in order_d_minus_one_sources():
+            tr, coloring = color_complete_truncation(x)
+            delta = x.max_valency()
+            if delta % 2:
+                clusters += sum(len(ends) == delta - 1 for ends in tr.clusters.values())
+            digest.update(repr((coloring.palette_size, sorted(coloring.assignment.items()))).encode())
+        assert clusters == 234
+        assert digest.hexdigest() == ORDER_D_MINUS_ONE_SHA256
+
+
 class TestSubtruncationColoring:
     def test_cyclic_subtruncation_of_k4(self):
         g = k4()
