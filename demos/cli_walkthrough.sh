@@ -157,6 +157,9 @@ expect_fail 1 "error: loop.json: edge 0 is a loop" "a loop in the graph" \
 echo '{"palette": 3, "colors": [true, 1, 2, 2, 1, 0]}' > bool.json
 expect_fail 1 "error: bool.json: edge 0 has color True, not an int" "a boolean color" \
     truncolor verify k4.json bool.json
+echo '{"palette": -1, "colors": []}' > negative.json
+expect_fail 1 "error: negative.json: palette size -1 is not a nonnegative int" \
+    "a negative palette" truncolor verify k4.json negative.json
 cat > half.json <<'JSON'
 {"source": {"vertices": [0, 1], "edges": [[0, 1], [0, 1]]},
  "constituents": {"0": [[0, 1.5]], "1": []}}

@@ -9,7 +9,7 @@ exact backtracking oracle supplies ground-truth chromatic indices for
 everything small enough to check.
 """
 
-from .canonical import class_of_pair, complete_graph, scheme_class, scheme_class_count
+from .canonical import class_of_pair, complete_graph, scheme_class
 from .catalog import catalog
 from .coloring import (
     CLASS_I,
@@ -108,7 +108,6 @@ __all__ = [
     "list_edge_coloring",
     "regular_truncation",
     "scheme_class",
-    "scheme_class_count",
     "semiregular_truncation",
     "solve_edge_coloring",
     "subtruncation_coloring",

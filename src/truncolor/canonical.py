@@ -19,7 +19,6 @@ from .errors import GraphError
 from .multigraph import Multigraph
 
 __all__ = [
-    "scheme_class_count",
     "scheme_class",
     "class_of_pair",
 ]
@@ -38,11 +37,6 @@ def _check_n(n: int) -> None:
 def _is_name(n: int, a: int) -> bool:
     # Whether a is a scheme vertex name: 0..n-1 for even n, 1..n for odd n.
     return n % 2 <= a <= n - 1 + n % 2
-
-
-def scheme_class_count(n: int) -> int:
-    _check_n(n)
-    return n - 1 if n % 2 == 0 else n
 
 
 def scheme_class(n: int, t: int) -> Tuple[Tuple[int, int], ...]:

@@ -15,8 +15,6 @@ __all__ = [
     "k33",
     "q3",
     "prism3",
-    "cycle_graph",
-    "path_graph",
     "complete_graph",
     "complete_bipartite",
     "catalog",
@@ -76,16 +74,6 @@ def prism3() -> Multigraph:
     """Triangular prism: triangles {0,1,2} and {3,4,5} plus rungs."""
     edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
     return Multigraph(range(6), edges)
-
-
-def cycle_graph(n: int) -> Multigraph:
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return Multigraph(range(n), edges)
-
-
-def path_graph(n: int) -> Multigraph:
-    edges = [(i, i + 1) for i in range(n - 1)]
-    return Multigraph(range(n), edges)
 
 
 def catalog() -> Dict[str, Callable[[], Multigraph]]:

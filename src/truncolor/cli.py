@@ -233,8 +233,6 @@ def cmd_oracle(args) -> Result:
         "class": "I" if res.classify(delta) == CLASS_I else "II",
         "nodes": res.nodes,
     }
-    if res.certificate is None:
-        return EXIT_OK, obj, None
     obj["coloring"] = coloring_to_obj(res.certificate)
     return EXIT_OK, obj, (g, res.certificate)
 

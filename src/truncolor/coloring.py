@@ -3,7 +3,9 @@
 first_clash checks a graph (for `verify`, is_proper and the oracle).
 An end of a truncation meets only its matching edge and its cluster's
 constituent edges, so truncation colorings and suns are checked one
-cluster at a time by cluster_clash, with no flat graph.
+cluster at a time by cluster_clash, with no flat graph.  Forests need
+no search: one walk of _forest_coloring colors a forest, or finds the
+cycle that shows it is none.
 
 One backtracking kernel, solve_edge_coloring, serves three jobs: the
 exact chromatic index oracle, list edge coloring, and the core searches
@@ -153,14 +155,51 @@ def cluster_clash(
 def is_proper(g: Multigraph, coloring: EdgeColoring) -> bool:
     """True iff no two edges sharing a vertex share a color.
 
-    The coloring must cover every edge of g; partial colorings are a
-    domain error rather than a False.
+    An uncolored edge that first_clash reaches before any clash is a
+    GraphError rather than a False.
     """
-    if not coloring.assignment.keys() >= g.edges.keys():
-        for eid in g.edge_ids:
-            if eid not in coloring.assignment:
-                raise GraphError(f"coloring does not cover edge {eid}")
     return first_clash(g, coloring) is None
+
+
+def _forest_coloring(
+    size: int, pairs: Sequence[Tuple[int, int]]
+) -> Optional[Dict[Tuple[int, int], int]]:
+    """Proper coloring of a forest on positions 0..size-1, or None when
+    the pairs close a cycle.
+
+    One root-down walk from each unreached position, ascending: a
+    position gives its uncolored edges, by neighbor, the colors 0, 1,
+    ... that skip the color of the edge it was reached by, so at most
+    its valency many.  An uncolored edge to a position already reached
+    closes a cycle.
+    """
+    adj: List[List[Tuple[int, Tuple[int, int]]]] = [[] for _ in range(size)]
+    for pair in pairs:
+        a, b = pair
+        adj[a].append((b, pair))
+        adj[b].append((a, pair))
+    out: Dict[Tuple[int, int], int] = {}
+    reached = [False] * size
+    for root in range(size):
+        if reached[root] or not adj[root]:
+            continue
+        reached[root] = True
+        stack = [(root, -1)]
+        while stack:
+            v, parent_color = stack.pop()
+            nxt = 0
+            for w, pair in sorted(adj[v]):
+                if pair in out:
+                    continue
+                if reached[w]:
+                    return None
+                if nxt == parent_color:
+                    nxt += 1
+                out[pair] = nxt
+                reached[w] = True
+                stack.append((w, nxt))
+                nxt += 1
+    return out
 
 
 def _clash_error(what: str, v: int, e1: int, e2: int, color: int) -> AssertionError:
@@ -172,8 +211,9 @@ def _clash_error(what: str, v: int, e1: int, e2: int, color: int) -> AssertionEr
 
 def _require_proper(g: Multigraph, coloring: EdgeColoring, what: str) -> None:
     """Raise the AssertionError naming g's first clash, if any."""
-    if not is_proper(g, coloring):
-        v, e1, e2 = first_clash(g, coloring)
+    clash = first_clash(g, coloring)
+    if clash is not None:
+        v, e1, e2 = clash
         raise _clash_error(what, v, e1, e2, coloring.assignment[e1])
 
 

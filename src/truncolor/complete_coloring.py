@@ -7,16 +7,17 @@ source (all colors distinct at D-valent vertices).  One exists exactly
 when the core, the subgraph on the D-valent vertices, is D-colorable: an
 edge outside the core has at most one D-valent end, and the colors free
 there finish the coloring.  So only the core is searched.  Constituents
-are then colored according to their order: D via the missing-color
-alignment, and D-1 via canonical classes plus one alternating walk
-along each conflict path.  A constituent of order s <= D-2 is colored
-as order P-1 in the least odd palette P >= s+1, padded with dummy
-pendants, and restricted to its real positions; its palette maps back
-to the colors present at the cluster, then the absent ones.  So each
-constituent costs time linear in its size.  Without an edge-feasible
-coloring the complete truncation provably needs D+1 colors, and a
-witness of the exhausted search is returned instead.  Checks run per
-cluster (cluster_clash).
+are then colored according to their order.  Order D takes the
+missing-color alignment in closed form.  Every smaller order s takes one
+rule: relabel the colors present, pad with dummy pendants to order P-1
+for the least odd palette P >= s+1, color that by the D-1 lemma
+(canonical classes plus one alternating walk along each conflict path),
+keep the real positions, and map P back to the colors present, then
+the absent ones.  At s = D-1 this is the D-1 lemma itself, with no
+padding.  So each constituent costs time linear in its size.  Without
+an edge-feasible coloring the complete truncation provably needs D+1
+colors, and a witness of the exhausted search is returned instead.
+Checks run per cluster (cluster_clash).
 
 `subtruncation_coloring` reads the same per-cluster rule on the clusters
 of any truncation that keeps D, so it applies to every even-D source and
@@ -228,22 +229,24 @@ def color_delta_minus_one(
 def _small_cluster_colors(
     pend: Sequence[int],
     palette: int,
-    memo: Optional[Dict[Tuple[int, ...], Dict[Tuple[int, int], int]]] = None,
+    memo: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]],
 ) -> Dict[Tuple[int, int], int]:
-    """Color the complete constituent on a cluster of order s <= palette-2
+    """Color the complete constituent on a cluster of order s <= palette-1
     in time linear in its size.  Relabel the q pendant colors present,
     ascending, to 0..q-1, pad with dummy color 0 to order P-1 for the
     least odd P >= s+1, color that as order P-1 in palette P, and map P
     back to the colors present, then the absent ones ascending.
-    Restricting to the real positions stays proper.  memo shares the
-    padded coloring between clusters that differ only in color names."""
+    Restricting to the real positions stays proper.  At s = palette-1
+    (odd palette) P is the palette and nothing is padded; the relabeling
+    keeps the colors' order, so this is color_delta_minus_one(pend,
+    palette).  memo shares the padded coloring between clusters that
+    differ only in color names."""
     present = sorted(set(pend))
     label = {c: k for k, c in enumerate(present)}
     small = len(pend) + 1 | 1
     padded = tuple(label[c] for c in pend) + (0,) * (small - 1 - len(pend))
     absent = (c for c in range(palette) if c not in label)
     back = present + list(islice(absent, small - len(present)))
-    memo = {} if memo is None else memo
     if padded not in memo:
         memo[padded] = color_delta_minus_one(padded, small)
     full = memo[padded]
@@ -286,8 +289,8 @@ def _complete_colors(
         )
         return ClassIIWitness(delta, nodes, reason)
 
-    # Clusters of order below D share colorings by the vector they pass
-    # to color_delta_minus_one, whose length fixes the palette (D or P).
+    # Clusters of order below D share colorings by the padded vector they
+    # pass to color_delta_minus_one, whose length fixes the palette P.
     colorings: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {}
     half = (delta + 1) // 2
 
@@ -300,12 +303,7 @@ def _complete_colors(
             # class_of_pair(D, (a+1, b+1)) inlined: for odd D the chord
             # {a+1, b+1} has residue sum 2 + 2t, so t = (a + b) / 2 mod D.
             return {(i, j): (pend[i] + pend[j]) * half % delta for i, j in tr.constituents[v]}
-        if size < delta - 1:
-            return _small_cluster_colors(pend, delta, colorings)
-        key = tuple(pend)
-        if key not in colorings:
-            colorings[key] = color_delta_minus_one(pend, delta)
-        return colorings[key]
+        return _small_cluster_colors(pend, delta, colorings)
 
     return feas, pair_color
 

@@ -3,12 +3,12 @@
 Some cyclic truncation of x (every valency >= 3) is class I iff x has a
 parity-balanced 3-coloring: each color's count at every vertex has the
 parity of that vertex's valency.  Necessity is the parity lemma on each
-cluster.  Sufficiency is `_cyclic_from_parity`, which every strategy
-shares: the vectors are admissible, and the sun gluing of `sun` puts
-one `_single_cycle_sun` per distinct vector, a single cycle, on each
-cluster of that vector.  That sun is a closed form: one cyclic word of
-edge colors, read off the vector in time linear in its total, with no
-search and no repair.  Strategies only supply the coloring:
+cluster.  Sufficiency is the sun gluing of `sun`, `_glue_suns` with
+`_single_cycle_sun`, which every strategy shares: the vectors are
+admissible, and it puts one single-cycle sun per distinct vector on
+each cluster of that vector.  That sun is a closed form: one cyclic
+word of edge colors, read off the vector in time linear in its total,
+with no search and no repair.  Strategies only supply the coloring:
 `cyclic_from_class_one` folds a d-coloring, `color_via_enabling` walks
 Euler tours, `cyclic_class_one` searches.  `cyclic_even_valency` glues
 its own coloring and keeps any cycle orders.  A 3-valent graph with a
@@ -102,15 +102,6 @@ def _require_cyclic_source(x: Multigraph) -> None:
             raise GraphError(f"vertex {v} has valency {x.valency(v)}; need >= 3")
 
 
-def _cyclic_from_parity(
-    x: Multigraph, coloring3: EdgeColoring
-) -> Tuple[Truncation, EdgeColoring]:
-    """The cyclic truncation glued over a parity-balanced 3-coloring,
-    one single-cycle sun per distinct color vector; GraphError if
-    coloring3 is not parity-balanced."""
-    return _glue_suns(x, coloring3, _single_cycle_sun)
-
-
 def cyclic_even_valency(
     x: Multigraph, cycle_orders: Optional[Mapping[int, Sequence[int]]] = None
 ) -> Tuple[Truncation, EdgeColoring]:
@@ -127,14 +118,23 @@ def cyclic_even_valency(
                 f"vertex {v} has valency {val}; this construction needs even valencies >= 4"
             )
     tr = cyclic_truncation(x, cycle_orders)
+    cycle_orders = cycle_orders or {}
+    # Default cycles (0, 1, ..., size-1) of one size share one table; the
+    # size is even, so the closing edge (0, size-1) takes color 2.
+    tables: Dict[int, Dict[Tuple[int, int], int]] = {}
 
     def pair_color(v: int) -> Dict[Tuple[int, int], int]:
+        if v in cycle_orders:
+            order = list(cycle_orders[v])
+            return {
+                ((a, b) if a < b else (b, a)): 1 + i % 2
+                for i, (a, b) in enumerate(zip(order, order[1:] + order[:1]))
+            }
         size = x.valency(v)
-        order = list(cycle_orders[v]) if cycle_orders and v in cycle_orders else list(range(size))
-        return {
-            (min(a, b), max(a, b)): 1 + i % 2
-            for i, (a, b) in enumerate(zip(order, order[1:] + order[:1]))
-        }
+        if size not in tables:
+            tables[size] = {(i, i + 1): 1 + i % 2 for i in range(size - 1)}
+            tables[size][0, size - 1] = 2
+        return tables[size]
 
     return tr, tr.color(dict.fromkeys(tr.matching, 0), pair_color, 3)
 
@@ -155,7 +155,7 @@ def cyclic_from_class_one(
     folded = EdgeColoring(
         {eid: min(coloring.color_of(eid), 2) for eid in x.edge_ids}, 3
     )
-    return _cyclic_from_parity(x, folded)
+    return _glue_suns(x, folded, _single_cycle_sun)
 
 
 def is_enabling(x: Multigraph, y_edges: Iterable[int]) -> bool:
@@ -207,7 +207,7 @@ def color_via_enabling(
         tour = rest.euler_tour(root)
         for i, eid in enumerate(tour):
             assignment[eid] = i % 2
-    return _cyclic_from_parity(x, EdgeColoring(assignment, 3))
+    return _glue_suns(x, EdgeColoring(assignment, 3), _single_cycle_sun)
 
 
 def cyclic_class_one(
@@ -222,7 +222,7 @@ def cyclic_class_one(
     """
     _require_cyclic_source(x)
     found = _parity_coloring_search(x, 3, budget)
-    return None if found is None else _cyclic_from_parity(x, found)
+    return None if found is None else _glue_suns(x, found, _single_cycle_sun)
 
 
 def cut_edge_class_two(g: Multigraph) -> bool:

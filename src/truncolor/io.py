@@ -21,8 +21,8 @@ accepts valid input without a Python call per element, and only when
 it fails does a walk name the first offending entry.  Every other rule
 has one checker, the object that enforces it, whose message comes
 behind the file prefix: Multigraph names loops and unknown vertices,
-EdgeColoring colors that are no plain int in the palette, and
-Truncation bad constituent pairs.
+EdgeColoring a palette that is no nonnegative plain int and colors that
+are no plain int in the palette, and Truncation bad constituent pairs.
 """
 
 from __future__ import annotations
@@ -178,11 +178,9 @@ def coloring_from_obj(obj: object, origin: str = "<coloring>") -> EdgeColoring:
     _require(isinstance(obj, dict), origin, "coloring must be a JSON object")
     _require("palette" in obj, origin, 'missing "palette"')
     _require("colors" in obj, origin, 'missing "colors"')
-    palette = obj["palette"]
     colors = obj["colors"]
-    _require(_is_int(palette) and palette >= 0, origin, '"palette" must be a nonnegative integer')
     _require(isinstance(colors, list), origin, '"colors" must be a list')
-    return _built(origin, EdgeColoring, dict(enumerate(colors)), palette)
+    return _built(origin, EdgeColoring, dict(enumerate(colors)), obj["palette"])
 
 
 def load_coloring(path: str) -> EdgeColoring:

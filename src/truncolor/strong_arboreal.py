@@ -15,11 +15,11 @@ constituent tuple share its coloring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
-from .coloring import EdgeColoring, solve_edge_coloring
+from .coloring import EdgeColoring, _forest_coloring, solve_edge_coloring
 from .multigraph import Multigraph
-from .truncation import Truncation, _is_forest
+from .truncation import Truncation
 
 __all__ = ["NotApplicable", "color_by_strong"]
 
@@ -33,47 +33,16 @@ class NotApplicable:
     reason: str
 
 
-def _greedy_forest_colors(
-    positions: Sequence[int], pairs: Sequence[Tuple[int, int]]
-) -> Dict[Tuple[int, int], int]:
-    """Root-down greedy: each edge dodges only its parent edge's color."""
-    adj: Dict[int, List[Tuple[int, Tuple[int, int]]]] = {p: [] for p in positions}
-    for pair in pairs:
-        a, b = pair
-        adj[a].append((b, pair))
-        adj[b].append((a, pair))
-    out: Dict[Tuple[int, int], int] = {}
-    seen: set = set()
-    for root in sorted(positions):
-        if root in seen or not adj[root]:
-            continue
-        stack: List[Tuple[int, int]] = [(root, -1)]
-        seen.add(root)
-        while stack:
-            v, parent_color = stack.pop()
-            nxt = 0
-            for w, pair in sorted(adj[v]):
-                if pair in out:
-                    continue
-                if nxt == parent_color:
-                    nxt += 1
-                out[pair] = nxt
-                seen.add(w)
-                stack.append((w, nxt))
-                nxt += 1
-    return out
-
-
 def color_by_strong(
     tr: Truncation, *, budget: Optional[int] = None
 ) -> Union[EdgeColoring, NotApplicable]:
     """Color a truncation in max-valency colors via strong constituents.
 
-    Each cluster's constituent is colored inside palette 1..D-1 (forest
-    clusters greedily, the rest by exact search on the cluster alone)
-    and the matching takes color 0.  Clusters holding a valency-D end
-    must be class I for the search to fit; when one is not,
-    NotApplicable reports it.
+    Each cluster's constituent is colored inside palette 1..D-1 (a
+    forest by the one walk that also tests it, the rest by exact search
+    on the cluster alone) and the matching takes color 0.  Clusters
+    holding a valency-D end must be class I for the search to fit; when
+    one is not, NotApplicable reports it.
     """
     delta = tr.max_valency()
     # Clusters that share a constituent tuple share its coloring, made at
@@ -84,9 +53,8 @@ def color_by_strong(
         if not pairs:
             continue
         size = len(tr.clusters[v])
-        if _is_forest(size, pairs):
-            pair_color = _greedy_forest_colors(range(size), pairs)
-        else:
+        pair_color = _forest_coloring(size, pairs)
+        if pair_color is None:
             # Edge ids of the cluster's own graph follow the pair order.
             sub = Multigraph(range(size), pairs)
             solved, _ = solve_edge_coloring(sub, delta - 1, budget=budget)

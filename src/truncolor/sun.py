@@ -4,8 +4,8 @@ A sun on r ends is a simple constituent graph on cluster positions
 0..r-1 plus one pendant edge per position.  Prescribing the pendant
 colors as a count vector (x_1..x_d), the parity rule decides whether
 some (d-1)-regular constituent extends the pendant colors to a proper
-d-coloring: all entries must share one parity with r, and odd parity
-forces d odd.  Both parities are built constructively here, and the
+d-coloring: all entries must share one parity with r (so odd parity
+forces d odd).  Both parities are built constructively here, and the
 negative direction is checked by exhaustive enumeration of the
 constituents, up to permutations of same-colored ends, rather than by
 the counting argument, so the two routes stay independent.
@@ -31,8 +31,10 @@ positions, and every sun, cached shape or not, is checked by
 `SunColoring.validate`.  That check reads the plain lists:
 Truncation's pair check, whole-list color passes, then the cluster
 checker every truncation coloring shares, `coloring.cluster_clash`.
-No check builds the sun as a graph, so a build costs little more than
-its output; `sun_graph` exists for DOT.
+Only a failed color pass builds an `EdgeColoring`, the one checker of
+color rules, to name the bad color.  No check builds the sun as a
+graph, so a build costs little more than its output; `sun_graph`
+exists for DOT.
 
 Semiregular, regular and class I cyclic truncations share one gluing,
 `_glue_suns`: it counts each vertex's color vector once over a
@@ -99,10 +101,11 @@ class SunColoring:
         """Construction self-check; raises AssertionError on any breach.
 
         The constituent pair check Truncation uses accepts the edges, or
-        names the first bad pair; whole-list passes accept one color per
-        edge and plain-int colors in the palette (_breach names a
-        failure); then cluster_clash names a clash in sun_graph()'s edge
-        ids.
+        names the first bad pair.  Whole-list passes accept one color per
+        edge, a plain-int palette and plain-int colors in it; when they
+        fail, EdgeColoring, on sun_graph()'s edge ids (pendant p is edge
+        p, pair k is edge r+k), names the bad palette or the first bad
+        color.  Then cluster_clash names a clash in the same ids.
         """
         r, palette = self.r, self.palette_size
         edges, colors = self.constituent_edges, self.constituent_colors
@@ -111,13 +114,18 @@ class SunColoring:
                 _normalize("sun constituent", r, edges)
             except GraphError as exc:
                 raise AssertionError(str(exc)) from None
+        if len(colors) != len(edges):
+            raise AssertionError(f"{len(colors)} constituent colors for {len(edges)} edges")
         hues = [*self.pendant_colors, *colors]
         if not (
-            len(colors) == len(edges)
+            type(palette) is int
             and set(map(type, hues)) <= {int}
             and (not hues or (min(hues) >= 0 and max(hues) < palette))
         ):
-            raise self._breach()
+            try:
+                EdgeColoring(dict(enumerate(hues)), palette)
+            except GraphError as exc:
+                raise AssertionError(f"sun coloring: {exc}") from None
         clash = cluster_clash(self.pendant_colors, edges, colors)
         if clash is not None:
             raise _clash_error("sun coloring", *clash)
@@ -137,28 +145,6 @@ class SunColoring:
                     f"constituent valencies {sorted(vals)} instead of {regular}-regular"
                 )
 
-    def _breach(self) -> AssertionError:
-        """The error naming the first breach of validate's color passes."""
-        palette = self.palette_size
-        edges, colors = self.constituent_edges, self.constituent_colors
-        if len(colors) != len(edges):
-            return AssertionError(f"{len(colors)} constituent colors for {len(edges)} edges")
-        for pos, c in enumerate(self.pendant_colors):
-            if type(c) is not int:
-                return AssertionError(f"pendant color {c!r} at position {pos} is not an int")
-            if not 0 <= c < palette:
-                return AssertionError(
-                    f"pendant color {c} at position {pos} outside palette 0..{palette - 1}"
-                )
-        for e, c in zip(edges, colors):
-            if type(c) is not int:
-                return AssertionError(f"constituent edge {e} has color {c!r}, not an int")
-            if not 0 <= c < palette:
-                return AssertionError(
-                    f"constituent edge {e} has color {c} outside palette 0..{palette - 1}"
-                )
-        return AssertionError("validate rejected a well-formed sun")  # pragma: no cover
-
 
 def _check_vector(vector: Sequence[int]) -> Tuple[int, int]:
     d = len(vector)
@@ -176,15 +162,10 @@ def _check_vector(vector: Sequence[int]) -> Tuple[int, int]:
 
 
 def admissible(vector: Sequence[int]) -> bool:
-    """Parity test: all entries share r's parity; odd parity needs d odd."""
-    r, d = _check_vector(vector)
-    parities = {x % 2 for x in vector}
-    parities.add(r % 2)
-    if len(parities) != 1:
-        return False
-    if r % 2 == 1 and d % 2 == 0:
-        return False
-    return True
+    """Parity test: all entries share r's parity.  Odd parity then has
+    d odd, since a sum of d odd entries has d's parity."""
+    r, _ = _check_vector(vector)
+    return {x % 2 for x in vector} == {r % 2}
 
 
 def pendant_layout(vector: Sequence[int]) -> Tuple[int, ...]:

@@ -27,7 +27,7 @@ from itertools import chain, combinations
 from operator import itemgetter, lt
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .coloring import EdgeColoring, _clash_error, cluster_clash
+from .coloring import EdgeColoring, _clash_error, _forest_coloring, cluster_clash
 from .errors import GraphError
 from .multigraph import Multigraph
 
@@ -326,26 +326,8 @@ def cyclic_truncation(
                 f"cycle order at vertex {v} is not a permutation of 0..{size - 1}"
             )
         # Ascending pairs pass Truncation's whole-list check as they are.
-        cons[v] = [(min(a, b), max(a, b)) for a, b in zip(order, order[1:] + order[:1])]
+        cons[v] = [(a, b) if a < b else (b, a) for a, b in zip(order, order[1:] + order[:1])]
     return Truncation(g, cons)
-
-
-def _is_forest(size: int, pairs: Iterable[PositionPair]) -> bool:
-    """Whether the pairs, over positions 0..size-1, close no cycle."""
-    parent = list(range(size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            return False
-        parent[ri] = rj
-    return True
 
 
 def arboreal_truncation(
@@ -354,12 +336,13 @@ def arboreal_truncation(
     """Insert a forest on every cluster.
 
     The default forest is the path through the cluster in position
-    order.  Supplied constituents are checked for acyclicity.
+    order.  Each distinct constituent is checked for acyclicity by one
+    walk of the forest coloring (coloring._forest_coloring).
     """
     paths = {v: [(i, i + 1) for i in range(g.valency(v) - 1)] for v in g.vertices}
     tr = Truncation(g, {**paths, **(forests or {})})
     for v in tr.representatives().values():
-        if not _is_forest(len(tr.clusters[v]), tr.constituents[v]):
+        if _forest_coloring(len(tr.clusters[v]), tr.constituents[v]) is None:
             raise GraphError(f"constituent at vertex {v} contains a cycle; not a forest")
     return tr
 

@@ -3,7 +3,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import pytest
 
-from truncolor.canonical import class_of_pair, complete_graph, scheme_class_count
+from truncolor.canonical import class_of_pair, complete_graph
 from truncolor.coloring import CLASS_I, EdgeColoring, chromatic_index
 from truncolor.errors import GraphError
 from truncolor.multigraph import Multigraph
@@ -49,6 +49,20 @@ def disjoint_union(*graphs: Multigraph) -> Multigraph:
         vertices.extend(v + off for v in g.vertices)
         pairs.extend((u + off, w + off) for u, w in (g.endpoints(e) for e in g.edge_ids))
     return Multigraph(vertices, pairs)
+
+
+def cycle_graph(n: int) -> Multigraph:
+    return Multigraph(range(n), [(i, (i + 1) % n) for i in range(n)])
+
+
+def path_graph(n: int) -> Multigraph:
+    return Multigraph(range(n), [(i, i + 1) for i in range(n - 1)])
+
+
+def scheme_class_count(n: int) -> int:
+    """The number of classes of the order-n canonical scheme: n-1 perfect
+    matchings for even n, n near-perfect ones for odd n."""
+    return n - 1 if n % 2 == 0 else n
 
 
 def doubled_triangle() -> Multigraph:

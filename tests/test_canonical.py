@@ -2,11 +2,11 @@ import hashlib
 
 import pytest
 
-from truncolor.canonical import class_of_pair, complete_graph, scheme_class, scheme_class_count
+from truncolor.canonical import class_of_pair, complete_graph, scheme_class
 from truncolor.coloring import is_proper
 from truncolor.errors import GraphError
 
-from conftest import canonical_coloring, missing_color
+from conftest import canonical_coloring, missing_color, scheme_class_count
 
 
 def scheme_vertex_names(n):

@@ -122,6 +122,13 @@ class TestColorComplete:
         assert out["class"] == "II"
         assert "class II" in err
 
+    def test_petersen_out_of_budget_is_undecided(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "color-complete", write_graph(tmp_path, petersen()), "--budget", "0"
+        )
+        assert (code, out) == (2, None)
+        assert err == "undecided: edge coloring search exceeded budget of 0 nodes\n"
+
     def test_petersen_witness_flag(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "color-complete", write_graph(tmp_path, petersen()), "--witness"
@@ -133,6 +140,12 @@ class TestColorComplete:
 
 
 class TestCyclicColor:
+    def test_enabling_search_out_of_budget_is_undecided(self, capsys, tmp_path):
+        g = write_graph(tmp_path, petersen())
+        code, out, err = run(capsys, "cyclic-color", g, "--strategy", "enabling", "--budget", "0")
+        assert (code, out) == (2, None)
+        assert err == "undecided: parity coloring search exceeded budget of 0 nodes\n"
+
     def test_even_strategy_with_seed(self, capsys, tmp_path):
         g = write_graph(tmp_path, k5())
         code, out, _ = run(capsys, "cyclic-color", g, "--strategy", "even", "--seed", "3")

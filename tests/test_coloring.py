@@ -42,7 +42,7 @@ class TestEdgeColoring:
 
     def test_is_proper_requires_total_coverage(self):
         g = Multigraph([0, 1, 2], [(0, 1), (1, 2)])
-        with pytest.raises(GraphError, match="coloring does not cover edge 1"):
+        with pytest.raises(GraphError, match="^no color assigned to edge 1$"):
             is_proper(g, EdgeColoring({0: 0}, 2))
         # Colors on ids the graph lacks are not a coverage failure.
         assert is_proper(g, EdgeColoring({0: 0, 1: 1, 7: 0}, 2))

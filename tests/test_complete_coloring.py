@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import truncolor.complete_coloring as complete_coloring
 
 from truncolor.canonical import class_of_pair
-from truncolor.catalog import k4, k5, k33, path_graph, petersen, two_k5_bridge
+from truncolor.catalog import complete_bipartite, k4, k5, k33, petersen, two_k5_bridge
 from truncolor.coloring import (
     CLASS_II,
     EdgeColoring,
@@ -35,7 +35,7 @@ from truncolor.truncation import (
     cyclic_truncation,
 )
 
-from conftest import brute_force, regular_odd_equivalence
+from conftest import brute_force, path_graph, regular_odd_equivalence
 
 
 class TestEdgeFeasibility:
@@ -400,7 +400,7 @@ class TestSmallClusters:
     def test_colorings_are_pinned(self):
         digest = hashlib.sha256()
         for pend, d in small_cluster_sample():
-            out = complete_coloring._small_cluster_colors(pend, d)
+            out = complete_coloring._small_cluster_colors(pend, d, {})
             assert out == small_palette_rule(pend, d)
             digest.update(repr(sorted(out.items())).encode())
         assert digest.hexdigest() == SMALL_CLUSTER_SHA256
@@ -410,7 +410,7 @@ class TestSmallClusters:
     def test_every_pair_colored_below_d_without_clash(self, d, data):
         s = data.draw(st.integers(2, d - 2))
         pend = data.draw(st.lists(st.integers(0, d - 1), min_size=s, max_size=s))
-        out = complete_coloring._small_cluster_colors(pend, d)
+        out = complete_coloring._small_cluster_colors(pend, d, {})
         assert sorted(out) == list(combinations(range(s), 2))
         assert all(0 <= c < d for c in out.values())
         assert cluster_clash(pend, list(out), list(out.values())) is None
@@ -433,10 +433,6 @@ class TestOrderDClusters:
             got = map(coloring.color_of, tr.constituent_edge_ids(v))
             want = (class_of_pair(7, (pend[i] + 1, pend[j] + 1)) for i, j in tr.constituents[v])
             assert list(got) == list(want)
-
-
-def complete_bipartite(a, b):
-    return Multigraph(range(a + b), [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def capped_source(rng, d):

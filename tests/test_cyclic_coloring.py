@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from truncolor.catalog import cycle_graph, k4, k5, petersen, q3, two_k5_bridge
+from truncolor.catalog import k4, k5, petersen, q3, two_k5_bridge
 from truncolor.coloring import (
     EdgeColoring,
     chromatic_index,
@@ -23,15 +23,14 @@ from truncolor.cyclic_coloring import (
     cyclic_from_class_one,
     is_enabling,
     vector3_admissible,
-    _cyclic_from_parity,
     _single_cycle_sun,
 )
 from truncolor.errors import GraphError, UndecidedError
 from truncolor.multigraph import Multigraph
-from truncolor.sun import _parity_coloring_search, is_parity_balanced
+from truncolor.sun import _glue_suns, _parity_coloring_search, is_parity_balanced
 from truncolor.truncation import contract, cyclic_truncation
 
-from conftest import disjoint_union, prism_graph
+from conftest import cycle_graph, disjoint_union, prism_graph
 
 
 def _cycle_components(r, edges):
@@ -321,7 +320,7 @@ class TestParityCriterion:
         # zero times: even counts at odd valency.
         monochrome = EdgeColoring({e: 0 for e in k4().edge_ids}, 3)
         with pytest.raises(GraphError, match="not parity-balanced"):
-            _cyclic_from_parity(k4(), monochrome)
+            _glue_suns(k4(), monochrome, _single_cycle_sun)
 
 
 # The parity search's smallest deciding budget on each source, and a

@@ -21,9 +21,6 @@ UNREAD_EXPORTS = {
     "load_coloring": "the benchmark times it as a parse span",
     "is_parity_balanced": "states the paper's parity-balanced criterion",
     "regular_truncation": "the paper's regular-truncation result",
-    "scheme_class_count": "the size of the canonical scheme that scheme_class indexes",
-    "cycle_graph": "a catalog builder for small named sources",
-    "path_graph": "a catalog builder for small named sources",
 }
 
 

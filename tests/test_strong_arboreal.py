@@ -5,7 +5,7 @@ import pytest
 import truncolor.strong_arboreal as strong_module
 
 from truncolor.canonical import complete_graph
-from truncolor.catalog import k4, k5, path_graph, petersen, q3
+from truncolor.catalog import k4, k5, petersen, q3
 from truncolor.coloring import is_proper
 from truncolor.multigraph import Multigraph
 from truncolor.strong_arboreal import NotApplicable, color_by_strong
@@ -16,7 +16,7 @@ from truncolor.truncation import (
     cyclic_truncation,
 )
 
-from conftest import random_multigraph
+from conftest import path_graph, random_multigraph
 
 
 def random_forests(g, rng):

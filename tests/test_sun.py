@@ -27,7 +27,7 @@ from truncolor.sun import (
 )
 from truncolor.truncation import contract
 
-from conftest import disjoint_union, prism_graph
+from conftest import cycle_graph, disjoint_union, prism_graph
 
 
 def all_vectors(r, d):
@@ -332,17 +332,18 @@ class TestMalformedSuns:
                r"^sun constituent: pair 0 is not a pair of integers$")
               for bad in [(0.0, 1), ("0", 1), (0, 1, 2), (True, 1)]],
             (dict(constituent_colors=(2, 0)), None,
-             r"constituent edge \(0, 1\) has color 2 outside palette 0\.\.1"),
+             r"^sun coloring: edge 4 has color 2 outside palette of size 2$"),
             (dict(constituent_colors=(-1, 0)), None,
-             r"constituent edge \(0, 1\) has color -1 outside palette 0\.\.1"),
+             r"^sun coloring: edge 4 has color -1 outside palette of size 2$"),
             (dict(constituent_colors=(1.0, 0)), None,
-             r"^constituent edge \(0, 1\) has color 1\.0, not an int$"),
+             r"^sun coloring: edge 4 has color 1\.0, not an int$"),
             (dict(constituent_colors=("1", 0)), None,
-             r"^constituent edge \(0, 1\) has color '1', not an int$"),
+             r"^sun coloring: edge 4 has color '1', not an int$"),
             (dict(pendant_colors=(0, 0, 1, 2)), None,
-             r"pendant color 2 at position 3 outside palette 0\.\.1"),
+             r"^sun coloring: edge 3 has color 2 outside palette of size 2$"),
             (dict(pendant_colors=(0, 0, 1.0, 1)), None,
-             r"^pendant color 1\.0 at position 2 is not an int$"),
+             r"^sun coloring: edge 2 has color 1\.0, not an int$"),
+            (dict(palette_size=2.5), None, r"^sun coloring: palette size 2\.5 is not a nonnegative int$"),
             (dict(constituent_colors=(1,)), None, r"1 constituent colors for 2 edges"),
             (dict(constituent_colors=(0, 0)), None,
              r"sun coloring is not proper: edges 0 and 4 share color 0 at vertex 0"),
@@ -353,7 +354,7 @@ class TestMalformedSuns:
             "repeat", "reversed-repeat", "loop", "negative-position", "stub-position",
             "float-position", "str-position", "triple-position", "bool-position",
             "color-past-palette", "negative-color", "float-color", "str-color",
-            "pendant-past-palette", "float-pendant", "colors-short",
+            "pendant-past-palette", "float-pendant", "float-palette", "colors-short",
             "clash", "wrong-vector", "wrong-regularity",
         ],
     )
@@ -475,6 +476,17 @@ class TestTotallyInadmissible:
         # Every labelled graph took 218,385 calls.
         assert len(calls) <= 21_838
 
+    def test_enumeration_agrees_with_the_parity_rule(self, monkeypatch):
+        # Every sorted vector with d <= 4 and r <= 8, from a cold cache:
+        # the enumeration finds an extension exactly for the admissible.
+        monkeypatch.setattr(sun_module, "_TI_CACHE", {})
+        vectors = {
+            tuple(sorted(v)) for d in range(1, 5) for r in range(d, 9) for v in all_vectors(r, d)
+        }
+        assert len(vectors) == 114
+        for vector in vectors:
+            assert verify_totally_inadmissible(vector) == (not admissible(vector)), vector
+
 
 class TestValencyPumping:
     def test_valency_range_sweep(self):
@@ -540,6 +552,15 @@ class TestSemiregular:
         alternating = EdgeColoring({0: 0, 1: 1, 2: 0, 3: 1}, 2)
         with pytest.raises(GraphError):
             semiregular_truncation(g, alternating)
+
+    def test_a_refused_vector_names_its_vertex(self):
+        # Monochrome on a 5-cycle: every vector is (2, 0, 0), balanced,
+        # but two ends are too few for three colors.
+        g = cycle_graph(5)
+        monochrome = EdgeColoring(dict.fromkeys(g.edge_ids, 0), 3)
+        message = r"^vertex 0 with color vector \(2, 0, 0\): total 2 below color count 3; "
+        with pytest.raises(GraphError, match=message):
+            semiregular_truncation(g, monochrome)
 
     def test_one_sun_per_distinct_vector(self, monkeypatch):
         # K4 properly 3-colored (vector (1, 1, 1) at four vertices) beside
@@ -647,6 +668,12 @@ class TestRegularTruncation:
         out = regular_truncation(g, 5)
         assert isinstance(out, Infeasible)
         assert out.clause == "i"
+
+    def test_odd_target_on_petersen_is_clause_i(self):
+        # A parity-balanced 3-coloring of a cubic graph is proper, and
+        # Petersen has none.
+        out = regular_truncation(petersen(), 3)
+        assert out == Infeasible("i", "no parity-conforming coloring with 3 colors exists")
 
     @pytest.mark.parametrize("prism_first", [True, False])
     def test_odd_target_refutes_a_class_two_component(self, prism_first):
