@@ -118,23 +118,14 @@ def cyclic_even_valency(
                 f"vertex {v} has valency {val}; this construction needs even valencies >= 4"
             )
     tr = cyclic_truncation(x, cycle_orders)
-    cycle_orders = cycle_orders or {}
-    # Default cycles (0, 1, ..., size-1) of one size share one table; the
-    # size is even, so the closing edge (0, size-1) takes color 2.
-    tables: Dict[int, Dict[Tuple[int, int], int]] = {}
 
     def pair_color(v: int) -> Dict[Tuple[int, int], int]:
-        if v in cycle_orders:
-            order = list(cycle_orders[v])
-            return {
-                ((a, b) if a < b else (b, a)): 1 + i % 2
-                for i, (a, b) in enumerate(zip(order, order[1:] + order[:1]))
-            }
         size = x.valency(v)
-        if size not in tables:
-            tables[size] = {(i, i + 1): 1 + i % 2 for i in range(size - 1)}
-            tables[size][0, size - 1] = 2
-        return tables[size]
+        order = list(cycle_orders[v]) if cycle_orders and v in cycle_orders else list(range(size))
+        return {
+            ((a, b) if a < b else (b, a)): 1 + i % 2
+            for i, (a, b) in enumerate(zip(order, order[1:] + order[:1]))
+        }
 
     return tr, tr.color(dict.fromkeys(tr.matching, 0), pair_color, 3)
 

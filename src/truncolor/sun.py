@@ -494,16 +494,13 @@ def verify_totally_inadmissible(vector: Sequence[int]) -> bool:
 
 def _color_vectors(x: Multigraph, coloring: EdgeColoring) -> Dict[int, Tuple[int, ...]]:
     """Each vertex's color vector: the count of each palette color on
-    its incident edges."""
-    assignment = coloring.assignment
-    for eid in x.edge_ids:
-        if eid not in assignment:
-            raise GraphError(f"coloring does not cover edge {eid}")
+    its incident edges.  An uncolored edge is a GraphError."""
+    color_of = coloring.color_of
     vectors: Dict[int, Tuple[int, ...]] = {}
     for v in x.vertices:
         counts = [0] * coloring.palette_size
         for eid in x.incident(v):
-            counts[assignment[eid]] += 1
+            counts[color_of(eid)] += 1
         vectors[v] = tuple(counts)
     return vectors
 

@@ -47,6 +47,14 @@ class TestEdgeColoring:
         # Colors on ids the graph lacks are not a coverage failure.
         assert is_proper(g, EdgeColoring({0: 0, 1: 1, 7: 0}, 2))
 
+    def test_is_proper_is_false_on_a_clash_met_before_an_uncolored_edge(self):
+        # Vertex 1 shows the clash of edges 0 and 1 before vertex 2
+        # reaches uncolored edge 2.
+        g = Multigraph([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)])
+        assert not is_proper(g, EdgeColoring({0: 0, 1: 0}, 1))
+        with pytest.raises(GraphError, match="^no color assigned to edge 2$"):
+            is_proper(g, EdgeColoring({0: 0, 1: 1}, 2))
+
     def test_detects_clash(self):
         g = Multigraph([0, 1, 2], [(0, 1), (1, 2)])
         assert not is_proper(g, EdgeColoring({0: 0, 1: 0}, 1))

@@ -523,6 +523,13 @@ class TestParityBalance:
         sol, _ = solve_edge_coloring(g, 3)
         assert is_parity_balanced(g, EdgeColoring(sol, 3))
 
+    def test_uncolored_edge_is_named_as_is_proper_names_it(self):
+        g = Multigraph([0, 1, 2], [(0, 1), (1, 2)])
+        partial = EdgeColoring({0: 0}, 2)
+        for check in (is_parity_balanced, is_proper):
+            with pytest.raises(GraphError, match="^no color assigned to edge 1$"):
+                check(g, partial)
+
 
 class TestSemiregular:
     def _balanced_instance(self):
