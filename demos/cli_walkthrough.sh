@@ -76,7 +76,13 @@ fi
 truncolor demo two-k5-bridge > bridge.json
 truncolor truncate bridge.json --kind complete > bridge_complete.json
 expect_fail 1 "not applicable:" "the K5 constituent is overfull in 4 colors" \
-    truncolor color-strong bridge_complete.json
+    truncolor color-strong bridge_complete.json > bridge_refusal.json
+# The refusal JSON carries the search nodes it cost.
+if ! grep -q '"applicable": false' bridge_refusal.json || ! grep -q '"nodes":' bridge_refusal.json; then
+    echo "FAIL: the color-strong refusal lacks \"applicable\": false or its node count" >&2
+    cat bridge_refusal.json >&2
+    exit 1
+fi
 
 echo "== complete truncations stored by reference"
 # Both files carry the truncation as its source plus "kind": "complete";

@@ -8,19 +8,16 @@ whose truncation provably cannot be colored with its maximum valency
 
 from truncolor.catalog import k5, petersen, two_k5_bridge
 from truncolor.coloring import chromatic_index, is_proper
-from truncolor.complete_coloring import (
-    ClassIIWitness,
-    color_complete_truncation,
-    is_edge_feasible,
-)
+from truncolor.complete_coloring import color_complete_truncation, is_edge_feasible
+from truncolor.errors import Refusal
 from truncolor.truncation import complete_truncation, contract
 
 
 def show(label, g):
     print(f"== {label}: order {g.order}, size {g.size}, max valency {g.max_valency()}")
     out = color_complete_truncation(g)
-    if isinstance(out, ClassIIWitness):
-        print(f"   refused: {out.reason}")
+    if isinstance(out, Refusal):
+        print(f"   refused after {out.nodes} search nodes: {out.reason}")
         return
     tr, coloring = out
     assert is_proper(tr.graph, coloring)

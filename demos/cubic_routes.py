@@ -18,6 +18,7 @@ from truncolor.cyclic_coloring import (
     cyclic_even_valency,
     cyclic_from_class_one,
 )
+from truncolor.errors import Refusal
 from truncolor.strong_arboreal import color_by_strong
 from truncolor.truncation import arboreal_truncation, cyclic_truncation
 
@@ -49,8 +50,9 @@ def main():
 
     tr, coloring = cyclic_class_one(k4())
     report("parity-balanced 3-coloring found by search (K4)", tr, coloring)
-    assert cyclic_class_one(petersen()) is None
-    print("  Petersen has no parity-balanced 3-coloring: "
+    refusal = cyclic_class_one(petersen())
+    assert isinstance(refusal, Refusal)
+    print(f"  Petersen has no parity-balanced 3-coloring ({refusal.nodes} search nodes): "
           "every cyclic truncation of it is class II")
 
     print("== the bridge obstruction")

@@ -22,7 +22,6 @@ from .coloring import (
     solve_edge_coloring,
 )
 from .complete_coloring import (
-    ClassIIWitness,
     color_complete_truncation,
     find_edge_feasible,
     is_edge_feasible,
@@ -39,11 +38,10 @@ from .cyclic_coloring import (
     is_enabling,
     vector3_admissible,
 )
-from .errors import GraphError, UndecidedError
+from .errors import GraphError, Refusal, UndecidedError
 from .multigraph import Multigraph
-from .strong_arboreal import NotApplicable, color_by_strong
+from .strong_arboreal import color_by_strong
 from .sun import (
-    Infeasible,
     SunColoring,
     admissible,
     build_sun_even,
@@ -69,13 +67,11 @@ __all__ = [
     "ADMISSIBLE",
     "CLASS_I",
     "CLASS_II",
-    "ClassIIWitness",
     "EdgeColoring",
     "GraphError",
-    "Infeasible",
     "Multigraph",
-    "NotApplicable",
     "OracleResult",
+    "Refusal",
     "SunColoring",
     "TOTALLY_INADMISSIBLE",
     "Truncation",

@@ -46,14 +46,14 @@ from .coloring import (
     chromatic_index,
     solve_edge_coloring,
 )
-from .complete_coloring import ClassIIWitness, color_complete_truncation
+from .complete_coloring import color_complete_truncation
 from .cyclic_coloring import (
     color_via_enabling,
     cyclic_class_one,
     cyclic_even_valency,
     cyclic_from_class_one,
 )
-from .errors import GraphError, UndecidedError
+from .errors import GraphError, Refusal, UndecidedError
 from .io import (
     coloring_from_obj,
     coloring_to_obj,
@@ -70,7 +70,7 @@ from .io import (
     truncation_to_obj,
 )
 from .multigraph import Multigraph
-from .strong_arboreal import NotApplicable, color_by_strong
+from .strong_arboreal import color_by_strong
 from .sun import _build_sun, admissible, verify_totally_inadmissible
 from .truncation import (
     Truncation,
@@ -137,10 +137,10 @@ def cmd_truncate(args) -> Result:
 def cmd_color_complete(args) -> Result:
     g = load_graph(args.graph)
     out = color_complete_truncation(g, budget=args.budget)
-    if isinstance(out, ClassIIWitness):
+    if isinstance(out, Refusal):
         obj = {
             "class": "II",
-            "delta": out.delta,
+            "delta": g.max_valency(),
             "witness": {"nodes": out.nodes, "reason": out.reason},
         }
         if args.witness:
@@ -178,13 +178,10 @@ def cmd_cyclic_color(args) -> Result:
             )
         tr, coloring = cyclic_from_class_one(g, EdgeColoring(solved, d))
     elif args.enabling_edges is None:
-        found = cyclic_class_one(g, budget=args.budget)
-        if found is None:
-            raise GraphError(
-                "enabling strategy: the source has no parity-balanced 3-coloring, "
-                "so no cyclic truncation of it is class I"
-            )
-        tr, coloring = found
+        out = cyclic_class_one(g, budget=args.budget)
+        if isinstance(out, Refusal):
+            raise GraphError(f"enabling strategy: {out.reason}")
+        tr, coloring = out
     else:
         y = _parse_vector(args.enabling_edges) if args.enabling_edges else []
         if len(set(y)) != len(y):
@@ -197,9 +194,15 @@ def cmd_cyclic_color(args) -> Result:
 def cmd_color_strong(args) -> Result:
     tr = load_truncation(args.truncation)
     out = color_by_strong(tr, budget=args.budget)
-    if isinstance(out, NotApplicable):
+    if isinstance(out, Refusal):
         print(f"not applicable: {out.reason}", file=sys.stderr)
-        obj = {"applicable": False, "vertex": out.vertex, "delta": out.delta, "reason": out.reason}
+        obj = {
+            "applicable": False,
+            "vertex": out.at,
+            "delta": tr.max_valency(),
+            "reason": out.reason,
+            "nodes": out.nodes,
+        }
         return EXIT_DOMAIN, obj, None
     obj = {"applicable": True, "delta": tr.max_valency(), "coloring": coloring_to_obj(out)}
     return EXIT_OK, obj, (tr, out)

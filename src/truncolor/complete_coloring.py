@@ -16,8 +16,8 @@ keep the real positions, and map P back to the colors present, then
 the absent ones.  At s = D-1 this is the D-1 lemma itself, with no
 padding.  So each constituent costs time linear in its size.  Without
 an edge-feasible coloring the complete truncation provably needs D+1
-colors, and a witness of the exhausted search is returned instead.
-Checks run per cluster (cluster_clash).
+colors, and a `Refusal` carrying the exhausted search's node count is
+returned instead.  Checks run per cluster (cluster_clash).
 
 `subtruncation_coloring` reads the same per-cluster rule on the clusters
 of any truncation that keeps D, so it applies to every even-D source and
@@ -28,18 +28,16 @@ construction, it builds no flat graph (nor the complete truncation).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, cycle, islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .canonical import class_of_pair, scheme_class
 from .coloring import EdgeColoring, _clash_error, cluster_clash, solve_edge_coloring
-from .errors import GraphError
+from .errors import GraphError, Refusal
 from .multigraph import Multigraph
 from .truncation import Truncation, complete_truncation
 
 __all__ = [
-    "ClassIIWitness",
     "is_edge_feasible",
     "find_edge_feasible",
     "color_complete_truncation",
@@ -48,16 +46,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClassIIWitness:
-    """Record of an exhausted edge-feasibility search.
-
-    Its existence certifies that the complete truncation needs one more
-    color than the source's maximum valency."""
-
-    delta: int
-    nodes: int
-    reason: str
+# bench/workloads.py still imports this name; ROADMAP item 1's bench
+# change deletes it.
+ClassIIWitness = Refusal
 
 
 def is_edge_feasible(x: Multigraph, coloring: EdgeColoring) -> bool:
@@ -257,10 +248,10 @@ def _small_cluster_colors(
 
 def _complete_colors(
     tr: Truncation, budget: Optional[int]
-) -> Union[Tuple[Dict[int, int], Callable], ClassIIWitness]:
+) -> Union[Tuple[Dict[int, int], Callable], Refusal]:
     """The complete truncation's coloring rule, read on tr's clusters:
     (matching colors, pair_color) for Truncation.color with the source's
-    maximum valency as palette, or a ClassIIWitness.  pair_color(v)
+    maximum valency as palette, or a Refusal.  pair_color(v)
     colors v's constituent, whatever subgraph of the complete one it is."""
     delta = tr.source.max_valency()
     if delta % 2 == 0:
@@ -287,7 +278,7 @@ def _complete_colors(
             "exhaustive search found no coloring with all colors distinct at "
             f"valency-{delta} vertices; the complete truncation needs {delta + 1} colors"
         )
-        return ClassIIWitness(delta, nodes, reason)
+        return Refusal(reason, nodes)
 
     # Clusters of order below D share colorings by the padded vector they
     # pass to color_delta_minus_one, whose length fixes the palette P.
@@ -310,16 +301,16 @@ def _complete_colors(
 
 def color_complete_truncation(
     x: Multigraph, *, budget: Optional[int] = None
-) -> Union[Tuple[Truncation, EdgeColoring], ClassIIWitness]:
+) -> Union[Tuple[Truncation, EdgeColoring], Refusal]:
     """Color the complete truncation of x with exactly max-valency colors.
 
-    Returns the truncation and coloring, or a ClassIIWitness when the
-    maximum valency is odd and no edge-feasible coloring of x exists
-    (then no such coloring of the truncation exists either).
+    Returns the truncation and coloring, or a Refusal when the maximum
+    valency is odd and no edge-feasible coloring of x exists (then no
+    such coloring of the truncation exists either).
     """
     tr = complete_truncation(x)
     rule = _complete_colors(tr, budget)
-    if isinstance(rule, ClassIIWitness):
+    if isinstance(rule, Refusal):
         return rule
     return tr, tr.color(*rule, x.max_valency())
 
@@ -333,13 +324,13 @@ def subtruncation_coloring(tr: Truncation, *, budget: Optional[int] = None) -> E
     the truncation keeps the source's maximum valency D and the complete
     truncation is D-colorable: always for even D, and for odd D exactly
     when the source has an edge-feasible coloring (every class I source
-    has one).  Otherwise raises GraphError with the ClassIIWitness's
-    reason, or UndecidedError if that search exceeds budget nodes.
+    has one).  Otherwise raises GraphError with the Refusal's reason, or
+    UndecidedError if that search exceeds budget nodes.
     """
     delta = tr.source.max_valency()
     if tr.max_valency() != delta:
         raise GraphError(f"truncation has maximum valency {tr.max_valency()}, source has {delta}")
     rule = _complete_colors(tr, budget)
-    if isinstance(rule, ClassIIWitness):
+    if isinstance(rule, Refusal):
         raise GraphError(rule.reason)
     return tr.color(*rule, delta)

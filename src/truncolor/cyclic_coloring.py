@@ -10,17 +10,18 @@ each cluster of that vector.  That sun is a closed form: one cyclic
 word of edge colors, read off the vector in time linear in its total,
 with no search and no repair.  Strategies only supply the coloring:
 `cyclic_from_class_one` folds a d-coloring, `color_via_enabling` walks
-Euler tours, `cyclic_class_one` searches.  `cyclic_even_valency` glues
-its own coloring and keeps any cycle orders.  A 3-valent graph with a
-bridge cannot be class I.
+Euler tours, `cyclic_class_one` searches, and returns a `Refusal` with
+the search's node count when there is no such coloring.
+`cyclic_even_valency` glues its own coloring and keeps any cycle
+orders.  A 3-valent graph with a bridge cannot be class I.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .coloring import EdgeColoring, is_proper
-from .errors import GraphError
+from .errors import GraphError, Refusal
 from .multigraph import Multigraph
 from .sun import SunColoring, _finish, _glue_suns, _parity_coloring_search, admissible
 from .truncation import Truncation, cyclic_truncation
@@ -203,17 +204,23 @@ def color_via_enabling(
 
 def cyclic_class_one(
     x: Multigraph, *, budget: Optional[int] = None
-) -> Optional[Tuple[Truncation, EdgeColoring]]:
-    """A class I cyclic truncation of x with its 3-coloring, or None.
+) -> Union[Tuple[Truncation, EdgeColoring], Refusal]:
+    """A class I cyclic truncation of x with its 3-coloring, or a Refusal.
 
-    Searches for a parity-balanced 3-coloring of x; None means there is
-    none, so every cyclic truncation of x, whatever its cycle orders,
-    is class II.  Raises UndecidedError if the search exceeds budget
-    nodes.
+    Searches for a parity-balanced 3-coloring of x; a Refusal, with the
+    search's node count, means there is none, so every cyclic truncation
+    of x, whatever its cycle orders, is class II.  Raises UndecidedError
+    if the search exceeds budget nodes.
     """
     _require_cyclic_source(x)
-    found = _parity_coloring_search(x, 3, budget)
-    return None if found is None else _glue_suns(x, found, _single_cycle_sun)
+    found, nodes = _parity_coloring_search(x, 3, budget)
+    if found is None:
+        reason = (
+            "the source has no parity-balanced 3-coloring, "
+            "so no cyclic truncation of it is class I"
+        )
+        return Refusal(reason, nodes)
+    return _glue_suns(x, found, _single_cycle_sun)
 
 
 def cut_edge_class_two(g: Multigraph) -> bool:

@@ -55,7 +55,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from .canonical import class_of_pair, scheme_class
 from .coloring import EdgeColoring, _clash_error, cluster_clash, solve_edge_coloring
-from .errors import GraphError, UndecidedError
+from .errors import GraphError, Refusal, UndecidedError
 from .multigraph import Multigraph
 from .truncation import Truncation, _ascending_and_simple, _normalize
 
@@ -70,7 +70,6 @@ __all__ = [
     "regular_constituents",
     "is_parity_balanced",
     "semiregular_truncation",
-    "Infeasible",
     "regular_truncation",
 ]
 
@@ -574,18 +573,11 @@ def semiregular_truncation(
     return _glue_suns(x, coloring, _build_sun)
 
 
-@dataclass(frozen=True)
-class Infeasible:
-    """Names the valency clause a regular-truncation request violates."""
-
-    clause: str
-    reason: str
-
-
 def regular_truncation(
     x: Multigraph, d: int, *, budget: Optional[int] = None
-) -> Union[Tuple[Truncation, EdgeColoring], Infeasible]:
-    """A d-regular truncation of x with a proper d-coloring, or Infeasible.
+) -> Union[Tuple[Truncation, EdgeColoring], Refusal]:
+    """A d-regular truncation of x with a proper d-coloring, or a Refusal
+    at the violated clause, "i" or "ii", with the search nodes spent.
 
     Even d (clause ii): every valency must be even and at least d; all
     edges take one color and each constituent is pumped to valency d-1
@@ -602,34 +594,28 @@ def regular_truncation(
     if d % 2 == 0:
         for v in x.vertices:
             if x.valency(v) % 2 == 1:
-                return Infeasible(
-                    "ii", f"vertex {v} has odd valency {x.valency(v)}; even d needs all even"
+                return Refusal(
+                    f"vertex {v} has odd valency {x.valency(v)}; even d needs all even", 0, "ii"
                 )
             if x.valency(v) < d:
-                return Infeasible(
-                    "ii", f"vertex {v} has valency {x.valency(v)} below d = {d}"
-                )
+                return Refusal(f"vertex {v} has valency {x.valency(v)} below d = {d}", 0, "ii")
         base = EdgeColoring({eid: 0 for eid in x.edge_ids}, 1)
         return _glue_suns(x, base, lambda vec: build_sun_valency(vec, d - 1))
     for v in x.vertices:
         val = x.valency(v)
         if val % 2 == 1 and val < d:
-            return Infeasible(
-                "i", f"vertex {v} has odd valency {val} below d = {d}"
-            )
+            return Refusal(f"vertex {v} has odd valency {val} below d = {d}", 0, "i")
         if val % 2 == 0 and val < d + 1:
-            return Infeasible(
-                "i", f"vertex {v} has even valency {val} below d + 1 = {d + 1}"
-            )
-    found = _parity_coloring_search(x, d, budget)
+            return Refusal(f"vertex {v} has even valency {val} below d + 1 = {d + 1}", 0, "i")
+    found, nodes = _parity_coloring_search(x, d, budget)
     if found is None:
-        return Infeasible("i", f"no parity-conforming coloring with {d} colors exists")
+        return Refusal(f"no parity-conforming coloring with {d} colors exists", nodes, "i")
     return semiregular_truncation(x, found)
 
 
 def _parity_coloring_search(
     x: Multigraph, d: int, budget: Optional[int] = None
-) -> Optional[EdgeColoring]:
+) -> Tuple[Optional[EdgeColoring], int]:
     """Exhaustive search for a d-coloring where each color's count at a
     vertex matches the vertex's valency parity.
 
@@ -638,9 +624,10 @@ def _parity_coloring_search(
     its count of uncolored edges; a branch dies when the wrong parities
     outnumber those edges or differ from them in parity.  As in
     `solve_edge_coloring`, an edge tries the colors in use in its
-    component plus one fresh color.  Backtracking past a component's
-    first edge ends the search with None.  Raises UndecidedError when
-    the budget runs out first.
+    component plus one fresh color.  Returns (coloring or None, nodes),
+    like `solve_edge_coloring`: backtracking past a component's first
+    edge ends the search with None.  Raises UndecidedError when the
+    budget runs out first.
     """
     comp_of = {v: i for i, comp in enumerate(x.components()) for v in comp}
     walk = sorted((comp_of[u], u, w, eid) for eid, (u, w) in x.edges.items())
@@ -673,7 +660,7 @@ def _parity_coloring_search(
         c += 1
         if c == min(d, used.bit_length() + 1):
             if first[i]:
-                return None
+                return None, nodes
             color[i] = -1
             i -= 1
             continue
@@ -697,4 +684,4 @@ def _parity_coloring_search(
                 break
         else:
             i += 1
-    return EdgeColoring({eid: c for (*_, eid), c in zip(walk, color)}, d)
+    return EdgeColoring({eid: c for (*_, eid), c in zip(walk, color)}, d), nodes

@@ -212,13 +212,6 @@ class Truncation:
     def matching_ids(self) -> Tuple[int, ...]:
         return tuple(sorted(self.matching))
 
-    def constituent_edge_ids(self, v: int) -> Tuple[int, ...]:
-        """Flattened ids of v's constituent edges, in constituent order."""
-        try:
-            return tuple(self._ids[v])
-        except KeyError:
-            raise GraphError(f"no vertex {v} in source graph") from None
-
     def end_valencies(self, v: int) -> List[int]:
         """Valency in the flat graph of the end at each position of v's
         cluster: its matching edge plus its constituent edges."""

@@ -7,7 +7,7 @@ from truncolor.canonical import class_of_pair, complete_graph
 from truncolor.coloring import CLASS_I, EdgeColoring, chromatic_index
 from truncolor.errors import GraphError
 from truncolor.multigraph import Multigraph
-from truncolor.truncation import complete_truncation
+from truncolor.truncation import Truncation, complete_truncation
 
 
 def random_multigraph(
@@ -67,6 +67,18 @@ def scheme_class_count(n: int) -> int:
 
 def doubled_triangle() -> Multigraph:
     return Multigraph(range(3), [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)])
+
+
+def constituent_edge_ids(tr: Truncation, v: int) -> Tuple[int, ...]:
+    """Flattened ids of v's constituent edges, in constituent order:
+    they follow the matching's ids, one block per source vertex in
+    vertex order."""
+    nxt = max(tr.matching, default=-1) + 1
+    for u, pairs in tr.constituents.items():
+        if u == v:
+            return tuple(range(nxt, nxt + len(pairs)))
+        nxt += len(pairs)
+    raise GraphError(f"no vertex {v} in source graph")
 
 
 def canonical_coloring(n: int) -> EdgeColoring:

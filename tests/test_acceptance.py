@@ -13,18 +13,15 @@ from truncolor.canonical import complete_graph
 from truncolor.catalog import k4, k5, k33, petersen, prism3, two_k5_bridge
 from truncolor.coloring import CLASS_II, chromatic_index, is_proper, solve_edge_coloring
 from truncolor.coloring import EdgeColoring
-from truncolor.complete_coloring import (
-    ClassIIWitness,
-    color_complete_truncation,
-    is_edge_feasible,
-)
+from truncolor.complete_coloring import color_complete_truncation, is_edge_feasible
 from truncolor.cyclic_coloring import (
     color_via_enabling,
     cyclic_even_valency,
     cyclic_from_class_one,
 )
+from truncolor.errors import Refusal
 from truncolor.multigraph import Multigraph
-from truncolor.strong_arboreal import NotApplicable, color_by_strong
+from truncolor.strong_arboreal import color_by_strong
 from truncolor.sun import (
     admissible,
     build_sun_even,
@@ -104,7 +101,7 @@ def test_02_even_maximum_valency_colorings_use_exactly_delta_colors():
         start = time.perf_counter()
         out = color_complete_truncation(g)
         elapsed = time.perf_counter() - start
-        assert not isinstance(out, ClassIIWitness)
+        assert not isinstance(out, Refusal)
         tr, coloring = out
         assert coloring.palette_size == delta
         assert is_proper(tr.graph, coloring)
@@ -125,7 +122,7 @@ def test_03_odd_maximum_valency_colorings_cover_all_cluster_orders():
         delta = g.max_valency()
         assert delta % 2 == 1
         out = color_complete_truncation(g)
-        assert not isinstance(out, ClassIIWitness)
+        assert not isinstance(out, Refusal)
         tr, coloring = out
         assert coloring.palette_size == delta
         assert is_proper(tr.graph, coloring)
@@ -266,7 +263,7 @@ def test_09_arboreal_truncations_of_random_multigraphs_are_class_one():
         g = random_multigraph(random.Random(seed))
         tr = arboreal_truncation(g)
         out = color_by_strong(tr)
-        assert not isinstance(out, NotApplicable)
+        assert not isinstance(out, Refusal)
         assert out.palette_size == tr.graph.max_valency()
         assert is_proper(tr.graph, out)
     print("acceptance 09: PASS: 25 seeded arboreal truncations colored with "
@@ -281,7 +278,7 @@ def test_10_contract_round_trips_recover_source_colorings():
         ("star+tail", star_with_tail()),
     ):
         out = color_complete_truncation(g)
-        assert not isinstance(out, ClassIIWitness)
+        assert not isinstance(out, Refusal)
         tr, coloring = out
         back, back_coloring = contract(tr, coloring)
         assert same_multigraph(back, g)

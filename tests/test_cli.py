@@ -130,13 +130,15 @@ class TestColorComplete:
         assert err == "undecided: edge coloring search exceeded budget of 0 nodes\n"
 
     def test_petersen_witness_flag(self, capsys, tmp_path):
-        code, out, _ = run(
-            capsys, "color-complete", write_graph(tmp_path, petersen()), "--witness"
+        code = main(["color-complete", write_graph(tmp_path, petersen()), "--witness"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        reason = (
+            "exhaustive search found no coloring with all colors distinct at "
+            "valency-3 vertices; the complete truncation needs 4 colors"
         )
-        assert code == 0
-        assert out["class"] == "II"
-        assert out["delta"] == 3
-        assert out["witness"]["nodes"] > 0
+        want = {"class": "II", "delta": 3, "witness": {"nodes": 30, "reason": reason}}
+        assert captured.out == json.dumps(want) + "\n"
 
 
 class TestCyclicColor:
@@ -274,6 +276,17 @@ class TestColorStrong:
         tr = arboreal_truncation(k4())
         coloring = coloring_from_obj(out["coloring"])
         assert dot.read_text() == to_dot(tr.graph, coloring, tr.matching_ids, tr.clusters)
+
+    def test_overfull_constituent_refusal(self, capsys, tmp_path):
+        tr_file = write_obj(
+            tmp_path, {"source": graph_to_obj(two_k5_bridge()), "kind": "complete"}, "tr.json"
+        )
+        code = main(["color-strong", tr_file])
+        captured = capsys.readouterr()
+        reason = "constituent at source vertex 0 holds a valency-5 end but admits no 4-coloring"
+        assert (code, captured.err) == (1, f"not applicable: {reason}\n")
+        want = {"applicable": False, "vertex": 0, "delta": 5, "reason": reason, "nodes": 0}
+        assert captured.out == json.dumps(want) + "\n"
 
     def test_cyclic_cubic_truncation_is_not_applicable(self, capsys, tmp_path):
         tr_file = self._truncation_file(capsys, tmp_path, q3(), "cyclic")

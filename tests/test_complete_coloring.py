@@ -19,14 +19,13 @@ from truncolor.coloring import (
     is_proper,
 )
 from truncolor.complete_coloring import (
-    ClassIIWitness,
     color_complete_truncation,
     color_delta_minus_one,
     find_edge_feasible,
     is_edge_feasible,
     subtruncation_coloring,
 )
-from truncolor.errors import GraphError
+from truncolor.errors import GraphError, Refusal
 from truncolor.multigraph import Multigraph
 from truncolor.truncation import (
     Truncation,
@@ -35,7 +34,7 @@ from truncolor.truncation import (
     cyclic_truncation,
 )
 
-from conftest import brute_force, path_graph, regular_odd_equivalence
+from conftest import brute_force, constituent_edge_ids, path_graph, regular_odd_equivalence
 
 
 class TestEdgeFeasibility:
@@ -81,7 +80,7 @@ class TestEdgeFeasibility:
 class TestCompleteTruncationColoring:
     def test_even_valency_source(self):
         out = color_complete_truncation(k5())
-        assert not isinstance(out, ClassIIWitness)
+        assert not isinstance(out, Refusal)
         tr, coloring = out
         assert coloring.palette_size == 4
         assert is_proper(tr.graph, coloring)
@@ -91,7 +90,7 @@ class TestCompleteTruncationColoring:
     def test_odd_class_one_source(self, factory):
         g = factory()
         out = color_complete_truncation(g)
-        assert not isinstance(out, ClassIIWitness)
+        assert not isinstance(out, Refusal)
         tr, coloring = out
         assert coloring.palette_size == 3
         assert is_proper(tr.graph, coloring)
@@ -101,15 +100,15 @@ class TestCompleteTruncationColoring:
         # K5 clusters run through the deficient-cluster construction.
         g = two_k5_bridge()
         out = color_complete_truncation(g)
-        assert not isinstance(out, ClassIIWitness)
+        assert not isinstance(out, Refusal)
         tr, coloring = out
         assert coloring.palette_size == 5
         assert is_proper(tr.graph, coloring)
 
     def test_petersen_witness(self):
         out = color_complete_truncation(petersen())
-        assert isinstance(out, ClassIIWitness)
-        assert out.delta == 3
+        assert isinstance(out, Refusal)
+        assert out.at is None
         assert out.nodes > 0
         assert "4" in out.reason
 
@@ -123,7 +122,7 @@ class TestCompleteTruncationColoring:
         # order delta - 1 case, and order-1 clusters have no pairs.
         g = Multigraph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2)])
         out = color_complete_truncation(g)
-        assert not isinstance(out, ClassIIWitness)
+        assert not isinstance(out, Refusal)
         tr, coloring = out
         assert is_proper(tr.graph, coloring)
         assert coloring.palette_size == 3
@@ -133,7 +132,7 @@ class TestCompleteTruncationColoring:
         # a-b by d-2 parallel edges, b-c by 2: a's cluster has order d-2.
         g = Multigraph([0, 1, 2], [(0, 1)] * (d - 2) + [(1, 2)] * 2)
         out = color_complete_truncation(g)
-        assert not isinstance(out, ClassIIWitness)
+        assert not isinstance(out, Refusal)
         tr, coloring = out
         assert coloring.palette_size == d
         assert is_proper(tr.graph, coloring)
@@ -179,8 +178,9 @@ class TestCoreLemma:
         doubled = [(0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)]
         x = Multigraph(range(6), doubled + [(0, 3), (1, 4), (2, 5)])
         out = color_complete_truncation(x, budget=0)
-        assert isinstance(out, ClassIIWitness)
-        assert (out.delta, out.nodes) == (5, 0)
+        assert isinstance(out, Refusal)
+        assert out.nodes == 0
+        assert "valency-5 vertices" in out.reason
 
     def test_core_coloring_is_completed_with_free_colors(self):
         # The hub's core is the hub alone: its edges take 0..4 in id
@@ -212,7 +212,7 @@ class TestSubtruncationIsRestriction:
     @settings(max_examples=100, deadline=None)
     def test_equals_the_restricted_complete_coloring(self, tr):
         full = color_complete_truncation(tr.source)
-        if isinstance(full, ClassIIWitness):
+        if isinstance(full, Refusal):
             with pytest.raises(GraphError, match="^exhaustive search found no coloring"):
                 subtruncation_coloring(tr)
             return
@@ -222,8 +222,8 @@ class TestSubtruncationIsRestriction:
         for eid in tr.matching:
             assert got[eid] == colors[eid]
         for v, pairs in tr.constituents.items():
-            want = dict(zip(comp.constituents[v], map(colors.get, comp.constituent_edge_ids(v))))
-            assert list(map(got.get, tr.constituent_edge_ids(v))) == list(map(want.get, pairs))
+            want = dict(zip(comp.constituents[v], map(colors.get, constituent_edge_ids(comp, v))))
+            assert list(map(got.get, constituent_edge_ids(tr, v))) == list(map(want.get, pairs))
 
 
 class TestAgainstOracle:
@@ -234,7 +234,7 @@ class TestAgainstOracle:
         tr = complete_truncation(x)
         assume(tr.graph.size <= 40)
         out = color_complete_truncation(x)
-        if isinstance(out, ClassIIWitness):
+        if isinstance(out, Refusal):
             g = tr.graph
             assert chromatic_index(g, edge_cap=40).classify(g.max_valency()) == CLASS_II
         else:
@@ -351,7 +351,7 @@ class TestPaddedClusters:
             pend = tr.pendant_colors(v, colors)
             vectors.add(tuple(pend))
             relabeled.add(tuple(sorted(set(pend)).index(c) for c in pend) + (0,) * pad[len(pend)])
-            got = dict(zip(tr.constituents[v], map(colors.__getitem__, tr.constituent_edge_ids(v))))
+            got = dict(zip(tr.constituents[v], map(colors.__getitem__, constituent_edge_ids(tr, v))))
             assert got == small_palette_rule(pend, 7)
         # One call per relabeled padded vector, not per pendant vector.
         assert padded > len(vectors) > len(calls) == len(relabeled) > 1
@@ -430,7 +430,7 @@ class TestOrderDClusters:
         tr, coloring = color_complete_truncation(x)
         for v in (0, 1):
             pend = tr.pendant_colors(v, coloring.assignment)
-            got = map(coloring.color_of, tr.constituent_edge_ids(v))
+            got = map(coloring.color_of, constituent_edge_ids(tr, v))
             want = (class_of_pair(7, (pend[i] + 1, pend[j] + 1)) for i, j in tr.constituents[v])
             assert list(got) == list(want)
 

@@ -25,7 +25,7 @@ from truncolor.cyclic_coloring import (
     vector3_admissible,
     _single_cycle_sun,
 )
-from truncolor.errors import GraphError, UndecidedError
+from truncolor.errors import GraphError, Refusal, UndecidedError
 from truncolor.multigraph import Multigraph
 from truncolor.sun import _glue_suns, _parity_coloring_search, is_parity_balanced
 from truncolor.truncation import contract, cyclic_truncation
@@ -230,7 +230,7 @@ class TestEnablingRoute:
             color_via_enabling(g, pm)
 
     def test_petersen_has_no_enabling_submultigraph(self):
-        assert cyclic_class_one(petersen()) is None
+        assert isinstance(cyclic_class_one(petersen()), Refusal)
 
     def test_search_budget_raises(self):
         message = "^parity coloring search exceeded budget of 1 nodes$"
@@ -273,7 +273,7 @@ class TestParityCriterion:
     @example(BRIDGED)
     def test_agrees_with_the_oracle_over_every_cycle_order(self, g):
         found = cyclic_class_one(g)
-        if found is not None:
+        if not isinstance(found, Refusal):
             tr, coloring = found
             assert coloring.palette_size == 3 and is_proper(tr.graph, coloring)
             for v in g.vertices:
@@ -286,9 +286,9 @@ class TestParityCriterion:
             assert chromatic_index(tr.graph).chi == 4
 
     def test_small_sources_cover_both_answers(self):
-        answers = {cyclic_class_one(g) is None for g in SMALL_SOURCES}
+        answers = {isinstance(cyclic_class_one(g), Refusal) for g in SMALL_SOURCES}
         assert answers == {True, False}
-        assert cyclic_class_one(BRIDGED) is None
+        assert isinstance(cyclic_class_one(BRIDGED), Refusal)
 
     @pytest.mark.parametrize("n", [8, 10])
     def test_prisms(self, n):
@@ -303,7 +303,7 @@ class TestParityCriterion:
         # Petersen copy, whichever side has the lower vertex ids.
         parts = (prism_graph(20), petersen())
         g = disjoint_union(*(parts if prism_first else parts[::-1]))
-        assert cyclic_class_one(g, budget=10_000) is None
+        assert isinstance(cyclic_class_one(g, budget=10_000), Refusal)
 
     def test_components_colored_separately_glue_into_one_truncation(self):
         g = disjoint_union(prism_graph(8), k4(), prism_graph(5))
@@ -361,7 +361,8 @@ class TestParitySearchPins:
         with pytest.raises(UndecidedError) as err:
             _parity_coloring_search(g, d, nodes - 1)
         assert err.value.nodes == nodes
-        found = _parity_coloring_search(g, d, nodes)
+        found, spent = _parity_coloring_search(g, d, nodes)
+        assert spent == nodes
         if digest is None:
             assert found is None
         else:

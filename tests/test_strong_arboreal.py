@@ -8,7 +8,8 @@ from truncolor.canonical import complete_graph
 from truncolor.catalog import k4, k5, petersen, q3
 from truncolor.coloring import is_proper
 from truncolor.multigraph import Multigraph
-from truncolor.strong_arboreal import NotApplicable, color_by_strong
+from truncolor.errors import Refusal
+from truncolor.strong_arboreal import color_by_strong
 from truncolor.truncation import (
     Truncation,
     arboreal_truncation,
@@ -16,7 +17,7 @@ from truncolor.truncation import (
     cyclic_truncation,
 )
 
-from conftest import path_graph, random_multigraph
+from conftest import constituent_edge_ids, path_graph, random_multigraph
 
 
 def random_forests(g, rng):
@@ -40,7 +41,7 @@ def arboreal_is_class_one(x, forests=None):
     """
     tr = arboreal_truncation(x, forests)
     out = color_by_strong(tr)
-    if isinstance(out, NotApplicable):
+    if isinstance(out, Refusal):
         raise AssertionError(f"forest constituents reported class II: {out.reason}")
     return tr, out
 
@@ -49,7 +50,7 @@ class TestColorByStrong:
     def test_path_constituents_of_k4(self):
         tr = arboreal_truncation(k4())
         out = color_by_strong(tr)
-        assert not isinstance(out, NotApplicable)
+        assert not isinstance(out, Refusal)
         assert out.palette_size == tr.graph.max_valency() == 3
         assert is_proper(tr.graph, out)
 
@@ -59,20 +60,20 @@ class TestColorByStrong:
         for eid in tr.matching:
             assert out.color_of(eid) == 0
         for v in k4().vertices:
-            for eid in tr.constituent_edge_ids(v):
+            for eid in constituent_edge_ids(tr, v):
                 assert out.color_of(eid) >= 1
 
     def test_single_edge_source(self):
         tr = arboreal_truncation(path_graph(2))
         out = color_by_strong(tr)
-        assert not isinstance(out, NotApplicable)
+        assert not isinstance(out, Refusal)
         assert out.palette_size == 1
 
     def test_complete_constituents_of_k5_are_class_one(self):
         # K4 clusters take 3 = delta - 1 colors, so the route applies.
         tr = complete_truncation(k5())
         out = color_by_strong(tr)
-        assert not isinstance(out, NotApplicable)
+        assert not isinstance(out, Refusal)
         assert out.palette_size == 4
         assert is_proper(tr.graph, out)
 
@@ -85,9 +86,8 @@ class TestColorByStrong:
         pairs = [pete.endpoints(eid) for eid in sorted(pete.edge_ids)]
         tr = Truncation(g, {0: pairs})
         out = color_by_strong(tr)
-        assert isinstance(out, NotApplicable)
-        assert out.vertex == 0
-        assert out.delta == 4
+        assert isinstance(out, Refusal)
+        assert out.at == 0
         assert "valency-4" in out.reason
 
     def test_cyclic_cubic_constituents_are_not_applicable(self):
@@ -95,16 +95,17 @@ class TestColorByStrong:
         # one more than delta - 1 = 2.
         tr = cyclic_truncation(q3())
         out = color_by_strong(tr)
-        assert isinstance(out, NotApplicable)
-        assert out.delta == 3
+        assert isinstance(out, Refusal)
+        assert "valency-3 end" in out.reason
 
     @pytest.mark.parametrize("n", [8, 10, 12, 14])
     def test_overfull_complete_constituents_need_no_search(self, n):
         # Each cluster carries K_{n-1} of odd order, overfull in n - 2
         # colors: refuted by counting, with a budget of zero nodes.
         out = color_by_strong(complete_truncation(complete_graph(n)), budget=0)
-        assert isinstance(out, NotApplicable)
-        assert out.delta == n - 1
+        assert isinstance(out, Refusal)
+        assert f"valency-{n - 1} end" in out.reason
+        assert out.nodes == 0
 
     def test_each_constituent_is_searched_on_its_own_cluster(self, monkeypatch):
         # Cyclic truncation of the 4-regular circulant C_11(1, 2): every
@@ -150,8 +151,8 @@ class TestColorByStrong:
         tr = Truncation(k5(), constituents)
         assert tr.constituents[2] is tr.constituents[4]
         out = color_by_strong(tr)
-        assert isinstance(out, NotApplicable)
-        assert (out.vertex, out.delta) == (2, 3)
+        assert isinstance(out, Refusal)
+        assert out.at == 2
         assert out.reason.startswith("constituent at source vertex 2 holds a valency-3 end")
 
 

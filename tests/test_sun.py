@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 import truncolor.sun as sun_module
 from truncolor.catalog import k4, petersen, prism3
 from truncolor.coloring import EdgeColoring, is_proper, solve_edge_coloring
-from truncolor.errors import GraphError, UndecidedError
+from truncolor.errors import GraphError, Refusal, UndecidedError
 from truncolor.multigraph import Multigraph
 from truncolor.sun import (
-    Infeasible,
     SunColoring,
     admissible,
     build_sun_even,
@@ -593,7 +592,7 @@ class TestRegularTruncation:
         # Doubled triangle: all valencies 4, d = 4 even.
         g = Multigraph(range(3), [(0, 1), (1, 2), (2, 0), (0, 1), (1, 2), (2, 0)])
         out = regular_truncation(g, 4)
-        assert not isinstance(out, Infeasible)
+        assert not isinstance(out, Refusal)
         tr, coloring = out
         assert is_proper(tr.graph, coloring)
         assert tr.graph.regular_valency() == 4
@@ -601,7 +600,7 @@ class TestRegularTruncation:
 
     def test_odd_valency_route(self):
         out = regular_truncation(prism3(), 3)
-        assert not isinstance(out, Infeasible)
+        assert not isinstance(out, Refusal)
         tr, coloring = out
         assert is_proper(tr.graph, coloring)
         assert tr.graph.regular_valency() == 3
@@ -617,7 +616,7 @@ class TestRegularTruncation:
             lambda vec, k: calls.append((tuple(vec), k)) or real(vec, k),
         )
         out = regular_truncation(g, 4)
-        assert not isinstance(out, Infeasible)
+        assert not isinstance(out, Refusal)
         tr, coloring = out
         assert calls == [((4,), 3)]
         assert tr.graph.regular_valency() == 4
@@ -628,7 +627,7 @@ class TestRegularTruncation:
         # so a 2-regular truncation must come out.
         g = Multigraph(range(3), [(0, 1), (1, 2), (2, 0), (0, 1), (1, 2), (2, 0)])
         out = regular_truncation(g, 2)
-        assert not isinstance(out, Infeasible)
+        assert not isinstance(out, Refusal)
         tr, coloring = out
         assert tr.graph.regular_valency() == 2
         assert is_proper(tr.graph, coloring)
@@ -637,7 +636,7 @@ class TestRegularTruncation:
         # Even valency 4 meets the odd clause's d + 1 floor exactly at d = 3.
         g = Multigraph(range(3), [(0, 1), (1, 2), (2, 0), (0, 1), (1, 2), (2, 0)])
         out = regular_truncation(g, 3)
-        assert not isinstance(out, Infeasible)
+        assert not isinstance(out, Refusal)
         tr, coloring = out
         assert tr.graph.regular_valency() == 3
         assert is_proper(tr.graph, coloring)
@@ -649,7 +648,7 @@ class TestRegularTruncation:
         pairs = [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(n // 2)]
         g = Multigraph(range(n), pairs)
         out = regular_truncation(g, 3)
-        assert not isinstance(out, Infeasible)
+        assert not isinstance(out, Refusal)
         tr, coloring = out
         assert tr.graph.regular_valency() == 3
         assert coloring.palette_size == 3
@@ -660,39 +659,39 @@ class TestRegularTruncation:
 
     def test_even_target_rejects_odd_valency(self):
         out = regular_truncation(k4(), 2)
-        assert isinstance(out, Infeasible)
-        assert out.clause == "ii"
+        assert isinstance(out, Refusal)
+        assert out.at == "ii"
 
     def test_even_target_rejects_low_valency(self):
         g = Multigraph(range(3), [(0, 1), (1, 2), (2, 0), (0, 1), (1, 2), (2, 0)])
         out = regular_truncation(g, 6)
-        assert isinstance(out, Infeasible)
-        assert out.clause == "ii"
+        assert isinstance(out, Refusal)
+        assert out.at == "ii"
 
     def test_odd_target_rejects_even_valency_at_target(self):
         # Even valencies must exceed an odd target: 4 < d + 1 when d = 5.
         g = Multigraph(range(3), [(0, 1), (1, 2), (2, 0), (0, 1), (1, 2), (2, 0)])
         out = regular_truncation(g, 5)
-        assert isinstance(out, Infeasible)
-        assert out.clause == "i"
+        assert isinstance(out, Refusal)
+        assert out.at == "i"
 
     def test_odd_target_on_petersen_is_clause_i(self):
         # A parity-balanced 3-coloring of a cubic graph is proper, and
         # Petersen has none.
         out = regular_truncation(petersen(), 3)
-        assert out == Infeasible("i", "no parity-conforming coloring with 3 colors exists")
+        assert out == Refusal("no parity-conforming coloring with 3 colors exists", 117, "i")
 
     @pytest.mark.parametrize("prism_first", [True, False])
     def test_odd_target_refutes_a_class_two_component(self, prism_first):
         parts = (prism_graph(20), petersen())
         g = disjoint_union(*(parts if prism_first else parts[::-1]))
         out = regular_truncation(g, 3, budget=10_000)
-        assert isinstance(out, Infeasible)
-        assert out.clause == "i"
+        assert isinstance(out, Refusal)
+        assert out.at == "i"
 
     def test_mixed_valencies_with_one_low_vertex(self):
         # Valencies 2, 4, 2: the even clause floor d + 1 = 4 fails at the ends.
         g = Multigraph(range(3), [(0, 1), (0, 1), (1, 2), (1, 2)])
         out = regular_truncation(g, 3)
-        assert isinstance(out, Infeasible)
-        assert out.clause == "i"
+        assert isinstance(out, Refusal)
+        assert out.at == "i"

@@ -28,7 +28,7 @@ from truncolor.truncation import (
     excise,
 )
 
-from conftest import random_multigraph
+from conftest import constituent_edge_ids, random_multigraph
 
 
 class TestExcise:
@@ -110,7 +110,7 @@ class TestTruncationShape:
     def test_matching_and_constituent_ids_split_the_flat_edges(self):
         tr = complete_truncation(k4())
         flat = tr.graph
-        constituent = [eid for v in tr.source.vertices for eid in tr.constituent_edge_ids(v)]
+        constituent = [eid for v in tr.source.vertices for eid in constituent_edge_ids(tr, v)]
         assert tr.matching_ids == tuple(sorted(tr.source.edges))
         assert set(tr.matching_ids).isdisjoint(constituent)
         assert sorted(tr.matching_ids + tuple(constituent)) == sorted(flat.edge_ids)
@@ -121,7 +121,7 @@ class TestTruncationShape:
         x = Multigraph(range(3), {0: (0, 1), 2: (1, 2), 5: (0, 2)})
         tr = complete_truncation(x)
         assert tr.matching_ids == (0, 2, 5)
-        assert [tr.constituent_edge_ids(v) for v in x.vertices] == [(6,), (7,), (8,)]
+        assert [constituent_edge_ids(tr, v) for v in x.vertices] == [(6,), (7,), (8,)]
         assert set(tr.graph.edge_ids) == {0, 2, 5, 6, 7, 8}
         coloring = color_complete_truncation(x)[1]
         assert coloring.assignment.keys() == tr.graph.edges.keys()
@@ -135,7 +135,7 @@ def checked_flat(tr):
     edges = dict(tr.matching)
     for v, ends in tr.clusters.items():
         pairs = [(ends[i], ends[j]) for i, j in tr.constituents[v]]
-        edges.update(zip(tr.constituent_edge_ids(v), pairs))
+        edges.update(zip(constituent_edge_ids(tr, v), pairs))
     return Multigraph(chain.from_iterable(tr.matching.values()), edges)
 
 
@@ -455,7 +455,7 @@ class TestColor:
         with pytest.raises(AssertionError) as exc:
             tr.color(matching, lambda v: {(0, 1): 2}, 3)
         e1, e2, color, end = map(int, CLASH.fullmatch(str(exc.value)).groups())
-        assert (e1, e2, color, end) == (2, tr.constituent_edge_ids(2)[0], 2, 4)
+        assert (e1, e2, color, end) == (2, constituent_edge_ids(tr, 2)[0], 2, 4)
 
     def test_checks_each_distinct_cluster_once(self, monkeypatch):
         calls = []
@@ -488,7 +488,7 @@ class TestColor:
             (
                 tr.constituents[v],
                 tuple(tr.pendant_colors(v, coloring.assignment)),
-                tuple(map(color_of, tr.constituent_edge_ids(v))),
+                tuple(map(color_of, constituent_edge_ids(tr, v))),
             )
             for v in tr.clusters
         }
@@ -532,7 +532,7 @@ class TestClusterCheck:
                 colors = recolored.assignment
 
                 def pair_color(v):
-                    ids = tr.constituent_edge_ids(v)
+                    ids = constituent_edge_ids(tr, v)
                     return dict(zip(tr.constituents[v], map(colors.__getitem__, ids)))
 
                 if first_clash(flat, recolored) is None:
