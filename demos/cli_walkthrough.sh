@@ -39,6 +39,20 @@ truncolor oracle k4.json
 echo "== complete truncation, colored with max valency"
 truncolor color-complete k4.json --dot k4_tr.dot > k4_bundle.json
 truncolor verify k4_bundle.json
+# verify checks a bundle's flat edges against its truncation before it
+# builds the flat graph; a changed edge is named by its index.
+sed 's/\[[0-9]*, [0-9]*\]\], "coloring"/[0, 5]], "coloring"/' k4_bundle.json > k4_bad_edge.json
+if cmp -s k4_bundle.json k4_bad_edge.json; then
+    echo "FAIL: the last flat edge of the K4 bundle was not changed" >&2
+    exit 1
+fi
+expect_fail 1 "error:" "a flat edge differs from the truncation's" \
+    truncolor verify k4_bad_edge.json
+if ! grep -q 'edges\[' stderr.txt; then
+    echo "FAIL: the flat-edge error does not name an index of \"edges\"" >&2
+    cat stderr.txt >&2
+    exit 1
+fi
 head -3 k4_tr.dot
 # has_truncation_drawing FILE: the drawing groups each cluster and
 # draws the matching bold, so the truncation was flattened to draw it.
@@ -149,7 +163,13 @@ truncolor verify k4_enabling.json
 truncolor cyclic-color k4.json --strategy enabling --enabling-edges 0,5 > k4_enabling_edges.json
 truncolor verify k4_enabling_edges.json
 expect_fail 1 "error:" "no class I cyclic truncation" \
-    truncolor cyclic-color petersen.json --strategy enabling
+    truncolor cyclic-color petersen.json --strategy enabling > petersen_enabling.json
+# The refusal JSON carries the parity search's node count.
+if ! grep -q '"applicable": false' petersen_enabling.json || ! grep -q '"nodes":' petersen_enabling.json; then
+    echo "FAIL: the enabling refusal lacks \"applicable\": false or its node count" >&2
+    cat petersen_enabling.json >&2
+    exit 1
+fi
 expect_fail 2 "undecided: parity coloring search exceeded budget of 0 nodes" \
     "the parity search is out of budget" \
     truncolor cyclic-color petersen.json --strategy enabling --budget 0

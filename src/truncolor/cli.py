@@ -14,11 +14,12 @@ complete truncation by reference, as the source plus "kind":
 holding the coloring itself or nesting it under "coloring", as a
 `color-strong` result does; a bundle's flat "vertices" and
 "edges", like those a `truncate` file carries, must match its
-truncation's flattened graph.  Exit codes: 0 for success, 1 for
-domain errors (bad input, failed verification, inapplicable route,
-unwritable --dot path) and usage errors, 2 when the exact oracle ran
-out of budget before deciding; a negative --budget or --edge-cap is a
-domain error.
+truncation's flattened graph.  They are compared with the truncation's
+lazy flat-edge reader and dropped before that graph is built.  Exit
+codes: 0 for success, 1 for domain errors (bad input, failed
+verification, inapplicable route, unwritable --dot path) and usage
+errors, 2 when the exact oracle ran out of budget before deciding; a
+negative --budget or --edge-cap is a domain error.
 
 `main` pauses the cyclic garbage collector from argument parsing to its
 return, JSON and --dot output included, and turns it back on only if
@@ -35,6 +36,7 @@ import gc
 import json
 import random
 import sys
+from itertools import chain
 from operator import eq
 from typing import Dict, List, NoReturn, Optional, Sequence, Tuple, Union
 
@@ -180,7 +182,9 @@ def cmd_cyclic_color(args) -> Result:
     elif args.enabling_edges is None:
         out = cyclic_class_one(g, budget=args.budget)
         if isinstance(out, Refusal):
-            raise GraphError(f"enabling strategy: {out.reason}")
+            print(f"error: enabling strategy: {out.reason}", file=sys.stderr)
+            obj.update(applicable=False, reason=out.reason, nodes=out.nodes)
+            return EXIT_DOMAIN, obj, None
         tr, coloring = out
     else:
         y = _parse_vector(args.enabling_edges) if args.enabling_edges else []
@@ -245,42 +249,49 @@ def _verify_graph(obj: object, origin: str) -> Multigraph:
     truncation (with its constituents, or by reference as "kind"), or a
     plain graph.  A bundle or truncation file that also carries
     "vertices" and "edges" must carry the truncation's own flattened
-    graph."""
+    graph.  They are checked against the truncation's lazy flat-edge
+    reader and its ends, then dropped from obj before the flat graph
+    is built, so the file's lists and the graph are never held at once.
+    """
     if isinstance(obj, dict) and "truncation" in obj:
-        g = truncation_from_obj(obj["truncation"], origin).graph
+        tr = truncation_from_obj(obj["truncation"], origin)
     elif isinstance(obj, dict) and "source" in obj and ("constituents" in obj or "kind" in obj):
-        g = truncation_from_obj(obj, origin).graph
+        tr = truncation_from_obj(obj, origin)
     else:
         return graph_from_obj(obj, origin)
     if "edges" in obj:
-        _check_flat_edges(obj["edges"], g, origin)
-    if "vertices" in obj and obj["vertices"] != list(g.vertices):
-        raise GraphError(f'{origin}: "vertices" differ from the flattened truncation\'s')
-    return g
+        _check_flat_edges(obj.pop("edges"), tr, origin)
+    if "vertices" in obj:
+        vertices = obj.pop("vertices")
+        # The flat graph's vertices are the ends, in source edge order.
+        ends = chain.from_iterable(tr.matching.values())
+        if not (
+            isinstance(vertices, list)
+            and len(vertices) == 2 * len(tr.matching)
+            and all(map(eq, vertices, ends))
+        ):
+            raise GraphError(f'{origin}: "vertices" differ from the flattened truncation\'s')
+    return tr.graph
 
 
-def _check_flat_edges(edges: object, g: Multigraph, origin: str) -> None:
-    """edges must list g's edges in id order, each as [u, v] with u < v;
-    else a GraphError names the first index that differs."""
+def _check_flat_edges(edges: object, tr: Truncation, origin: str) -> None:
+    """edges must list tr's flat edges in id order, each as [u, v] with
+    u < v; else a GraphError names the first index that differs."""
     if not isinstance(edges, list):
         raise GraphError(f'{origin}: "edges" must be a list')
-
-    def flat():
-        # g is a flattening, whose edge map holds ids 0..size-1 in order.
-        return map(list, g.edges.values())
-
-    if len(edges) == g.size and all(map(eq, edges, flat())):
+    size = len(tr.matching) + sum(map(len, tr.constituents.values()))
+    if len(edges) == size and all(map(eq, edges, map(list, tr.flat_edges()))):
         return
-    for i, (have, want) in enumerate(zip(edges, flat())):
+    for i, (have, want) in enumerate(zip(edges, map(list, tr.flat_edges()))):
         if have != want:
             raise GraphError(
                 f"{origin}: edges[{i}] is {have}, but edge {i} of the flattened "
                 f"truncation is {want}"
             )
-    i = min(len(edges), g.size)
+    i = min(len(edges), size)
     have = edges[i] if i < len(edges) else "missing"
     raise GraphError(
-        f"{origin}: edges[{i}] is {have}, but the flattened truncation has {g.size} edges"
+        f"{origin}: edges[{i}] is {have}, but the flattened truncation has {size} edges"
     )
 
 
@@ -293,10 +304,10 @@ def cmd_verify(args) -> Result:
         raise GraphError(
             f"{args.files[0]}: single-file verify needs a bundle with a \"coloring\" key"
         )
-    # Build the graph, then drop all of the first file but its
-    # coloring, before the coloring's dicts exist: the flattening's
-    # temporaries and the bundle's lists are gone by then, which keeps
-    # peak memory down on large bundles.
+    # _verify_graph drops the first file's flat lists before it builds
+    # the graph, and the rest of the file but its coloring goes before
+    # the coloring's dict exists: no two large structures are alive at
+    # once, which keeps peak memory down on large bundles.
     g = _verify_graph(first, args.files[0])
     colors = first["coloring"] if single else load_json(args.files[1])
     del first

@@ -65,7 +65,12 @@ DEFAULT_EDGE_CAP = 40
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Total assignment of palette colors {0..palette_size-1} to edge ids."""
+    """Total assignment of palette colors {0..palette_size-1} to edge ids.
+
+    assignment is given as a mapping or as (edge id, color) pairs, and
+    kept as the one dict built from it: a mapping is copied, never
+    shared, and pairs build it directly, with no throwaway dict.
+    """
 
     assignment: Mapping[int, int]
     palette_size: int
@@ -262,18 +267,18 @@ def solve_edge_coloring(
     m = len(eids)
     if m == 0:
         return {}, 0
+    # The one check that lists cover every edge, before any refutation.
+    if lists is not None:
+        try:
+            masks = [lists[eid] for eid in eids]
+        except KeyError:
+            missing = next(eid for eid in eids if eid not in lists)
+            raise GraphError(f"no color list for edge {missing}") from None
     if k <= 0 or _overfull_bound(g) > k:
         return None, 0
     symmetric = lists is None
     full = (1 << k) - 1
-    if lists is None:
-        allowed = [full] * m
-    else:
-        try:
-            allowed = [lists[eid] & full for eid in eids]
-        except KeyError:
-            missing = next(eid for eid in eids if eid not in lists)
-            raise GraphError(f"no color list for edge {missing}") from None
+    allowed = [full] * m if symmetric else list(map(full.__and__, masks))
 
     # One-pass set-up: endpoints by edge index, edge indices by vertex.
     pairs = g.edges
@@ -486,13 +491,14 @@ def list_edge_coloring(
     """Proper coloring with each edge's color drawn from its own list.
 
     Returns None only after exhausting the whole search space (UNSAT).
-    Lists must cover every edge of g.
+    Lists must cover every edge of g; the kernel names an edge without
+    one.
     """
     masks: Dict[int, int] = {}
     top = 0
     for eid in g.edge_ids:
         if eid not in lists:
-            raise GraphError(f"no color list for edge {eid}")
+            continue  # no mask: the kernel names the edge
         mask = 0
         for c in lists[eid]:
             if c < 0:

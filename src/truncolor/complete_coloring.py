@@ -324,13 +324,14 @@ def subtruncation_coloring(tr: Truncation, *, budget: Optional[int] = None) -> E
     the truncation keeps the source's maximum valency D and the complete
     truncation is D-colorable: always for even D, and for odd D exactly
     when the source has an edge-feasible coloring (every class I source
-    has one).  Otherwise raises GraphError with the Refusal's reason, or
-    UndecidedError if that search exceeds budget nodes.
+    has one).  Otherwise raises GraphError with the Refusal's reason and
+    the search nodes it spent, or UndecidedError if that search exceeds
+    budget nodes.
     """
     delta = tr.source.max_valency()
     if tr.max_valency() != delta:
         raise GraphError(f"truncation has maximum valency {tr.max_valency()}, source has {delta}")
     rule = _complete_colors(tr, budget)
     if isinstance(rule, Refusal):
-        raise GraphError(rule.reason)
+        raise GraphError(f"{rule.reason} ({rule.nodes} search nodes)")
     return tr.color(*rule, delta)

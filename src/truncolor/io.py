@@ -171,7 +171,7 @@ def flat_graph_to_obj(tr: Truncation) -> Dict[str, object]:
     # are contiguous exactly when the source's are; the ends of source
     # edges 0..m-1 are then 0..2m-1.
     _require_contiguous(tr.matching.keys())
-    return {"vertices": list(range(2 * len(tr.matching))), "edges": tr.flat_edges()}
+    return {"vertices": list(range(2 * len(tr.matching))), "edges": list(tr.flat_edges())}
 
 
 def coloring_from_obj(obj: object, origin: str = "<coloring>") -> EdgeColoring:
@@ -180,7 +180,7 @@ def coloring_from_obj(obj: object, origin: str = "<coloring>") -> EdgeColoring:
     _require("colors" in obj, origin, 'missing "colors"')
     colors = obj["colors"]
     _require(isinstance(colors, list), origin, '"colors" must be a list')
-    return _built(origin, EdgeColoring, dict(enumerate(colors)), obj["palette"])
+    return _built(origin, EdgeColoring, enumerate(colors), obj["palette"])
 
 
 def load_coloring(path: str) -> EdgeColoring:

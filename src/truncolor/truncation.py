@@ -15,17 +15,17 @@ depends only on the constituent (max_valency, the forest test, the
 writers' lists, color_by_strong's per-constituent coloring) runs once
 per distinct constituent.  Colorings are glued and
 checked cluster by cluster (coloring.cluster_clash), each distinct
-cluster once.  Writers read the flat edges straight from the clusters
-(Truncation.flat_edges); the flat graph itself, built on first access
-to Truncation.graph, serves only checks and drawings.
+cluster once.  Writers and `verify` read the flat edges lazily straight
+from the clusters (Truncation.flat_edges); the flat graph itself, built
+on first access to Truncation.graph, serves only checks and drawings.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations
+from itertools import chain, combinations, starmap
 from operator import itemgetter, lt
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .coloring import EdgeColoring, _clash_error, _forest_coloring, cluster_clash
 from .errors import GraphError
@@ -186,27 +186,35 @@ class Truncation:
             self._flat = Multigraph._trusted(tuple(inc), edges, incidence)
         return self._flat
 
-    def flat_edges(self) -> List[Tuple[int, int]]:
+    def flat_edges(self) -> Iterator[Tuple[int, int]]:
         """The flat graph's edges as (u, v) pairs in id order, read
-        straight from the clusters without building the graph: the
-        matching edges, then each cluster's constituent edges in vertex
-        order, as list(self.graph.edges.values()) gives them.
+        lazily straight from the clusters without building the graph:
+        the matching edges, then each cluster's constituent edges in
+        vertex order, as iter(self.graph.edges.values()) gives them.
+        The reader chains one zip per cluster, each made only when the
+        walk reaches its cluster, so walking it makes no Python call per
+        edge and holds no list of the edges, only one cluster's ends.
         """
-        edges: List[Tuple[int, int]] = list(self.matching.values())
-        # Position columns once per constituent tuple, which the
-        # clusters of a complete truncation share.
-        columns: Dict[int, Tuple[List[int], List[int]]] = {}
-        for v, ends in self.clusters.items():
+        # One pair of column getters per constituent tuple, which the
+        # clusters of a complete truncation share.  Each reads all of a
+        # cluster's first (or second) ends in one call; it leads with
+        # position 0, dropped after, so that one pair still gives a tuple.
+        getters: Dict[int, Tuple[itemgetter, itemgetter]] = {}
+
+        def cluster(v: int, ends: Tuple[int, ...]) -> Iterable[Tuple[int, int]]:
             pairs = self.constituents[v]
-            cols = columns.get(id(pairs))
-            if cols is None:
-                cols = columns[id(pairs)] = (
-                    list(map(itemgetter(0), pairs)),
-                    list(map(itemgetter(1), pairs)),
+            if not pairs:
+                return ()
+            get = getters.get(id(pairs))
+            if get is None:
+                get = getters[id(pairs)] = (
+                    itemgetter(0, *map(itemgetter(0), pairs)),
+                    itemgetter(0, *map(itemgetter(1), pairs)),
                 )
-            at = ends.__getitem__
-            edges.extend(zip(map(at, cols[0]), map(at, cols[1])))
-        return edges
+            return zip(get[0](ends)[1:], get[1](ends)[1:])
+
+        per_cluster = chain.from_iterable(starmap(cluster, self.clusters.items()))
+        return chain(self.matching.values(), per_cluster)
 
     @property
     def matching_ids(self) -> Tuple[int, ...]:
@@ -257,20 +265,23 @@ class Truncation:
         of these; a clash raises AssertionError naming the first
         clashing cluster by flat ids and end vertex.
         """
-        assignment = {eid: matching_colors[eid] for eid in self.matching}
+        # EdgeColoring builds its one dict from (id, color) pairs: the
+        # matching's, then each cluster's in vertex order.
+        ids = self.matching.keys()
+        parts: List[Iterable[Tuple[int, int]]] = [zip(ids, map(matching_colors.__getitem__, ids))]
         glued: List[Tuple[int, Tuple[int, ...]]] = []
         for v, pairs in self.constituents.items():
             if pairs:
                 colors = tuple(map(pair_color(v).__getitem__, pairs))
-                assignment.update(zip(self._ids[v], colors))
+                parts.append(zip(self._ids[v], colors))
                 glued.append((v, colors))
-        out = EdgeColoring(assignment, palette)  # palette range first
+        out = EdgeColoring(chain.from_iterable(parts), palette)  # palette range first
         # The constituent tuple goes into the key by id, which is stable:
         # self.constituents keeps every tuple alive.
         checked = set()
         for v, colors in glued:
             pairs = self.constituents[v]
-            pendant = tuple(self.pendant_colors(v, assignment))
+            pendant = tuple(self.pendant_colors(v, out.assignment))
             key = (id(pairs), pendant, colors)
             if key in checked:
                 continue

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -234,11 +235,16 @@ class TestCyclicColor:
         assert err.startswith("error: ") and message in err
 
     def test_enabling_strategy_rejects_petersen(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "cyclic-color", write_graph(tmp_path, petersen()), "--strategy", "enabling"
+        code = main(["cyclic-color", write_graph(tmp_path, petersen()), "--strategy", "enabling"])
+        captured = capsys.readouterr()
+        reason = (
+            "the source has no parity-balanced 3-coloring, "
+            "so no cyclic truncation of it is class I"
         )
-        assert code == 1
-        assert "enabling" in err
+        assert (code, captured.err) == (1, f"error: enabling strategy: {reason}\n")
+        # The refusal reports the parity search's node count.
+        want = {"strategy": "enabling", "applicable": False, "reason": reason, "nodes": 117}
+        assert captured.out == json.dumps(want) + "\n"
 
 
 class TestColorStrong:
@@ -409,6 +415,47 @@ class TestVerify:
         assert code == 1 and '"vertices" differ' in err
         code, verdict, _ = run(capsys, "verify", write_obj(tmp_path, bundle, "good.json"))
         assert code == 0 and verdict["proper"] is True
+
+    def test_long_edge_list_names_the_flat_size(self, capsys, tmp_path):
+        code, bundle, _ = run(capsys, "color-complete", write_graph(tmp_path, k5()))
+        assert code == 0
+        size = len(bundle["edges"])
+        path = write_obj(tmp_path, dict(bundle, edges=bundle["edges"] + [[0, 1]]), "long.json")
+        code, out, err = run(capsys, "verify", path)
+        assert code == 1 and out is None
+        assert err == (
+            f"error: {path}: edges[{size}] is [0, 1], but the flattened truncation "
+            f"has {size} edges\n"
+        )
+
+    def test_flat_lists_are_dropped_before_flattening(self, capsys, tmp_path):
+        # verify checks a bundle's flat "edges" and "vertices" against its
+        # truncation and drops them before it builds the flat graph, so
+        # its traced peak stays well below the parsed bundle and the flat
+        # graph held together.
+        code, bundle, _ = run(capsys, "color-complete", write_graph(tmp_path, complete_graph(33)))
+        assert code == 0
+        path = write_obj(tmp_path, bundle, "k33.json")
+        tr = truncation_from_obj(bundle["truncation"])
+        del bundle
+
+        def traced(f):
+            """f(), with the traced peak and the traced growth it left."""
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = f()
+                current, peak = tracemalloc.get_traced_memory()
+                return out, peak - base, current - base
+            finally:
+                tracemalloc.stop()
+
+        with open(path, encoding="utf-8") as fh:
+            _, parse_peak, _ = traced(lambda: json.load(fh))
+        _, _, graph_size = traced(lambda: tr.graph)
+        code, verify_peak, _ = traced(lambda: main(["verify", path]))
+        assert code == 0 and json.loads(capsys.readouterr().out)["proper"] is True
+        assert verify_peak < 0.85 * (parse_peak + graph_size)
 
     def test_truncation_file_flat_graph_must_match(self, capsys, tmp_path):
         code, out, _ = run(capsys, "truncate", write_graph(tmp_path, k4()), "--kind", "cyclic")
@@ -635,6 +682,7 @@ UNDRAWN = {
     "not-applicable": (lambda f: ["color-strong", f["complete"]], 1),
     "undecided": (lambda f: ["oracle", f["petersen"], "--budget", "1"], 2),
     "inadmissible": (lambda f: ["sun", "--vector", "2,1,1"], 0),
+    "no-parity-coloring": (lambda f: ["cyclic-color", f["petersen"], "--strategy", "enabling"], 1),
 }
 
 

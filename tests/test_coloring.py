@@ -26,6 +26,22 @@ from conftest import brute_force, prism_graph, random_multigraph
 
 
 class TestEdgeColoring:
+    def test_pairs_build_the_coloring_a_dict_builds(self):
+        colors = [2, 0, 1, 1]
+        given_dict = dict(enumerate(colors))
+        from_pairs = EdgeColoring(enumerate(colors), 3)
+        from_dict = EdgeColoring(given_dict, 3)
+        assert from_pairs == from_dict
+        assert list(from_pairs.assignment.items()) == list(given_dict.items())
+        # A dict passed in is copied, not shared.
+        assert from_dict.assignment is not given_dict
+        given_dict[0] = 1
+        assert from_dict.color_of(0) == 2
+
+    def test_pairs_are_checked_like_a_dict(self):
+        with pytest.raises(GraphError, match="^edge 1 has color 3 outside palette of size 3$"):
+            EdgeColoring(zip([0, 1], [0, 3]), 3)
+
     def test_rejects_out_of_palette_colors(self):
         with pytest.raises(GraphError):
             EdgeColoring({0: 3}, 3)
@@ -244,6 +260,19 @@ class TestOracle:
 
 
 class TestSolver:
+    @pytest.mark.parametrize("k", [0, 2, 3], ids=["empty-palette", "overfull", "searched"])
+    def test_the_kernel_names_an_edge_without_a_list(self, k):
+        # K4 in 2 colors is refuted by the overfull bound with no search,
+        # and an empty palette at once; the missing list is named first.
+        g = complete_graph(4)
+        palette = list(range(k))
+        lists = {eid: palette for eid in g.edge_ids if eid != 3}
+        with pytest.raises(GraphError, match="^no color list for edge 3$"):
+            list_edge_coloring(g, lists)
+        masks = {eid: (1 << k) - 1 for eid in lists}
+        with pytest.raises(GraphError, match="^no color list for edge 3$"):
+            solve_edge_coloring(g, k, lists=masks)
+
     def test_overfull_palette_is_refuted_before_search(self):
         # K7 has 21 edges, and 6 colors hold at most 6 * 3 of them.
         g = complete_graph(7)

@@ -524,8 +524,12 @@ class TestSubtruncationColoring:
     def test_rejects_class_two_source(self):
         g = petersen()
         tr = cyclic_truncation(g)
-        with pytest.raises(GraphError):
+        refusal = color_complete_truncation(g)
+        assert isinstance(refusal, Refusal) and refusal.nodes > 0
+        # The message names the search nodes the refusal cost.
+        with pytest.raises(GraphError) as exc:
             subtruncation_coloring(tr)
+        assert str(exc.value) == f"{refusal.reason} ({refusal.nodes} search nodes)"
 
 
 class TestRegularOddEquivalence:

@@ -221,7 +221,7 @@ class TestTrustedFlattening:
     def test_flat_edges_are_the_flat_graphs_edges(self, tr):
         # Custom, omitted and empty constituents; one pair list shared
         # across clusters or each cluster its own.
-        assert tr.flat_edges() == list(tr.graph.edges.values())
+        assert list(tr.flat_edges()) == list(tr.graph.edges.values())
 
     def test_flat_edges_of_route_truncations(self, rng):
         # Complete truncations share one tuple per cluster size, cyclic
@@ -229,7 +229,7 @@ class TestTrustedFlattening:
         for x in (k4(), k5(), q3(), petersen(), k5().without_edges([1, 9])):
             orders = {v: rng.sample(range(x.valency(v)), x.valency(v)) for v in x.vertices}
             for tr in (complete_truncation(x), cyclic_truncation(x, orders), arboreal_truncation(x)):
-                assert tr.flat_edges() == list(tr.graph.edges.values())
+                assert list(tr.flat_edges()) == list(tr.graph.edges.values())
 
     def test_flattens_once_without_the_checked_constructor(self, monkeypatch):
         tr = complete_truncation(k5())
