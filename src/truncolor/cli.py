@@ -314,7 +314,11 @@ def cmd_verify(args) -> Result:
     # A second file may nest its coloring, as a color-strong result does.
     if not single and isinstance(colors, dict) and "coloring" in colors:
         colors = colors["coloring"]
-    coloring = coloring_from_obj(colors, args.files[-1])
+    # The coloring's dict shares the graph's id ints, and the parsed
+    # list goes before the clash check: on a large bundle each would be
+    # one more object per edge.
+    coloring = coloring_from_obj(colors, args.files[-1], g.edges.keys())
+    del colors
     if coloring.assignment.keys() != g.edges.keys():
         raise GraphError("coloring does not cover exactly the graph's edges")
     clash = first_clash(g, coloring)

@@ -144,13 +144,18 @@ def load_graph(path: str) -> Multigraph:
     return graph_from_obj(load_json(path), path)
 
 
-def _require_contiguous(ids: KeysView[int]) -> None:
-    """The rule for writing a graph: its edge ids, distinct and ascending
-    as a Multigraph keeps them, must be the ints 0 to len-1, since an
-    edge's id is its position in "edges"."""
-    if ids and not (
+def _contiguous(ids: KeysView[int]) -> bool:
+    """Edge ids, distinct and ascending as a Multigraph keeps them, are
+    the ints 0 to len-1."""
+    return not ids or (
         _only(ids, int) and next(iter(ids)) == 0 and next(reversed(ids)) == len(ids) - 1
-    ):
+    )
+
+
+def _require_contiguous(ids: KeysView[int]) -> None:
+    """The rule for writing a graph: its edge ids must be contiguous,
+    since an edge's id is its position in "edges"."""
+    if not _contiguous(ids):
         raise GraphError("graph has non-contiguous edge ids; rebuild before serializing")
 
 
@@ -174,13 +179,21 @@ def flat_graph_to_obj(tr: Truncation) -> Dict[str, object]:
     return {"vertices": list(range(2 * len(tr.matching))), "edges": list(tr.flat_edges())}
 
 
-def coloring_from_obj(obj: object, origin: str = "<coloring>") -> EdgeColoring:
+def coloring_from_obj(
+    obj: object, origin: str = "<coloring>", ids: Optional[KeysView[int]] = None
+) -> EdgeColoring:
+    """The coloring obj describes: colors[i] on edge id i.  ids, a
+    Multigraph's edge ids, supply those keys when they are 0 to len-1
+    and as many as the colors; a large coloring then shares the graph's
+    int objects instead of holding one more per edge."""
     _require(isinstance(obj, dict), origin, "coloring must be a JSON object")
     _require("palette" in obj, origin, 'missing "palette"')
     _require("colors" in obj, origin, 'missing "colors"')
     colors = obj["colors"]
     _require(isinstance(colors, list), origin, '"colors" must be a list')
-    return _built(origin, EdgeColoring, enumerate(colors), obj["palette"])
+    if ids is None or len(ids) != len(colors) or not _contiguous(ids):
+        ids = range(len(colors))
+    return _built(origin, EdgeColoring, zip(ids, colors), obj["palette"])
 
 
 def load_coloring(path: str) -> EdgeColoring:

@@ -21,14 +21,20 @@ Two blocks need the same class only when their centres coincide or
 are antipodal on the circle of r-1 residues; the layout moves the one
 block that can be centred opposite the hub block (see _even_layout).
 The construction reads only its shape, the nonzero sizes in descending
-order and the whole matchings added, so `_even_shape` caches it once
-per shape on color slots; each build, permuted vectors included,
-renames slots to colors and names to positions in color blocks.
+order and the whole matchings added, so it is cached at two levels.
+`_even_shape` runs it once per shape, on color slots, and permuted
+vectors share that run.  `_even_positions` renames it to positions once
+per ordered shape, the nonzero entries in color order: positions run
+block by block in color order, and equal sizes keep their color order
+among the slots, so the edges in positions depend on the ordered shape
+alone.  A build only maps slots to colors, and every sun of one ordered
+shape holds the same constituent_edges tuple.
 
-Both constructions share one tail, `_finish`: they hand it their edges
-as (name, name, color) triples, which are sorted once and renamed to
-positions, and every sun, cached shape or not, is checked by
-`SunColoring.validate`.  That check reads the plain lists:
+Every build ends in one tail, `_checked_sun`, so every sun, cached
+shape or not, is checked by `SunColoring.validate`.  The odd
+construction and cyclic_coloring's single-cycle sun reach it through
+`_finish`, which sorts their (name, name, color) triples once and
+renames them to positions.  That check reads the plain lists:
 Truncation's pair check, whole-list color passes, then the cluster
 checker every truncation coloring shares, `coloring.cluster_clash`.
 Only a failed color pass builds an `EdgeColoring`, the one checker of
@@ -150,7 +156,7 @@ def _check_vector(vector: Sequence[int]) -> Tuple[int, int]:
     if d < 1:
         raise GraphError("color vector must have at least one entry")
     for x in vector:
-        if not isinstance(x, int) or x < 0:
+        if type(x) is not int or x < 0:
             raise GraphError(f"color vector entries must be nonnegative integers, got {x}")
     r = sum(vector)
     if r < 1:
@@ -175,6 +181,25 @@ def pendant_layout(vector: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def _checked_sun(
+    vector: Sequence[int],
+    edges: Tuple[Tuple[int, int], ...],
+    colors: Tuple[int, ...],
+    palette: int,
+    regular: int,
+) -> SunColoring:
+    """The one tail of every build: the sun, checked by validate."""
+    sun = SunColoring(
+        vector=tuple(vector),
+        pendant_colors=pendant_layout(vector),
+        constituent_edges=edges,
+        constituent_colors=colors,
+        palette_size=palette,
+    )
+    sun.validate(regular=regular)
+    return sun
+
+
 def _finish(
     vector: Sequence[int],
     triples: List[Tuple[int, int, int]],
@@ -182,23 +207,23 @@ def _finish(
     position: Sequence[int],
     regular: int,
 ) -> SunColoring:
-    """The one tail of both builders.
+    """Named edges to a checked sun.
 
     triples are (name_a, name_b, color) with name_a < name_b; they are
     sorted once, so edges come out in name order, and position maps each
     name to its sun position.  validate rejects loops and repeated edges.
     """
     triples.sort()
+    edges = _position_pairs(triples, position)
+    return _checked_sun(vector, edges, tuple(map(itemgetter(2), triples)), palette, regular)
+
+
+def _position_pairs(
+    triples: Sequence[Tuple[int, int, int]], position: Sequence[int]
+) -> Tuple[Tuple[int, int], ...]:
+    """Each (name_a, name_b, _) as its ascending pair of sun positions."""
     ends = [(position[a], position[b]) for a, b, _ in triples]
-    sun = SunColoring(
-        vector=tuple(vector),
-        pendant_colors=pendant_layout(vector),
-        constituent_edges=tuple([(p, q) if p < q else (q, p) for p, q in ends]),
-        constituent_colors=tuple(map(itemgetter(2), triples)),
-        palette_size=palette,
-    )
-    sun.validate(regular=regular)
-    return sun
+    return tuple([(p, q) if p < q else (q, p) for p, q in ends])
 
 
 def build_sun_odd(vector: Sequence[int]) -> SunColoring:
@@ -341,6 +366,30 @@ def _even_shape(
     return tuple(sorted(triples)), tuple(tuple(block) for _, block in sorted(layout))
 
 
+@lru_cache(maxsize=256)
+def _even_positions(
+    shape: Tuple[int, ...], extra: int
+) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...], Tuple[int, ...]]:
+    """_even_shape(sizes, extra) renamed to sun positions, for one
+    ordered shape: the nonzero entries in color order.
+
+    Slots take the entries largest first, ties in color order, so
+    order[s] is the index in shape of slot s's block.  Positions run
+    block by block in color order, so every edge in positions depends
+    on the ordered shape alone; only the colors depend on which indexes
+    are zero.  Returns (edges, slots, order): the constituent edges as
+    ascending position pairs in _even_shape's name order, each edge's
+    slot, and order.
+    """
+    order = tuple(sorted(range(len(shape)), key=lambda j: (-shape[j], j)))
+    triples, names = _even_shape(tuple(shape[j] for j in order), extra)
+    position = [0] * sum(shape)
+    in_color_order = sorted(range(len(order)), key=order.__getitem__)
+    for p, name in enumerate(chain.from_iterable(names[s] for s in in_color_order)):
+        position[name] = p
+    return _position_pairs(triples, position), tuple(map(itemgetter(2), triples)), order
+
+
 def build_sun_even(vector: Sequence[int]) -> SunColoring:
     """Sun for an all-even vector (zero entries allowed): d colors,
     (d-1)-regular constituent.  Zero colors consume whole perfect
@@ -354,29 +403,28 @@ def build_sun_valency(vector: Sequence[int], k: int) -> SunColoring:
     d' is the number of nonzero entries; any k from d'-1 through r-1
     works.  The base construction is (d'-1)-regular; each step up adds
     one whole perfect matching under a color not yet on any pendant
-    (zero-entry indices first, then fresh colors).  _even_shape caches
-    the construction by the nonzero entries, largest first and ties by
-    color, and k - (d'-1); a build renames its slots to colors and its
-    names, block by block in color order, to positions.
+    (zero-entry indices first, then fresh colors).  The construction is
+    cached twice: _even_shape per shape, the nonzero entries largest
+    first, and _even_positions per ordered shape, the nonzero entries in
+    color order; both also key on k - (d'-1).  A build only maps slots
+    to colors, so every sun of one ordered shape holds the same
+    constituent_edges tuple, and validate still checks each build.
     """
     r, d = _check_vector(vector)
-    zeros = [i for i, x in enumerate(vector) if x == 0]
-    base = d - len(zeros) - 1
+    nonzero = [i for i, x in enumerate(vector) if x]
+    zeros = [i for i, x in enumerate(vector) if not x]
+    base = len(nonzero) - 1
     if not base <= k <= r - 1:
         raise GraphError(
             f"target valency {k} outside {base}..{r - 1} for vector {tuple(vector)}"
         )
     if any(x % 2 for x in vector):
         raise GraphError("even-parity construction needs every entry even")
-    nz = sorted(((i, x) for i, x in enumerate(vector) if x > 0), key=lambda b: (-b[1], b[0]))
     need = k - base
     fresh = max(0, need - len(zeros))
-    triples, names = _even_shape(tuple(x for _, x in nz), need)
-    colors = [i for i, _ in nz] + (zeros + list(range(d, d + fresh)))[:need]
-    position = [0] * r
-    for p, name in enumerate(chain.from_iterable(b for _, b in sorted(zip(colors, names)))):
-        position[name] = p
-    return _finish(vector, [(a, b, colors[s]) for a, b, s in triples], d + fresh, position, k)
+    edges, slots, order = _even_positions(tuple(vector[i] for i in nonzero), need)
+    colors = [nonzero[j] for j in order] + (zeros + list(range(d, d + fresh)))[:need]
+    return _checked_sun(vector, edges, tuple(map(colors.__getitem__, slots)), d + fresh, k)
 
 
 # ---- exhaustive negative verification ---- #

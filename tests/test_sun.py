@@ -3,7 +3,7 @@ from dataclasses import replace
 from itertools import combinations, groupby, permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import truncolor.sun as sun_module
@@ -83,6 +83,11 @@ class TestAdmissibility:
             admissible((0, 0))
         with pytest.raises(GraphError):
             admissible((2, -1, 1))
+        # bool is an int subclass, but not a count.
+        with pytest.raises(GraphError, match="nonnegative integers, got False"):
+            build_sun_even((2, False))
+        with pytest.raises(GraphError, match="nonnegative integers, got True"):
+            build_sun_odd((True, True, True))
 
 
 class TestBuiltSuns:
@@ -148,6 +153,19 @@ def no_graph(monkeypatch):
     monkeypatch.setattr(sun_module, "Multigraph", refuse)
 
 
+@pytest.fixture
+def clear_even_caches():
+    """Empty both even-sun caches, so earlier builds cannot warm them,
+    and hand over the function that does it for later clears."""
+
+    def clear():
+        sun_module._even_shape.cache_clear()
+        sun_module._even_positions.cache_clear()
+
+    clear()
+    return clear
+
+
 class TestEvenLayout:
     def test_every_even_vector_up_to_ten_builds_without_search(self, no_search):
         checked = 0
@@ -207,7 +225,7 @@ class TestEvenLayout:
         sun.validate(regular=len(vector) - 1)
         assert pendant_counts(sun) == vector
 
-    def test_free_classes_are_built_only_when_taken(self, monkeypatch):
+    def test_free_classes_are_built_only_when_taken(self, monkeypatch, clear_even_caches):
         calls = []
         real = sun_module.scheme_class
 
@@ -216,8 +234,6 @@ class TestEvenLayout:
             return real(n, t)
 
         monkeypatch.setattr(sun_module, "scheme_class", counted)
-        # Earlier builds may have cached these shapes.
-        sun_module._even_shape.cache_clear()
         # A 0-regular constituent needs only the color's own class.
         build_sun_even((1000,)).validate(regular=0)
         assert len(calls) == 1
@@ -229,7 +245,7 @@ class TestEvenLayout:
         assert len(calls) == 4
 
     @pytest.mark.parametrize("vector", [(4, 2, 2, 0), (2, 2, 2, 2, 0, 0)])
-    def test_permuted_vectors_share_one_shape(self, monkeypatch, vector):
+    def test_permuted_vectors_share_one_shape(self, monkeypatch, vector, clear_even_caches):
         layouts = []
         real = sun_module._even_layout
 
@@ -238,14 +254,13 @@ class TestEvenLayout:
             return real(r, nz)
 
         monkeypatch.setattr(sun_module, "_even_layout", counted)
-        sun_module._even_shape.cache_clear()
         warm = {perm: build_sun_even(perm) for perm in sorted(set(permutations(vector)))}
         assert layouts == [tuple(sorted(vector, reverse=True)[: sum(1 for x in vector if x)])]
         for perm, sun in warm.items():
-            sun_module._even_shape.cache_clear()
+            clear_even_caches()
             assert build_sun_even(perm) == sun
 
-    def test_every_build_validates_cache_hits_included(self, monkeypatch):
+    def test_every_build_validates_cache_hits_included(self, monkeypatch, clear_even_caches):
         checks = []
         real = SunColoring.validate
 
@@ -254,7 +269,6 @@ class TestEvenLayout:
             return real(self, regular)
 
         monkeypatch.setattr(SunColoring, "validate", counted)
-        sun_module._even_shape.cache_clear()
         vectors = [(4, 2, 2, 0), (2, 4, 0, 2), (4, 2, 2, 0), (0, 2, 2, 4)]
         for vector in vectors:
             build_sun_even(vector)
@@ -262,8 +276,13 @@ class TestEvenLayout:
         assert sun_module._even_shape.cache_info().misses == 1
 
     @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_warm_builds_equal_cold_ones(self, data):
+    # The fixture hands over a function and keeps no state per example.
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_warm_builds_equal_cold_ones(self, clear_even_caches, data):
         # A random even vector warms the cache for a random permutation
         # of it, at one random target valency.
         half = data.draw(st.integers(1, 20), label="r/2")
@@ -272,12 +291,31 @@ class TestEvenLayout:
         vector = tuple(2 * (b - a) for a, b in zip([0] + cuts, cuts + [half]))
         perm = tuple(data.draw(st.permutations(vector), label="permutation"))
         k = data.draw(st.integers(sum(1 for x in vector if x) - 1, 2 * half - 1), label="k")
-        sun_module._even_shape.cache_clear()
+        clear_even_caches()
         cold = build_sun_valency(perm, k)
-        sun_module._even_shape.cache_clear()
+        clear_even_caches()
         build_sun_valency(vector, k)
         assert build_sun_valency(perm, k) == cold
-        assert sun_module._even_shape.cache_info().hits == 1
+        # One construction; the warm build hits the ordered-shape cache
+        # when perm keeps the nonzero entries' order, else the shape's.
+        shape = sun_module._even_shape.cache_info()
+        assert shape.misses == 1
+        assert shape.hits + sun_module._even_positions.cache_info().hits == 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [build_sun_even, lambda vector: build_sun_valency(vector, 5)],
+        ids=["even", "valency-5"],
+    )
+    def test_one_ordered_shape_shares_one_edges_tuple(self, build, clear_even_caches):
+        # The first two keep the nonzero entries' order; the third does not.
+        vectors = [(4, 0, 2, 2), (4, 2, 0, 2), (2, 4, 2, 0)]
+        warm = [build(vector) for vector in vectors]
+        assert warm[0].constituent_edges is warm[1].constituent_edges
+        assert warm[0].constituent_edges is not warm[2].constituent_edges
+        for vector, sun in zip(vectors, warm):
+            clear_even_caches()
+            assert build(vector) == sun
 
 
 class TestValidateMessages:
