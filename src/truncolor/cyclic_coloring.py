@@ -94,7 +94,7 @@ def _single_cycle_sun(vector3: Sequence[int]) -> SunColoring:
     triples = [
         (min(pos[i - 1], pos[i]), max(pos[i - 1], pos[i]), word[i - 1]) for i in range(r)
     ]
-    return _finish(vector3, triples, 3, range(r), 2)
+    return _finish(vector3, triples, 3, 2)
 
 
 def _require_cyclic_source(x: Multigraph) -> None:

@@ -20,21 +20,17 @@ the scheme class with that centre minus the pairs inside its block.
 Two blocks need the same class only when their centres coincide or
 are antipodal on the circle of r-1 residues; the layout moves the one
 block that can be centred opposite the hub block (see _even_layout).
-The construction reads only its shape, the nonzero sizes in descending
-order and the whole matchings added, so it is cached at two levels.
-`_even_shape` runs it once per shape, on color slots, and permuted
-vectors share that run.  `_even_positions` renames it to positions once
-per ordered shape, the nonzero entries in color order: positions run
-block by block in color order, and equal sizes keep their color order
-among the slots, so the edges in positions depend on the ordered shape
-alone.  A build only maps slots to colors, and every sun of one ordered
-shape holds the same constituent_edges tuple.
+The construction reads only its ordered shape, the nonzero entries in
+color order, and the whole matchings added, so `_even_positions` runs
+it once per ordered shape and writes it in positions, block by block in
+color order.  A build only maps block labels to colors, and every sun
+of one ordered shape holds the same constituent_edges tuple.
 
 Every build ends in one tail, `_checked_sun`, so every sun, cached
 shape or not, is checked by `SunColoring.validate`.  The odd
 construction and cyclic_coloring's single-cycle sun reach it through
-`_finish`, which sorts their (name, name, color) triples once and
-renames them to positions.  That check reads the plain lists:
+`_finish`, which sorts their (position, position, color) triples
+once.  That check reads the plain lists:
 Truncation's pair check, whole-list color passes, then the cluster
 checker every truncation coloring shares, `coloring.cluster_clash`.
 Only a failed color pass builds an `EdgeColoring`, the one checker of
@@ -201,29 +197,17 @@ def _checked_sun(
 
 
 def _finish(
-    vector: Sequence[int],
-    triples: List[Tuple[int, int, int]],
-    palette: int,
-    position: Sequence[int],
-    regular: int,
+    vector: Sequence[int], triples: List[Tuple[int, int, int]], palette: int, regular: int
 ) -> SunColoring:
-    """Named edges to a checked sun.
+    """Edges in positions to a checked sun.
 
-    triples are (name_a, name_b, color) with name_a < name_b; they are
-    sorted once, so edges come out in name order, and position maps each
-    name to its sun position.  validate rejects loops and repeated edges.
+    triples are (p, q, color) with sun positions p < q; they are sorted
+    once, so edges come out in position order.  validate rejects loops
+    and repeated edges.
     """
     triples.sort()
-    edges = _position_pairs(triples, position)
+    edges = tuple([(p, q) for p, q, _ in triples])
     return _checked_sun(vector, edges, tuple(map(itemgetter(2), triples)), palette, regular)
-
-
-def _position_pairs(
-    triples: Sequence[Tuple[int, int, int]], position: Sequence[int]
-) -> Tuple[Tuple[int, int], ...]:
-    """Each (name_a, name_b, _) as its ascending pair of sun positions."""
-    ends = [(position[a], position[b]) for a, b, _ in triples]
-    return tuple([(p, q) if p < q else (q, p) for p, q in ends])
 
 
 def build_sun_odd(vector: Sequence[int]) -> SunColoring:
@@ -239,25 +223,27 @@ def build_sun_odd(vector: Sequence[int]) -> SunColoring:
     r, d = _check_vector(vector)
     if any(x % 2 == 0 for x in vector):
         raise GraphError("odd-parity construction needs every entry odd")
-    if not admissible(vector):
+    # d odd entries sum to r with d's parity, so admissible asks d odd.
+    if d % 2 == 0:
         raise GraphError(f"vector {tuple(vector)} is not admissible")
     triples: List[Tuple[int, int, int]] = []
     start = 1
     for i, x in enumerate(vector):
         if x < r:  # r = 1 has no scheme; x is odd, so x // 2 = (x - 1) / 2
-            triples += [(p, q, i) for p, q in scheme_class(r, start + x // 2 - 1)[x // 2 :]]
+            chords = scheme_class(r, start + x // 2 - 1)[x // 2 :]
+            # Name n sits at position n - 1.
+            triples += [(p - 1, q - 1, i) for p, q in chords]
         start += x
-    # Name n sits at position n - 1.
-    return _finish(vector, triples, d, range(-1, r), d - 1)
+    return _finish(vector, triples, d, d - 1)
 
 
 def _even_layout(r: int, nz: Sequence[Tuple[int, int]]) -> List[Tuple[int, List[int]]]:
     """Construction names of each nonzero block's pendants, as (label, names).
 
     nz lists the nonzero (label, count) blocks largest first, ties by
-    label; _even_shape labels them by slot.  The first block takes the
-    hub 0 and names 1..x1-1, centred at x1/2; the others take
-    consecutive intervals of the arc x1..r-1.
+    label; _even_positions labels each by its index in the shape.  The
+    first block takes the hub 0 and names 1..x1-1, centred at x1/2; the
+    others take consecutive intervals of the arc x1..r-1.
     Every block is symmetric about one centre on the circle of r-1
     residues, so it is a union of pairs of the class with that centre.
     Two blocks share a class only when their centres coincide or are
@@ -316,40 +302,41 @@ def _even_layout(r: int, nz: Sequence[Tuple[int, int]]) -> List[Tuple[int, List[
 
 
 @lru_cache(maxsize=256)
-def _even_shape(
-    sizes: Tuple[int, ...], extra: int
-) -> Tuple[Tuple[Tuple[int, int, int], ...], Tuple[Tuple[int, ...], ...]]:
-    """The even construction for one shape, on color slots.
+def _even_positions(
+    shape: Tuple[int, ...], extra: int
+) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...]]:
+    """The even construction for one ordered shape, in sun positions.
 
-    Slot i is the i-th of sizes, the nonzero entries largest first, and
-    slot len(sizes) + j the j-th of extra colors.  Returns (triples,
-    names): the edges as name-sorted (name_a, name_b, slot) with name_a
-    < name_b, and each slot's pendant names, ascending.  Names 0..r-1
-    form K_r's scheme with hub 0.  Each slot takes the class whose pairs
-    tile its pendant names (see _even_layout) and keeps that class's
-    other pairs as its edges; the tiling pairs form the leftover
-    matching.  Each extra slot takes one whole matching: the unused
-    classes, built only when taken, then the leftover.
+    shape lists the nonzero entries in color order; block i has label i
+    and takes shape[i] pendants, and label len(shape) + j is the j-th of
+    extra colors.  Names 0..r-1 form K_r's scheme with hub 0.  Each
+    block takes the class whose pairs tile its pendant names (see
+    _even_layout) and keeps that class's other pairs as its edges; the
+    tiling pairs form the leftover matching.  Each extra label takes one
+    whole matching: the unused classes, built only when taken, then the
+    leftover.  Positions run block by block in color order.  Returns
+    (edges, labels): the constituent edges as ascending position pairs
+    in name order, and each edge's label.
     """
-    r = sum(sizes)
-    layout = _even_layout(r, list(enumerate(sizes)))
+    r = sum(shape)
+    layout = _even_layout(r, sorted(enumerate(shape), key=lambda jx: (-jx[1], jx[0])))
     pend = [0] * r
-    for slot, block in layout:
+    for label, block in layout:
         for p in block:
-            pend[p] = slot
+            pend[p] = label
     triples: List[Tuple[int, int, int]] = []
     leftover: List[Tuple[int, int]] = []
     used = set()
-    for slot, block in layout:
+    for label, block in layout:
         # The hub pairs with its block's centre; an arc block's ends pair.
         pair = (0, block[len(block) // 2]) if block[0] == 0 else (block[0], block[-1])
         t = class_of_pair(r, pair)
         used.add(t)
         for a, b in scheme_class(r, t):
-            if pend[a] == slot:
+            if pend[a] == label:
                 leftover.append((a, b))
             else:
-                triples.append((a, b, slot))
+                triples.append((a, b, label))
     if len(used) < len(layout):
         # Two blocks on one class: each took the other's pairs, so the
         # class is spent and nothing is left over.
@@ -358,36 +345,18 @@ def _even_shape(
         (scheme_class(r, t) for t in range(r - 1) if t not in used),
         [tuple(sorted(leftover))] if leftover else [],
     )
-    for slot in range(len(sizes), len(sizes) + extra):
+    for label in range(len(shape), len(shape) + extra):
         matching = next(pool, None)
         if matching is None:
-            raise AssertionError(f"no free matching left for color slot {slot}")
-        triples.extend((a, b, slot) for a, b in matching)
-    return tuple(sorted(triples)), tuple(tuple(block) for _, block in sorted(layout))
-
-
-@lru_cache(maxsize=256)
-def _even_positions(
-    shape: Tuple[int, ...], extra: int
-) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[int, ...], Tuple[int, ...]]:
-    """_even_shape(sizes, extra) renamed to sun positions, for one
-    ordered shape: the nonzero entries in color order.
-
-    Slots take the entries largest first, ties in color order, so
-    order[s] is the index in shape of slot s's block.  Positions run
-    block by block in color order, so every edge in positions depends
-    on the ordered shape alone; only the colors depend on which indexes
-    are zero.  Returns (edges, slots, order): the constituent edges as
-    ascending position pairs in _even_shape's name order, each edge's
-    slot, and order.
-    """
-    order = tuple(sorted(range(len(shape)), key=lambda j: (-shape[j], j)))
-    triples, names = _even_shape(tuple(shape[j] for j in order), extra)
-    position = [0] * sum(shape)
-    in_color_order = sorted(range(len(order)), key=order.__getitem__)
-    for p, name in enumerate(chain.from_iterable(names[s] for s in in_color_order)):
+            raise AssertionError(f"no free matching left for color label {label}")
+        triples.extend((a, b, label) for a, b in matching)
+    triples.sort()
+    position = [0] * r
+    for p, name in enumerate(chain.from_iterable(block for _, block in sorted(layout))):
         position[name] = p
-    return _position_pairs(triples, position), tuple(map(itemgetter(2), triples)), order
+    ends = [(position[a], position[b]) for a, b, _ in triples]
+    edges = tuple([(p, q) if p < q else (q, p) for p, q in ends])
+    return edges, tuple(map(itemgetter(2), triples))
 
 
 def build_sun_even(vector: Sequence[int]) -> SunColoring:
@@ -403,14 +372,15 @@ def build_sun_valency(vector: Sequence[int], k: int) -> SunColoring:
     d' is the number of nonzero entries; any k from d'-1 through r-1
     works.  The base construction is (d'-1)-regular; each step up adds
     one whole perfect matching under a color not yet on any pendant
-    (zero-entry indices first, then fresh colors).  The construction is
-    cached twice: _even_shape per shape, the nonzero entries largest
-    first, and _even_positions per ordered shape, the nonzero entries in
-    color order; both also key on k - (d'-1).  A build only maps slots
-    to colors, so every sun of one ordered shape holds the same
+    (zero-entry indices first, then fresh colors).  _even_positions
+    caches the construction per ordered shape, the nonzero entries in
+    color order, and k - (d'-1).  A build only maps block labels to
+    colors, so every sun of one ordered shape holds the same
     constituent_edges tuple, and validate still checks each build.
     """
     r, d = _check_vector(vector)
+    if type(k) is not int:
+        raise GraphError(f"target valency {k!r} is not an int")
     nonzero = [i for i, x in enumerate(vector) if x]
     zeros = [i for i, x in enumerate(vector) if not x]
     base = len(nonzero) - 1
@@ -422,9 +392,9 @@ def build_sun_valency(vector: Sequence[int], k: int) -> SunColoring:
         raise GraphError("even-parity construction needs every entry even")
     need = k - base
     fresh = max(0, need - len(zeros))
-    edges, slots, order = _even_positions(tuple(vector[i] for i in nonzero), need)
-    colors = [nonzero[j] for j in order] + (zeros + list(range(d, d + fresh)))[:need]
-    return _checked_sun(vector, edges, tuple(map(colors.__getitem__, slots)), d + fresh, k)
+    edges, labels = _even_positions(tuple(vector[i] for i in nonzero), need)
+    colors = nonzero + (zeros + list(range(d, d + fresh)))[:need]
+    return _checked_sun(vector, edges, tuple(map(colors.__getitem__, labels)), d + fresh, k)
 
 
 # ---- exhaustive negative verification ---- #
@@ -635,6 +605,8 @@ def regular_truncation(
     vertices and even at even-valency vertices; found by exhaustive
     backtracking with parity pruning, one connected component at a time.
     """
+    if type(d) is not int:
+        raise GraphError(f"regular truncation needs an int d, got {d!r}")
     if d < 2:
         raise GraphError(f"regular truncation needs d >= 2, got {d}")
     if x.size == 0:

@@ -97,7 +97,24 @@ ADMISSIBLE_3_VECTORS = [
 ]
 
 
+# Every single-cycle sun over an admissible 3-vector with 3 <= r <= 30,
+# built in (r, x1, x2) order and hashed by repr.
+SINGLE_CYCLE_SUNS_SHA256 = "0944d1c8264e81666727b976a559c73c08e7e201b1cfaf9c65c30eb79a7ef8c6"
+
+
 class TestSingleCycleSuns:
+    def test_every_sun_up_to_thirty_is_pinned(self):
+        digest = hashlib.sha256()
+        checked = 0
+        for r in range(3, 31):
+            for a in range(r + 1):
+                for b in range(r + 1 - a):
+                    if a % 2 == b % 2 == (r - a - b) % 2:
+                        digest.update(repr(_single_cycle_sun((a, b, r - a - b))).encode())
+                        checked += 1
+        assert checked == 1372
+        assert digest.hexdigest() == SINGLE_CYCLE_SUNS_SHA256
+
     @pytest.mark.parametrize("vec", ADMISSIBLE_3_VECTORS)
     def test_merged_to_one_cycle(self, vec):
         sun = _single_cycle_sun(vec)

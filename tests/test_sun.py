@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 from itertools import combinations, groupby, permutations, product
 
@@ -75,6 +76,11 @@ class TestAdmissibility:
         assert not admissible((1, 1))  # odd entries with an even color count
         assert not admissible((3, 1))
         assert admissible((2, 2))
+        # All entries odd, an even color count: the odd build refuses.
+        for vector in [(1, 1), (3, 1), (1, 1, 1, 1), (5, 3, 1, 1)]:
+            assert not admissible(vector)
+            with pytest.raises(GraphError, match=re.escape(f"vector {vector} is not admissible")):
+                build_sun_odd(vector)
 
     def test_domain_errors(self):
         with pytest.raises(GraphError):
@@ -155,13 +161,9 @@ def no_graph(monkeypatch):
 
 @pytest.fixture
 def clear_even_caches():
-    """Empty both even-sun caches, so earlier builds cannot warm them,
-    and hand over the function that does it for later clears."""
-
-    def clear():
-        sun_module._even_shape.cache_clear()
-        sun_module._even_positions.cache_clear()
-
+    """Empty the even-sun cache, so earlier builds cannot warm it, and
+    hand over the function that does it for later clears."""
+    clear = sun_module._even_positions.cache_clear
     clear()
     return clear
 
@@ -245,17 +247,23 @@ class TestEvenLayout:
         assert len(calls) == 4
 
     @pytest.mark.parametrize("vector", [(4, 2, 2, 0), (2, 2, 2, 2, 0, 0)])
-    def test_permuted_vectors_share_one_shape(self, monkeypatch, vector, clear_even_caches):
+    def test_one_layout_per_ordered_shape(self, monkeypatch, vector, clear_even_caches):
         layouts = []
         real = sun_module._even_layout
 
         def counted(r, nz):
-            layouts.append(tuple(x for _, x in nz))
+            layouts.append(nz)
             return real(r, nz)
 
         monkeypatch.setattr(sun_module, "_even_layout", counted)
-        warm = {perm: build_sun_even(perm) for perm in sorted(set(permutations(vector)))}
-        assert layouts == [tuple(sorted(vector, reverse=True)[: sum(1 for x in vector if x)])]
+        perms = sorted(set(permutations(vector)))
+        warm = {perm: build_sun_even(perm) for perm in perms}
+        shapes = {tuple(x for x in perm if x) for perm in perms}
+        # Blocks are labelled by their index in the ordered shape and
+        # laid out largest first, ties by label.
+        assert sorted(layouts) == sorted(
+            sorted(enumerate(shape), key=lambda jx: (-jx[1], jx[0])) for shape in shapes
+        )
         for perm, sun in warm.items():
             clear_even_caches()
             assert build_sun_even(perm) == sun
@@ -273,7 +281,8 @@ class TestEvenLayout:
         for vector in vectors:
             build_sun_even(vector)
         assert checks == vectors
-        assert sun_module._even_shape.cache_info().misses == 1
+        # Three ordered shapes: (4, 2, 2) twice, (2, 4, 2) and (2, 2, 4).
+        assert sun_module._even_positions.cache_info().misses == 3
 
     @given(st.data())
     # The fixture hands over a function and keeps no state per example.
@@ -296,11 +305,10 @@ class TestEvenLayout:
         clear_even_caches()
         build_sun_valency(vector, k)
         assert build_sun_valency(perm, k) == cold
-        # One construction; the warm build hits the ordered-shape cache
-        # when perm keeps the nonzero entries' order, else the shape's.
-        shape = sun_module._even_shape.cache_info()
-        assert shape.misses == 1
-        assert shape.hits + sun_module._even_positions.cache_info().hits == 1
+        # The warm build hits the cache exactly when perm keeps the
+        # nonzero entries' order.
+        same_shape = [x for x in perm if x] == [x for x in vector if x]
+        assert sun_module._even_positions.cache_info().hits == same_shape
 
     @pytest.mark.parametrize(
         "build",
@@ -542,6 +550,10 @@ class TestValencyPumping:
         for k in (0, 4):
             with pytest.raises(GraphError, match=f"target valency {k} outside 1..3"):
                 build_sun_valency((2, 2, 0), k)
+        # bool is an int subclass, but not a valency; nor is a float.
+        for k in (True, 2.0):
+            with pytest.raises(GraphError, match=f"target valency {k} is not an int"):
+                build_sun_valency((2, 2), k)
 
 
 class TestParityBalance:
@@ -705,6 +717,13 @@ class TestRegularTruncation:
         out = regular_truncation(g, 6)
         assert isinstance(out, Refusal)
         assert out.at == "ii"
+
+    @pytest.mark.parametrize("d", [4.0, 3.0, True])
+    def test_non_int_target_rejected(self, d):
+        # The doubled triangle: 4.0 would take the even route, 3.0 the odd.
+        g = Multigraph(range(3), [(0, 1), (1, 2), (2, 0), (0, 1), (1, 2), (2, 0)])
+        with pytest.raises(GraphError, match=f"needs an int d, got {d}"):
+            regular_truncation(g, d)
 
     def test_odd_target_rejects_even_valency_at_target(self):
         # Even valencies must exceed an odd target: 4 < d + 1 when d = 5.
