@@ -26,17 +26,17 @@ it once per ordered shape and writes it in positions, block by block in
 color order.  A build only maps block labels to colors, and every sun
 of one ordered shape holds the same constituent_edges tuple.
 
-Every build ends in one tail, `_checked_sun`, so every sun, cached
-shape or not, is checked by `SunColoring.validate`.  The odd
-construction and cyclic_coloring's single-cycle sun reach it through
-`_finish`, which sorts their (position, position, color) triples
-once.  That check reads the plain lists:
-Truncation's pair check, whole-list color passes, then the cluster
-checker every truncation coloring shares, `coloring.cluster_clash`.
-Only a failed color pass builds an `EdgeColoring`, the one checker of
-color rules, to name the bad color.  No check builds the sun as a
-graph, so a build costs little more than its output; `sun_graph`
-exists for DOT.
+Every build ends in one tail, `_checked_sun`, which runs the color
+check, `SunColoring._check_colors`.  The structure check,
+`_check_constituent`, runs where pairs are made: once per even template,
+as `_even_positions` fills its cache entry (lru_cache keeps none for a
+call that raises), and in `_finish`, which sorts the odd and
+single-cycle suns' (position, position, color) triples once.  `validate`
+runs both.  They read plain lists: Truncation's pair check, a valency
+count, whole-list color passes, then `coloring.cluster_clash`, shared
+by every truncation coloring.  Only a failed color pass builds an
+`EdgeColoring`, the one checker of color rules, to name the bad color.
+No check builds the sun as a graph; `sun_graph` exists for DOT.
 
 Semiregular, regular and class I cyclic truncations share one gluing,
 `_glue_suns`: it counts each vertex's color vector once over a
@@ -99,22 +99,23 @@ class SunColoring:
         return Multigraph(range(2 * r), edges), EdgeColoring(colors, self.palette_size)
 
     def validate(self, regular: Optional[int] = None) -> None:
-        """Construction self-check; raises AssertionError on any breach.
+        """Construction self-check, _check_constituent then _check_colors;
+        raises AssertionError on any breach."""
+        _check_constituent(self.constituent_edges, self.r, regular)
+        self._check_colors()
 
-        The constituent pair check Truncation uses accepts the edges, or
-        names the first bad pair.  Whole-list passes accept one color per
-        edge, a plain-int palette and plain-int colors in it; when they
-        fail, EdgeColoring, on sun_graph()'s edge ids (pendant p is edge
-        p, pair k is edge r+k), names the bad palette or the first bad
-        color.  Then cluster_clash names a clash in the same ids.
+    def _check_colors(self) -> None:
+        """The color check, on pairs that passed the structure check.
+
+        Whole-list passes accept one color per edge, a plain-int palette
+        and plain-int colors in it; when they fail, EdgeColoring, on
+        sun_graph()'s edge ids (pendant p is edge p, pair k is edge r+k),
+        names the bad palette or the first bad color.  Then cluster_clash
+        names a clash in the same ids, and the pendant colors, counted per
+        vector entry rather than per palette color, must realize the vector.
         """
-        r, palette = self.r, self.palette_size
+        palette = self.palette_size
         edges, colors = self.constituent_edges, self.constituent_colors
-        if not _ascending_and_simple(edges, r):
-            try:
-                _normalize("sun constituent", r, edges)
-            except GraphError as exc:
-                raise AssertionError(str(exc)) from None
         if len(colors) != len(edges):
             raise AssertionError(f"{len(colors)} constituent colors for {len(edges)} edges")
         hues = [*self.pendant_colors, *colors]
@@ -130,21 +131,33 @@ class SunColoring:
         clash = cluster_clash(self.pendant_colors, edges, colors)
         if clash is not None:
             raise _clash_error("sun coloring", *clash)
-        counts = [0] * palette
+        # Slot d counts colors past the vector; a vector past the palette fails.
+        d = len(self.vector)
+        counts = [0] * (d + 1)
         for c in self.pendant_colors:
-            counts[c] += 1
-        expect = list(self.vector) + [0] * (palette - len(self.vector))
-        if counts != expect:
+            counts[c if c < d else d] += 1
+        if d > palette or counts != [*self.vector, 0]:
             raise AssertionError("pendant colors do not realize the vector")
-        if regular is not None:
-            deg = [0] * r
-            for p in chain.from_iterable(edges):
-                deg[p] += 1
-            vals = set(deg) or {0}
-            if vals != {regular}:
-                raise AssertionError(
-                    f"constituent valencies {sorted(vals)} instead of {regular}-regular"
-                )
+
+
+def _check_constituent(edges: Sequence[Tuple[int, int]], r: int, regular: Optional[int]) -> None:
+    """The structure check: Truncation's pair check accepts the edges on
+    positions 0..r-1, or names the first bad pair; then, unless regular
+    is None, every position must have valency regular."""
+    if not _ascending_and_simple(edges, r):
+        try:
+            _normalize("sun constituent", r, edges)
+        except GraphError as exc:
+            raise AssertionError(str(exc)) from None
+    if regular is not None:
+        deg = [0] * r
+        for p in chain.from_iterable(edges):
+            deg[p] += 1
+        vals = set(deg) or {0}
+        if vals != {regular}:
+            raise AssertionError(
+                f"constituent valencies {sorted(vals)} instead of {regular}-regular"
+            )
 
 
 def _check_vector(vector: Sequence[int]) -> Tuple[int, int]:
@@ -182,9 +195,8 @@ def _checked_sun(
     edges: Tuple[Tuple[int, int], ...],
     colors: Tuple[int, ...],
     palette: int,
-    regular: int,
 ) -> SunColoring:
-    """The one tail of every build: the sun, checked by validate."""
+    """The one tail of every build: the sun, through the color check."""
     sun = SunColoring(
         vector=tuple(vector),
         pendant_colors=pendant_layout(vector),
@@ -192,7 +204,7 @@ def _checked_sun(
         constituent_colors=colors,
         palette_size=palette,
     )
-    sun.validate(regular=regular)
+    sun._check_colors()
     return sun
 
 
@@ -202,12 +214,13 @@ def _finish(
     """Edges in positions to a checked sun.
 
     triples are (p, q, color) with sun positions p < q; they are sorted
-    once, so edges come out in position order.  validate rejects loops
-    and repeated edges.
+    once, so edges come out in position order.  The structure check
+    rejects loops, repeated edges and valencies other than regular.
     """
     triples.sort()
     edges = tuple([(p, q) for p, q, _ in triples])
-    return _checked_sun(vector, edges, tuple(map(itemgetter(2), triples)), palette, regular)
+    _check_constituent(edges, sum(vector), regular)
+    return _checked_sun(vector, edges, tuple(map(itemgetter(2), triples)), palette)
 
 
 def build_sun_odd(vector: Sequence[int]) -> SunColoring:
@@ -356,6 +369,8 @@ def _even_positions(
         position[name] = p
     ends = [(position[a], position[b]) for a, b, _ in triples]
     edges = tuple([(p, q) if p < q else (q, p) for p, q in ends])
+    # A fill that raises leaves no cache entry.
+    _check_constituent(edges, r, len(shape) - 1 + extra)
     return edges, tuple(map(itemgetter(2), triples))
 
 
@@ -376,7 +391,7 @@ def build_sun_valency(vector: Sequence[int], k: int) -> SunColoring:
     caches the construction per ordered shape, the nonzero entries in
     color order, and k - (d'-1).  A build only maps block labels to
     colors, so every sun of one ordered shape holds the same
-    constituent_edges tuple, and validate still checks each build.
+    constituent_edges tuple, checked once; a build checks its colors.
     """
     r, d = _check_vector(vector)
     if type(k) is not int:
@@ -394,7 +409,7 @@ def build_sun_valency(vector: Sequence[int], k: int) -> SunColoring:
     fresh = max(0, need - len(zeros))
     edges, labels = _even_positions(tuple(vector[i] for i in nonzero), need)
     colors = nonzero + (zeros + list(range(d, d + fresh)))[:need]
-    return _checked_sun(vector, edges, tuple(map(colors.__getitem__, labels)), d + fresh, k)
+    return _checked_sun(vector, edges, tuple(map(colors.__getitem__, labels)), d + fresh)
 
 
 # ---- exhaustive negative verification ---- #

@@ -86,8 +86,8 @@ def _normalize(what: str, size: int, pairs: Iterable[PositionPair]) -> List[Posi
     """The pairs of a constituent on positions 0..size-1 as ascending
     tuples, or the GraphError, labelled by what, for the first pair that
     is not two plain ints, loop, out-of-range position or repeated edge.
-    The one check of constituent pairs: Truncation and
-    SunColoring.validate both call it."""
+    The one check of constituent pairs: Truncation and the sun structure
+    check, sun._check_constituent, both call it."""
     out: List[PositionPair] = []
     seen = set()
     for n, pair in enumerate(pairs):

@@ -168,6 +168,26 @@ def clear_even_caches():
     return clear
 
 
+@pytest.fixture
+def counted_checks(monkeypatch):
+    """Record each structure check's target valency and each color
+    check's vector, in call order."""
+    structure, colors = [], []
+    check_structure, check_colors = sun_module._check_constituent, SunColoring._check_colors
+
+    def counted_structure(edges, r, regular):
+        structure.append(regular)
+        return check_structure(edges, r, regular)
+
+    def counted_colors(self):
+        colors.append(self.vector)
+        return check_colors(self)
+
+    monkeypatch.setattr(sun_module, "_check_constituent", counted_structure)
+    monkeypatch.setattr(SunColoring, "_check_colors", counted_colors)
+    return structure, colors
+
+
 class TestEvenLayout:
     def test_every_even_vector_up_to_ten_builds_without_search(self, no_search):
         checked = 0
@@ -268,21 +288,26 @@ class TestEvenLayout:
             clear_even_caches()
             assert build_sun_even(perm) == sun
 
-    def test_every_build_validates_cache_hits_included(self, monkeypatch, clear_even_caches):
-        checks = []
-        real = SunColoring.validate
-
-        def counted(self, regular=None):
-            checks.append(self.vector)
-            return real(self, regular)
-
-        monkeypatch.setattr(SunColoring, "validate", counted)
+    def test_every_build_validates_cache_hits_included(self, counted_checks, clear_even_caches):
+        structure, colors = counted_checks
         vectors = [(4, 2, 2, 0), (2, 4, 0, 2), (4, 2, 2, 0), (0, 2, 2, 4)]
         for vector in vectors:
             build_sun_even(vector)
-        assert checks == vectors
+        # Every build checks its colors; every cache fill checks its
+        # template as a 3-regular constituent.
+        assert colors == vectors
         # Three ordered shapes: (4, 2, 2) twice, (2, 4, 2) and (2, 2, 4).
+        assert structure == [3, 3, 3]
         assert sun_module._even_positions.cache_info().misses == 3
+
+    def test_even_sweep_checks_each_template_once(self, counted_checks, clear_even_caches):
+        # Work counts, not times: every even vector with r <= 10.
+        structure, colors = counted_checks
+        for r in range(2, 11, 2):
+            for vector in even_vectors(r):
+                build_sun_even(vector)
+        assert len(colors) == 5946
+        assert len(structure) == sun_module._even_positions.cache_info().misses == 209
 
     @given(st.data())
     # The fixture hands over a function and keeps no state per example.
@@ -324,6 +349,49 @@ class TestEvenLayout:
         for vector, sun in zip(vectors, warm):
             clear_even_caches()
             assert build(vector) == sun
+
+
+class TestBuildChecksFire:
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            # Every scheme class repeats its first pair.
+            (lambda real: lambda n, t: real(n, t) + real(n, t)[:1], "repeats edge"),
+            # Every scheme class loses its first pair.
+            (lambda real: lambda n, t: real(n, t)[1:], "constituent valencies"),
+        ],
+        ids=["repeated-pair", "valency-off"],
+    )
+    def test_a_corrupt_template_raises_at_fill_and_is_not_cached(
+        self, monkeypatch, clear_even_caches, corrupt, message
+    ):
+        vector = (4, 2, 2)
+        monkeypatch.setattr(sun_module, "scheme_class", corrupt(sun_module.scheme_class))
+        # What validate says of the corrupt sun, with the fill's check off.
+        with monkeypatch.context() as m:
+            m.setattr(sun_module, "_check_constituent", lambda *args: None)
+            edges, labels = sun_module._even_positions.__wrapped__(vector, 0)
+        with pytest.raises(AssertionError, match=message) as said:
+            SunColoring(vector, pendant_layout(vector), edges, labels, 3).validate(regular=2)
+        # Twice: a fill that raised left no entry behind.
+        for _ in range(2):
+            with pytest.raises(AssertionError, match=f"^{re.escape(str(said.value))}$"):
+                build_sun_even(vector)
+        assert sun_module._even_positions.cache_info().currsize == 0
+
+    def test_clashing_labels_on_a_cached_shape_are_refused(self, monkeypatch, clear_even_caches):
+        vector = (4, 2, 2)
+        build_sun_even(vector)
+        real = sun_module._even_positions
+
+        def one_label(shape, extra):
+            edges, labels = real(shape, extra)
+            return edges, (0,) * len(labels)
+
+        monkeypatch.setattr(sun_module, "_even_positions", one_label)
+        with pytest.raises(AssertionError, match="^sun coloring is not proper: "):
+            build_sun_even(vector)
+        assert real.cache_info().hits == 1
 
 
 class TestValidateMessages:
@@ -407,6 +475,15 @@ class TestMalformedSuns:
         PROPER_SUN.validate(regular=1)
         with pytest.raises(AssertionError, match=message):
             replace(PROPER_SUN, **changes).validate(regular=regular)
+
+    def test_vector_check_holds_at_a_huge_palette(self):
+        huge = 10**12
+        SunColoring((2,), (0, 0), ((0, 1),), (1,), huge).validate(regular=1)
+        with pytest.raises(AssertionError, match="^pendant colors do not realize the vector$"):
+            replace(PROPER_SUN, vector=(3, 1), palette_size=huge).validate(regular=1)
+        # A vector longer than the palette names colors outside it.
+        with pytest.raises(AssertionError, match="^pendant colors do not realize the vector$"):
+            SunColoring((2, 0), (0, 0), (), (), 1).validate()
 
     def test_edges_reaching_pendant_stubs_are_rejected(self):
         # Positions 2 and 3 are the stubs r..2r-1 of sun_graph().
