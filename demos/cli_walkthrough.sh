@@ -39,6 +39,14 @@ truncolor oracle k4.json
 echo "== complete truncation, colored with max valency"
 truncolor color-complete k4.json --dot k4_tr.dot > k4_bundle.json
 truncolor verify k4_bundle.json
+# verify checks the parsed colors in place; --dot alone builds the
+# coloring to draw it, each edge labelled with its color.
+truncolor verify k4_bundle.json --dot k4_verify.dot
+if ! grep -q -- ' -- .*label="[0-9]*"' k4_verify.dot; then
+    echo "FAIL: verify --dot drew no colored edges" >&2
+    cat k4_verify.dot >&2
+    exit 1
+fi
 # verify checks a bundle's flat edges against its truncation before it
 # builds the flat graph; a changed edge is named by its index.
 sed 's/\[[0-9]*, [0-9]*\]\], "coloring"/[0, 5]], "coloring"/' k4_bundle.json > k4_bad_edge.json

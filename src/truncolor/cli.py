@@ -12,14 +12,17 @@ complete truncation by reference, as the source plus "kind":
 "complete"; every other truncation spells out its constituents.
 `verify` takes a bundle, or a graph or truncation file plus a file
 holding the coloring itself or nesting it under "coloring", as a
-`color-strong` result does; a bundle's flat "vertices" and
-"edges", like those a `truncate` file carries, must match its
-truncation's flattened graph.  They are compared with the truncation's
-lazy flat-edge reader and dropped before that graph is built.  Exit
-codes: 0 for success, 1 for domain errors (bad input, failed
-verification, inapplicable route, unwritable --dot path) and usage
-errors, 2 when the exact oracle ran out of budget before deciding; a
-negative --budget or --edge-cap is a domain error.
+`color-strong` result does; a bundle's flat "vertices" and "edges",
+like those a `truncate` file carries, must match its truncation's
+flattened graph.  They are compared with the truncation's lazy
+flat-edge reader and dropped before that graph is built.  The parsed
+"colors" list, the coloring by flat edge id, is checked in place
+(coloring._colors_fit, io.first_clash); an EdgeColoring is built only
+to name a bad value or to draw.  Exit codes: 0 for success, 1 for
+domain errors (bad input, failed verification, inapplicable route,
+unwritable --dot path) and usage errors, 2 when the exact oracle ran
+out of budget before deciding; a negative --budget or --edge-cap is a
+domain error.
 
 `main` pauses the cyclic garbage collector from argument parsing to its
 return, JSON and --dot output included, and turns it back on only if
@@ -45,6 +48,7 @@ from .coloring import (
     CLASS_I,
     DEFAULT_EDGE_CAP,
     EdgeColoring,
+    _colors_fit,
     chromatic_index,
     solve_edge_coloring,
 )
@@ -57,6 +61,7 @@ from .cyclic_coloring import (
 )
 from .errors import GraphError, Refusal, UndecidedError
 from .io import (
+    _colors_of,
     coloring_from_obj,
     coloring_to_obj,
     first_clash,
@@ -306,28 +311,26 @@ def cmd_verify(args) -> Result:
         )
     # _verify_graph drops the first file's flat lists before it builds
     # the graph, and the rest of the file but its coloring goes before
-    # the coloring's dict exists: no two large structures are alive at
-    # once, which keeps peak memory down on large bundles.
+    # the check: no two large structures are alive at once, which keeps
+    # peak memory down on large bundles.
     g = _verify_graph(first, args.files[0])
-    colors = first["coloring"] if single else load_json(args.files[1])
+    obj = first["coloring"] if single else load_json(args.files[1])
     del first
     # A second file may nest its coloring, as a color-strong result does.
-    if not single and isinstance(colors, dict) and "coloring" in colors:
-        colors = colors["coloring"]
-    # The coloring's dict shares the graph's id ints, and the parsed
-    # list goes before the clash check: on a large bundle each would be
-    # one more object per edge.
-    coloring = coloring_from_obj(colors, args.files[-1], g.edges.keys())
-    del colors
-    if coloring.assignment.keys() != g.edges.keys():
+    if not single and isinstance(obj, dict) and "coloring" in obj:
+        obj = obj["coloring"]
+    # The flat ids are 0..m-1: the parsed list is the coloring by edge id.
+    colors = _colors_of(obj, args.files[-1])
+    if not _colors_fit(colors, obj["palette"]):
+        coloring_from_obj(obj, args.files[-1])  # raises, naming the first bad value
+    if len(colors) != g.size:
         raise GraphError("coloring does not cover exactly the graph's edges")
-    clash = first_clash(g, coloring)
+    clash = first_clash(g, colors)
     if clash is None:
-        used = len(coloring.used_colors())
-        obj = {"proper": True, "palette": coloring.palette_size, "colors_used": used}
-        return EXIT_OK, obj, (g, coloring)
+        out = {"proper": True, "palette": obj["palette"], "colors_used": len(set(colors))}
+        return EXIT_OK, out, ((g, coloring_from_obj(obj, args.files[-1])) if args.dot else None)
     v, e1, e2 = clash
-    c = coloring.color_of(e1)
+    c = colors[e1]
     print(f"edges {e1} and {e2} share color {c} at vertex {v}", file=sys.stderr)
     return EXIT_DOMAIN, {"proper": False, "vertex": v, "clash": [e1, e2], "color": c}, None
 

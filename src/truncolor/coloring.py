@@ -35,8 +35,8 @@ certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain, count
+from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import GraphError, UndecidedError
 from .multigraph import Multigraph
@@ -77,17 +77,9 @@ class EdgeColoring:
 
     def __post_init__(self):
         object.__setattr__(self, "assignment", dict(self.assignment))
-        if type(self.palette_size) is not int or self.palette_size < 0:
-            raise GraphError(f"palette size {self.palette_size!r} is not a nonnegative int")
-        colors = self.assignment.values()
-        # One pass with min and max for plain ints; any other value
-        # type (bool and float included), or a color out of range, goes
-        # through the walk that names the first offending edge.
-        if colors and not (
-            set(map(type, colors)) <= {int}
-            and min(colors) >= 0
-            and max(colors) < self.palette_size
-        ):
+        if not _colors_fit(self.assignment.values(), self.palette_size):
+            if type(self.palette_size) is not int or self.palette_size < 0:
+                raise GraphError(f"palette size {self.palette_size!r} is not a nonnegative int")
             for eid, c in self.assignment.items():
                 if type(c) is not int:
                     raise GraphError(f"edge {eid} has color {c!r}, not an int")
@@ -106,24 +98,42 @@ class EdgeColoring:
         return frozenset(self.assignment.values())
 
 
+def _colors_fit(colors: Collection[object], palette: object) -> bool:
+    """The color rules' accept test, by whole-list passes: palette is a
+    nonnegative plain int and each color a plain int below it (no bool,
+    no float).  On failure EdgeColoring names the first bad value."""
+    return type(palette) is int and palette >= 0 and (
+        not colors
+        or (set(map(type, colors)) <= {int} and min(colors) >= 0 and max(colors) < palette)
+    )
+
+
 def first_clash(g: Multigraph, coloring: EdgeColoring) -> Optional[Tuple[int, int, int]]:
     """(vertex, edge, edge) for the first two same-colored edges meeting
     at a vertex, or None.  An uncolored edge is a GraphError."""
-    assignment = coloring.assignment
+    return _first_clash(g, coloring.assignment)
+
+
+def _first_clash(
+    g: Multigraph, colors: Mapping[int, int] | Sequence[int]
+) -> Optional[Tuple[int, int, int]]:
+    """first_clash on colors[eid], read from a mapping or from a list
+    indexed by edge id; a KeyError or IndexError is an uncolored edge."""
     for v in g.vertices:
         ids = g.incident(v)
         # From valency 6 up, one set pass costs less than the walk, which
         # then runs only to name a repeat or an uncolored edge; below 6
         # the walk alone is cheaper.
-        if len(ids) > 5:
-            colors = set(map(assignment.get, ids))
-            if len(colors) == len(ids) and None not in colors:
+        try:
+            if len(ids) > 5 and len(set(map(colors.__getitem__, ids))) == len(ids):
                 continue
+        except LookupError:
+            pass
         seen: Dict[int, int] = {}
         for eid in ids:
             try:
-                c = assignment[eid]
-            except KeyError:
+                c = colors[eid]
+            except LookupError:
                 raise GraphError(f"no color assigned to edge {eid}") from None
             if c in seen:
                 return (v, seen[c], eid)
@@ -132,7 +142,10 @@ def first_clash(g: Multigraph, coloring: EdgeColoring) -> Optional[Tuple[int, in
 
 
 def cluster_clash(
-    pendant: Sequence[int], pairs: Sequence[Tuple[int, int]], colors: Sequence[int]
+    pendant: Sequence[int],
+    pairs: Sequence[Tuple[int, int]],
+    colors: Sequence[int],
+    palette: Optional[int] = None,
 ) -> Optional[Tuple[int, int, int, int]]:
     """The first clash inside one cluster of r positions, or None.
 
@@ -142,7 +155,15 @@ def cluster_clash(
     the ids of the cluster's sun graph, where the matching edge at p is
     p and pair k is r + k: later is the first pair whose color its
     position has already seen, earlier the edge that put it there.
+    Unless the colors' palette is given and at most the cluster's edge
+    count, they are renamed to dense ranks first, so no position's
+    bitmask of colors grows wider than that count.
     """
+    if palette is None or palette > len(pendant) + len(pairs):
+        names = list(set(chain(pendant, colors)))
+        rank = dict(zip(names, count())).__getitem__
+        clash = cluster_clash([*map(rank, pendant)], pairs, [*map(rank, colors)], len(names))
+        return None if clash is None else (*clash[:3], names[clash[3]])
     masks = [1 << c for c in pendant]
     for (a, b), c in zip(pairs, colors):
         bit = 1 << c

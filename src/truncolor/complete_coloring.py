@@ -206,7 +206,7 @@ def color_delta_minus_one(
         raise AssertionError("conflict component is not a path")
 
     # Final local check before translating back to positions.
-    clash = cluster_clash(pend, list(edge_color), list(edge_color.values()))
+    clash = cluster_clash(pend, list(edge_color), list(edge_color.values()), palette)
     if clash is not None:
         raise _clash_error("constituent coloring after repair", *clash)
 

@@ -23,6 +23,8 @@ has one checker, the object that enforces it, whose message comes
 behind the file prefix: Multigraph names loops and unknown vertices,
 EdgeColoring a palette that is no nonnegative plain int and colors that
 are no plain int in the palette, and Truncation bad constituent pairs.
+`verify` runs EdgeColoring's accept test on the parsed "colors" list in
+place and builds the EdgeColoring only to name a bad value or to draw.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import json
 from itertools import chain
 from typing import Callable, Dict, Iterable, KeysView, List, Optional, Sequence, Tuple, TypeVar
 
-from .coloring import EdgeColoring, first_clash as _first_clash
+from .coloring import EdgeColoring, _first_clash
 from .errors import GraphError
 from .multigraph import Multigraph
 from .sun import SunColoring
@@ -144,18 +146,13 @@ def load_graph(path: str) -> Multigraph:
     return graph_from_obj(load_json(path), path)
 
 
-def _contiguous(ids: KeysView[int]) -> bool:
-    """Edge ids, distinct and ascending as a Multigraph keeps them, are
-    the ints 0 to len-1."""
-    return not ids or (
-        _only(ids, int) and next(iter(ids)) == 0 and next(reversed(ids)) == len(ids) - 1
-    )
-
-
 def _require_contiguous(ids: KeysView[int]) -> None:
-    """The rule for writing a graph: its edge ids must be contiguous,
-    since an edge's id is its position in "edges"."""
-    if not _contiguous(ids):
+    """The rule for writing a graph: its edge ids, distinct and ascending
+    as a Multigraph keeps them, must be the ints 0 to len-1, since an
+    edge's id is its position in "edges"."""
+    if ids and not (
+        _only(ids, int) and next(iter(ids)) == 0 and next(reversed(ids)) == len(ids) - 1
+    ):
         raise GraphError("graph has non-contiguous edge ids; rebuild before serializing")
 
 
@@ -179,21 +176,20 @@ def flat_graph_to_obj(tr: Truncation) -> Dict[str, object]:
     return {"vertices": list(range(2 * len(tr.matching))), "edges": list(tr.flat_edges())}
 
 
-def coloring_from_obj(
-    obj: object, origin: str = "<coloring>", ids: Optional[KeysView[int]] = None
-) -> EdgeColoring:
-    """The coloring obj describes: colors[i] on edge id i.  ids, a
-    Multigraph's edge ids, supply those keys when they are 0 to len-1
-    and as many as the colors; a large coloring then shares the graph's
-    int objects instead of holding one more per edge."""
+def _colors_of(obj: object, origin: str) -> List[object]:
+    """obj's "colors" list, once obj has a coloring's JSON shape."""
     _require(isinstance(obj, dict), origin, "coloring must be a JSON object")
     _require("palette" in obj, origin, 'missing "palette"')
     _require("colors" in obj, origin, 'missing "colors"')
     colors = obj["colors"]
     _require(isinstance(colors, list), origin, '"colors" must be a list')
-    if ids is None or len(ids) != len(colors) or not _contiguous(ids):
-        ids = range(len(colors))
-    return _built(origin, EdgeColoring, zip(ids, colors), obj["palette"])
+    return colors
+
+
+def coloring_from_obj(obj: object, origin: str = "<coloring>") -> EdgeColoring:
+    """The coloring obj describes: colors[i] on edge id i.  `verify`
+    builds it only to name a bad value or to draw."""
+    return _built(origin, EdgeColoring, enumerate(_colors_of(obj, origin)), obj["palette"])
 
 
 def load_coloring(path: str) -> EdgeColoring:
@@ -284,13 +280,13 @@ def sun_report(sun: SunColoring) -> Dict[str, object]:
 
 
 def first_clash(
-    g: Multigraph, coloring: EdgeColoring
+    g: Multigraph, coloring: EdgeColoring | Sequence[int]
 ) -> Optional[Tuple[int, int, int]]:
-    """(vertex, edge, edge) for the first same-colored incident pair.
-
-    The clash check behind `verify`; coloring.first_clash does the work.
+    """(vertex, edge, edge) for the first same-colored incident pair in
+    an EdgeColoring, or in a list of colors by edge id, as `verify`
+    checks a parsed "colors" list; coloring._first_clash does the work.
     """
-    return _first_clash(g, coloring)
+    return _first_clash(g, coloring.assignment if isinstance(coloring, EdgeColoring) else coloring)
 
 
 def to_dot(

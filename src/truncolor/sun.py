@@ -56,7 +56,7 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .canonical import class_of_pair, scheme_class
-from .coloring import EdgeColoring, _clash_error, cluster_clash, solve_edge_coloring
+from .coloring import EdgeColoring, _clash_error, _colors_fit, cluster_clash, solve_edge_coloring
 from .errors import GraphError, Refusal, UndecidedError
 from .multigraph import Multigraph
 from .truncation import Truncation, _ascending_and_simple, _normalize
@@ -107,8 +107,8 @@ class SunColoring:
     def _check_colors(self) -> None:
         """The color check, on pairs that passed the structure check.
 
-        Whole-list passes accept one color per edge, a plain-int palette
-        and plain-int colors in it; when they fail, EdgeColoring, on
+        One color per edge, then EdgeColoring's accept test (a plain-int
+        palette, plain-int colors in it); when it fails, EdgeColoring, on
         sun_graph()'s edge ids (pendant p is edge p, pair k is edge r+k),
         names the bad palette or the first bad color.  Then cluster_clash
         names a clash in the same ids, and the pendant colors, counted per
@@ -119,16 +119,12 @@ class SunColoring:
         if len(colors) != len(edges):
             raise AssertionError(f"{len(colors)} constituent colors for {len(edges)} edges")
         hues = [*self.pendant_colors, *colors]
-        if not (
-            type(palette) is int
-            and set(map(type, hues)) <= {int}
-            and (not hues or (min(hues) >= 0 and max(hues) < palette))
-        ):
+        if not _colors_fit(hues, palette):
             try:
                 EdgeColoring(dict(enumerate(hues)), palette)
             except GraphError as exc:
                 raise AssertionError(f"sun coloring: {exc}") from None
-        clash = cluster_clash(self.pendant_colors, edges, colors)
+        clash = cluster_clash(self.pendant_colors, edges, colors, palette)
         if clash is not None:
             raise _clash_error("sun coloring", *clash)
         # Slot d counts colors past the vector; a vector past the palette fails.

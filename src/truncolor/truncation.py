@@ -63,6 +63,11 @@ def excise(g: Multigraph) -> Tuple[Dict[int, Tuple[int, int]], Dict[int, Tuple[i
     return matching, {v: tuple(ends) for v, ends in clusters.items()}
 
 
+def _plain_pairs(pairs: Tuple[PositionPair, ...]) -> bool:
+    """Whether pairs are tuples of plain ints, by two whole-list passes."""
+    return set(map(type, pairs)) <= {tuple} and set(map(type, chain.from_iterable(pairs))) <= {int}
+
+
 def _ascending_and_simple(pairs: Tuple[PositionPair, ...], size: int) -> bool:
     """Whether pairs are tuples (i, j) of plain ints with 0 <= i < j < size
     and no repeat, by whole-list passes.  Pairs that fail go to
@@ -130,12 +135,12 @@ class Truncation:
         # cluster's constituent edges take the next block, in vertex order.
         self._ids: Dict[int, range] = {}
         nxt = next(reversed(self.matching), -1) + 1
-        # One checked, sorted tuple per (value, cluster size).  Each pairs
-        # object is checked once per cluster size (complete_truncation
-        # passes one object per size); each entry keeps its raw object
-        # alive, so no id is reused while the memo lives.  Checked pairs,
-        # plain ints only, are then shared by value: checking first keeps
-        # (0, True), which equals and hashes as (0, 1), from passing as it.
+        # One checked, sorted tuple per (value, cluster size), looked up
+        # once per pairs object and size; by_id keeps each raw object
+        # alive, so no id is reused while the memo lives.  A sorted value
+        # claims its entry with one hash; a new entry is checked, or given
+        # up for _normalize's pairs, and a value equal to a checked one
+        # needs only plain types: (0, True) equals and hashes as (0, 1).
         by_id: Dict[Tuple[int, int], Tuple[object, Tuple[PositionPair, ...]]] = {}
         by_value: Dict[Tuple[Tuple[PositionPair, ...], int], Tuple[PositionPair, ...]] = {}
         for v, ends in self.clusters.items():
@@ -144,10 +149,19 @@ class Truncation:
             key = (id(raw), size)
             if key not in by_id:
                 pairs = tuple(raw)
-                if not _ascending_and_simple(pairs, size):
-                    pairs = _normalize(f"constituent at vertex {v}", size, pairs)
-                ordered = tuple(sorted(pairs))
-                by_id[key] = (raw, by_value.setdefault((ordered, size), ordered))
+                try:  # pairs that do not sort or hash go to _normalize
+                    ordered = tuple(sorted(pairs))
+                    shared = by_value.setdefault((ordered, size), ordered)
+                    fresh = shared is ordered
+                    ok = _ascending_and_simple(ordered, size) if fresh else _plain_pairs(pairs)
+                except TypeError:
+                    fresh = ok = False
+                if not ok:
+                    if fresh:
+                        del by_value[(ordered, size)]
+                    ordered = tuple(sorted(_normalize(f"constituent at vertex {v}", size, pairs)))
+                    shared = by_value.setdefault((ordered, size), ordered)
+                by_id[key] = (raw, shared)
             self.constituents[v] = pairs = by_id[key][1]
             self._ids[v] = range(nxt, nxt + len(pairs))
             nxt += len(pairs)
@@ -286,7 +300,7 @@ class Truncation:
             if key in checked:
                 continue
             checked.add(key)
-            clash = cluster_clash(pendant, pairs, colors)
+            clash = cluster_clash(pendant, pairs, colors, palette)
             if clash is not None:
                 # From sun graph ids to flat ids and the end vertex.
                 p, e1, e2, c = clash

@@ -14,6 +14,7 @@ import truncolor.cli as cli
 from truncolor.canonical import complete_graph
 from truncolor.catalog import k4, k5, petersen, q3, two_k5_bridge
 from truncolor.cli import main
+from truncolor.coloring import EdgeColoring
 from truncolor.complete_coloring import color_complete_truncation
 from truncolor.io import (
     coloring_from_obj,
@@ -395,6 +396,88 @@ class TestOracle:
         assert "cap" in err
 
 
+# A proper 5-coloring of K5, whose edges graph_to_obj lists as (0, 1),
+# (0, 2), (0, 3), (0, 4), (1, 2), ..., (3, 4): edge (i, j) has color
+# (i + j) % 5.
+K5_PROPER = [1, 2, 3, 4, 3, 4, 0, 0, 1, 2]
+
+
+def _k5_colors(colors, palette=5):
+    return {"palette": palette, "colors": colors}
+
+
+def _k5_recolored(eid, color):
+    return _k5_colors(K5_PROPER[:eid] + [color] + K5_PROPER[eid + 1 :])
+
+
+def _error(message):
+    """A domain error's exit code, stdout and stderr."""
+    return 1, "", f"error: {message}\n"
+
+
+# verify's exit code, stdout and stderr for a K5 graph file and a
+# coloring file, with {path} standing for the coloring file, with and
+# without --dot.  A bad palette or color is named before a wrong length.
+UNCOVERED = _error("coloring does not cover exactly the graph's edges")
+K5_ANSWERS = {
+    "palette-true": (
+        _k5_colors(K5_PROPER, True),
+        *_error("{path}: palette size True is not a nonnegative int"),
+    ),
+    "palette-negative": (
+        _k5_colors(K5_PROPER, -1),
+        *_error("{path}: palette size -1 is not a nonnegative int"),
+    ),
+    "palette-float": (
+        _k5_colors(K5_PROPER, 2.0),
+        *_error("{path}: palette size 2.0 is not a nonnegative int"),
+    ),
+    "color-true": (_k5_recolored(3, True), *_error("{path}: edge 3 has color True, not an int")),
+    "color-float": (_k5_recolored(3, 1.5), *_error("{path}: edge 3 has color 1.5, not an int")),
+    "color-out-of-range": (
+        _k5_recolored(3, 5),
+        *_error("{path}: edge 3 has color 5 outside palette of size 5"),
+    ),
+    "too-short": (_k5_colors(K5_PROPER[:-1]), *UNCOVERED),
+    "too-long": (_k5_colors(K5_PROPER + [0]), *UNCOVERED),
+    "bad-color-and-short": (
+        _k5_colors([0, 9]),
+        *_error("{path}: edge 1 has color 9 outside palette of size 5"),
+    ),
+    "bad-color-and-long": (
+        _k5_colors(K5_PROPER + [True]),
+        *_error("{path}: edge 10 has color True, not an int"),
+    ),
+    "bad-palette-and-short": (
+        _k5_colors([0], -2),
+        *_error("{path}: palette size -2 is not a nonnegative int"),
+    ),
+    "nested": (
+        {"coloring": _k5_colors(K5_PROPER)},
+        0,
+        '{"proper": true, "palette": 5, "colors_used": 5}\n',
+        "",
+    ),
+    "nested-short": ({"coloring": _k5_colors(K5_PROPER[:3])}, *UNCOVERED),
+    "nested-twice": (
+        {"coloring": {"coloring": _k5_colors(K5_PROPER)}},
+        *_error('{path}: missing "palette"'),
+    ),
+    "clash": (
+        _k5_recolored(1, 1),
+        1,
+        '{"proper": false, "vertex": 0, "clash": [0, 1], "color": 1}\n',
+        "edges 0 and 1 share color 1 at vertex 0\n",
+    ),
+    "clash-at-the-last-vertex": (
+        _k5_recolored(9, 1),
+        1,
+        '{"proper": false, "vertex": 4, "clash": [8, 9], "color": 1}\n',
+        "edges 8 and 9 share color 1 at vertex 4\n",
+    ),
+}
+
+
 class TestVerify:
     def test_bundle_flat_graph_must_match_its_truncation(self, capsys, tmp_path):
         code, bundle, _ = run(capsys, "color-complete", write_graph(tmp_path, k5()))
@@ -624,6 +707,37 @@ class TestVerify:
         assert code == 1
         assert "coloring" in err
 
+    @pytest.mark.parametrize("name", sorted(K5_ANSWERS))
+    def test_answers_on_k5_are_pinned(self, capsys, tmp_path, name):
+        obj, code, stdout, stderr = K5_ANSWERS[name]
+        graph = write_graph(tmp_path, complete_graph(5))
+        path = write_obj(tmp_path, obj, "c.json")
+        for dot in ([], ["--dot", str(tmp_path / "k5.dot")]):
+            assert main(["verify", graph, path, *dot]) == code
+            assert capsys.readouterr() == (stdout, stderr.format(path=path))
+
+    def test_builds_a_coloring_only_to_draw(self, capsys, tmp_path, inputs, monkeypatch):
+        # The parsed "colors" list is checked where it lies: a success
+        # builds an EdgeColoring only for --dot, a bad value only to be
+        # named.
+        built = []
+        post_init = EdgeColoring.__post_init__
+
+        def counted(coloring):
+            built.append(coloring)
+            post_init(coloring)
+
+        monkeypatch.setattr(EdgeColoring, "__post_init__", counted)
+        colors = write_obj(tmp_path, {"palette": 5, "colors": K5_PROPER}, "c.json")
+        two_files = [write_graph(tmp_path, complete_graph(5), "k5.json"), colors]
+        for files, palette in (([inputs["bundle"]], 3), (two_files, 5)):
+            assert main(["verify", *files]) == 0
+            assert built == []
+            assert main(["verify", *files, "--dot", str(tmp_path / "v.dot")]) == 0
+            assert [coloring.palette_size for coloring in built] == [palette]
+            built.clear()
+        capsys.readouterr()
+
 
 class TestDemo:
     @pytest.mark.parametrize(
@@ -720,6 +834,8 @@ class TestOutput:
 # sha256 of stdout and of the --dot file, per command, on K5 and K9
 # graph files written by graph_to_obj: the bytes the flat graph's own
 # writer gave before truncations were written from their clusters.
+# verify's pins read a K9 bundle and a K5 coloring file, and hold the
+# bytes verify gave when it still built an EdgeColoring on every run.
 PINNED = {
     "color-complete-k5": (
         ["color-complete", "k5"],
@@ -751,14 +867,28 @@ PINNED = {
         "2b8427db3a668035887d7cbb7b10252ec69c7067cfe86e0ed03bef7968bb1e0a",
         "176ecc136ab7fba26545f3c780af498bd29453d059c83b3f345b8f8005ba650e",
     ),
+    "verify-bundle-k9": (
+        ["verify", "k9-bundle"],
+        "9dc3dad78caa9eb3d682f4d46b6bcdc740397e88af12e146af43e15747cff2ad",
+        "6238ac8c9a8c34267d553692b3f52c00fe4272007f2f29fa9a2bce69aedb9000",
+    ),
+    "verify-graph-and-coloring-k5": (
+        ["verify", "k5", "k5-coloring"],
+        "da32a669cb507d18a3ec25cf91c3c3ace3397d86416fe64744897a7adc9eb6a0",
+        "0d255eb7956a5f678dca468c39062adc98138ff2584d4a72a9e89a7b1150e7e5",
+    ),
 }
 
 
 class TestPinnedBytes:
     def argv(self, tmp_path, name):
+        tr, coloring = color_complete_truncation(complete_graph(9))
+        bundle = {"truncation": truncation_to_obj(tr), "coloring": coloring_to_obj(coloring)}
         files = {
             "k5": write_graph(tmp_path, complete_graph(5), "k5.json"),
             "k9": write_graph(tmp_path, complete_graph(9), "k9.json"),
+            "k9-bundle": write_obj(tmp_path, bundle, "k9-bundle.json"),
+            "k5-coloring": write_obj(tmp_path, _k5_colors(K5_PROPER), "k5-coloring.json"),
         }
         return [files.get(arg, arg) for arg in PINNED[name][0]]
 
@@ -771,7 +901,8 @@ class TestPinnedBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
         assert hashlib.sha256(dot.read_bytes()).hexdigest() == dot_sha
 
-    @pytest.mark.parametrize("name", sorted(PINNED))
+    # verify flattens a truncation to check it, with or without --dot.
+    @pytest.mark.parametrize("name", sorted(n for n in PINNED if not n.startswith("verify")))
     def test_flattens_only_to_draw(self, capsys, tmp_path, monkeypatch, name):
         argv = self.argv(tmp_path, name)
         flattened = []

@@ -17,6 +17,7 @@ from truncolor.coloring import (
     is_proper,
     list_edge_coloring,
     solve_edge_coloring,
+    _first_clash,
     _vizing_coloring,
 )
 from truncolor.errors import GraphError, UndecidedError
@@ -122,6 +123,26 @@ class TestFirstClash:
             assert first_clash(g, coloring) == want
 
 
+    @given(partial_colorings())
+    @settings(max_examples=200, deadline=None)
+    def test_a_list_by_edge_id_reads_as_the_dict(self, case):
+        # The colors of edges 0..k-1 as a list: an edge past its end is
+        # uncolored, as one the dict lacks.
+        g, coloring = case
+        colors = list(itertools.takewhile(
+            lambda c: c is not None, map(coloring.assignment.get, range(g.size))
+        ))
+        as_dict = EdgeColoring(dict(enumerate(colors)), coloring.palette_size)
+        try:
+            want = first_clash(g, as_dict)
+        except GraphError as exc:
+            with pytest.raises(GraphError) as got:
+                _first_clash(g, colors)
+            assert str(got.value) == str(exc)
+        else:
+            assert _first_clash(g, colors) == want
+
+
 class TestClusterClash:
     # Three positions, all with pendant color 3, and the triangle on them.
     PENDANT = [3, 3, 3]
@@ -142,6 +163,18 @@ class TestClusterClash:
         # pair 0 at position 1.
         assert cluster_clash(self.PENDANT, self.TRIANGLE, [0, 1, 0]) == (0, 3, 5, 0)
         assert cluster_clash(self.PENDANT, self.TRIANGLE, [0, 0, 1]) == (1, 3, 4, 0)
+
+    def test_ranks_stand_in_for_colors_past_the_edge_count(self):
+        # The cluster has 6 edges.  Without a palette, or with one past
+        # 6, the masks take dense ranks of the colors; the clash found,
+        # and the color it names, are those of the colors themselves.
+        huge = 10**12
+        for colors in itertools.product(range(5), repeat=3):
+            want = cluster_clash(self.PENDANT, self.TRIANGLE, colors, 6)
+            assert cluster_clash(self.PENDANT, self.TRIANGLE, colors) == want
+            up = [c + huge for c in self.PENDANT], [c + huge for c in colors]
+            got = cluster_clash(up[0], self.TRIANGLE, up[1], huge + 6)
+            assert got == (None if want is None else (*want[:3], want[3] + huge))
 
 
 class TestOracle:

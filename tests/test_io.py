@@ -164,19 +164,6 @@ class TestColoringRoundTrip:
         with pytest.raises(GraphError, match="^<coloring>: edge 0 has color False, not an int$"):
             coloring_from_obj({"palette": 2, "colors": [False]})
 
-    def test_keys_are_the_graphs_own_ids(self):
-        # Ids above 256 are new int objects unless shared.  Colors of
-        # another count than the ids, or ids that are not 0..n-1, are
-        # keyed by position.
-        g = Multigraph(range(2), [(0, 1)] * 300)
-        shared = coloring_from_obj({"palette": 1, "colors": [0] * 300}, ids=g.edges.keys())
-        assert shared.assignment == dict.fromkeys(range(300), 0)
-        assert all(a is b for a, b in zip(shared.assignment, g.edges))
-        gapped = Multigraph(range(2), {0: (0, 1), 2: (0, 1)})
-        pair = {"palette": 1, "colors": [0, 0]}
-        for ids in (g.edges.keys(), gapped.edges.keys()):
-            assert coloring_from_obj(pair, ids=ids).assignment == {0: 0, 1: 0}
-
     def test_non_contiguous_ids_rejected(self):
         with pytest.raises(GraphError, match="contiguous"):
             coloring_to_obj(EdgeColoring({0: 0, 2: 1}, 2))
@@ -339,6 +326,14 @@ class TestReportsAndDot:
         assert first_clash(g, EdgeColoring({0: 0, 1: 1}, 2)) is None
         clash = first_clash(g, EdgeColoring({0: 0, 1: 0}, 1))
         assert clash == (1, 0, 1)
+
+    def test_first_clash_reads_a_colors_list(self):
+        # As verify checks a parsed "colors" list: colors[eid] on edge eid.
+        g = Multigraph(range(3), [(0, 1), (1, 2)])
+        assert first_clash(g, [0, 1]) is None
+        assert first_clash(g, [0, 0]) == (1, 0, 1)
+        with pytest.raises(GraphError, match="^no color assigned to edge 1$"):
+            first_clash(g, [0])
 
     def test_dot_contains_colors_bold_and_clusters(self):
         g = Multigraph(range(4), [(0, 1), (2, 3), (0, 2)])

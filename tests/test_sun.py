@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations, groupby, permutations, product
 
@@ -484,6 +485,23 @@ class TestMalformedSuns:
         # A vector longer than the palette names colors outside it.
         with pytest.raises(AssertionError, match="^pendant colors do not realize the vector$"):
             SunColoring((2, 0), (0, 0), (), (), 1).validate()
+
+    def test_clash_check_holds_at_a_huge_color(self):
+        # The clash check's masks are as wide as the sun has edges, not
+        # as its largest color, and a clash names the color itself.
+        c = 10**8
+        tracemalloc.start()
+        try:
+            SunColoring((2,), (0, 0), ((0, 1),), (c,), c + 1).validate(regular=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        huge = 10**12
+        sun = SunColoring((3,), (0, 0, 0), ((0, 1), (0, 2)), (huge, huge), huge + 1)
+        message = f"^sun coloring is not proper: edges 3 and 4 share color {huge} at vertex 0$"
+        with pytest.raises(AssertionError, match=message):
+            sun.validate()
 
     def test_edges_reaching_pendant_stubs_are_rejected(self):
         # Positions 2 and 3 are the stubs r..2r-1 of sun_graph().

@@ -15,7 +15,7 @@ from truncolor.coloring import EdgeColoring, _vizing_coloring, first_clash, is_p
 from truncolor.complete_coloring import color_complete_truncation, subtruncation_coloring
 from truncolor.cyclic_coloring import cyclic_class_one, cyclic_even_valency
 from truncolor.errors import GraphError
-from truncolor.io import graph_to_obj, load_truncation
+from truncolor.io import graph_to_obj, load_truncation, truncation_to_obj
 from truncolor.multigraph import Multigraph
 from truncolor.strong_arboreal import color_by_strong
 from truncolor.sun import regular_truncation, semiregular_truncation
@@ -321,10 +321,11 @@ class TestValidation:
         assert tr.constituents[0] is not tr.constituents[1]
         assert tr.constituents[1] is tr.constituents[2]
 
-    @pytest.mark.parametrize("bad", [(0, True), (False, 1), (True, 0)])
+    @pytest.mark.parametrize("bad", [(0, True), (False, 1), (True, 0), (0, 1.0), (0.0, 1)])
     def test_bool_pairs_are_named_after_an_equal_int_pair(self, bad):
-        # (0, True) equals and hashes as (0, 1), but is no pair of plain
-        # ints: vertex 1 is named as if its constituent were alone.
+        # (0, True) equals and hashes as (0, 1), as (0, 1.0) does, but is
+        # no pair of plain ints: vertex 1 is named as if its constituent
+        # were alone.
         g = Multigraph(range(2), [(0, 1), (0, 1)])
         with pytest.raises(GraphError) as alone:
             Truncation(g, {1: [bad]})
@@ -332,6 +333,38 @@ class TestValidation:
             Truncation(g, {0: [(0, 1)], 1: [bad]})
         assert str(after.value) == str(alone.value)
         assert str(alone.value) == "constituent at vertex 1: pair 0 is not a pair of integers"
+
+    def test_each_distinct_value_is_checked_once(self, monkeypatch, tmp_path):
+        # Separate but equal pair lists take one whole check per value
+        # and cluster size; the others pass a plain-type pass only.
+        checked = []
+        check = truncation_module._ascending_and_simple
+
+        def counted(pairs, size):
+            checked.append(size)
+            return check(pairs, size)
+
+        monkeypatch.setattr(truncation_module, "_ascending_and_simple", counted)
+        orders = {0: [0, 1, 2, 3], 1: [2, 1, 0, 3], 2: [1, 3, 2, 0], 3: [3, 0, 1, 2], 4: [0, 2, 3, 1]}
+        tr = cyclic_truncation(k5(), orders)
+        assert checked == [4, 4] and len(set(map(id, tr.constituents.values()))) == 2
+        # arboreal_truncation's default paths, and the file that spells
+        # them out, one list per cluster: one check each.
+        checked.clear()
+        tr = arboreal_truncation(complete_graph(6))
+        path = tmp_path / "tr.json"
+        path.write_text(json.dumps(truncation_to_obj(tr)))
+        assert checked == [5]
+        tr = load_truncation(str(path))
+        assert checked == [5, 5] and len(set(map(id, tr.constituents.values()))) == 1
+
+    def test_a_value_that_fails_the_check_is_not_kept(self):
+        # (1, 0) fails the whole-list check at vertex 0 and is normalized;
+        # the equal list at vertex 1 is checked and normalized again, not
+        # taken as checked.
+        tr = Truncation(k4(), {0: [(1, 0)], 1: [(1, 0)], 2: [(0, 1)]})
+        assert tr.constituents[0] == ((0, 1),)
+        assert tr.constituents[0] is tr.constituents[1] is tr.constituents[2]
 
     def test_unknown_vertex_rejected(self):
         with pytest.raises(GraphError, match="unknown"):
@@ -426,6 +459,18 @@ class TestColor:
         assert is_proper(tr.graph, out)
         for eid in tr.matching:
             assert out.color_of(eid) == 0
+
+    def test_clash_names_a_huge_color(self):
+        # Edge 0's matching color meets constituent edge 2 at end 0.
+        huge = 10**12
+        tr = Truncation(Multigraph(range(2), [(0, 1), (0, 1)]), {0: [(0, 1)]})
+        message = (
+            f"^truncation coloring is not proper: edges 0 and 2 share color {huge} at vertex 0$"
+        )
+        with pytest.raises(AssertionError, match=message):
+            tr.color({0: huge, 1: huge + 1}, lambda v: {(0, 1): huge}, huge + 2)
+        out = tr.color({0: huge, 1: huge + 1}, lambda v: {(0, 1): huge + 2}, huge + 3)
+        assert out.assignment == {0: huge, 1: huge + 1, 2: huge + 2}
 
     def test_clashing_cluster_map_raises(self):
         # The error names the clash: vertex, both edges and their color.
