@@ -208,5 +208,25 @@ cat > true.json <<'JSON'
 JSON
 expect_fail 1 "error: true.json: constituent at vertex 1: pair 0 is not a pair of integers" \
     "a boolean constituent position" truncolor color-strong true.json
+# Files the JSON parser itself fails on are named like syntax errors.
+printf '\377\376{}' > not_utf8.json
+expect_fail 1 "error: not_utf8.json:" "a file that is not UTF-8" \
+    truncolor oracle not_utf8.json
+head -c 100000 /dev/zero | tr '\0' '[' > deep.json
+expect_fail 1 "error: deep.json:" "arrays nested past the parser's recursion limit" \
+    truncolor oracle deep.json
+head -c 5000 /dev/zero | tr '\0' '1' > long_int.json
+expect_fail 1 "error: long_int.json:" "an integer literal past the interpreter's digit limit" \
+    truncolor oracle long_int.json
+# A bundle's flat edges hold plain ints, as every loader reads them:
+# [0.0, 1] equals the first flat edge in value but is refused.  (The
+# source's edges start [0, 1], [0, 2]; the flat ones [0, 1], [2, 3].)
+sed 's/"edges": \[\[0, 1\], \[2, 3\]/"edges": [[0.0, 1], [2, 3]/' k4_bundle.json > k4_float_edge.json
+if cmp -s k4_bundle.json k4_float_edge.json; then
+    echo "FAIL: the first flat edge of the K4 bundle was not changed" >&2
+    exit 1
+fi
+expect_fail 1 "error: k4_float_edge.json: edges[0] is [0.0, 1]" "a float flat edge" \
+    truncolor verify k4_float_edge.json
 
 echo "all steps verified"

@@ -14,8 +14,9 @@ complete truncation by reference, as the source plus "kind":
 holding the coloring itself or nesting it under "coloring", as a
 `color-strong` result does; a bundle's flat "vertices" and "edges",
 like those a `truncate` file carries, must match its truncation's
-flattened graph.  They are compared with the truncation's lazy
-flat-edge reader and dropped before that graph is built.  The parsed
+flattened graph, as plain ints, as every loader reads a pair.  They
+are compared with the truncation's lazy flat-edge reader and its ends
+0..2m-1, and dropped before that graph is built.  The parsed
 "colors" list, the coloring by flat edge id, is checked in place
 (coloring._colors_fit, io.first_clash); an EdgeColoring is built only
 to name a bad value or to draw.  Exit codes: 0 for success, 1 for
@@ -62,6 +63,7 @@ from .cyclic_coloring import (
 from .errors import GraphError, Refusal, UndecidedError
 from .io import (
     _colors_of,
+    _only,
     coloring_from_obj,
     coloring_to_obj,
     first_clash,
@@ -268,27 +270,25 @@ def _verify_graph(obj: object, origin: str) -> Multigraph:
         _check_flat_edges(obj.pop("edges"), tr, origin)
     if "vertices" in obj:
         vertices = obj.pop("vertices")
-        # The flat graph's vertices are the ends, in source edge order.
-        ends = chain.from_iterable(tr.matching.values())
-        if not (
-            isinstance(vertices, list)
-            and len(vertices) == 2 * len(tr.matching)
-            and all(map(eq, vertices, ends))
-        ):
+        # The flat ends are 0..2m-1, as io.flat_graph_to_obj writes them;
+        # only a list equals the list of them.
+        if not (vertices == list(range(2 * len(tr.matching))) and _only(vertices, int)):
             raise GraphError(f'{origin}: "vertices" differ from the flattened truncation\'s')
     return tr.graph
 
 
 def _check_flat_edges(edges: object, tr: Truncation, origin: str) -> None:
-    """edges must list tr's flat edges in id order, each as [u, v] with
-    u < v; else a GraphError names the first index that differs."""
+    """edges must list tr's flat edges in id order, each as [u, v] of
+    plain ints with u < v, as every loader reads a pair; else a
+    GraphError names the first index that differs in value or type."""
     if not isinstance(edges, list):
         raise GraphError(f'{origin}: "edges" must be a list')
     size = len(tr.matching) + sum(map(len, tr.constituents.values()))
-    if len(edges) == size and all(map(eq, edges, map(list, tr.flat_edges()))):
+    flat = map(list, tr.flat_edges())
+    if len(edges) == size and all(map(eq, edges, flat)) and _only(chain.from_iterable(edges), int):
         return
     for i, (have, want) in enumerate(zip(edges, map(list, tr.flat_edges()))):
-        if have != want:
+        if have != want or not _only(have, int):
             raise GraphError(
                 f"{origin}: edges[{i}] is {have}, but edge {i} of the flattened "
                 f"truncation is {want}"

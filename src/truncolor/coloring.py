@@ -108,17 +108,14 @@ def _colors_fit(colors: Collection[object], palette: object) -> bool:
     )
 
 
-def first_clash(g: Multigraph, coloring: EdgeColoring) -> Optional[Tuple[int, int, int]]:
-    """(vertex, edge, edge) for the first two same-colored edges meeting
-    at a vertex, or None.  An uncolored edge is a GraphError."""
-    return _first_clash(g, coloring.assignment)
-
-
-def _first_clash(
-    g: Multigraph, colors: Mapping[int, int] | Sequence[int]
+def first_clash(
+    g: Multigraph, coloring: EdgeColoring | Mapping[int, int] | Sequence[int]
 ) -> Optional[Tuple[int, int, int]]:
-    """first_clash on colors[eid], read from a mapping or from a list
-    indexed by edge id; a KeyError or IndexError is an uncolored edge."""
+    """(vertex, edge, edge) for the first two same-colored edges meeting
+    at a vertex, or None.  coloring is an EdgeColoring or its colors by
+    edge id, as a mapping or as a list (`verify` passes the parsed
+    "colors" list); an uncolored edge is a GraphError."""
+    colors = coloring.assignment if isinstance(coloring, EdgeColoring) else coloring
     for v in g.vertices:
         ids = g.incident(v)
         # From valency 6 up, one set pass costs less than the walk, which

@@ -10,7 +10,9 @@ reference instead: the source plus "kind": "complete" and no
 Given "constituents", the loader reads them and ignores "kind"; without
 them, any kind but "complete" is rejected.  All loaders point at the
 offending file (and line, for syntax errors) when they reject input,
-and a JSON object that repeats a key is rejected, not read as its last
+as they do a file that is not UTF-8, nests past the parser's recursion
+limit or holds an int literal past the interpreter's digit limit, and
+a JSON object that repeats a key is rejected, not read as its last
 value.
 A truncation's flat graph is written straight from its clusters by
 flat_graph_to_obj, as graph_to_obj would write the built graph.
@@ -18,11 +20,13 @@ flat_graph_to_obj, as graph_to_obj would write the built graph.
 Loaders check only JSON shape, each list in two steps: a whole-list
 pass with C-level builtins (the set of element types, pair lengths)
 accepts valid input without a Python call per element, and only when
-it fails does a walk name the first offending entry.  Every other rule
-has one checker, the object that enforces it, whose message comes
-behind the file prefix: Multigraph names loops and unknown vertices,
-EdgeColoring a palette that is no nonnegative plain int and colors that
-are no plain int in the palette, and Truncation bad constituent pairs.
+it fails does a walk name the first offending entry.  An int is a
+plain int (type(x) is int), as EdgeColoring and Truncation read one:
+no bool, no subclass.  Every other rule has one checker, the object
+that enforces it, whose message comes behind the file prefix:
+Multigraph names loops and unknown vertices, EdgeColoring a palette
+that is no nonnegative plain int and colors that are no plain int in
+the palette, and Truncation bad constituent pairs.
 `verify` runs EdgeColoring's accept test on the parsed "colors" list in
 place and builds the EdgeColoring only to name a bad value or to draw.
 """
@@ -33,7 +37,8 @@ import json
 from itertools import chain
 from typing import Callable, Dict, Iterable, KeysView, List, Optional, Sequence, Tuple, TypeVar
 
-from .coloring import EdgeColoring, _first_clash
+from . import coloring as _coloring
+from .coloring import EdgeColoring
 from .errors import GraphError
 from .multigraph import Multigraph
 from .sun import SunColoring
@@ -90,6 +95,11 @@ def load_json(path: str) -> object:
         raise GraphError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise GraphError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except GraphError:
+        raise  # a duplicate key, already named
+    # Not UTF-8, nested too deep, or an int literal past the digit limit.
+    except (RecursionError, ValueError) as exc:
+        raise GraphError(f"{path}: {exc}") from None
 
 
 def _require(cond: bool, origin: str, msg: str) -> None:
@@ -97,24 +107,10 @@ def _require(cond: bool, origin: str, msg: str) -> None:
         raise GraphError(f"{origin}: {msg}")
 
 
-def _is_int(x: object) -> bool:
-    # JSON true/false load as bool, which Python counts as int.
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _only(xs: Iterable[object], kind: type) -> bool:
-    """Every element has exactly type kind: no bool among ints, no
-    subclass.  The walk after a failure decides subclasses itself."""
+    """Every element has exactly type kind: no bool (JSON true and
+    false) among ints, no subclass.  Walks name a failure by it too."""
     return set(map(type, xs)) <= {kind}
-
-
-def _int_pairs(pairs: List[object]) -> bool:
-    """Whether pairs is a list of two-element lists of plain ints."""
-    return (
-        _only(pairs, list)
-        and set(map(len, pairs)) <= {2}
-        and _only(chain.from_iterable(pairs), int)
-    )
 
 
 def graph_from_obj(obj: object, origin: str = "<graph>") -> Multigraph:
@@ -124,22 +120,26 @@ def graph_from_obj(obj: object, origin: str = "<graph>") -> Multigraph:
     vertices = obj["vertices"]
     edges = obj["edges"]
     _require(
-        isinstance(vertices, list)
-        and (_only(vertices, int) or all(_is_int(v) for v in vertices)),
+        isinstance(vertices, list) and _only(vertices, int),
         origin,
         '"vertices" must be a list of integers',
     )
     vset = set(vertices)
     _require(len(vset) == len(vertices), origin, '"vertices" repeats a vertex id')
     _require(isinstance(edges, list), origin, '"edges" must be a list')
-    if not _int_pairs(edges):
+    if not (
+        _only(edges, list)
+        and set(map(len, edges)) <= {2}
+        and _only(chain.from_iterable(edges), int)
+    ):
         for i, e in enumerate(edges):
             _require(
-                isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e),
+                isinstance(e, list) and len(e) == 2 and _only(e, int),
                 origin,
                 f"edges[{i}] must be a pair of integers",
             )
-    return _built(origin, Multigraph, vertices, list(map(tuple, edges)))
+    # Multigraph unpacks each [u, v] and stores its own tuples.
+    return _built(origin, Multigraph, vertices, edges)
 
 
 def load_graph(path: str) -> Multigraph:
@@ -198,14 +198,10 @@ def load_coloring(path: str) -> EdgeColoring:
 
 def coloring_to_obj(coloring: EdgeColoring) -> Dict[str, object]:
     assignment = coloring.assignment
-    # Colorings the routes emit already hold ids 0..n-1 in order.
-    if list(assignment) == list(range(len(assignment))):
-        colors = list(assignment.values())
-    else:
-        ids = sorted(assignment)
-        if ids != list(range(len(ids))):
-            raise GraphError("coloring has non-contiguous edge ids; rebuild before serializing")
-        colors = [assignment[eid] for eid in ids]
+    # Colors are plain ints, so a None is an id missing from 0..n-1.
+    colors = list(map(assignment.get, range(len(assignment))))
+    if None in colors:
+        raise GraphError("coloring has non-contiguous edge ids; rebuild before serializing")
     return {"palette": coloring.palette_size, "colors": colors}
 
 
@@ -282,11 +278,9 @@ def sun_report(sun: SunColoring) -> Dict[str, object]:
 def first_clash(
     g: Multigraph, coloring: EdgeColoring | Sequence[int]
 ) -> Optional[Tuple[int, int, int]]:
-    """(vertex, edge, edge) for the first same-colored incident pair in
-    an EdgeColoring, or in a list of colors by edge id, as `verify`
-    checks a parsed "colors" list; coloring._first_clash does the work.
-    """
-    return _first_clash(g, coloring.assignment if isinstance(coloring, EdgeColoring) else coloring)
+    """coloring.first_clash, the one graph clash check, which `verify`
+    runs from here on its parsed "colors" list."""
+    return _coloring.first_clash(g, coloring)
 
 
 def to_dot(

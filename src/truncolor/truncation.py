@@ -23,7 +23,7 @@ on first access to Truncation.graph, serves only checks and drawings.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations, starmap
+from itertools import chain, combinations
 from operator import itemgetter, lt
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -205,30 +205,10 @@ class Truncation:
         lazily straight from the clusters without building the graph:
         the matching edges, then each cluster's constituent edges in
         vertex order, as iter(self.graph.edges.values()) gives them.
-        The reader chains one zip per cluster, each made only when the
-        walk reaches its cluster, so walking it makes no Python call per
-        edge and holds no list of the edges, only one cluster's ends.
-        """
-        # One pair of column getters per constituent tuple, which the
-        # clusters of a complete truncation share.  Each reads all of a
-        # cluster's first (or second) ends in one call; it leads with
-        # position 0, dropped after, so that one pair still gives a tuple.
-        getters: Dict[int, Tuple[itemgetter, itemgetter]] = {}
-
-        def cluster(v: int, ends: Tuple[int, ...]) -> Iterable[Tuple[int, int]]:
-            pairs = self.constituents[v]
-            if not pairs:
-                return ()
-            get = getters.get(id(pairs))
-            if get is None:
-                get = getters[id(pairs)] = (
-                    itemgetter(0, *map(itemgetter(0), pairs)),
-                    itemgetter(0, *map(itemgetter(1), pairs)),
-                )
-            return zip(get[0](ends)[1:], get[1](ends)[1:])
-
-        per_cluster = chain.from_iterable(starmap(cluster, self.clusters.items()))
-        return chain(self.matching.values(), per_cluster)
+        The walk holds no list of the edges."""
+        cons = self.constituents
+        pairs = ((ends[i], ends[j]) for v, ends in self.clusters.items() for i, j in cons[v])
+        return chain(self.matching.values(), pairs)
 
     @property
     def matching_ids(self) -> Tuple[int, ...]:

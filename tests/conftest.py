@@ -162,6 +162,15 @@ def brute_force(
     return extend(0)
 
 
+def outcome(call) -> object:
+    """call()'s return value, or "GraphError: " and the message of the
+    GraphError it raises, so that one parametrized test can pin both."""
+    try:
+        return call()
+    except GraphError as exc:
+        return f"GraphError: {exc}"
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)

@@ -6,7 +6,7 @@ from truncolor.canonical import class_of_pair, complete_graph, scheme_class
 from truncolor.coloring import is_proper
 from truncolor.errors import GraphError
 
-from conftest import canonical_coloring, missing_color, scheme_class_count
+from conftest import canonical_coloring, missing_color, outcome, scheme_class_count
 
 
 def scheme_vertex_names(n):
@@ -129,3 +129,15 @@ class TestMissingColor:
         col = canonical_coloring(6)
         for v in g.vertices:
             assert sorted(col.color_of(e) for e in g.incident(v)) == list(range(5))
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: class_of_pair(4, (0, 0)), "GraphError: (0, 0) is not an edge of the order-4 scheme"),
+        (lambda: complete_graph(0), "GraphError: complete graph needs order >= 1, got 0"),
+    ],
+    ids=["loop-pair", "order-zero"],
+)
+def test_degenerate_inputs(call, want):
+    assert outcome(call) == want

@@ -19,6 +19,7 @@ from truncolor.complete_coloring import color_complete_truncation
 from truncolor.io import (
     coloring_from_obj,
     coloring_to_obj,
+    flat_graph_to_obj,
     graph_from_obj,
     graph_to_obj,
     truncation_from_obj,
@@ -511,6 +512,55 @@ class TestVerify:
             f"has {size} edges\n"
         )
 
+    @pytest.mark.parametrize(
+        "key, index, value, message",
+        [
+            ("vertices", 1, 1.0, '"vertices" differ from the flattened truncation\'s'),
+            ("vertices", 1, True, '"vertices" differ from the flattened truncation\'s'),
+            (
+                "edges",
+                0,
+                [0.0, 1],
+                "edges[0] is [0.0, 1], but edge 0 of the flattened truncation is [0, 1]",
+            ),
+            (
+                "edges",
+                0,
+                [0, True],
+                "edges[0] is [0, True], but edge 0 of the flattened truncation is [0, 1]",
+            ),
+        ],
+        ids=["float-vertex", "bool-vertex", "float-end", "bool-end"],
+    )
+    def test_flat_keys_hold_plain_ints(self, capsys, tmp_path, key, index, value, message):
+        # Equal in value is not enough: every loader refuses a float or
+        # a bool where an int belongs, and so does the flat-key check.
+        code, bundle, _ = run(capsys, "color-complete", write_graph(tmp_path, k4()))
+        assert code == 0 and bundle[key][index] == value
+        bundle[key][index] = value
+        path = write_obj(tmp_path, bundle, "bundle.json")
+        assert run(capsys, "verify", path) == (1, None, f"error: {path}: {message}\n")
+
+    def test_graph_file_edges_are_not_copied(self, capsys, tmp_path):
+        # graph_from_obj hands the parsed [u, v] lists straight to
+        # Multigraph, which keeps its own tuples: verify of K65's flat
+        # graph peaks near 40 MiB traced, where a tuple copy of the
+        # parsed edges took it past 48.
+        tr, coloring = color_complete_truncation(complete_graph(65))
+        graph = write_obj(tmp_path, flat_graph_to_obj(tr), "k65-flat.json")
+        colors = write_obj(tmp_path, coloring_to_obj(coloring), "k65.coloring.json")
+        del tr, coloring
+        tracemalloc.start()
+        try:
+            code = main(["verify", graph, colors])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(capsys.readouterr().out)["proper"] is True
+        assert peak < 42 * 2**20
+        g = graph_from_obj(json.loads(Path(graph).read_text()))
+        assert set(map(type, g.edges.values())) == {tuple}
+
     def test_flat_lists_are_dropped_before_flattening(self, capsys, tmp_path):
         # verify checks a bundle's flat "edges" and "vertices" against its
         # truncation and drops them before it builds the flat graph, so
@@ -878,6 +928,47 @@ PINNED = {
         "0d255eb7956a5f678dca468c39062adc98138ff2584d4a72a9e89a7b1150e7e5",
     ),
 }
+
+
+def _digit_limit() -> int:
+    """The interpreter's limit on int literal digits; 0 if it has none."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
+# File contents that the JSON parser itself fails on, past its syntax
+# errors, by name.
+UNREADABLE = {
+    "not-utf8": lambda: b"\xff\xfe{}",
+    "nested-too-deep": lambda: b"[" * 100_000,
+    "int-past-the-digit-limit": lambda: b"1" * (_digit_limit() + 1),
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("command", ["oracle", "color-strong", "verify"])
+    @pytest.mark.parametrize("name", sorted(UNREADABLE))
+    def test_unreadable_json_names_its_file(self, capsys, tmp_path, name, command):
+        if name == "int-past-the-digit-limit" and not _digit_limit():
+            pytest.skip("this interpreter reads int literals of any length")
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(UNREADABLE[name]())
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1 and out is None
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["classone-without-3-coloring", "edges-not-a-list"])
+    def test_degenerate_inputs(self, capsys, tmp_path, inputs, name):
+        bundle = json.loads(Path(inputs["bundle"]).read_text())
+        edges_object = write_obj(tmp_path, dict(bundle, edges={}), "edges.json")
+        argv, message = {
+            "classone-without-3-coloring": (
+                ["cyclic-color", inputs["petersen"], "--strategy", "classone"],
+                "source admits no proper 3-coloring; the folding route does not apply",
+            ),
+            "edges-not-a-list": (["verify", edges_object], f'{edges_object}: "edges" must be a list'),
+        }[name]
+        assert run(capsys, *argv) == (1, None, f"error: {message}\n")
 
 
 class TestPinnedBytes:

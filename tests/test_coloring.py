@@ -11,19 +11,19 @@ from truncolor.coloring import (
     CLASS_I,
     CLASS_II,
     EdgeColoring,
+    OracleResult,
     chromatic_index,
     cluster_clash,
     first_clash,
     is_proper,
     list_edge_coloring,
     solve_edge_coloring,
-    _first_clash,
     _vizing_coloring,
 )
 from truncolor.errors import GraphError, UndecidedError
 from truncolor.multigraph import Multigraph
 
-from conftest import brute_force, prism_graph, random_multigraph
+from conftest import brute_force, outcome, prism_graph, random_multigraph
 
 
 class TestEdgeColoring:
@@ -137,10 +137,10 @@ class TestFirstClash:
             want = first_clash(g, as_dict)
         except GraphError as exc:
             with pytest.raises(GraphError) as got:
-                _first_clash(g, colors)
+                first_clash(g, colors)
             assert str(got.value) == str(exc)
         else:
-            assert _first_clash(g, colors) == want
+            assert first_clash(g, colors) == want
 
 
 class TestClusterClash:
@@ -391,3 +391,24 @@ class TestSolver:
                 assert is_proper(g, col)
                 for eid in g.edge_ids:
                     assert col.color_of(eid) != eid % k
+
+
+EDGELESS = Multigraph([0, 1], [])
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: chromatic_index(EDGELESS), OracleResult(True, 0, EdgeColoring({}, 0), 0, 0)),
+        (
+            lambda: list_edge_coloring(Multigraph([0, 1], [(0, 1)]), {0: [-1]}),
+            "GraphError: negative color -1 in list for edge 0",
+        ),
+        (lambda: list_edge_coloring(EDGELESS, {}), EdgeColoring({}, 0)),
+        # Two colors cannot color an odd cycle.
+        (lambda: list_edge_coloring(complete_graph(3), dict.fromkeys(range(3), [0, 1])), None),
+    ],
+    ids=["oracle-edgeless", "list-negative-color", "list-edgeless", "list-unsatisfiable"],
+)
+def test_degenerate_inputs(call, want):
+    assert outcome(call) == want

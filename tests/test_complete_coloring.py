@@ -34,7 +34,13 @@ from truncolor.truncation import (
     cyclic_truncation,
 )
 
-from conftest import brute_force, constituent_edge_ids, path_graph, regular_odd_equivalence
+from conftest import (
+    brute_force,
+    constituent_edge_ids,
+    outcome,
+    path_graph,
+    regular_odd_equivalence,
+)
 
 
 class TestEdgeFeasibility:
@@ -545,3 +551,17 @@ class TestRegularOddEquivalence:
             regular_odd_equivalence(k5())
         with pytest.raises(GraphError):
             regular_odd_equivalence(path_graph(4))
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (
+            lambda: color_delta_minus_one([0, 1, 2], 4),
+            "GraphError: this constituent case needs an odd palette >= 3, got 4",
+        ),
+    ],
+    ids=["even-palette"],
+)
+def test_degenerate_inputs(call, want):
+    assert outcome(call) == want

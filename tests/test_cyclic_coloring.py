@@ -30,7 +30,7 @@ from truncolor.multigraph import Multigraph
 from truncolor.sun import _glue_suns, _parity_coloring_search, is_parity_balanced
 from truncolor.truncation import contract, cyclic_truncation
 
-from conftest import cycle_graph, disjoint_union, prism_graph
+from conftest import cycle_graph, disjoint_union, outcome, prism_graph
 
 
 def _cycle_components(r, edges):
@@ -402,3 +402,15 @@ class TestCutEdgeObstruction:
     def test_rejects_non_cubic(self):
         with pytest.raises(GraphError):
             cut_edge_class_two(k5())
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        # No single edge of K4 leaves an even remainder in every component.
+        (lambda: color_via_enabling(k4(), [0]), "GraphError: the given edge set is not enabling"),
+    ],
+    ids=["not-enabling"],
+)
+def test_degenerate_inputs(call, want):
+    assert outcome(call) == want

@@ -35,7 +35,7 @@ from truncolor.strong_arboreal import color_by_strong
 from truncolor.sun import build_sun_even, build_sun_odd, regular_truncation, semiregular_truncation
 from truncolor.truncation import arboreal_truncation, complete_truncation, cyclic_truncation
 
-from conftest import doubled_triangle
+from conftest import doubled_triangle, outcome
 
 
 class TestGraphRoundTrip:
@@ -357,3 +357,19 @@ class TestReportsAndDot:
         wide = EdgeColoring({0: len(DOT_COLORS)}, len(DOT_COLORS) + 1)
         text = to_dot(g, wide)
         assert f"color={DOT_COLORS[0]}" in text
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (
+            lambda: truncation_from_obj(
+                {"source": {"vertices": [0, 1], "edges": [[0, 1]]}, "constituents": {"a": []}}
+            ),
+            "GraphError: <truncation>: constituent key 'a' is not a vertex",
+        ),
+    ],
+    ids=["constituent-key-not-an-int"],
+)
+def test_degenerate_inputs(call, want):
+    assert outcome(call) == want

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from truncolor.errors import GraphError
 from truncolor.multigraph import Multigraph
 
-from conftest import random_multigraph
+from conftest import outcome, random_multigraph
 
 
 def brute_force_bridges(g: Multigraph) -> frozenset:
@@ -137,3 +137,36 @@ class TestComponents:
         h = g.without_edges([0])
         assert h.order == 3
         assert sorted(h.edge_ids) == [1]
+
+
+PATH_AND_POINT = Multigraph([0, 1, 2], [(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: PATH_AND_POINT.endpoints(99), "GraphError: no edge with id 99"),
+        (lambda: PATH_AND_POINT.other_end(0, 2), "GraphError: vertex 2 is not an endpoint of edge 0"),
+        (
+            lambda: Multigraph([], []).max_valency(),
+            "GraphError: max_valency of an empty graph is undefined",
+        ),
+        (lambda: Multigraph([], []).regular_valency(), None),
+        (lambda: Multigraph([0, 1], []).multiplicity(), 0),
+        (lambda: PATH_AND_POINT.euler_tour(7), "GraphError: no vertex 7 in graph"),
+        (lambda: PATH_AND_POINT.euler_tour(2), ()),
+        (lambda: PATH_AND_POINT.without_edges([99]), "GraphError: no edge with id 99"),
+    ],
+    ids=[
+        "endpoints-unknown-edge",
+        "other-end-off-the-edge",
+        "max-valency-empty",
+        "regular-valency-empty",
+        "multiplicity-edgeless",
+        "euler-tour-unknown-root",
+        "euler-tour-isolated-root",
+        "without-unknown-edge",
+    ],
+)
+def test_degenerate_inputs(call, want):
+    assert outcome(call) == want

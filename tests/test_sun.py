@@ -28,7 +28,7 @@ from truncolor.sun import (
 )
 from truncolor.truncation import contract
 
-from conftest import cycle_graph, disjoint_union, prism_graph
+from conftest import cycle_graph, disjoint_union, outcome, prism_graph
 
 
 def all_vectors(r, d):
@@ -847,3 +847,35 @@ class TestRegularTruncation:
         out = regular_truncation(g, 3)
         assert isinstance(out, Refusal)
         assert out.at == "i"
+
+
+EDGELESS = Multigraph([0, 1], [])
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: build_sun_even([]), "GraphError: color vector must have at least one entry"),
+        (lambda: build_sun_odd([2, 1]), "GraphError: odd-parity construction needs every entry odd"),
+        (
+            lambda: build_sun_valency([3, 1], 2),
+            "GraphError: even-parity construction needs every entry even",
+        ),
+        (
+            lambda: semiregular_truncation(EDGELESS, EdgeColoring({}, 1)),
+            "GraphError: source graph has no edges",
+        ),
+        (lambda: regular_truncation(EDGELESS, 3), "GraphError: source graph has no edges"),
+        (lambda: regular_truncation(k4(), 1), "GraphError: regular truncation needs d >= 2, got 1"),
+    ],
+    ids=[
+        "empty-vector",
+        "odd-build-even-entry",
+        "valency-build-odd-entry",
+        "semiregular-edgeless",
+        "regular-edgeless",
+        "regular-d-one",
+    ],
+)
+def test_degenerate_inputs(call, want):
+    assert outcome(call) == want
