@@ -61,6 +61,22 @@ if ! grep -q 'edges\[' stderr.txt; then
     cat stderr.txt >&2
     exit 1
 fi
+# verify accepts a truncation's coloring cluster by cluster; a clash is
+# named on the flat graph, by end vertex.  Recoloring the last
+# constituent edge (id 17, on ends 9 and 11) from 2 to 0 clashes at end 9.
+sed 's/, 2\]}}$/, 0]}}/' k4_bundle.json > k4_bad_color.json
+if cmp -s k4_bundle.json k4_bad_color.json; then
+    echo "FAIL: the last color of the K4 bundle was not changed" >&2
+    exit 1
+fi
+expect_fail 1 "edges " "a constituent edge shares its color at an end" \
+    truncolor verify k4_bad_color.json > k4_bad_color_verify.json
+if ! grep -q '"proper": false' k4_bad_color_verify.json \
+    || ! grep -q '"vertex": 9,' k4_bad_color_verify.json; then
+    echo "FAIL: verify did not name the clash at end 9" >&2
+    cat k4_bad_color_verify.json >&2
+    exit 1
+fi
 head -3 k4_tr.dot
 # has_truncation_drawing FILE: the drawing groups each cluster and
 # draws the matching bold, so the truncation was flattened to draw it.

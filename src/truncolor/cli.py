@@ -5,8 +5,8 @@ result and what --dot should draw; `main` alone writes the result to
 stdout as one compact JSON line and the drawing to the --dot file.
 A truncation's flat "vertices" and "edges" are written straight from
 its clusters (io.flat_graph_to_obj), and its drawing hands over the
-truncation itself, so the flat graph is built only for --dot, for
-`verify`'s check and for the cyclic demos' output.
+truncation itself, so the flat graph is built only for --dot, for the
+cyclic demos' output and for `verify` to name a clash.
 `color-complete` bundles and `truncate --kind complete` store their
 complete truncation by reference, as the source plus "kind":
 "complete"; every other truncation spells out its constituents.
@@ -16,10 +16,15 @@ holding the coloring itself or nesting it under "coloring", as a
 like those a `truncate` file carries, must match its truncation's
 flattened graph, as plain ints, as every loader reads a pair.  They
 are compared with the truncation's lazy flat-edge reader and its ends
-0..2m-1, and dropped before that graph is built.  The parsed
-"colors" list, the coloring by flat edge id, is checked in place
-(coloring._colors_fit, io.first_clash); an EdgeColoring is built only
-to name a bad value or to draw.  Exit codes: 0 for success, 1 for
+0..2m-1, and dropped.  The parsed "colors" list, the coloring by
+flat edge id, is checked in place (coloring._colors_fit).  A
+truncation's coloring is then accepted cluster by cluster
+(Truncation.first_cluster_clash, the check Truncation.color runs),
+with no flat graph; a clash found there is named by io.first_clash on
+the flat graph, as a plain graph's is, so the report is the same as
+the flat graph's.  With --dot the flat graph is built to draw and
+checked by io.first_clash.  An EdgeColoring is built only to name a
+bad value or to draw.  Exit codes: 0 for success, 1 for
 domain errors (bad input, failed verification, inapplicable route,
 unwritable --dot path) and usage errors, 2 when the exact oracle ran
 out of budget before deciding; a negative --budget or --edge-cap is a
@@ -251,14 +256,14 @@ def cmd_oracle(args) -> Result:
     return EXIT_OK, obj, (g, res.certificate)
 
 
-def _verify_graph(obj: object, origin: str) -> Multigraph:
-    """The graph a verify input describes: a bundle's truncation, a
+def _verify_shape(obj: object, origin: str) -> Union[Multigraph, Truncation]:
+    """What a verify input describes: a bundle's truncation, a
     truncation (with its constituents, or by reference as "kind"), or a
     plain graph.  A bundle or truncation file that also carries
     "vertices" and "edges" must carry the truncation's own flattened
     graph.  They are checked against the truncation's lazy flat-edge
-    reader and its ends, then dropped from obj before the flat graph
-    is built, so the file's lists and the graph are never held at once.
+    reader and its ends, then dropped from obj, so the file's lists are
+    not held while the coloring is checked.
     """
     if isinstance(obj, dict) and "truncation" in obj:
         tr = truncation_from_obj(obj["truncation"], origin)
@@ -274,7 +279,7 @@ def _verify_graph(obj: object, origin: str) -> Multigraph:
         # only a list equals the list of them.
         if not (vertices == list(range(2 * len(tr.matching))) and _only(vertices, int)):
             raise GraphError(f'{origin}: "vertices" differ from the flattened truncation\'s')
-    return tr.graph
+    return tr
 
 
 def _check_flat_edges(edges: object, tr: Truncation, origin: str) -> None:
@@ -283,7 +288,7 @@ def _check_flat_edges(edges: object, tr: Truncation, origin: str) -> None:
     GraphError names the first index that differs in value or type."""
     if not isinstance(edges, list):
         raise GraphError(f'{origin}: "edges" must be a list')
-    size = len(tr.matching) + sum(map(len, tr.constituents.values()))
+    size = tr.size
     flat = map(list, tr.flat_edges())
     if len(edges) == size and all(map(eq, edges, flat)) and _only(chain.from_iterable(edges), int):
         return
@@ -309,11 +314,11 @@ def cmd_verify(args) -> Result:
         raise GraphError(
             f"{args.files[0]}: single-file verify needs a bundle with a \"coloring\" key"
         )
-    # _verify_graph drops the first file's flat lists before it builds
-    # the graph, and the rest of the file but its coloring goes before
-    # the check: no two large structures are alive at once, which keeps
-    # peak memory down on large bundles.
-    g = _verify_graph(first, args.files[0])
+    # _verify_shape drops the first file's flat lists, and the rest of
+    # the file but its coloring goes before the check: no two large
+    # structures are alive at once, which keeps peak memory down on
+    # large bundles.
+    shape = _verify_shape(first, args.files[0])
     obj = first["coloring"] if single else load_json(args.files[1])
     del first
     # A second file may nest its coloring, as a color-strong result does.
@@ -323,12 +328,24 @@ def cmd_verify(args) -> Result:
     colors = _colors_of(obj, args.files[-1])
     if not _colors_fit(colors, obj["palette"]):
         coloring_from_obj(obj, args.files[-1])  # raises, naming the first bad value
-    if len(colors) != g.size:
+    if len(colors) != shape.size:
         raise GraphError("coloring does not cover exactly the graph's edges")
-    clash = first_clash(g, colors)
+    if isinstance(shape, Truncation) and args.dot:
+        shape = shape.graph  # verify draws the flat graph, and checks it there
+    if isinstance(shape, Truncation):
+        # A truncation's coloring is accepted cluster by cluster; the
+        # flat graph is built only to name a clash as a graph file's is.
+        by_cluster = shape.constituent_colors(colors)
+        clash = None
+        if shape.first_cluster_clash(colors, by_cluster, obj["palette"]) is not None:
+            clash = first_clash(shape.graph, colors)
+            if clash is None:
+                raise AssertionError("the cluster check found a clash the flat graph lacks")
+    else:
+        clash = first_clash(shape, colors)
     if clash is None:
         out = {"proper": True, "palette": obj["palette"], "colors_used": len(set(colors))}
-        return EXIT_OK, out, ((g, coloring_from_obj(obj, args.files[-1])) if args.dot else None)
+        return EXIT_OK, out, ((shape, coloring_from_obj(obj, args.files[-1])) if args.dot else None)
     v, e1, e2 = clash
     c = colors[e1]
     print(f"edges {e1} and {e2} share color {c} at vertex {v}", file=sys.stderr)

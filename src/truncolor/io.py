@@ -28,12 +28,15 @@ Multigraph names loops and unknown vertices, EdgeColoring a palette
 that is no nonnegative plain int and colors that are no plain int in
 the palette, and Truncation bad constituent pairs.
 `verify` runs EdgeColoring's accept test on the parsed "colors" list in
-place and builds the EdgeColoring only to name a bad value or to draw.
+place and builds the EdgeColoring only to name a bad value or to draw;
+it checks a truncation's coloring cluster by cluster, and first_clash
+names a clash on the flat graph.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from itertools import chain
 from typing import Callable, Dict, Iterable, KeysView, List, Optional, Sequence, Tuple, TypeVar
 
@@ -97,9 +100,16 @@ def load_json(path: str) -> object:
         raise GraphError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except GraphError:
         raise  # a duplicate key, already named
-    # Not UTF-8, nested too deep, or an int literal past the digit limit.
-    except (RecursionError, ValueError) as exc:
+    except (RecursionError, UnicodeDecodeError) as exc:  # nested too deep, or not UTF-8
         raise GraphError(f"{path}: {exc}") from None
+    except ValueError:
+        # What is left is int()'s refusal of a literal past the digit
+        # limit, whose advice to call sys.set_int_max_str_digits() no
+        # command-line user can take.
+        limit = sys.get_int_max_str_digits()
+        raise GraphError(
+            f"{path}: an integer literal has more than {limit} digits, the interpreter's limit"
+        ) from None
 
 
 def _require(cond: bool, origin: str, msg: str) -> None:
@@ -279,7 +289,9 @@ def first_clash(
     g: Multigraph, coloring: EdgeColoring | Sequence[int]
 ) -> Optional[Tuple[int, int, int]]:
     """coloring.first_clash, the one graph clash check, which `verify`
-    runs from here on its parsed "colors" list."""
+    runs from here on its parsed "colors" list: on a plain graph, and
+    on a truncation's flat graph only to draw it or to name a clash
+    that Truncation.first_cluster_clash found."""
     return _coloring.first_clash(g, coloring)
 
 

@@ -14,10 +14,13 @@ clusters of one size share one checked tuple, so every pass that
 depends only on the constituent (max_valency, the forest test, the
 writers' lists, color_by_strong's per-constituent coloring) runs once
 per distinct constituent.  Colorings are glued and
-checked cluster by cluster (coloring.cluster_clash), each distinct
-cluster once.  Writers and `verify` read the flat edges lazily straight
-from the clusters (Truncation.flat_edges); the flat graph itself, built
-on first access to Truncation.graph, serves only checks and drawings.
+checked cluster by cluster (Truncation.first_cluster_clash, which runs
+coloring.cluster_clash on each distinct cluster once); `verify` accepts
+a truncation's coloring by the same check.  Writers and `verify` read
+the flat edges lazily straight from the clusters
+(Truncation.flat_edges); the flat graph itself, built on first access
+to Truncation.graph, serves only drawings, graph-level checks and
+naming a clash the cluster check found, as a graph file's is named.
 """
 
 from __future__ import annotations
@@ -211,6 +214,11 @@ class Truncation:
         return chain(self.matching.values(), pairs)
 
     @property
+    def size(self) -> int:
+        """The flat graph's edge count, read from the clusters."""
+        return len(self.matching) + sum(map(len, self.constituents.values()))
+
+    @property
     def matching_ids(self) -> Tuple[int, ...]:
         return tuple(sorted(self.matching))
 
@@ -237,7 +245,9 @@ class Truncation:
             raise GraphError("max_valency of an empty graph is undefined")
         return max(max(self.end_valencies(v)) for v in self.representatives().values())
 
-    def pendant_colors(self, v: int, matching_colors: Mapping[int, int]) -> List[int]:
+    def pendant_colors(
+        self, v: int, matching_colors: Mapping[int, int] | Sequence[int]
+    ) -> List[int]:
         """Color of the matching edge at each position of v's cluster, read
         from matching_colors by source edge id (end 2e or 2e+1 is on e)."""
         return [matching_colors[end >> 1] for end in self.clusters[v]]
@@ -254,10 +264,9 @@ class Truncation:
         matching edge.  pair_color(v) maps each constituent edge of v,
         as a position pair (i, j) with i < j, to its color; it is called
         once per cluster with a nonempty constituent, one cluster at a
-        time.  Each distinct cluster (constituent tuple, pendant colors,
-        pair colors) is checked once by cluster_clash, a pure function
-        of these; a clash raises AssertionError naming the first
-        clashing cluster by flat ids and end vertex.
+        time.  The result is checked by first_cluster_clash, the check
+        `verify` runs too; a clash raises AssertionError naming the
+        first clashing cluster by flat ids and end vertex.
         """
         # EdgeColoring builds its one dict from (id, color) pairs: the
         # matching's, then each cluster's in vertex order.
@@ -270,12 +279,44 @@ class Truncation:
                 parts.append(zip(self._ids[v], colors))
                 glued.append((v, colors))
         out = EdgeColoring(chain.from_iterable(parts), palette)  # palette range first
+        clash = self.first_cluster_clash(out.assignment, glued, palette)
+        if clash is not None:
+            raise _clash_error("truncation coloring", *clash)
+        return out
+
+    def constituent_colors(self, colors: Sequence[int]) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+        """(v, the colors of v's constituent edges in pair order) for each
+        vertex with a nonempty constituent, in vertex order, sliced from
+        colors, a list of colors by flat edge id."""
+        for v, ids in self._ids.items():
+            if ids:
+                yield v, tuple(colors[ids.start : ids.stop])
+
+    def first_cluster_clash(
+        self,
+        matching_colors: Mapping[int, int] | Sequence[int],
+        glued: Iterable[Tuple[int, Tuple[int, ...]]],
+        palette: int,
+    ) -> Optional[Tuple[int, int, int, int]]:
+        """The first clash of a coloring in cluster order, as (end,
+        earlier, later, color) with the edges by flat id, or None.
+
+        matching_colors gives each source edge's color by its id, as a
+        mapping or a list; glued gives (v, colors) for each vertex with a
+        nonempty constituent, in vertex order, the colors in pair order
+        (constituent_colors reads them from a flat list).  Colors are
+        plain ints in range(palette).  An end meets only its matching
+        edge and its cluster's constituent edges, so the coloring is
+        proper on the flat graph exactly when no cluster clashes.  Each
+        distinct cluster (constituent tuple, pendant colors, pair colors)
+        is checked once by cluster_clash, a pure function of these.
+        """
         # The constituent tuple goes into the key by id, which is stable:
         # self.constituents keeps every tuple alive.
         checked = set()
         for v, colors in glued:
             pairs = self.constituents[v]
-            pendant = tuple(self.pendant_colors(v, out.assignment))
+            pendant = tuple(self.pendant_colors(v, matching_colors))
             key = (id(pairs), pendant, colors)
             if key in checked:
                 continue
@@ -286,8 +327,8 @@ class Truncation:
                 p, e1, e2, c = clash
                 end, r, ids = self.clusters[v][p], len(self.clusters[v]), self._ids[v]
                 earlier = end >> 1 if e1 < r else ids[e1 - r]
-                raise _clash_error("truncation coloring", end, earlier, ids[e2 - r], c)
-        return out
+                return end, earlier, ids[e2 - r], c
+        return None
 
 
 def complete_truncation(g: Multigraph) -> Truncation:

@@ -19,6 +19,7 @@ from truncolor.complete_coloring import color_complete_truncation
 from truncolor.io import (
     coloring_from_obj,
     coloring_to_obj,
+    first_clash,
     flat_graph_to_obj,
     graph_from_obj,
     graph_to_obj,
@@ -563,9 +564,9 @@ class TestVerify:
 
     def test_flat_lists_are_dropped_before_flattening(self, capsys, tmp_path):
         # verify checks a bundle's flat "edges" and "vertices" against its
-        # truncation and drops them before it builds the flat graph, so
-        # its traced peak stays well below the parsed bundle and the flat
-        # graph held together.
+        # truncation, drops them and checks the coloring cluster by
+        # cluster, so its traced peak stays well below the parsed bundle
+        # and the flat graph held together.
         code, bundle, _ = run(capsys, "color-complete", write_graph(tmp_path, complete_graph(33)))
         assert code == 0
         path = write_obj(tmp_path, bundle, "k33.json")
@@ -727,7 +728,7 @@ class TestVerify:
         # color-strong's own output verifies as it stands.
         strong_file = write_obj(tmp_path, strong, "strong.json")
         assert run(capsys, "verify", tr_file, strong_file)[:2] == (0, verdict)
-        # The flattened truncation is what gets checked: recolor one
+        # Every end of the flattened truncation is checked: recolor one
         # constituent edge like a matching edge at its end.
         flat = truncation_from_obj(out).graph
         eid = len(out["source"]["edges"])  # the first constituent edge
@@ -787,6 +788,66 @@ class TestVerify:
             assert [coloring.palette_size for coloring in built] == [palette]
             built.clear()
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "route", ["color-complete", "cyclic-color", "truncate-and-color-strong"]
+    )
+    def test_proper_truncation_coloring_is_accepted_without_flattening(
+        self, capsys, tmp_path, monkeypatch, route
+    ):
+        gfile = write_graph(tmp_path, k5())
+        if route == "truncate-and-color-strong":
+            code, tr, _ = run(capsys, "truncate", gfile, "--kind", "cyclic")
+            files = [write_obj(tmp_path, tr, "tr.json")]
+            code, strong, _ = run(capsys, "color-strong", files[0])
+            files.append(write_obj(tmp_path, strong, "strong.json"))
+        else:
+            strategy = ["--strategy", "even"] if route == "cyclic-color" else []
+            code, bundle, _ = run(capsys, route, gfile, *strategy)
+            files = [write_obj(tmp_path, bundle, "bundle.json")]
+        assert code == 0
+
+        def refuse(tr):
+            raise AssertionError("verify built the flat graph of a proper coloring")
+
+        monkeypatch.setattr(Truncation, "graph", property(refuse))
+        code, verdict, err = run(capsys, "verify", *files)
+        assert code == 0 and verdict["proper"] is True and err == ""
+
+    def test_clash_is_named_as_on_the_flat_graph(self, capsys, tmp_path):
+        # Recoloring constituent edge 9 of K4's complete truncation, on
+        # ends 1 and 6, clashes at both ends.  The cluster check meets
+        # end 6 first (edges 3 and 9), the flat graph's walk end 1
+        # (edges 9 and 10); verify names the flat graph's, as it would
+        # for the flat graph given as a plain graph file.
+        code, bundle, _ = run(capsys, "color-complete", write_graph(tmp_path, k4()))
+        assert code == 0
+        colors = bundle["coloring"]["colors"]
+        assert colors[9] != 2
+        colors[9] = 2
+        tr = truncation_from_obj(bundle["truncation"])
+        assert tr.first_cluster_clash(colors, tr.constituent_colors(colors), 3) == (6, 3, 9, 2)
+        assert first_clash(tr.graph, colors) == (1, 9, 10)
+        stdout = '{"proper": false, "vertex": 1, "clash": [9, 10], "color": 2}\n'
+        stderr = "edges 9 and 10 share color 2 at vertex 1\n"
+        flat = write_obj(tmp_path, graph_to_obj(tr.graph), "flat.json")
+        for files in (
+            [write_obj(tmp_path, bundle, "bad.json")],
+            [flat, write_obj(tmp_path, bundle["coloring"], "c.json")],
+        ):
+            assert main(["verify", *files]) == 1
+            assert capsys.readouterr() == (stdout, stderr)
+
+    def test_cluster_clash_the_flat_graph_lacks_is_an_error(self, capsys, tmp_path, monkeypatch):
+        # Should the two checks disagree, verify fails loudly and never
+        # reports "proper": true.
+        code, bundle, _ = run(capsys, "color-complete", write_graph(tmp_path, k4()))
+        assert code == 0
+        bundle["coloring"]["colors"][9] = 2
+        monkeypatch.setattr(cli, "first_clash", lambda g, colors: None)
+        with pytest.raises(AssertionError, match="clash the flat graph lacks"):
+            main(["verify", write_obj(tmp_path, bundle, "bad.json")])
+        assert capsys.readouterr().out == ""
 
 
 class TestDemo:
@@ -956,6 +1017,12 @@ class TestRefusals:
         code, out, err = run(capsys, command, str(path))
         assert code == 1 and out is None
         assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+        if name == "int-past-the-digit-limit":
+            # The limit, not the library call that would raise it.
+            assert err == (
+                f"error: {path}: an integer literal has more than {_digit_limit()} "
+                "digits, the interpreter's limit\n"
+            )
 
     @pytest.mark.parametrize("name", ["classone-without-3-coloring", "edges-not-a-list"])
     def test_degenerate_inputs(self, capsys, tmp_path, inputs, name):
@@ -992,8 +1059,8 @@ class TestPinnedBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
         assert hashlib.sha256(dot.read_bytes()).hexdigest() == dot_sha
 
-    # verify flattens a truncation to check it, with or without --dot.
-    @pytest.mark.parametrize("name", sorted(n for n in PINNED if not n.startswith("verify")))
+    # verify of a plain graph file has no truncation to flatten.
+    @pytest.mark.parametrize("name", sorted(n for n in PINNED if n != "verify-graph-and-coloring-k5"))
     def test_flattens_only_to_draw(self, capsys, tmp_path, monkeypatch, name):
         argv = self.argv(tmp_path, name)
         flattened = []

@@ -589,6 +589,40 @@ class TestClusterCheck:
                 assert e1 != e2 and colors[e1] == colors[e2] == color
                 assert end in flat.endpoints(e1) and end in flat.endpoints(e2)
 
+    @given(small_truncations(), st.sampled_from(["any", "matching", "several"]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_verify_accepts_exactly_what_first_clash_accepts(self, tr, corruption, data):
+        # The check verify runs on a flat colors list: any coloring in
+        # the palette, or a proper one with some matching edges or some
+        # edges of any kind recolored.
+        flat = tr.graph
+        palette = flat.max_valency() + 1
+        color = st.integers(0, palette - 1)
+        if corruption == "any":
+            colors = data.draw(st.lists(color, min_size=flat.size, max_size=flat.size))
+        else:
+            base = _vizing_coloring(flat)
+            colors = [base[eid] for eid in flat.edge_ids]
+            ids = sorted(tr.matching) if corruption == "matching" else flat.edge_ids
+            for eid in data.draw(st.lists(st.sampled_from(ids), max_size=4)):
+                colors[eid] = data.draw(color)
+        clash = tr.first_cluster_clash(colors, tr.constituent_colors(colors), palette)
+        assert (clash is None) == (first_clash(flat, colors) is None)
+        if clash is not None:
+            end, e1, e2, c = clash
+            assert e1 != e2 and colors[e1] == colors[e2] == c
+            assert end in flat.endpoints(e1) and end in flat.endpoints(e2)
+
+    def test_equal_clusters_differ_by_their_pendant_colors(self):
+        # The triangle's clusters share one constituent, colored 2 in
+        # each; only the pendant colors tell them apart.  Vertex 0's
+        # cluster has none of color 2, vertex 1's has it at end 2.
+        triangle = Multigraph([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
+        tr = Truncation(triangle, {v: [(0, 1)] for v in range(3)})
+        colors = [0, 2, 0, 2, 2, 2]
+        assert first_clash(tr.graph, colors) == (2, 1, 4)
+        assert tr.first_cluster_clash(colors, tr.constituent_colors(colors), 3) == (2, 1, 4, 2)
+
 
 @pytest.fixture
 def no_flat(monkeypatch):
