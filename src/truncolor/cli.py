@@ -22,13 +22,12 @@ truncation's coloring is then accepted cluster by cluster
 (Truncation.first_cluster_clash, the check Truncation.color runs),
 with no flat graph; a clash found there is named by io.first_clash on
 the flat graph, as a plain graph's is, so the report is the same as
-the flat graph's.  With --dot the flat graph is built to draw and
-checked by io.first_clash.  An EdgeColoring is built only to name a
-bad value or to draw.  Exit codes: 0 for success, 1 for
-domain errors (bad input, failed verification, inapplicable route,
-unwritable --dot path) and usage errors, 2 when the exact oracle ran
-out of budget before deciding; a negative --budget or --edge-cap is a
-domain error.
+the flat graph's.  With --dot the flat graph is built only to draw.
+An EdgeColoring is built only to name a bad value or to draw.  Exit
+codes: 0 for success, 1 for domain errors (bad input, failed
+verification, inapplicable route, unwritable --dot path) and usage
+errors, 2 when the exact oracle ran out of budget before deciding; a
+negative --budget or --edge-cap is a domain error.
 
 `main` pauses the cyclic garbage collector from argument parsing to its
 return, JSON and --dot output included, and turns it back on only if
@@ -330,14 +329,12 @@ def cmd_verify(args) -> Result:
         coloring_from_obj(obj, args.files[-1])  # raises, naming the first bad value
     if len(colors) != shape.size:
         raise GraphError("coloring does not cover exactly the graph's edges")
-    if isinstance(shape, Truncation) and args.dot:
-        shape = shape.graph  # verify draws the flat graph, and checks it there
     if isinstance(shape, Truncation):
         # A truncation's coloring is accepted cluster by cluster; the
-        # flat graph is built only to name a clash as a graph file's is.
-        by_cluster = shape.constituent_colors(colors)
+        # flat graph is built only to name a clash as a graph file's is,
+        # or to draw.
         clash = None
-        if shape.first_cluster_clash(colors, by_cluster, obj["palette"]) is not None:
+        if shape.first_cluster_clash(colors, obj["palette"]) is not None:
             clash = first_clash(shape.graph, colors)
             if clash is None:
                 raise AssertionError("the cluster check found a clash the flat graph lacks")
@@ -345,7 +342,10 @@ def cmd_verify(args) -> Result:
         clash = first_clash(shape, colors)
     if clash is None:
         out = {"proper": True, "palette": obj["palette"], "colors_used": len(set(colors))}
-        return EXIT_OK, out, ((shape, coloring_from_obj(obj, args.files[-1])) if args.dot else None)
+        if not args.dot:
+            return EXIT_OK, out, None
+        g = shape.graph if isinstance(shape, Truncation) else shape  # drawn flat, as a graph
+        return EXIT_OK, out, (g, coloring_from_obj(obj, args.files[-1]))
     v, e1, e2 = clash
     c = colors[e1]
     print(f"edges {e1} and {e2} share color {c} at vertex {v}", file=sys.stderr)

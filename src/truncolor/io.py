@@ -100,16 +100,15 @@ def load_json(path: str) -> object:
         raise GraphError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except GraphError:
         raise  # a duplicate key, already named
-    except (RecursionError, UnicodeDecodeError) as exc:  # nested too deep, or not UTF-8
+    # Not UTF-8, nested too deep, a NUL in the path, or an int literal
+    # past the digit limit.  int()'s text for the last advises calling
+    # sys.set_int_max_str_digits(), which no command-line user can do.
+    except (RecursionError, ValueError) as exc:
+        if str(exc).startswith("Exceeds the limit"):
+            limit = sys.get_int_max_str_digits()
+            msg = f"an integer literal has more than {limit} digits, the interpreter's limit"
+            raise GraphError(f"{path}: {msg}") from None
         raise GraphError(f"{path}: {exc}") from None
-    except ValueError:
-        # What is left is int()'s refusal of a literal past the digit
-        # limit, whose advice to call sys.set_int_max_str_digits() no
-        # command-line user can take.
-        limit = sys.get_int_max_str_digits()
-        raise GraphError(
-            f"{path}: an integer literal has more than {limit} digits, the interpreter's limit"
-        ) from None
 
 
 def _require(cond: bool, origin: str, msg: str) -> None:
@@ -290,8 +289,8 @@ def first_clash(
 ) -> Optional[Tuple[int, int, int]]:
     """coloring.first_clash, the one graph clash check, which `verify`
     runs from here on its parsed "colors" list: on a plain graph, and
-    on a truncation's flat graph only to draw it or to name a clash
-    that Truncation.first_cluster_clash found."""
+    on a truncation's flat graph only to name a clash that
+    Truncation.first_cluster_clash found."""
     return _coloring.first_clash(g, coloring)
 
 

@@ -26,7 +26,7 @@ naming a clash the cluster check found, as a graph file's is named.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from operator import itemgetter, lt
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -268,64 +268,58 @@ class Truncation:
         `verify` runs too; a clash raises AssertionError naming the
         first clashing cluster by flat ids and end vertex.
         """
+        # flat lists the colors by flat id, as first_cluster_clash reads
+        # them; a gap in the source's edge ids stays 0 and is never read.
         # EdgeColoring builds its one dict from (id, color) pairs: the
-        # matching's, then each cluster's in vertex order.
+        # matching's, then the constituent edges' in id order.
         ids = self.matching.keys()
-        parts: List[Iterable[Tuple[int, int]]] = [zip(ids, map(matching_colors.__getitem__, ids))]
-        glued: List[Tuple[int, Tuple[int, ...]]] = []
+        flat = [0] * (next(reversed(self.matching), -1) + 1)
+        for eid in ids:
+            flat[eid] = matching_colors[eid]
+        start = len(flat)
         for v, pairs in self.constituents.items():
             if pairs:
-                colors = tuple(map(pair_color(v).__getitem__, pairs))
-                parts.append(zip(self._ids[v], colors))
-                glued.append((v, colors))
-        out = EdgeColoring(chain.from_iterable(parts), palette)  # palette range first
-        clash = self.first_cluster_clash(out.assignment, glued, palette)
+                flat.extend(map(pair_color(v).__getitem__, pairs))
+        glued = zip(range(start, len(flat)), islice(flat, start, None))
+        out = EdgeColoring(chain(zip(ids, map(flat.__getitem__, ids)), glued), palette)
+        clash = self.first_cluster_clash(flat, palette)  # on colors EdgeColoring checked
         if clash is not None:
             raise _clash_error("truncation coloring", *clash)
         return out
 
-    def constituent_colors(self, colors: Sequence[int]) -> Iterator[Tuple[int, Tuple[int, ...]]]:
-        """(v, the colors of v's constituent edges in pair order) for each
-        vertex with a nonempty constituent, in vertex order, sliced from
-        colors, a list of colors by flat edge id."""
-        for v, ids in self._ids.items():
-            if ids:
-                yield v, tuple(colors[ids.start : ids.stop])
-
     def first_cluster_clash(
-        self,
-        matching_colors: Mapping[int, int] | Sequence[int],
-        glued: Iterable[Tuple[int, Tuple[int, ...]]],
-        palette: int,
+        self, colors: Sequence[int], palette: int
     ) -> Optional[Tuple[int, int, int, int]]:
         """The first clash of a coloring in cluster order, as (end,
         earlier, later, color) with the edges by flat id, or None.
 
-        matching_colors gives each source edge's color by its id, as a
-        mapping or a list; glued gives (v, colors) for each vertex with a
-        nonempty constituent, in vertex order, the colors in pair order
-        (constituent_colors reads them from a flat list).  Colors are
-        plain ints in range(palette).  An end meets only its matching
-        edge and its cluster's constituent edges, so the coloring is
-        proper on the flat graph exactly when no cluster clashes.  Each
-        distinct cluster (constituent tuple, pendant colors, pair colors)
-        is checked once by cluster_clash, a pure function of these.
+        colors lists each flat edge's color at its id: a source edge's
+        id is its matching edge's, and a cluster's constituent edges
+        hold the ids self._ids[v] in pair order.  Colors are plain ints
+        in range(palette).  An end meets only its matching edge and its
+        cluster's constituent edges, so the coloring is proper on the
+        flat graph exactly when no cluster clashes.  Each distinct
+        cluster (constituent tuple, pendant colors, pair colors) is
+        checked once by cluster_clash, a pure function of these.
         """
         # The constituent tuple goes into the key by id, which is stable:
         # self.constituents keeps every tuple alive.
         checked = set()
-        for v, colors in glued:
-            pairs = self.constituents[v]
-            pendant = tuple(self.pendant_colors(v, matching_colors))
-            key = (id(pairs), pendant, colors)
+        for v, pairs in self.constituents.items():
+            if not pairs:
+                continue
+            pendant = tuple(self.pendant_colors(v, colors))
+            ids = self._ids[v]
+            glued = tuple(colors[ids.start : ids.stop])
+            key = (id(pairs), pendant, glued)
             if key in checked:
                 continue
             checked.add(key)
-            clash = cluster_clash(pendant, pairs, colors, palette)
+            clash = cluster_clash(pendant, pairs, glued, palette)
             if clash is not None:
                 # From sun graph ids to flat ids and the end vertex.
                 p, e1, e2, c = clash
-                end, r, ids = self.clusters[v][p], len(self.clusters[v]), self._ids[v]
+                end, r = self.clusters[v][p], len(self.clusters[v])
                 earlier = end >> 1 if e1 < r else ids[e1 - r]
                 return end, earlier, ids[e2 - r], c
         return None

@@ -826,7 +826,7 @@ class TestVerify:
         assert colors[9] != 2
         colors[9] = 2
         tr = truncation_from_obj(bundle["truncation"])
-        assert tr.first_cluster_clash(colors, tr.constituent_colors(colors), 3) == (6, 3, 9, 2)
+        assert tr.first_cluster_clash(colors, 3) == (6, 3, 9, 2)
         assert first_clash(tr.graph, colors) == (1, 9, 10)
         stdout = '{"proper": false, "vertex": 1, "clash": [9, 10], "color": 2}\n'
         stderr = "edges 9 and 10 share color 2 at vertex 1\n"
@@ -848,6 +848,18 @@ class TestVerify:
         with pytest.raises(AssertionError, match="clash the flat graph lacks"):
             main(["verify", write_obj(tmp_path, bundle, "bad.json")])
         assert capsys.readouterr().out == ""
+
+    def test_dot_only_draws(self, capsys, tmp_path, monkeypatch, inputs):
+        # --dot builds the flat graph to draw it; the cluster check still
+        # decides, with no graph-level clash walk.
+        def refuse(g, colors):
+            raise AssertionError("verify walked the flat graph of a proper coloring")
+
+        monkeypatch.setattr(cli, "first_clash", refuse)
+        dot = tmp_path / "v.dot"
+        code, verdict, err = run(capsys, "verify", inputs["bundle"], "--dot", str(dot))
+        assert code == 0 and verdict["proper"] is True and err == ""
+        assert dot.read_text().startswith("graph G {")
 
 
 class TestDemo:

@@ -85,6 +85,13 @@ class TestGraphRoundTrip:
         with pytest.raises(GraphError, match="nowhere"):
             load_json(str(tmp_path / "nowhere.json"))
 
+    def test_nul_in_path_is_named_as_such(self, tmp_path):
+        # open() refuses the path with a ValueError of its own, which is
+        # no int literal past the digit limit.
+        path = f"{tmp_path}/a\0b.json"
+        with pytest.raises(GraphError, match=f"^{re.escape(path)}: embedded null byte$"):
+            load_json(path)
+
     @pytest.mark.parametrize(
         "obj",
         [

@@ -564,6 +564,18 @@ class TestClusterCheck:
     @given(small_truncations())
     @settings(max_examples=80, deadline=None)
     def test_accepts_exactly_what_first_clash_accepts(self, tr):
+        self.check_every_recoloring(tr)
+
+    @pytest.mark.parametrize("kind", ["complete", "arboreal"])
+    def test_source_ids_with_gaps(self, kind):
+        # Matching ids 0 and 2..8, constituent ids from 9 on: Truncation.color
+        # lists the colors by flat id with a gap at 1.
+        x = k5().without_edges([1, 9])
+        tr = complete_truncation(x) if kind == "complete" else arboreal_truncation(x)
+        self.check_every_recoloring(tr)
+
+    @staticmethod
+    def check_every_recoloring(tr):
         # Recolor each edge of a proper Vizing coloring in every palette
         # color: the cluster checks behind Truncation.color must accept
         # exactly the recolorings with no clash on the flat graph, and
@@ -606,7 +618,7 @@ class TestClusterCheck:
             ids = sorted(tr.matching) if corruption == "matching" else flat.edge_ids
             for eid in data.draw(st.lists(st.sampled_from(ids), max_size=4)):
                 colors[eid] = data.draw(color)
-        clash = tr.first_cluster_clash(colors, tr.constituent_colors(colors), palette)
+        clash = tr.first_cluster_clash(colors, palette)
         assert (clash is None) == (first_clash(flat, colors) is None)
         if clash is not None:
             end, e1, e2, c = clash
@@ -621,7 +633,7 @@ class TestClusterCheck:
         tr = Truncation(triangle, {v: [(0, 1)] for v in range(3)})
         colors = [0, 2, 0, 2, 2, 2]
         assert first_clash(tr.graph, colors) == (2, 1, 4)
-        assert tr.first_cluster_clash(colors, tr.constituent_colors(colors), 3) == (2, 1, 4, 2)
+        assert tr.first_cluster_clash(colors, 3) == (2, 1, 4, 2)
 
 
 @pytest.fixture
