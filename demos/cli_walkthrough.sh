@@ -144,6 +144,34 @@ if ! grep -q '"proper": true' k25_verify.json; then
 fi
 cat k25_verify.json
 
+echo "== pinned route colorings"
+# has_colors FILE LIST: FILE's coloring carries exactly the colors LIST.
+has_colors() {
+    if ! grep -qF "\"colors\": $2}" "$1"; then
+        echo "FAIL: the colors in $1 are not the pinned $2" >&2
+        exit 1
+    fi
+}
+# D = 7 with an order-5 cluster padded to 6 positions, so the D-1
+# lemma's conflict walks run: 39 edges in 7 colors.
+cat > d7.json <<'JSON'
+{"vertices": [0, 1, 2], "edges": [[0, 1], [0, 1], [0, 1], [0, 1], [0, 1], [1, 2], [1, 2]]}
+JSON
+truncolor color-complete d7.json > d7_bundle.json
+truncolor verify d7_bundle.json > d7_verify.json
+if ! grep -q '"proper": true, "palette": 7, "colors_used": 7' d7_verify.json; then
+    echo "FAIL: the D = 7 coloring does not verify in 7 colors" >&2
+    cat d7_verify.json >&2
+    exit 1
+fi
+has_colors d7_bundle.json "[0, 1, 2, 3, 4, 5, 6, 3, 5, 6, 1, 0, 5, 2, 4, 6, 0, 4, 1, 5, 2, 6, 3, \
+5, 2, 6, 3, 0, 6, 3, 0, 4, 0, 4, 1, 1, 5, 2, 0]"
+# K5 is 4-regular: the matching takes 0, each 4-cycle alternates 1, 2.
+truncolor cyclic-color k5.json --strategy even > k5_even.json
+truncolor verify k5_even.json
+has_colors k5_even.json "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 1, 1, 2, 2, 1, 1, 2, 2, 1, 1, 2, \
+2, 1, 1, 2, 2, 1]"
+
 echo "== sun verdicts"
 truncolor sun --vector 3,3,1 --dot sun.dot
 truncolor sun --vector 2,1,1

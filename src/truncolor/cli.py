@@ -14,9 +14,10 @@ complete truncation by reference, as the source plus "kind":
 holding the coloring itself or nesting it under "coloring", as a
 `color-strong` result does; a bundle's flat "vertices" and "edges",
 like those a `truncate` file carries, must match its truncation's
-flattened graph, as plain ints, as every loader reads a pair.  They
-are compared with the truncation's lazy flat-edge reader and its ends
-0..2m-1, and dropped.  The parsed "colors" list, the coloring by
+flattened graph, as plain ints, as every loader reads a pair.  The
+edges are flattened once and compared with the truncation's lazy
+reader of its flat ends (Truncation.flat_ends), the vertices with
+0..2m-1, and both dropped.  The parsed "colors" list, the coloring by
 flat edge id, is checked in place (coloring._colors_fit).  A
 truncation's coloring is then accepted cluster by cluster
 (Truncation.first_cluster_clash, the check Truncation.color runs),
@@ -288,9 +289,10 @@ def _check_flat_edges(edges: object, tr: Truncation, origin: str) -> None:
     if not isinstance(edges, list):
         raise GraphError(f'{origin}: "edges" must be a list')
     size = tr.size
-    flat = map(list, tr.flat_edges())
-    if len(edges) == size and all(map(eq, edges, flat)) and _only(chain.from_iterable(edges), int):
-        return
+    if len(edges) == size and _only(edges, list) and set(map(len, edges)) <= {2}:
+        ends = list(chain.from_iterable(edges))  # one compare, one plain-int pass
+        if all(map(eq, ends, tr.flat_ends())) and _only(ends, int):
+            return
     for i, (have, want) in enumerate(zip(edges, map(list, tr.flat_edges()))):
         if have != want or not _only(have, int):
             raise GraphError(

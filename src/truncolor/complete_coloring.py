@@ -7,17 +7,19 @@ source (all colors distinct at D-valent vertices).  One exists exactly
 when the core, the subgraph on the D-valent vertices, is D-colorable: an
 edge outside the core has at most one D-valent end, and the colors free
 there finish the coloring.  So only the core is searched.  Constituents
-are then colored according to their order.  Order D takes the
-missing-color alignment in closed form.  Every smaller order s takes one
-rule: relabel the colors present, pad with dummy pendants to order P-1
-for the least odd palette P >= s+1, color that by the D-1 lemma
-(canonical classes plus one alternating walk along each conflict path),
-keep the real positions, and map P back to the colors present, then
-the absent ones.  At s = D-1 this is the D-1 lemma itself, with no
-padding.  So each constituent costs time linear in its size.  Without
-an edge-feasible coloring the complete truncation provably needs D+1
-colors, and a `Refusal` carrying the exhausted search's node count is
-returned instead.  Checks run per cluster (cluster_clash).
+are then colored according to their order, each as a list in
+constituent order.  Order D takes the missing-color alignment in closed
+form.  Every smaller order s takes one rule: relabel the colors present,
+pad with dummy pendants to order P-1 for the least odd palette P >= s+1,
+color that by the D-1 lemma (each pair's canonical class in closed form
+from its scheme labels, the conflict edges read off in O(P) at the
+labels, one alternating walk along each conflict path), keep the real
+positions, and map P back to the colors present, then the absent ones.
+At s = D-1 this is the D-1 lemma itself, with no padding.  So each
+constituent costs time linear in its size.  Without an edge-feasible
+coloring the complete truncation provably needs D+1 colors, and a
+`Refusal` with the exhausted search's node count is returned instead.
+Checks run per cluster (cluster_clash).
 
 `subtruncation_coloring` reads the same per-cluster rule on the clusters
 of any truncation that keeps D, so it applies to every even-D source and
@@ -28,10 +30,10 @@ construction, it builds no flat graph (nor the complete truncation).
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, cycle, islice
+from itertools import accumulate, chain, combinations, cycle, islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .canonical import class_of_pair, scheme_class
+from .canonical import class_of_pair
 from .coloring import EdgeColoring, _clash_error, cluster_clash, solve_edge_coloring
 from .errors import GraphError, Refusal
 from .multigraph import Multigraph
@@ -111,21 +113,20 @@ def find_edge_feasible(
 
 # ---- the order D-1 constituent ---- #
 
-def color_delta_minus_one(
-    pendant_colors: Sequence[int], palette: int
-) -> Dict[Tuple[int, int], int]:
+def color_delta_minus_one(pendant_colors: Sequence[int], palette: int) -> List[int]:
     """Color the complete constituent on a cluster of size palette-1.
 
-    pendant_colors lists the pendant color at each cluster position.
-    Returns a color for every position pair.  Strategy: sort the colors
-    into a multiplicity sequence s_1 <= ... <= s_t (ties by color
-    index); put one end of the most frequent color at the scheme hub,
-    lay the rest in ascending blocks around the cycle, give the class
-    anchored inside block i (i <= t-2) that block's color, and hand the
-    other classes the colors absent from the cluster (for t = 1 one is
-    left over).  The conflict edges (color equal to a pendant at an
-    endpoint) form paths; one walk along each recolors it alternately
-    with the reserved colors c(t-1), c(t), from c(t) at a c(t-1) end.
+    pendant_colors lists the pendant color at each position; returns the
+    position pairs' colors in combinations order.  Sort the colors into
+    multiplicities s_1 <= ... <= s_t (ties by color); one end of the
+    most frequent goes to the scheme hub, the rest in ascending blocks
+    around the cycle.  The class anchored inside block i (i <= t-2)
+    takes that block's color, the other classes the absent colors (for
+    t = 1 one is left over); a pair's class is class_of_pair's closed
+    form on its labels.  The conflict edges (color equal to a pendant at
+    an endpoint), found in O(m), form paths; one walk along each
+    recolors it alternately with the reserved colors c(t-1), c(t), from
+    c(t) at a c(t-1) end.
     """
     m = len(pendant_colors)
     if m != palette - 1:
@@ -167,22 +168,28 @@ def color_delta_minus_one(
     if len(rest) != len(free_classes) + (t == 1):
         raise AssertionError("class/color accounting is off")
     class_color.update(zip(free_classes, rest))
-    edge_color = {pair: class_color[idx] for idx in range(m - 1) for pair in scheme_class(m, idx)}
 
-    # Literal conflict scan: an edge clashing with a pendant at either
-    # endpoint.  The construction guarantees these form disjoint paths
-    # with at most one c(t-1)-pendant terminal each; assert all of it.
-    conflicts = [e for e, c in edge_color.items() if c == pend[e[0]] or c == pend[e[1]]]
-    if conflicts and t <= 2:
-        raise AssertionError("conflicts cannot arise when t <= 2")
+    # Class t is the hub edge (0, 1+t) and the chords with label sum 2+2t
+    # modulo mod = m-1.  A conflict edge is, at a label, its edge in the
+    # class of its pendant color.  The construction guarantees disjoint
+    # paths with at most one c(t-1)-pendant terminal each; assert it all.
+    mod = m - 1
+    class_of = {c: idx for idx, c in class_color.items()}
     adj: Dict[int, List[Tuple[int, int]]] = {}
-    for e in conflicts:
-        adj.setdefault(e[0], []).append(e)
-        adj.setdefault(e[1], []).append(e)
+    for p, idx in enumerate(map(class_of.get, pend)):
+        if idx is not None:
+            q = 1 + idx if p == 0 else 0 if p == 1 + idx else (1 + 2 * idx - p) % mod + 1
+            e = (p, q) if p < q else (q, p)
+            if e not in adj.get(p, ()):  # not already found at q
+                adj.setdefault(p, []).append(e)
+                adj.setdefault(q, []).append(e)
+    if adj and t <= 2:
+        raise AssertionError("conflicts cannot arise when t <= 2")
     if any(len(es) > 2 for es in adj.values()):
         raise AssertionError("conflict subgraph has a vertex of degree > 2")
     # Walk each path from its lower terminal, leaving each inner label by its
     # other edge and dropping the labels passed; any left lie on cycles.
+    repaired: Dict[Tuple[int, int], int] = {}
     for end in sorted(lbl for lbl, es in adj.items() if len(es) == 1):
         if end not in adj:
             continue
@@ -201,47 +208,52 @@ def color_delta_minus_one(
         if terminals[1] == c_prev:
             path.reverse()
         colors = (c_last, c_prev) if c_prev in terminals else (c_prev, c_last)
-        edge_color.update(zip(path, cycle(colors)))
+        repaired.update(zip(path, cycle(colors)))
     if adj:
         raise AssertionError("conflict component is not a path")
 
-    # Final local check before translating back to positions.
-    clash = cluster_clash(pend, list(edge_color), list(edge_color.values()), palette)
+    # By position pair: a hub edge (0, b) is in class b-1, a chord
+    # (a, b) in class (a + b - 2) / 2 modulo mod; repaired edges over them.
+    half = m // 2  # 1/2 modulo the odd mod
+    lab = sorted(range(m), key=label_to_pos.__getitem__)  # label by position
+    out = [
+        class_color[lb - 1 if la == 0 else la - 1 if lb == 0 else (la + lb - 2) * half % mod]
+        for la, lb in combinations(lab, 2)
+    ]
+    for (p, q), c in repaired.items():
+        i, j = sorted((label_to_pos[p], label_to_pos[q]))
+        out[i * (2 * m - i - 1) // 2 + j - i - 1] = c  # (i, j) in combinations order
+    clash = cluster_clash(pendant_colors, tuple(combinations(range(m), 2)), out, palette)
     if clash is not None:
         raise _clash_error("constituent coloring after repair", *clash)
-
-    out: Dict[Tuple[int, int], int] = {}
-    for (p, q), c in edge_color.items():
-        i, j = label_to_pos[p], label_to_pos[q]
-        out[(i, j) if i < j else (j, i)] = c
     return out
 
 
 def _small_cluster_colors(
-    pend: Sequence[int],
-    palette: int,
-    memo: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]],
-) -> Dict[Tuple[int, int], int]:
+    pend: Sequence[int], palette: int, memo: Dict[Tuple[int, ...], List[int]]
+) -> List[int]:
     """Color the complete constituent on a cluster of order s <= palette-1
-    in time linear in its size.  Relabel the q pendant colors present,
-    ascending, to 0..q-1, pad with dummy color 0 to order P-1 for the
-    least odd P >= s+1, color that as order P-1 in palette P, and map P
-    back to the colors present, then the absent ones ascending.
-    Restricting to the real positions stays proper.  At s = palette-1
-    (odd palette) P is the palette and nothing is padded; the relabeling
-    keeps the colors' order, so this is color_delta_minus_one(pend,
-    palette).  memo shares the padded coloring between clusters that
-    differ only in color names."""
+    in time linear in its size, in combinations order.  Relabel the q
+    pendant colors present, ascending, to 0..q-1, pad with dummy color 0
+    to order P-1 for the least odd P >= s+1, color that as order P-1 in
+    palette P, keep the real positions (still proper), and map P back to
+    the colors present, then the absent ones ascending.  At s = palette-1
+    (odd palette) nothing is padded and this is color_delta_minus_one.
+    memo shares the padded coloring between clusters."""
     present = sorted(set(pend))
     label = {c: k for k, c in enumerate(present)}
-    small = len(pend) + 1 | 1
-    padded = tuple(label[c] for c in pend) + (0,) * (small - 1 - len(pend))
-    absent = (c for c in range(palette) if c not in label)
-    back = present + list(islice(absent, small - len(present)))
+    s = len(pend)
+    small = s + 1 | 1
+    padded = tuple(label[c] for c in pend) + (0,) * (small - 1 - s)
     if padded not in memo:
         memo[padded] = color_delta_minus_one(padded, small)
     full = memo[padded]
-    return {pair: back[full[pair]] for pair in combinations(range(len(pend)), 2)}
+    # Row i of the padded pairs opens with the real (i, i+1)..(i, s-1).
+    starts = accumulate(range(small - 2, 0, -1), initial=0)
+    rows = (full[k : k + s - 1 - i] for i, k in enumerate(starts))
+    absent = (c for c in range(palette) if c not in label)
+    back = present + list(islice(absent, small - len(present)))
+    return list(map(back.__getitem__, chain.from_iterable(rows)))
 
 
 # ---- the full construction ---- #
@@ -251,24 +263,23 @@ def _complete_colors(
 ) -> Union[Tuple[Dict[int, int], Callable], Refusal]:
     """The complete truncation's coloring rule, read on tr's clusters:
     (matching colors, pair_color) for Truncation.color with the source's
-    maximum valency as palette, or a Refusal.  pair_color(v)
-    colors v's constituent, whatever subgraph of the complete one it is."""
+    maximum valency as palette, or a Refusal.  pair_color(v) lists the
+    colors of v's constituent, whatever subgraph of the complete one it
+    is, in constituent order."""
     delta = tr.source.max_valency()
     if delta % 2 == 0:
         # Even D: the matching takes color 0 and each cluster gets the
-        # canonical classes shifted into 1..D-1.  Clusters of one size
-        # share one table.
-        tables: Dict[int, Dict[Tuple[int, int], int]] = {}
+        # canonical classes shifted into 1..D-1.  Clusters that share a
+        # constituent tuple (so a size) share one list.
+        tables: Dict[int, List[int]] = {}
 
-        def pair_color(v: int) -> Dict[Tuple[int, int], int]:
-            size = len(tr.clusters[v])
-            if size not in tables:
-                shift = size % 2
-                tables[size] = {
-                    (i, j): 1 + class_of_pair(size, (i + shift, j + shift))
-                    for i, j in combinations(range(size), 2)
-                }
-            return tables[size]
+        def pair_color(v: int) -> List[int]:
+            pairs = tr.constituents[v]
+            if id(pairs) not in tables:
+                size = len(tr.clusters[v])
+                s = size % 2  # odd sizes take the names 1..size
+                tables[id(pairs)] = [1 + class_of_pair(size, (i + s, j + s)) for i, j in pairs]
+            return tables[id(pairs)]
 
         return dict.fromkeys(tr.matching, 0), pair_color
 
@@ -282,19 +293,23 @@ def _complete_colors(
 
     # Clusters of order below D share colorings by the padded vector they
     # pass to color_delta_minus_one, whose length fixes the palette P.
-    colorings: Dict[Tuple[int, ...], Dict[Tuple[int, int], int]] = {}
+    colorings: Dict[Tuple[int, ...], List[int]] = {}
     half = (delta + 1) // 2
 
-    def pair_color(v: int) -> Dict[Tuple[int, int], int]:
+    def pair_color(v: int) -> List[int]:
         pend = tr.pendant_colors(v, feas)
+        pairs = tr.constituents[v]
         size = len(pend)
         if size == delta:
             # All pendant colors distinct: align each end with the
             # scheme vertex missing exactly its pendant color.  This is
             # class_of_pair(D, (a+1, b+1)) inlined: for odd D the chord
             # {a+1, b+1} has residue sum 2 + 2t, so t = (a + b) / 2 mod D.
-            return {(i, j): (pend[i] + pend[j]) * half % delta for i, j in tr.constituents[v]}
-        return _small_cluster_colors(pend, delta, colorings)
+            return [(pend[i] + pend[j]) * half % delta for i, j in pairs]
+        full = _small_cluster_colors(pend, delta, colorings)
+        if len(full) == len(pairs):  # the complete constituent itself
+            return full
+        return list(map(dict(zip(combinations(range(size), 2), full)).__getitem__, pairs))
 
     return feas, pair_color
 

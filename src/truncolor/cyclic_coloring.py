@@ -120,13 +120,12 @@ def cyclic_even_valency(
             )
     tr = cyclic_truncation(x, cycle_orders)
 
-    def pair_color(v: int) -> Dict[Tuple[int, int], int]:
+    def pair_color(v: int) -> List[int]:
+        # Colors 1, 2 alternate along the cycle; sorted edges are in constituent order.
         size = x.valency(v)
         order = list(cycle_orders[v]) if cycle_orders and v in cycle_orders else list(range(size))
-        return {
-            ((a, b) if a < b else (b, a)): 1 + i % 2
-            for i, (a, b) in enumerate(zip(order, order[1:] + order[:1]))
-        }
+        edges = [(a, b) if a < b else (b, a) for a, b in zip(order, order[1:] + order[:1])]
+        return [c for _, c in sorted((e, 1 + i % 2) for i, e in enumerate(edges))]
 
     return tr, tr.color(dict.fromkeys(tr.matching, 0), pair_color, 3)
 

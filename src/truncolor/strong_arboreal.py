@@ -16,7 +16,7 @@ search nodes spent.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from .coloring import EdgeColoring, _forest_coloring, solve_edge_coloring
 from .errors import Refusal
@@ -42,7 +42,7 @@ def color_by_strong(
     spent = 0
     # Clusters that share a constituent tuple share its coloring, made at
     # the first of them in vertex order, which also names a failure.
-    shared: Dict[int, Dict[Tuple[int, int], int]] = {}
+    shared: Dict[int, List[int]] = {}
     for key, v in tr.representatives().items():
         pairs = tr.constituents[v]
         if not pairs:
@@ -66,7 +66,7 @@ def color_by_strong(
                     f"yet refused {delta - 1} colors"
                 )
             pair_color = {pair: solved[i] for i, pair in enumerate(pairs)}
-        shared[key] = {pair: c + 1 for pair, c in pair_color.items()}
+        shared[key] = [pair_color[pair] + 1 for pair in pairs]
     return tr.color(
         dict.fromkeys(tr.matching, 0), lambda v: shared[id(tr.constituents[v])], max(delta, 1)
     )

@@ -572,20 +572,20 @@ def _glue_suns(
             except GraphError as exc:
                 raise GraphError(f"vertex {v} with color vector {vec}: {exc}") from exc
     color_of = coloring.assignment
-    colors: Dict[int, Dict[Tuple[int, int], int]] = {}
+    glued: Dict[int, List[Tuple[Tuple[int, int], int]]] = {}
     for v in x.vertices:
         # Incident ids ascend, like the cluster positions of v.
         ids = x.incident(v)
         order = sorted(range(len(ids)), key=lambda p: (color_of[ids[p]], ids[p]))
         sun = suns[vectors[v]]
-        colors[v] = {
-            tuple(sorted((order[a], order[b]))): c
+        # The sun's edges on v's positions with their colors, in constituent order.
+        glued[v] = sorted(
+            (tuple(sorted((order[a], order[b]))), c)
             for (a, b), c in zip(sun.constituent_edges, sun.constituent_colors)
-        }
-    # Each cluster's color map is keyed by its constituent edges.
-    tr = Truncation(x, colors)
+        )
+    tr = Truncation(x, {v: [pair for pair, _ in edges] for v, edges in glued.items()})
     palette = max([coloring.palette_size] + [sun.palette_size for sun in suns.values()])
-    return tr, tr.color(color_of, colors.__getitem__, palette)
+    return tr, tr.color(color_of, lambda v: [c for _, c in glued[v]], palette)
 
 
 def semiregular_truncation(

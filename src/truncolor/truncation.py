@@ -12,15 +12,15 @@ edges are given as pairs of these 0-based cluster positions.  Only this
 module maps positions to ends and edge ids.  Equal constituents on
 clusters of one size share one checked tuple, so every pass that
 depends only on the constituent (max_valency, the forest test, the
-writers' lists, color_by_strong's per-constituent coloring) runs once
-per distinct constituent.  Colorings are glued and
-checked cluster by cluster (Truncation.first_cluster_clash, which runs
-coloring.cluster_clash on each distinct cluster once); `verify` accepts
-a truncation's coloring by the same check.  Writers and `verify` read
-the flat edges lazily straight from the clusters
-(Truncation.flat_edges); the flat graph itself, built on first access
-to Truncation.graph, serves only drawings, graph-level checks and
-naming a clash the cluster check found, as a graph file's is named.
+writers' ends, color_by_strong's per-constituent coloring) runs once
+per distinct constituent.  Colorings are glued from one color list per
+cluster, in constituent order, and checked cluster by cluster
+(Truncation.first_cluster_clash runs coloring.cluster_clash once per
+distinct cluster), as `verify` checks them.  Writers and `verify` read
+the flat ends lazily from the clusters, one itemgetter per distinct
+constituent (Truncation.flat_ends); the flat graph itself, built on
+first access to Truncation.graph, serves only drawings, graph-level
+checks and naming a clash the cluster check found, as a graph file's is.
 """
 
 from __future__ import annotations
@@ -203,15 +203,20 @@ class Truncation:
             self._flat = Multigraph._trusted(tuple(inc), edges, incidence)
         return self._flat
 
-    def flat_edges(self) -> Iterator[Tuple[int, int]]:
-        """The flat graph's edges as (u, v) pairs in id order, read
-        lazily straight from the clusters without building the graph:
-        the matching edges, then each cluster's constituent edges in
-        vertex order, as iter(self.graph.edges.values()) gives them.
-        The walk holds no list of the edges."""
+    def flat_ends(self) -> Iterator[int]:
+        """The flat graph's edge ends, u then v, in id order, read lazily
+        from the clusters (the matching, then constituent edges in vertex
+        order) by one itemgetter per distinct constituent tuple."""
         cons = self.constituents
-        pairs = ((ends[i], ends[j]) for v, ends in self.clusters.items() for i, j in cons[v])
-        return chain(self.matching.values(), pairs)
+        firsts = self.representatives().items()
+        get = {key: itemgetter(*chain.from_iterable(cons[v])) for key, v in firsts if cons[v]}
+        inner = (get[id(cons[v])](ends) for v, ends in self.clusters.items() if cons[v])
+        return chain(chain.from_iterable(self.matching.values()), chain.from_iterable(inner))
+
+    def flat_edges(self) -> Iterator[Tuple[int, int]]:
+        """flat_ends in pairs, as iter(self.graph.edges.values()) gives them."""
+        ends = self.flat_ends()
+        return zip(ends, ends)
 
     @property
     def size(self) -> int:
@@ -255,18 +260,19 @@ class Truncation:
     def color(
         self,
         matching_colors: Mapping[int, int],
-        pair_color: Callable[[int], Mapping[PositionPair, int]],
+        pair_color: Callable[[int], Sequence[int]],
         palette: int,
     ) -> EdgeColoring:
         """Glue per-cluster colorings onto colored matching edges.
 
         matching_colors maps each source edge id to the color of its
-        matching edge.  pair_color(v) maps each constituent edge of v,
-        as a position pair (i, j) with i < j, to its color; it is called
-        once per cluster with a nonempty constituent, one cluster at a
-        time.  The result is checked by first_cluster_clash, the check
-        `verify` runs too; a clash raises AssertionError naming the
-        first clashing cluster by flat ids and end vertex.
+        matching edge.  pair_color(v) lists the colors of v's constituent
+        edges in the order of self.constituents[v]; it is called once per
+        cluster with a nonempty constituent, one cluster at a time, and a
+        list of another length raises GraphError naming v.  The result is
+        checked by first_cluster_clash, the check `verify` runs too; a
+        clash raises AssertionError naming the first clashing cluster by
+        flat ids and end vertex.
         """
         # flat lists the colors by flat id, as first_cluster_clash reads
         # them; a gap in the source's edge ids stays 0 and is never read.
@@ -279,7 +285,10 @@ class Truncation:
         start = len(flat)
         for v, pairs in self.constituents.items():
             if pairs:
-                flat.extend(map(pair_color(v).__getitem__, pairs))
+                colors = pair_color(v)
+                if len(colors) != len(pairs):
+                    raise GraphError(f"cluster {v} has {len(pairs)} edges, {len(colors)} colors")
+                flat.extend(colors)
         glued = zip(range(start, len(flat)), islice(flat, start, None))
         out = EdgeColoring(chain(zip(ids, map(flat.__getitem__, ids)), glued), palette)
         clash = self.first_cluster_clash(flat, palette)  # on colors EdgeColoring checked
@@ -295,12 +304,14 @@ class Truncation:
 
         colors lists each flat edge's color at its id: a source edge's
         id is its matching edge's, and a cluster's constituent edges
-        hold the ids self._ids[v] in pair order.  Colors are plain ints
-        in range(palette).  An end meets only its matching edge and its
-        cluster's constituent edges, so the coloring is proper on the
-        flat graph exactly when no cluster clashes.  Each distinct
-        cluster (constituent tuple, pendant colors, pair colors) is
-        checked once by cluster_clash, a pure function of these.
+        hold the ids self._ids[v] in constituent order, so its colors
+        are one slice, the list Truncation.color glued for it.  Colors
+        are plain ints in range(palette).  An end meets only its
+        matching edge and its cluster's constituent edges, so the
+        coloring is proper on the flat graph exactly when no cluster
+        clashes.  Each distinct cluster (constituent tuple, pendant
+        colors, pair colors) is checked once by cluster_clash, a pure
+        function of these.
         """
         # The constituent tuple goes into the key by id, which is stable:
         # self.constituents keeps every tuple alive.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import truncolor.canonical as canonical
 import truncolor.complete_coloring as complete_coloring
 
 from truncolor.canonical import class_of_pair
@@ -266,6 +267,13 @@ def delta_minus_one_sample():
             yield tuple(rng.choice(colors) for _ in range(palette - 1)), palette
 
 
+def by_pair(n, colors):
+    """A constituent's colors in combinations(range(n), 2) order, keyed
+    by their position pairs."""
+    assert len(colors) == n * (n - 1) // 2
+    return dict(zip(combinations(range(n), 2), colors))
+
+
 def reserved_colors(pend):
     """c(t-1) and c(t): the two most frequent pendant colors, ties by
     color.  No class takes them, so only the repair can use them."""
@@ -277,14 +285,14 @@ class TestDeltaMinusOneConstituent:
         digest = hashlib.sha256()
         repaired = 0
         for pend, palette in delta_minus_one_sample():
-            out = color_delta_minus_one(pend, palette)
+            out = by_pair(palette - 1, color_delta_minus_one(pend, palette))
             digest.update(repr(sorted(out.items())).encode())
             repaired += palette >= 7 and not set(reserved_colors(pend)).isdisjoint(out.values())
         assert repaired == 265
         assert digest.hexdigest() == DELTA_MINUS_ONE_SHA256
 
     def _check(self, pend, palette):
-        out = color_delta_minus_one(pend, palette)
+        out = by_pair(palette - 1, color_delta_minus_one(pend, palette))
         m = len(pend)
         seen = {p: {pend[p]} for p in range(m)}
         for (p, q), c in out.items():
@@ -294,6 +302,17 @@ class TestDeltaMinusOneConstituent:
             seen[p].add(c)
             seen[q].add(c)
         assert len(out) == m * (m - 1) // 2
+
+    def test_reads_classes_without_building_the_scheme(self, monkeypatch):
+        # Each pair's class comes from its labels by class_of_pair's
+        # closed form; no scheme class is built.
+        def refuse(*args):
+            raise AssertionError("the order D-1 lemma built a scheme class")
+
+        monkeypatch.setattr(canonical, "scheme_class", refuse)
+        monkeypatch.setattr(complete_coloring, "scheme_class", refuse, raising=False)
+        for pend, palette in delta_minus_one_sample():
+            self._check(pend, palette)
 
     def test_exhaustive_small_palettes(self):
         for palette in (3, 5):
@@ -384,7 +403,8 @@ def small_palette_rule(pend, d):
     palette = s + 1 if s % 2 == 0 else s + 2
     present = sorted(set(pend))
     order = present + [c for c in range(d) if c not in present]
-    full = color_delta_minus_one([present.index(c) for c in pend] + [0] * (palette - 1 - s), palette)
+    padded = [present.index(c) for c in pend] + [0] * (palette - 1 - s)
+    full = by_pair(palette - 1, color_delta_minus_one(padded, palette))
     return {(i, j): order[full[i, j]] for i, j in combinations(range(s), 2)}
 
 
@@ -406,17 +426,27 @@ class TestSmallClusters:
     def test_colorings_are_pinned(self):
         digest = hashlib.sha256()
         for pend, d in small_cluster_sample():
-            out = complete_coloring._small_cluster_colors(pend, d, {})
+            out = by_pair(len(pend), complete_coloring._small_cluster_colors(pend, d, {}))
             assert out == small_palette_rule(pend, d)
             digest.update(repr(sorted(out.items())).encode())
         assert digest.hexdigest() == SMALL_CLUSTER_SHA256
+
+    def test_one_memo_entry_serves_both_orders_of_a_padded_vector(self):
+        # An order-4 cluster and a padded order-3 one pass the same
+        # vector (0, 1, 0, 0) to the lemma: one entry, and each cluster
+        # reads its own pairs from it.
+        memo = {}
+        for pend in ((0, 1, 0, 0), (0, 1, 0), (0, 1, 0, 0), (0, 1, 0)):
+            out = by_pair(len(pend), complete_coloring._small_cluster_colors(pend, 7, memo))
+            assert out == small_palette_rule(pend, 7)
+        assert list(memo) == [(0, 1, 0, 0)]
 
     @given(st.integers(2, 50).map(lambda k: 2 * k + 1), st.data())
     @settings(max_examples=200, deadline=None)
     def test_every_pair_colored_below_d_without_clash(self, d, data):
         s = data.draw(st.integers(2, d - 2))
         pend = data.draw(st.lists(st.integers(0, d - 1), min_size=s, max_size=s))
-        out = complete_coloring._small_cluster_colors(pend, d, {})
+        out = by_pair(s, complete_coloring._small_cluster_colors(pend, d, {}))
         assert sorted(out) == list(combinations(range(s), 2))
         assert all(0 <= c < d for c in out.values())
         assert cluster_clash(pend, list(out), list(out.values())) is None

@@ -222,6 +222,7 @@ class TestTrustedFlattening:
         # Custom, omitted and empty constituents; one pair list shared
         # across clusters or each cluster its own.
         assert list(tr.flat_edges()) == list(tr.graph.edges.values())
+        assert list(tr.flat_ends()) == list(chain.from_iterable(tr.graph.edges.values()))
 
     def test_flat_edges_of_route_truncations(self, rng):
         # Complete truncations share one tuple per cluster size, cyclic
@@ -451,7 +452,7 @@ class TestColor:
 
         def pair_color(v):
             calls.append(v)
-            return dict(zip(tr.constituents[v], (1, 2, 3)))
+            return [1, 2, 3]
 
         out = tr.color(dict.fromkeys(tr.matching, 0), pair_color, 4)
         assert sorted(calls) == sorted(k4().vertices)
@@ -459,6 +460,19 @@ class TestColor:
         assert is_proper(tr.graph, out)
         for eid in tr.matching:
             assert out.color_of(eid) == 0
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_color_list_of_another_length_names_its_cluster(self, count):
+        # Every cluster of K4's cyclic truncation has three constituent
+        # edges; vertex 2's list is one short or one long.
+        tr = cyclic_truncation(k4(), None)
+
+        def pair_color(v):
+            return list(range(1, count + 1)) if v == 2 else [1, 2, 3]
+
+        message = f"^cluster 2 has 3 edges, {count} colors$"
+        with pytest.raises(GraphError, match=message):
+            tr.color(dict.fromkeys(tr.matching, 0), pair_color, 5)
 
     def test_clash_names_a_huge_color(self):
         # Edge 0's matching color meets constituent edge 2 at end 0.
@@ -468,15 +482,15 @@ class TestColor:
             f"^truncation coloring is not proper: edges 0 and 2 share color {huge} at vertex 0$"
         )
         with pytest.raises(AssertionError, match=message):
-            tr.color({0: huge, 1: huge + 1}, lambda v: {(0, 1): huge}, huge + 2)
-        out = tr.color({0: huge, 1: huge + 1}, lambda v: {(0, 1): huge + 2}, huge + 3)
+            tr.color({0: huge, 1: huge + 1}, lambda v: [huge], huge + 2)
+        out = tr.color({0: huge, 1: huge + 1}, lambda v: [huge + 2], huge + 3)
         assert out.assignment == {0: huge, 1: huge + 1, 2: huge + 2}
 
     def test_clashing_cluster_map_raises(self):
         # The error names the clash: vertex, both edges and their color.
         tr = cyclic_truncation(k4(), None)
         with pytest.raises(AssertionError) as exc:
-            tr.color(dict.fromkeys(tr.matching, 0), lambda v: dict.fromkeys(tr.constituents[v], 1), 3)
+            tr.color(dict.fromkeys(tr.matching, 0), lambda v: [1] * len(tr.constituents[v]), 3)
         found = re.fullmatch(
             r"truncation coloring is not proper: edges (\d+) and (\d+) share color 1 at vertex (\d+)",
             str(exc.value),
@@ -498,7 +512,7 @@ class TestColor:
         assert tr.clusters[2] == (3, 4)
         matching = {0: 0, 1: 1, 2: 2, 3: 1}
         with pytest.raises(AssertionError) as exc:
-            tr.color(matching, lambda v: {(0, 1): 2}, 3)
+            tr.color(matching, lambda v: [2], 3)
         e1, e2, color, end = map(int, CLASH.fullmatch(str(exc.value)).groups())
         assert (e1, e2, color, end) == (2, constituent_edge_ids(tr, 2)[0], 2, 4)
 
@@ -589,8 +603,7 @@ class TestClusterCheck:
                 colors = recolored.assignment
 
                 def pair_color(v):
-                    ids = constituent_edge_ids(tr, v)
-                    return dict(zip(tr.constituents[v], map(colors.__getitem__, ids)))
+                    return list(map(colors.__getitem__, constituent_edge_ids(tr, v)))
 
                 if first_clash(flat, recolored) is None:
                     assert tr.color(colors, pair_color, palette) == recolored
