@@ -19,7 +19,8 @@ At s = D-1 this is the D-1 lemma itself, with no padding.  So each
 constituent costs time linear in its size.  Without an edge-feasible
 coloring the complete truncation provably needs D+1 colors, and a
 `Refusal` with the exhausted search's node count is returned instead.
-Checks run per cluster (cluster_clash).
+The per-cluster colors go unchecked into Truncation.color, whose
+cluster check is the coloring's one check.
 
 `subtruncation_coloring` reads the same per-cluster rule on the clusters
 of any truncation that keeps D, so it applies to every even-D source and
@@ -34,7 +35,7 @@ from itertools import accumulate, chain, combinations, cycle, islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .canonical import class_of_pair
-from .coloring import EdgeColoring, _clash_error, cluster_clash, solve_edge_coloring
+from .coloring import EdgeColoring, solve_edge_coloring
 from .errors import GraphError, Refusal
 from .multigraph import Multigraph
 from .truncation import Truncation, complete_truncation
@@ -43,7 +44,6 @@ __all__ = [
     "is_edge_feasible",
     "find_edge_feasible",
     "color_complete_truncation",
-    "color_delta_minus_one",
     "subtruncation_coloring",
 ]
 
@@ -113,7 +113,7 @@ def find_edge_feasible(
 
 # ---- the order D-1 constituent ---- #
 
-def color_delta_minus_one(pendant_colors: Sequence[int], palette: int) -> List[int]:
+def _color_delta_minus_one(pendant_colors: Sequence[int], palette: int) -> List[int]:
     """Color the complete constituent on a cluster of size palette-1.
 
     pendant_colors lists the pendant color at each position; returns the
@@ -126,7 +126,7 @@ def color_delta_minus_one(pendant_colors: Sequence[int], palette: int) -> List[i
     form on its labels.  The conflict edges (color equal to a pendant at
     an endpoint), found in O(m), form paths; one walk along each
     recolors it alternately with the reserved colors c(t-1), c(t), from
-    c(t) at a c(t-1) end.
+    c(t) at a c(t-1) end.  The truncation it is glued into checks it.
     """
     m = len(pendant_colors)
     if m != palette - 1:
@@ -148,8 +148,6 @@ def color_delta_minus_one(pendant_colors: Sequence[int], palette: int) -> List[i
     rank = {c: i for i, (c, _) in enumerate(sequence)}
     label_to_pos = sorted(range(m), key=lambda p: rank[pendant_colors[p]])
     label_to_pos.insert(0, label_to_pos.pop(m - sequence[-1][1]))
-    if len(label_to_pos) != m:
-        raise AssertionError("block layout lost a position")
     pend = [pendant_colors[p] for p in label_to_pos]  # by label
 
     # The block on labels b..b+s-1 takes the class of the cycle edge
@@ -223,9 +221,6 @@ def color_delta_minus_one(pendant_colors: Sequence[int], palette: int) -> List[i
     for (p, q), c in repaired.items():
         i, j = sorted((label_to_pos[p], label_to_pos[q]))
         out[i * (2 * m - i - 1) // 2 + j - i - 1] = c  # (i, j) in combinations order
-    clash = cluster_clash(pendant_colors, tuple(combinations(range(m), 2)), out, palette)
-    if clash is not None:
-        raise _clash_error("constituent coloring after repair", *clash)
     return out
 
 
@@ -238,7 +233,7 @@ def _small_cluster_colors(
     to order P-1 for the least odd P >= s+1, color that as order P-1 in
     palette P, keep the real positions (still proper), and map P back to
     the colors present, then the absent ones ascending.  At s = palette-1
-    (odd palette) nothing is padded and this is color_delta_minus_one.
+    (odd palette) nothing is padded and this is _color_delta_minus_one.
     memo shares the padded coloring between clusters."""
     present = sorted(set(pend))
     label = {c: k for k, c in enumerate(present)}
@@ -246,7 +241,7 @@ def _small_cluster_colors(
     small = s + 1 | 1
     padded = tuple(label[c] for c in pend) + (0,) * (small - 1 - s)
     if padded not in memo:
-        memo[padded] = color_delta_minus_one(padded, small)
+        memo[padded] = _color_delta_minus_one(padded, small)
     full = memo[padded]
     # Row i of the padded pairs opens with the real (i, i+1)..(i, s-1).
     starts = accumulate(range(small - 2, 0, -1), initial=0)
@@ -292,7 +287,7 @@ def _complete_colors(
         return Refusal(reason, nodes)
 
     # Clusters of order below D share colorings by the padded vector they
-    # pass to color_delta_minus_one, whose length fixes the palette P.
+    # pass to _color_delta_minus_one, whose length fixes the palette P.
     colorings: Dict[Tuple[int, ...], List[int]] = {}
     half = (delta + 1) // 2
 
@@ -309,7 +304,8 @@ def _complete_colors(
         full = _small_cluster_colors(pend, delta, colorings)
         if len(full) == len(pairs):  # the complete constituent itself
             return full
-        return list(map(dict(zip(combinations(range(size), 2), full)).__getitem__, pairs))
+        # (i, j)'s index in combinations order, as in the lemma.
+        return [full[i * (2 * size - i - 1) // 2 + j - i - 1] for i, j in pairs]
 
     return feas, pair_color
 

@@ -10,10 +10,13 @@ source edges, which is what contraction exploits to invert the process.
 Within a cluster, ends are ordered by their source edge id; constituent
 edges are given as pairs of these 0-based cluster positions.  Only this
 module maps positions to ends and edge ids.  Equal constituents on
-clusters of one size share one checked tuple, so every pass that
-depends only on the constituent (max_valency, the forest test, the
-writers' ends, color_by_strong's per-constituent coloring) runs once
-per distinct constituent.  Colorings are glued from one color list per
+clusters of one size share one tuple, so every pass that depends only
+on the constituent (max_valency, the forest test, the writers' ends,
+color_by_strong's per-constituent coloring) runs once per distinct
+constituent.  Truncation checks the pairs a caller or a file gives,
+once per distinct constituent; the ones the library writes itself,
+complete_truncation's and cyclic_truncation's, enter unchecked by
+Truncation._trusted.  Colorings are glued from one color list per
 cluster, in constituent order, and checked cluster by cluster
 (Truncation.first_cluster_clash runs coloring.cluster_clash once per
 distinct cluster), as `verify` checks them.  Writers and `verify` read
@@ -119,7 +122,7 @@ class Truncation:
     """A source multigraph together with one constituent per cluster.
 
     Constituent edges are pairs of cluster positions; omitted vertices
-    get empty constituents.  Each constituent is stored as a checked
+    get empty constituents.  Each constituent is stored as a sorted
     tuple of ascending pairs, one tuple object per (value, cluster
     size): clusters of one size with equal pairs share it, however the
     caller passed them, so a pass that depends only on the constituent
@@ -134,10 +137,6 @@ class Truncation:
             if v not in self.clusters:
                 raise GraphError(f"constituent given for unknown vertex {v}")
         self.constituents: Dict[int, Tuple[PositionPair, ...]] = {}
-        # Flat ids: matching edges keep their source edge ids, and each
-        # cluster's constituent edges take the next block, in vertex order.
-        self._ids: Dict[int, range] = {}
-        nxt = next(reversed(self.matching), -1) + 1
         # One checked, sorted tuple per (value, cluster size), looked up
         # once per pairs object and size; by_id keeps each raw object
         # alive, so no id is reused while the memo lives.  A sorted value
@@ -165,7 +164,33 @@ class Truncation:
                     ordered = tuple(sorted(_normalize(f"constituent at vertex {v}", size, pairs)))
                     shared = by_value.setdefault((ordered, size), ordered)
                 by_id[key] = (raw, shared)
-            self.constituents[v] = pairs = by_id[key][1]
+            self.constituents[v] = by_id[key][1]
+        self._number_edges()
+
+    @classmethod
+    def _trusted(
+        cls, source: Multigraph, constituents: Dict[int, Tuple[PositionPair, ...]]
+    ) -> "Truncation":
+        """A truncation on constituents as given, with no pair check.
+
+        The caller guarantees what __init__ would establish: one entry
+        per vertex, in vertex order, each a sorted tuple of pairs (i, j)
+        of plain ints with 0 <= i < j < cluster size and no repeat, one
+        tuple object per (value, cluster size).
+        """
+        tr = cls.__new__(cls)
+        tr.source = source
+        tr.matching, tr.clusters = excise(source)
+        tr.constituents = constituents
+        tr._number_edges()
+        return tr
+
+    def _number_edges(self) -> None:
+        # Flat ids: matching edges keep their source edge ids, and each
+        # cluster's constituent edges take the next block, in vertex order.
+        self._ids: Dict[int, range] = {}
+        nxt = next(reversed(self.matching), -1) + 1
+        for v, pairs in self.constituents.items():
             self._ids[v] = range(nxt, nxt + len(pairs))
             nxt += len(pairs)
         self._flat: Optional[Multigraph] = None
@@ -341,7 +366,7 @@ def complete_truncation(g: Multigraph) -> Truncation:
     # Clusters of one size share one tuple of pairs.
     sizes = {v: g.valency(v) for v in g.vertices}
     pairs = {size: tuple(combinations(range(size), 2)) for size in set(sizes.values())}
-    return Truncation(g, {v: pairs[size] for v, size in sizes.items()})
+    return Truncation._trusted(g, {v: pairs[size] for v, size in sizes.items()})
 
 
 def cyclic_truncation(
@@ -357,7 +382,10 @@ def cyclic_truncation(
     for v in cycle_orders:
         if v not in g:
             raise GraphError(f"constituent given for unknown vertex {v}")
-    cons: Dict[int, List[PositionPair]] = {}
+    # Equal cycles share one tuple: a cycle meets every position, so its
+    # pairs fix its size.
+    cons: Dict[int, Tuple[PositionPair, ...]] = {}
+    shared: Dict[Tuple[PositionPair, ...], Tuple[PositionPair, ...]] = {}
     for v in g.vertices:
         size = g.valency(v)
         if size < 3:
@@ -365,13 +393,15 @@ def cyclic_truncation(
                 f"vertex {v} has valency {size}; cyclic truncation needs valency >= 3"
             )
         order = list(cycle_orders.get(v, range(size)))
-        if sorted(order) != list(range(size)):
+        if not (set(map(type, order)) <= {int} and sorted(order) == list(range(size))):
             raise GraphError(
                 f"cycle order at vertex {v} is not a permutation of 0..{size - 1}"
             )
-        # Ascending pairs pass Truncation's whole-list check as they are.
-        cons[v] = [(a, b) if a < b else (b, a) for a, b in zip(order, order[1:] + order[:1])]
-    return Truncation(g, cons)
+        # A permutation of size >= 3 positions closes a simple cycle.
+        pairs = zip(order, order[1:] + order[:1])
+        cycle = tuple(sorted((a, b) if a < b else (b, a) for a, b in pairs))
+        cons[v] = shared.setdefault(cycle, cycle)
+    return Truncation._trusted(g, cons)
 
 
 def arboreal_truncation(

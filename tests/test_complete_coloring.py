@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import truncolor.canonical as canonical
 import truncolor.complete_coloring as complete_coloring
+import truncolor.truncation as truncation_module
 
-from truncolor.canonical import class_of_pair
+from truncolor.canonical import class_of_pair, complete_graph
 from truncolor.catalog import complete_bipartite, k4, k5, k33, petersen, two_k5_bridge
 from truncolor.coloring import (
     CLASS_II,
@@ -21,7 +22,7 @@ from truncolor.coloring import (
 )
 from truncolor.complete_coloring import (
     color_complete_truncation,
-    color_delta_minus_one,
+    _color_delta_minus_one,
     find_edge_feasible,
     is_edge_feasible,
     subtruncation_coloring,
@@ -285,14 +286,14 @@ class TestDeltaMinusOneConstituent:
         digest = hashlib.sha256()
         repaired = 0
         for pend, palette in delta_minus_one_sample():
-            out = by_pair(palette - 1, color_delta_minus_one(pend, palette))
+            out = by_pair(palette - 1, _color_delta_minus_one(pend, palette))
             digest.update(repr(sorted(out.items())).encode())
             repaired += palette >= 7 and not set(reserved_colors(pend)).isdisjoint(out.values())
         assert repaired == 265
         assert digest.hexdigest() == DELTA_MINUS_ONE_SHA256
 
     def _check(self, pend, palette):
-        out = by_pair(palette - 1, color_delta_minus_one(pend, palette))
+        out = by_pair(palette - 1, _color_delta_minus_one(pend, palette))
         m = len(pend)
         seen = {p: {pend[p]} for p in range(m)}
         for (p, q), c in out.items():
@@ -327,11 +328,11 @@ class TestDeltaMinusOneConstituent:
 
     def test_domain_errors(self):
         with pytest.raises(GraphError):
-            color_delta_minus_one((0, 1), 4)  # even palette
+            _color_delta_minus_one((0, 1), 4)  # even palette
         with pytest.raises(GraphError):
-            color_delta_minus_one((0, 1, 2), 5)  # wrong cluster size
+            _color_delta_minus_one((0, 1, 2), 5)  # wrong cluster size
         with pytest.raises(GraphError):
-            color_delta_minus_one((0, 1, 5, 2), 5)  # color outside palette
+            _color_delta_minus_one((0, 1, 5, 2), 5)  # color outside palette
 
 
 def hub_source(d, path, extra=()):
@@ -348,9 +349,9 @@ class TestPaddedClusters:
 
         def counted(pend, palette):
             calls.append((tuple(pend), palette))
-            return color_delta_minus_one(pend, palette)
+            return _color_delta_minus_one(pend, palette)
 
-        monkeypatch.setattr(complete_coloring, "color_delta_minus_one", counted)
+        monkeypatch.setattr(complete_coloring, "_color_delta_minus_one", counted)
         return calls
 
     def test_one_call_per_padded_vector_on_the_hub(self, monkeypatch):
@@ -394,6 +395,55 @@ class TestPaddedClusters:
         assert calls == [((0, 0), 3)]
 
 
+class TestCheckedOnce:
+    """An odd-D complete coloring is checked once, as Truncation.color
+    glues it: the D-1 lemma returns its colors unchecked."""
+
+    # D = 7 with clusters of orders 1 through 4 and 7, several padded.
+    SOURCE = staticmethod(lambda: hub_source(7, 12, [(2, 3), (2, 3), (4, 5), (4, 6), (4, 19)]))
+
+    def test_a_corrupted_lemma_coloring_fails_the_truncation_check(self, monkeypatch):
+        lemma = complete_coloring._color_delta_minus_one
+
+        def corrupted(pend, palette):
+            out = lemma(pend, palette)
+            out[0] = pend[0]  # (0, 1) takes the pendant color at 0
+            return out
+
+        monkeypatch.setattr(complete_coloring, "_color_delta_minus_one", corrupted)
+        with pytest.raises(AssertionError, match="^truncation coloring is not proper: "):
+            color_complete_truncation(self.SOURCE())
+        # Without padding (s = D-1 = 4, D = 5) the lemma's list is the cluster's.
+        with pytest.raises(AssertionError, match="^truncation coloring is not proper: "):
+            color_complete_truncation(complete_graph(6).without_edges([0]))
+
+    def test_cluster_clash_runs_once_per_distinct_cluster(self, monkeypatch):
+        # The counter stands in for the truncation's cluster_clash and
+        # for any the complete route might import.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return cluster_clash(*args)
+
+        for module in (truncation_module, complete_coloring):
+            monkeypatch.setattr(module, "cluster_clash", counted, raising=False)
+        tr, coloring = color_complete_truncation(self.SOURCE())
+        colors = coloring.assignment
+        keys = {
+            (
+                tr.constituents[v],
+                tuple(tr.pendant_colors(v, colors)),
+                tuple(map(colors.__getitem__, constituent_edge_ids(tr, v))),
+            )
+            for v in tr.clusters
+            if tr.constituents[v]
+        }
+        padded = [v for v, ends in tr.clusters.items() if 1 < len(ends) < 7]
+        assert len(padded) > 1
+        assert len(calls) == len(keys) and first_clash(tr.graph, coloring) is None
+
+
 def small_palette_rule(pend, d):
     """The order s <= d-2 rule written out: color the present colors'
     ranks, padded with 0 to order P-1, in the least odd palette P > s,
@@ -404,7 +454,7 @@ def small_palette_rule(pend, d):
     present = sorted(set(pend))
     order = present + [c for c in range(d) if c not in present]
     padded = [present.index(c) for c in pend] + [0] * (palette - 1 - s)
-    full = by_pair(palette - 1, color_delta_minus_one(padded, palette))
+    full = by_pair(palette - 1, _color_delta_minus_one(padded, palette))
     return {(i, j): order[full[i, j]] for i, j in combinations(range(s), 2)}
 
 
@@ -587,7 +637,7 @@ class TestRegularOddEquivalence:
     "call, want",
     [
         (
-            lambda: color_delta_minus_one([0, 1, 2], 4),
+            lambda: _color_delta_minus_one([0, 1, 2], 4),
             "GraphError: this constituent case needs an odd palette >= 3, got 4",
         ),
     ],

@@ -1,7 +1,7 @@
 """Every imported name is used: read as a Name (an attribute chain's
 base is one) or listed in the module's __all__.  Every exported name
-has a reader outside the tests, or a stated reason to stay.  Stdlib
-only."""
+is defined in its module and public, and has a reader outside the
+tests, or a stated reason to stay.  Stdlib only."""
 
 import ast
 import re
@@ -48,6 +48,23 @@ def _exports(tree):
     return []
 
 
+def bad_exports(source: str):
+    """Names in a module's __all__ that start with an underscore or that
+    no top-level def, class, assignment or import of the module binds."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            bound |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound.add(node.target.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    return sorted(name for name in _exports(tree) if name.startswith("_") or name not in bound)
+
+
 def unread_exports(modules, readers):
     """Names in a module's __all__ that nothing reads: not the module's
     own code (as a Name or an attribute), and not, as a whole word, the
@@ -81,6 +98,21 @@ def test_the_export_scan_flags_an_unread_name():
     # f is read by nobody; g by a's own code; h by b; k by a reader.
     assert unread_exports(modules, ["call k(1)"]) == {"f"}
     assert unread_exports(modules, ["kk"]) == {"f", "k"}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_export_is_defined_and_public(path):
+    assert bad_exports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_export_guard_flags_private_and_unbound_names():
+    source = (
+        "import os.path\nfrom .a import b as c\n"
+        "__all__ = ['os', 'c', 'f', 'C', 'X', 'Y', '_g', 'gone', 'b']\n"
+        "def f(): pass\nclass C: pass\nX = 1\nY: int = 2\ndef _g(): pass\n"
+    )
+    # _g is defined but private; gone is bound by nothing, nor is b (bound as c).
+    assert bad_exports(source) == ["_g", "b", "gone"]
 
 
 def test_the_scan_sees_python_files():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import truncolor.sun as sun_module
 from truncolor.catalog import k4, petersen, prism3
 from truncolor.coloring import EdgeColoring, is_proper, solve_edge_coloring
+from truncolor.cyclic_coloring import cyclic_class_one
 from truncolor.errors import GraphError, Refusal, UndecidedError
 from truncolor.multigraph import Multigraph
 from truncolor.sun import (
@@ -730,6 +731,57 @@ class TestSemiregular:
         tr, out = semiregular_truncation(g, coloring)
         assert sorted(built) == [(1, 1, 1), (4, 0, 0)]
         assert is_proper(tr.graph, out)
+
+
+DOUBLED_TRIANGLE = Multigraph(range(3), [(0, 1), (1, 2), (2, 0), (0, 1), (1, 2), (2, 0)])
+
+
+def mixed_vectors():
+    """K4 properly 3-colored (odd vector (1, 1, 1) at four vertices)
+    beside a monochrome doubled triangle (even (4, 0, 0) at three)."""
+    sol, _ = solve_edge_coloring(k4(), 3)
+    coloring = EdgeColoring({**sol, **{e: 0 for e in range(6, 12)}}, 3)
+    return disjoint_union(k4(), DOUBLED_TRIANGLE), coloring
+
+
+class TestGluedSuns:
+    """_glue_suns takes its suns unchecked: Truncation checks the glued
+    pairs, and Truncation.color the glued colors."""
+
+    def test_no_sun_check_runs_while_gluing(self, counted_checks, clear_even_caches):
+        structure, colors = counted_checks
+        g, coloring = mixed_vectors()
+        for out in (
+            semiregular_truncation(g, coloring),
+            regular_truncation(DOUBLED_TRIANGLE, 4),
+            cyclic_class_one(k4()),
+        ):
+            tr, glued = out
+            assert is_proper(tr.graph, glued)
+        # Only the even templates' cache fills check, as every build does:
+        # shape (4,) with two whole matchings added, then with three.
+        assert colors == [] and structure == [2, 3]
+        # The public builders hand their suns out checked.
+        build_sun_odd((1, 1, 1))
+        build_sun_even((4, 0, 0))
+        assert colors == [(1, 1, 1), (4, 0, 0)] and structure == [2, 3, 2]
+
+    def test_a_corrupted_glued_sun_fails_the_truncation_check(self, monkeypatch):
+        def corrupted(sun):
+            # The first edge takes the pendant color at its lower end.
+            p = sun.constituent_edges[0][0]
+            colors = (sun.pendant_colors[p], *sun.constituent_colors[1:])
+            return replace(sun, constituent_colors=colors)
+
+        # build_sun_even builds through build_sun_valency.
+        for name in ("build_sun_odd", "build_sun_valency"):
+            real = getattr(sun_module, name)
+            monkeypatch.setattr(sun_module, name, lambda *a, real=real: corrupted(real(*a)))
+        message = "^truncation coloring is not proper: "
+        with pytest.raises(AssertionError, match=message):
+            semiregular_truncation(*mixed_vectors())
+        with pytest.raises(AssertionError, match=message):
+            regular_truncation(DOUBLED_TRIANGLE, 4)
 
 
 class TestRegularTruncation:

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from itertools import chain, combinations
 
@@ -348,6 +349,10 @@ class TestValidation:
         monkeypatch.setattr(truncation_module, "_ascending_and_simple", counted)
         orders = {0: [0, 1, 2, 3], 1: [2, 1, 0, 3], 2: [1, 3, 2, 0], 3: [3, 0, 1, 2], 4: [0, 2, 3, 1]}
         tr = cyclic_truncation(k5(), orders)
+        # cyclic_truncation's own cycles enter unchecked, shared by value.
+        assert checked == [] and len(set(map(id, tr.constituents.values()))) == 2
+        # The same cycles as a caller's lists, one per cluster.
+        tr = Truncation(k5(), {v: list(pairs) for v, pairs in tr.constituents.items()})
         assert checked == [4, 4] and len(set(map(id, tr.constituents.values()))) == 2
         # arboreal_truncation's default paths, and the file that spells
         # them out, one list per cluster: one check each.
@@ -415,6 +420,68 @@ class TestValidation:
     def test_cyclic_rejects_unknown_vertex(self):
         with pytest.raises(GraphError, match="^constituent given for unknown vertex 99$"):
             cyclic_truncation(k4(), {99: [0, 1, 2]})
+
+    @pytest.mark.parametrize(
+        "order",
+        [[True, 0, 2], [1.0, 0, 2], ["a", 0, 1], [0, 1, 1], [0, 2], [0, 1, 2, 3]],
+        ids=["bool", "float", "str", "repeated", "short", "long"],
+    )
+    def test_cyclic_names_an_order_that_is_not_a_permutation(self, order):
+        message = r"^cycle order at vertex 0 is not a permutation of 0\.\.2$"
+        with pytest.raises(GraphError, match=message):
+            cyclic_truncation(k4(), {0: order})
+
+
+def shape(tr):
+    """What two truncations of one source share when built on the same
+    pairs: the constituents by value, the vertices that share one tuple,
+    and the flat id blocks."""
+    groups = {}
+    for v, pairs in tr.constituents.items():
+        groups.setdefault(id(pairs), []).append(v)
+    return tr.constituents, sorted(groups.values()), tr._ids
+
+
+class TestTrustedConstituents:
+    """complete_truncation and cyclic_truncation build their own pairs and
+    hand them to Truncation._trusted, with no pair check."""
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            k4,
+            k5,
+            q3,
+            petersen,
+            lambda: complete_graph(6).without_edges([0]),  # valencies 4 and 5, an id gap
+            lambda: Multigraph(range(4), list(k4().edges.values()) * 2),
+        ],
+    )
+    def test_library_constituents_equal_the_checked_ones(self, monkeypatch, source):
+        x = source()
+        rng = random.Random(x.size)
+        orders = {v: rng.sample(range(x.valency(v)), x.valency(v)) for v in x.vertices}
+
+        def cycles(order_of):
+            # One list per cluster, each pair as the cycle passes it.
+            return {
+                v: [[a, b] for a, b in zip(o, o[1:] + o[:1])] for v, o in order_of.items()
+            }
+
+        complete = {v: [list(p) for p in combinations(range(x.valency(v)), 2)] for v in x.vertices}
+        cases = [
+            (lambda: complete_truncation(x), complete),
+            (lambda: cyclic_truncation(x), cycles({v: list(range(x.valency(v))) for v in x.vertices})),
+            (lambda: cyclic_truncation(x, orders), cycles(orders)),
+        ]
+        expected = [shape(Truncation(x, pairs)) for _, pairs in cases]
+
+        def refuse(*args):
+            raise AssertionError("a library-built constituent took the pair check")
+
+        monkeypatch.setattr(truncation_module, "_ascending_and_simple", refuse)
+        monkeypatch.setattr(truncation_module, "_normalize", refuse)
+        assert [shape(build()) for build, _ in cases] == expected
 
 
 class TestRoundTrip:
