@@ -26,19 +26,17 @@ it once per ordered shape and writes it in positions, block by block in
 color order.  A build only maps block labels to colors, and every sun
 of one ordered shape holds the same constituent_edges tuple.
 
-Every build ends in one tail, `_sun`: the color check,
-`SunColoring._check_colors`, after the structure check,
-`_check_constituent`, for the odd and single-cycle suns, whose triples
-`_finish` sorts once; an even template's structure is checked once, as
-`_even_positions` fills its cache entry (lru_cache keeps none for a
-call that raises).  While `_glue_suns` builds, `_CHECKING` turns the
-tail's checks off: the glued truncation is checked instead, as each
-truncation is.  `validate` runs both.  They read plain lists:
-Truncation's pair check, a valency count, whole-list color passes, then
-`coloring.cluster_clash`, shared by every truncation coloring.  Only a
-failed color pass builds an `EdgeColoring`, the one checker of color
-rules, to name the bad color.  No check builds the sun as a graph;
-`sun_graph` exists for DOT.
+Every build ends in one tail, `_checked_sun`, which runs the color
+check, `SunColoring._check_colors`.  The structure check,
+`_check_constituent`, runs where pairs are made: once per even template,
+as `_even_positions` fills its cache entry (lru_cache keeps none for a
+call that raises), and in `_finish`, which sorts the odd and
+single-cycle suns' (position, position, color) triples once.  `validate`
+runs both.  They read plain lists: Truncation's pair check, a valency
+count, whole-list color passes, then `coloring.cluster_clash`, shared
+by every truncation coloring.  Only a failed color pass builds an
+`EdgeColoring`, the one checker of color rules, to name the bad color.
+No check builds the sun as a graph; `sun_graph` exists for DOT.
 
 Semiregular, regular and class I cyclic truncations share one gluing,
 `_glue_suns`: it counts each vertex's color vector once over a
@@ -51,7 +49,6 @@ conventions, tracking color-count parities per vertex.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
@@ -77,10 +74,6 @@ __all__ = [
     "semiregular_truncation",
     "regular_truncation",
 ]
-
-# False while _glue_suns builds its suns: Truncation checks the glued
-# pairs, and Truncation.color the glued colors.
-_CHECKING: ContextVar[bool] = ContextVar("sun_checks", default=True)
 
 
 @dataclass(frozen=True)
@@ -193,15 +186,13 @@ def pendant_layout(vector: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _sun(
+def _checked_sun(
     vector: Sequence[int],
     edges: Tuple[Tuple[int, int], ...],
     colors: Tuple[int, ...],
     palette: int,
-    regular: Optional[int] = None,
 ) -> SunColoring:
-    """The one tail of every build: the sun, through the structure check
-    when regular is given and the color check, unless _CHECKING is off."""
+    """The one tail of every build: the sun, through the color check."""
     sun = SunColoring(
         vector=tuple(vector),
         pendant_colors=pendant_layout(vector),
@@ -209,17 +200,14 @@ def _sun(
         constituent_colors=colors,
         palette_size=palette,
     )
-    if _CHECKING.get():
-        if regular is not None:
-            _check_constituent(edges, sun.r, regular)
-        sun._check_colors()
+    sun._check_colors()
     return sun
 
 
 def _finish(
     vector: Sequence[int], triples: List[Tuple[int, int, int]], palette: int, regular: int
 ) -> SunColoring:
-    """Edges in positions to a sun, through _sun.
+    """Edges in positions to a checked sun.
 
     triples are (p, q, color) with sun positions p < q; they are sorted
     once, so edges come out in position order.  The structure check
@@ -227,7 +215,8 @@ def _finish(
     """
     triples.sort()
     edges = tuple([(p, q) for p, q, _ in triples])
-    return _sun(vector, edges, tuple(map(itemgetter(2), triples)), palette, regular)
+    _check_constituent(edges, sum(vector), regular)
+    return _checked_sun(vector, edges, tuple(map(itemgetter(2), triples)), palette)
 
 
 def build_sun_odd(vector: Sequence[int]) -> SunColoring:
@@ -416,7 +405,7 @@ def build_sun_valency(vector: Sequence[int], k: int) -> SunColoring:
     fresh = max(0, need - len(zeros))
     edges, labels = _even_positions(tuple(vector[i] for i in nonzero), need)
     colors = nonzero + (zeros + list(range(d, d + fresh)))[:need]
-    return _sun(vector, edges, tuple(map(colors.__getitem__, labels)), d + fresh)
+    return _checked_sun(vector, edges, tuple(map(colors.__getitem__, labels)), d + fresh)
 
 
 # ---- exhaustive negative verification ---- #
@@ -567,25 +556,21 @@ def _glue_suns(
     """Glue one sun per cluster over a parity-balanced coloring of x.
 
     The matching edges keep coloring; build(vector) makes the sun for
-    each distinct color vector, once, unchecked (see _CHECKING).  A
-    cluster meets its sun's blocks with its positions in ascending
-    (color, end id) order.  Raises GraphError if coloring is not
-    parity-balanced or build refuses a vector.
+    each distinct color vector, once.  A cluster meets its sun's blocks
+    with its positions in ascending (color, end id) order.  Raises
+    GraphError if coloring is not parity-balanced or build refuses a
+    vector.
     """
     vectors = _color_vectors(x, coloring)
     if not _balanced(vectors):
         raise GraphError("coloring is not parity-balanced")
     suns: Dict[Tuple[int, ...], SunColoring] = {}
-    unchecked = _CHECKING.set(False)
-    try:
-        for v, vec in vectors.items():
-            if vec not in suns:
-                try:
-                    suns[vec] = build(vec)
-                except GraphError as exc:
-                    raise GraphError(f"vertex {v} with color vector {vec}: {exc}") from exc
-    finally:
-        _CHECKING.reset(unchecked)
+    for v, vec in vectors.items():
+        if vec not in suns:
+            try:
+                suns[vec] = build(vec)
+            except GraphError as exc:
+                raise GraphError(f"vertex {v} with color vector {vec}: {exc}") from exc
     color_of = coloring.assignment
     glued: Dict[int, List[Tuple[Tuple[int, int], int]]] = {}
     for v in x.vertices:

@@ -13,11 +13,10 @@ module maps positions to ends and edge ids.  Equal constituents on
 clusters of one size share one tuple, so every pass that depends only
 on the constituent (max_valency, the forest test, the writers' ends,
 color_by_strong's per-constituent coloring) runs once per distinct
-constituent.  Truncation checks the pairs a caller or a file gives,
-once per distinct constituent; the ones the library writes itself,
-complete_truncation's and cyclic_truncation's, enter unchecked by
-Truncation._trusted.  Colorings are glued from one color list per
-cluster, in constituent order, and checked cluster by cluster
+constituent.  Truncation checks the pairs it is given, once per
+distinct constituent; complete_truncation's own combinations tuples
+enter unchecked, by Truncation._trusted.  Colorings are glued from one
+color list per cluster, in constituent order, and checked cluster by cluster
 (Truncation.first_cluster_clash runs coloring.cluster_clash once per
 distinct cluster), as `verify` checks them.  Writers and `verify` read
 the flat ends lazily from the clusters, one itemgetter per distinct
@@ -168,16 +167,10 @@ class Truncation:
         self._number_edges()
 
     @classmethod
-    def _trusted(
-        cls, source: Multigraph, constituents: Dict[int, Tuple[PositionPair, ...]]
-    ) -> "Truncation":
-        """A truncation on constituents as given, with no pair check.
-
-        The caller guarantees what __init__ would establish: one entry
-        per vertex, in vertex order, each a sorted tuple of pairs (i, j)
-        of plain ints with 0 <= i < j < cluster size and no repeat, one
-        tuple object per (value, cluster size).
-        """
+    def _trusted(cls, source: Multigraph, constituents: Dict[int, Tuple[PositionPair, ...]]):
+        """A truncation on constituents as __init__ would store them, with
+        no pair check: one entry per vertex, in vertex order, each a sorted
+        tuple of simple ascending int pairs, one per (value, cluster size)."""
         tr = cls.__new__(cls)
         tr.source = source
         tr.matching, tr.clusters = excise(source)
@@ -382,10 +375,7 @@ def cyclic_truncation(
     for v in cycle_orders:
         if v not in g:
             raise GraphError(f"constituent given for unknown vertex {v}")
-    # Equal cycles share one tuple: a cycle meets every position, so its
-    # pairs fix its size.
-    cons: Dict[int, Tuple[PositionPair, ...]] = {}
-    shared: Dict[Tuple[PositionPair, ...], Tuple[PositionPair, ...]] = {}
+    cons: Dict[int, List[PositionPair]] = {}
     for v in g.vertices:
         size = g.valency(v)
         if size < 3:
@@ -397,11 +387,9 @@ def cyclic_truncation(
             raise GraphError(
                 f"cycle order at vertex {v} is not a permutation of 0..{size - 1}"
             )
-        # A permutation of size >= 3 positions closes a simple cycle.
-        pairs = zip(order, order[1:] + order[:1])
-        cycle = tuple(sorted((a, b) if a < b else (b, a) for a, b in pairs))
-        cons[v] = shared.setdefault(cycle, cycle)
-    return Truncation._trusted(g, cons)
+        # Ascending pairs pass Truncation's whole-list check as they are.
+        cons[v] = [(a, b) if a < b else (b, a) for a, b in zip(order, order[1:] + order[:1])]
+    return Truncation(g, cons)
 
 
 def arboreal_truncation(

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import truncolor.sun as sun_module
 from truncolor.catalog import k4, petersen, prism3
 from truncolor.coloring import EdgeColoring, is_proper, solve_edge_coloring
-from truncolor.cyclic_coloring import cyclic_class_one
 from truncolor.errors import GraphError, Refusal, UndecidedError
 from truncolor.multigraph import Multigraph
 from truncolor.sun import (
@@ -745,26 +744,7 @@ def mixed_vectors():
 
 
 class TestGluedSuns:
-    """_glue_suns takes its suns unchecked: Truncation checks the glued
-    pairs, and Truncation.color the glued colors."""
-
-    def test_no_sun_check_runs_while_gluing(self, counted_checks, clear_even_caches):
-        structure, colors = counted_checks
-        g, coloring = mixed_vectors()
-        for out in (
-            semiregular_truncation(g, coloring),
-            regular_truncation(DOUBLED_TRIANGLE, 4),
-            cyclic_class_one(k4()),
-        ):
-            tr, glued = out
-            assert is_proper(tr.graph, glued)
-        # Only the even templates' cache fills check, as every build does:
-        # shape (4,) with two whole matchings added, then with three.
-        assert colors == [] and structure == [2, 3]
-        # The public builders hand their suns out checked.
-        build_sun_odd((1, 1, 1))
-        build_sun_even((4, 0, 0))
-        assert colors == [(1, 1, 1), (4, 0, 0)] and structure == [2, 3, 2]
+    """Truncation.color checks the glued colors, whatever the suns hold."""
 
     def test_a_corrupted_glued_sun_fails_the_truncation_check(self, monkeypatch):
         def corrupted(sun):

@@ -1,5 +1,4 @@
 import json
-import random
 import re
 from itertools import chain, combinations
 
@@ -349,10 +348,6 @@ class TestValidation:
         monkeypatch.setattr(truncation_module, "_ascending_and_simple", counted)
         orders = {0: [0, 1, 2, 3], 1: [2, 1, 0, 3], 2: [1, 3, 2, 0], 3: [3, 0, 1, 2], 4: [0, 2, 3, 1]}
         tr = cyclic_truncation(k5(), orders)
-        # cyclic_truncation's own cycles enter unchecked, shared by value.
-        assert checked == [] and len(set(map(id, tr.constituents.values()))) == 2
-        # The same cycles as a caller's lists, one per cluster.
-        tr = Truncation(k5(), {v: list(pairs) for v, pairs in tr.constituents.items()})
         assert checked == [4, 4] and len(set(map(id, tr.constituents.values()))) == 2
         # arboreal_truncation's default paths, and the file that spells
         # them out, one list per cluster: one check each.
@@ -443,8 +438,8 @@ def shape(tr):
 
 
 class TestTrustedConstituents:
-    """complete_truncation and cyclic_truncation build their own pairs and
-    hand them to Truncation._trusted, with no pair check."""
+    """complete_truncation builds its own pairs and hands them to
+    Truncation._trusted, with no pair check."""
 
     @pytest.mark.parametrize(
         "source",
@@ -459,29 +454,15 @@ class TestTrustedConstituents:
     )
     def test_library_constituents_equal_the_checked_ones(self, monkeypatch, source):
         x = source()
-        rng = random.Random(x.size)
-        orders = {v: rng.sample(range(x.valency(v)), x.valency(v)) for v in x.vertices}
-
-        def cycles(order_of):
-            # One list per cluster, each pair as the cycle passes it.
-            return {
-                v: [[a, b] for a, b in zip(o, o[1:] + o[:1])] for v, o in order_of.items()
-            }
-
         complete = {v: [list(p) for p in combinations(range(x.valency(v)), 2)] for v in x.vertices}
-        cases = [
-            (lambda: complete_truncation(x), complete),
-            (lambda: cyclic_truncation(x), cycles({v: list(range(x.valency(v))) for v in x.vertices})),
-            (lambda: cyclic_truncation(x, orders), cycles(orders)),
-        ]
-        expected = [shape(Truncation(x, pairs)) for _, pairs in cases]
+        expected = shape(Truncation(x, complete))
 
         def refuse(*args):
             raise AssertionError("a library-built constituent took the pair check")
 
         monkeypatch.setattr(truncation_module, "_ascending_and_simple", refuse)
         monkeypatch.setattr(truncation_module, "_normalize", refuse)
-        assert [shape(build()) for build, _ in cases] == expected
+        assert shape(complete_truncation(x)) == expected
 
 
 class TestRoundTrip:
