@@ -171,6 +171,25 @@ truncolor cyclic-color k5.json --strategy even > k5_even.json
 truncolor verify k5_even.json
 has_colors k5_even.json "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 2, 1, 1, 2, 2, 1, 1, 2, 2, 1, 1, 2, \
 2, 1, 1, 2, 2, 1]"
+# has_text FILE TEXT: FILE holds TEXT verbatim.
+has_text() {
+    if ! grep -qF "$2" "$1"; then
+        echo "FAIL: $1 lacks the pinned $2" >&2
+        exit 1
+    fi
+}
+# Seeded cycle orders: on K5's clusters of four, vertices 1, 2 and 4
+# draw orders that trace one cycle, so their constituents repeat it and
+# share one checked tuple.  Each 4-cycle alternates 1, 2 along its order.
+truncolor cyclic-color k5.json --strategy even --seed 3 > k5_seeded.json
+truncolor verify k5_seeded.json
+has_text k5_seeded.json '"orders": {"0": [1, 2, 0, 3], "1": [3, 2, 0, 1], "2": [3, 1, 0, 2], '\
+'"3": [3, 2, 1, 0], "4": [1, 0, 2, 3]}'
+has_text k5_seeded.json '"constituents": {"0": [[0, 2], [0, 3], [1, 2], [1, 3]], '\
+'"1": [[0, 1], [0, 2], [1, 3], [2, 3]], "2": [[0, 1], [0, 2], [1, 3], [2, 3]], '\
+'"3": [[0, 1], [0, 3], [1, 2], [2, 3]], "4": [[0, 1], [0, 2], [1, 3], [2, 3]]}'
+has_colors k5_seeded.json "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 1, 2, 1, 2, 2, 1, 2, 1, 1, 2, 1, 2, \
+2, 1, 1, 2, 2, 1]"
 
 echo "== sun verdicts"
 truncolor sun --vector 3,3,1 --dot sun.dot

@@ -27,8 +27,11 @@ the flat graph's.  With --dot the flat graph is built only to draw.
 An EdgeColoring is built only to name a bad value or to draw.  Exit
 codes: 0 for success, 1 for domain errors (bad input, failed
 verification, inapplicable route, unwritable --dot path) and usage
-errors, 2 when the exact oracle ran out of budget before deciding; a
-negative --budget or --edge-cap is a domain error.
+errors, 2 when a search ran out of budget before deciding; a negative
+--budget or --edge-cap is a domain error.  Every subcommand that
+searches (color-complete, cyclic-color, color-strong, oracle) takes
+--budget, which defaults to coloring.DEFAULT_BUDGET nodes, so no run
+is unbounded by default.
 
 `main` pauses the cyclic garbage collector from argument parsing to its
 return, JSON and --dot output included, and turns it back on only if
@@ -52,6 +55,7 @@ from typing import Dict, List, NoReturn, Optional, Sequence, Tuple, Union
 from .catalog import catalog as named_instances, k4 as _k4, q3 as _q3
 from .coloring import (
     CLASS_I,
+    DEFAULT_BUDGET,
     DEFAULT_EDGE_CAP,
     EdgeColoring,
     _colors_fit,
@@ -392,7 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, budget: bool = True) -> None:
         p.add_argument("--dot", metavar="PATH", help="write a DOT rendering here")
         if budget:
-            p.add_argument("--budget", type=int, default=None, help="search node cap")
+            p.add_argument(
+                "--budget",
+                type=int,
+                default=DEFAULT_BUDGET,
+                help=f"search node cap (default {DEFAULT_BUDGET})",
+            )
 
     p = sub.add_parser("truncate", help="build a truncation from a graph file")
     p.add_argument("graph")

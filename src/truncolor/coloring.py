@@ -53,6 +53,7 @@ __all__ = [
     "CLASS_II",
     "list_edge_coloring",
     "DEFAULT_EDGE_CAP",
+    "DEFAULT_BUDGET",
 ]
 
 CLASS_I = "CLASS_I"
@@ -61,6 +62,11 @@ CLASS_II = "CLASS_II"
 # Exact search is exponential in the worst case; refuse silently huge
 # instances unless the caller raises the cap on purpose.
 DEFAULT_EDGE_CAP = 40
+
+# The command line's search node budget when --budget is not given, so
+# no run is unbounded by default; library functions default to None,
+# no budget.
+DEFAULT_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)

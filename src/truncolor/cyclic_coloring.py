@@ -24,7 +24,7 @@ from .coloring import EdgeColoring, is_proper
 from .errors import GraphError, Refusal
 from .multigraph import Multigraph
 from .sun import SunColoring, _finish, _glue_suns, _parity_coloring_search, admissible
-from .truncation import Truncation, cyclic_truncation
+from .truncation import Truncation, _cycle_pairs, cyclic_truncation
 
 __all__ = [
     "vector3_admissible",
@@ -124,8 +124,7 @@ def cyclic_even_valency(
         # Colors 1, 2 alternate along the cycle; sorted edges are in constituent order.
         size = x.valency(v)
         order = list(cycle_orders[v]) if cycle_orders and v in cycle_orders else list(range(size))
-        edges = [(a, b) if a < b else (b, a) for a, b in zip(order, order[1:] + order[:1])]
-        return [c for _, c in sorted((e, 1 + i % 2) for i, e in enumerate(edges))]
+        return [c for _, c in sorted((e, 1 + i % 2) for i, e in enumerate(_cycle_pairs(order)))]
 
     return tr, tr.color(dict.fromkeys(tr.matching, 0), pair_color, 3)
 

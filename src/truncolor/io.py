@@ -240,7 +240,21 @@ def truncation_from_obj(obj: object, origin: str = "<truncation>") -> Truncation
     source = graph_from_obj(obj["source"], origin)
     raw = obj["constituents"]
     _require(isinstance(raw, dict), origin, '"constituents" must be an object')
-    constituents: Dict[int, List[Tuple[int, int]]] = {}
+    # One plain-type pass over the whole file: when every value is a list
+    # of lists of plain ints, equal values share one tuple of tuples, so
+    # Truncation checks each once.  The pass comes first, as (0, True)
+    # equals and hashes as (0, 1): interning it would hide it behind an
+    # equal int pair.  A file that fails the pass holds a value that is
+    # no list, named here, or a pair that is no pair of plain ints, which
+    # Truncation names, given the lists as they are.
+    values = raw.values()
+    plain = (
+        _only(values, list)
+        and _only(chain.from_iterable(values), list)
+        and _only(chain.from_iterable(chain.from_iterable(values)), int)
+    )
+    shared: Dict[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]] = {}
+    constituents: Dict[int, object] = {}
     for key, pairs in raw.items():
         try:
             v = int(key)
@@ -250,10 +264,12 @@ def truncation_from_obj(obj: object, origin: str = "<truncation>") -> Truncation
         # "+2", "1_0" and "00", which could name the vertex of another key.
         if v is None or key != str(v):
             raise GraphError(f"{origin}: constituent key {key!r} is not a vertex")
+        if plain:
+            pairs = tuple(map(tuple, pairs))
+            constituents[v] = shared.setdefault(pairs, pairs)
+            continue
         _require(isinstance(pairs, list), origin, f"constituents[{key}] must be a list")
-        # Lists become the tuples Truncation's whole-list check accepts;
-        # anything else goes as it is, for Truncation to name.
-        constituents[v] = list(map(tuple, pairs)) if _only(pairs, list) else pairs
+        constituents[v] = pairs
     return _built(origin, Truncation, source, constituents)
 
 

@@ -15,7 +15,11 @@ on the constituent (max_valency, the forest test, the writers' ends,
 color_by_strong's per-constituent coloring) runs once per distinct
 constituent.  Truncation checks the pairs it is given, once per
 distinct constituent; complete_truncation's own combinations tuples
-enter unchecked, by Truncation._trusted.  Colorings are glued from one
+enter unchecked, by Truncation._trusted.  The producers
+(complete_truncation, cyclic_truncation, arboreal_truncation and
+io.truncation_from_obj) hand over one shared tuple per distinct value,
+so Truncation checks each distinct value once and every other cluster
+costs one lookup by the tuple's id.  Colorings are glued from one
 color list per cluster, in constituent order, and checked cluster by cluster
 (Truncation.first_cluster_clash runs coloring.cluster_clash once per
 distinct cluster), as `verify` checks them.  Writers and `verify` read
@@ -56,15 +60,16 @@ def excise(g: Multigraph) -> Tuple[Dict[int, Tuple[int, int]], Dict[int, Tuple[i
     source edge id to its end pair, clusters map each source vertex to
     its ends in ascending source edge order.
     """
-    for v in g.vertices:
-        if g.valency(v) == 0:
-            raise GraphError(f"vertex {v} is isolated; truncation needs valency >= 1")
-    matching: Dict[int, Tuple[int, int]] = {}
+    edges = g.edges
+    evens = [2 * eid for eid in edges]
+    matching = dict(zip(edges, zip(evens, [end + 1 for end in evens])))
     clusters: Dict[int, List[int]] = {v: [] for v in g.vertices}
-    for eid, (u, w) in g.edges.items():
-        matching[eid] = (2 * eid, 2 * eid + 1)
-        clusters[u].append(2 * eid)
-        clusters[w].append(2 * eid + 1)
+    for (u, w), end in zip(edges.values(), evens):
+        clusters[u].append(end)
+        clusters[w].append(end + 1)
+    for v, ends in clusters.items():
+        if not ends:
+            raise GraphError(f"vertex {v} is isolated; truncation needs valency >= 1")
     return matching, {v: tuple(ends) for v, ends in clusters.items()}
 
 
@@ -354,12 +359,25 @@ class Truncation:
         return None
 
 
+def _one_per_size(
+    g: Multigraph, build: Callable[[int], Tuple[PositionPair, ...]]
+) -> Dict[int, Tuple[PositionPair, ...]]:
+    """Each vertex's constituent build(size) for its cluster size, built
+    once per size, so clusters of one size share one tuple."""
+    sizes = {v: g.valency(v) for v in g.vertices}
+    built = {size: build(size) for size in set(sizes.values())}
+    return {v: built[size] for v, size in sizes.items()}
+
+
+def _cycle_pairs(order: List[int]) -> List[PositionPair]:
+    """The edges of the cycle through the cluster positions in order, as
+    ascending pairs, in the order the cycle walks them."""
+    return [(a, b) if a < b else (b, a) for a, b in zip(order, order[1:] + order[:1])]
+
+
 def complete_truncation(g: Multigraph) -> Truncation:
     """Insert the complete graph on every cluster."""
-    # Clusters of one size share one tuple of pairs.
-    sizes = {v: g.valency(v) for v in g.vertices}
-    pairs = {size: tuple(combinations(range(size), 2)) for size in set(sizes.values())}
-    return Truncation._trusted(g, {v: pairs[size] for v, size in sizes.items()})
+    return Truncation._trusted(g, _one_per_size(g, lambda k: tuple(combinations(range(k), 2))))
 
 
 def cyclic_truncation(
@@ -375,7 +393,10 @@ def cyclic_truncation(
     for v in cycle_orders:
         if v not in g:
             raise GraphError(f"constituent given for unknown vertex {v}")
-    cons: Dict[int, List[PositionPair]] = {}
+    # One sorted tuple per distinct cycle: sorted ascending pairs pass
+    # Truncation's whole-list check as they are, once per tuple.
+    cycles: Dict[Tuple[PositionPair, ...], Tuple[PositionPair, ...]] = {}
+    cons: Dict[int, Tuple[PositionPair, ...]] = {}
     for v in g.vertices:
         size = g.valency(v)
         if size < 3:
@@ -387,8 +408,8 @@ def cyclic_truncation(
             raise GraphError(
                 f"cycle order at vertex {v} is not a permutation of 0..{size - 1}"
             )
-        # Ascending pairs pass Truncation's whole-list check as they are.
-        cons[v] = [(a, b) if a < b else (b, a) for a, b in zip(order, order[1:] + order[:1])]
+        pairs = tuple(sorted(_cycle_pairs(order)))
+        cons[v] = cycles.setdefault(pairs, pairs)
     return Truncation(g, cons)
 
 
@@ -398,10 +419,11 @@ def arboreal_truncation(
     """Insert a forest on every cluster.
 
     The default forest is the path through the cluster in position
-    order.  Each distinct constituent is checked for acyclicity by one
-    walk of the forest coloring (coloring._forest_coloring).
+    order, one tuple per cluster size.  Each distinct constituent is
+    checked for acyclicity by one walk of the forest coloring
+    (coloring._forest_coloring).
     """
-    paths = {v: [(i, i + 1) for i in range(g.valency(v) - 1)] for v in g.vertices}
+    paths = _one_per_size(g, lambda k: tuple((i, i + 1) for i in range(k - 1)))
     tr = Truncation(g, {**paths, **(forests or {})})
     for v in tr.representatives().values():
         if _forest_coloring(len(tr.clusters[v]), tr.constituents[v]) is None:

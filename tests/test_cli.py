@@ -14,7 +14,7 @@ import truncolor.cli as cli
 from truncolor.canonical import complete_graph
 from truncolor.catalog import k4, k5, petersen, q3, two_k5_bridge
 from truncolor.cli import main
-from truncolor.coloring import EdgeColoring
+from truncolor.coloring import DEFAULT_BUDGET, EdgeColoring
 from truncolor.complete_coloring import color_complete_truncation
 from truncolor.io import (
     coloring_from_obj,
@@ -27,7 +27,7 @@ from truncolor.io import (
     to_dot,
     truncation_to_obj,
 )
-from truncolor.truncation import Truncation, arboreal_truncation
+from truncolor.truncation import Truncation, arboreal_truncation, cyclic_truncation
 
 from conftest import prism_graph
 
@@ -370,7 +370,7 @@ class TestOracle:
         ids=["no-command", "no-graph", "budget-abc", "unknown-demo"],
     )
     def test_usage_errors_exit_one(self, capsys, argv):
-        # Exit 2 is reserved for an undecided oracle.
+        # Exit 2 is reserved for a search out of budget.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         captured = capsys.readouterr()
@@ -396,6 +396,57 @@ class TestOracle:
         )
         assert code == 1
         assert "cap" in err
+
+
+class TestDefaultBudget:
+    """Every subcommand that searches caps its nodes by DEFAULT_BUDGET
+    when no --budget is given, and exits 2 when the cap is hit."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["color-complete", "g.json"],
+            ["cyclic-color", "g.json", "--strategy", "even"],
+            ["color-strong", "tr.json"],
+            ["oracle", "g.json"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_searching_subcommand_defaults_to_the_constant(self, argv):
+        assert cli.build_parser().parse_args(argv).budget == DEFAULT_BUDGET > 0
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["color-complete", "petersen"], "edge coloring search exceeded budget of 0 nodes"),
+            (
+                ["cyclic-color", "petersen", "--strategy", "classone"],
+                "edge coloring search exceeded budget of 0 nodes",
+            ),
+            (
+                ["cyclic-color", "petersen", "--strategy", "enabling"],
+                "parity coloring search exceeded budget of 0 nodes",
+            ),
+            # K5's 4-cycles are no forests, so each is searched in 2 colors.
+            (["color-strong", "k5-cyclic"], "edge coloring search exceeded budget of 0 nodes"),
+        ],
+        ids=["color-complete", "cyclic-classone", "cyclic-enabling", "color-strong"],
+    )
+    def test_a_small_default_leaves_a_search_undecided(
+        self, capsys, tmp_path, monkeypatch, argv, message
+    ):
+        files = {
+            "petersen": write_graph(tmp_path, petersen()),
+            "k5-cyclic": write_obj(tmp_path, truncation_to_obj(cyclic_truncation(k5())), "tr.json"),
+        }
+        monkeypatch.setattr(cli, "DEFAULT_BUDGET", 0)
+        command, name, *rest = argv
+        assert run(capsys, command, files[name], *rest) == (2, None, f"undecided: {message}\n")
+
+    def test_a_small_default_leaves_the_oracle_undecided(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_BUDGET", 1)
+        code, out, err = run(capsys, "oracle", write_graph(tmp_path, petersen()))
+        assert (code, out["decided"], err) == (2, False, "oracle undecided within budget\n")
 
 
 # A proper 5-coloring of K5, whose edges graph_to_obj lists as (0, 1),

@@ -335,6 +335,19 @@ class TestValidation:
         assert str(after.value) == str(alone.value)
         assert str(alone.value) == "constituent at vertex 1: pair 0 is not a pair of integers"
 
+    @pytest.mark.parametrize("bad", [[0, True], [False, 1], [True, 0], [0, 1.0], [0.0, 1]])
+    def test_a_file_names_a_bool_pair_after_an_equal_int_pair(self, bad, tmp_path):
+        # The loader shares equal values only after a plain-type pass over
+        # the whole file, so [0, true] is not taken for the [0, 1] before it.
+        source = graph_to_obj(Multigraph(range(2), [(0, 1), (0, 1)]))
+        message = "constituent at vertex 1: pair 0 is not a pair of integers"
+        for name, constituents in (("alone", {"1": [bad]}), ("after", {"0": [[0, 1]], "1": [bad]})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"source": source, "constituents": constituents}))
+            with pytest.raises(GraphError) as exc:
+                load_truncation(str(path))
+            assert str(exc.value) == f"{path}: {message}"
+
     def test_each_distinct_value_is_checked_once(self, monkeypatch, tmp_path):
         # Separate but equal pair lists take one whole check per value
         # and cluster size; the others pass a plain-type pass only.
@@ -425,6 +438,82 @@ class TestValidation:
         message = r"^cycle order at vertex 0 is not a permutation of 0\.\.2$"
         with pytest.raises(GraphError, match=message):
             cyclic_truncation(k4(), {0: order})
+
+
+def distinct_constituents(tr):
+    """The distinct (constituent value, cluster size) pairs of tr."""
+    return {(pairs, len(tr.clusters[v])) for v, pairs in tr.constituents.items()}
+
+
+class TestProducersShareTuples:
+    """cyclic_truncation, arboreal_truncation and the loader hand
+    Truncation one tuple per distinct value: the whole pair check runs
+    once per distinct (value, size), and no cluster needs the plain-type
+    pass that an equal but separate value takes."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"plain": 0, "checked": []}
+        plain, check = truncation_module._plain_pairs, truncation_module._ascending_and_simple
+
+        def counted_plain(pairs):
+            calls["plain"] += 1
+            return plain(pairs)
+
+        def counted_check(pairs, size):
+            calls["checked"].append((pairs, size))
+            return check(pairs, size)
+
+        monkeypatch.setattr(truncation_module, "_plain_pairs", counted_plain)
+        monkeypatch.setattr(truncation_module, "_ascending_and_simple", counted_check)
+        return calls
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            k4,
+            q3,
+            petersen,
+            k5,
+            # Valencies 4 at vertices 0-3 and 3 elsewhere.
+            lambda: Multigraph(range(8), [*q3().edges.values(), (0, 1), (2, 3)]),
+        ],
+        ids=["k4", "q3", "petersen", "k5", "q3-plus-two-edges"],
+    )
+    def test_seeded_cycles_and_their_file(self, calls, tmp_path, rng, source):
+        x = source()
+        orders = {v: rng.sample(range(x.valency(v)), x.valency(v)) for v in x.vertices}
+        tr = cyclic_truncation(x, orders)
+        distinct = distinct_constituents(tr)
+        assert len(distinct) < x.order  # some clusters repeat a cycle
+        assert calls["plain"] == 0
+        assert sorted(calls["checked"]) == sorted(distinct)
+        # The file spells out every cluster's pairs as its own lists.
+        calls["checked"].clear()
+        path = tmp_path / "tr.json"
+        path.write_text(json.dumps(truncation_to_obj(tr)))
+        loaded = load_truncation(str(path))
+        assert loaded.constituents == tr.constituents
+        assert calls["plain"] == 0
+        assert sorted(calls["checked"]) == sorted(distinct)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            k4,
+            petersen,
+            lambda: complete_graph(6).without_edges([0]),
+            lambda: Multigraph(range(4), [(0, 1), (0, 2), (0, 3), (1, 2)]),  # valencies 3, 2, 2, 1
+        ],
+        ids=["k4", "petersen", "k6-minus-an-edge", "mixed-valencies"],
+    )
+    def test_default_paths_are_one_tuple_per_size(self, calls, source):
+        x = source()
+        tr = arboreal_truncation(x)
+        sizes = set(map(x.valency, x.vertices))
+        assert len(set(map(id, tr.constituents.values()))) == len(sizes)
+        assert calls["plain"] == 0
+        assert sorted(size for _, size in calls["checked"]) == sorted(sizes)
 
 
 def shape(tr):
