@@ -245,7 +245,8 @@ def cmd_oracle(args) -> Result:
     g = load_graph(args.graph)
     res = chromatic_index(g, budget=args.budget, edge_cap=args.edge_cap)
     if not res.decided:
-        print("oracle undecided within budget", file=sys.stderr)
+        message = f"edge coloring search exceeded budget of {args.budget} nodes"
+        print(f"undecided: {message}", file=sys.stderr)
         obj = {"decided": False, "lower_bound": res.lower_bound, "nodes": res.nodes}
         return EXIT_UNDECIDED, obj, None
     delta = g.max_valency()

@@ -13,9 +13,10 @@ module maps positions to ends and edge ids.  Equal constituents on
 clusters of one size share one tuple, so every pass that depends only
 on the constituent (max_valency, the forest test, the writers' ends,
 color_by_strong's per-constituent coloring) runs once per distinct
-constituent.  Truncation checks the pairs it is given, once per
-distinct constituent; complete_truncation's own combinations tuples
-enter unchecked, by Truncation._trusted.  The producers
+constituent.  Truncation checks each pairs object it is given once per
+cluster size, and equal checked values share one tuple;
+complete_truncation's own combinations tuples enter unchecked, by
+Truncation._trusted.  The producers
 (complete_truncation, cyclic_truncation, arboreal_truncation and
 io.truncation_from_obj) hand over one shared tuple per distinct value,
 so Truncation checks each distinct value once and every other cluster
@@ -24,9 +25,10 @@ color list per cluster, in constituent order, and checked cluster by cluster
 (Truncation.first_cluster_clash runs coloring.cluster_clash once per
 distinct cluster), as `verify` checks them.  Writers and `verify` read
 the flat ends lazily from the clusters, one itemgetter per distinct
-constituent (Truncation.flat_ends); the flat graph itself, built on
-first access to Truncation.graph, serves only drawings, graph-level
-checks and naming a clash the cluster check found, as a graph file's is.
+constituent (Truncation.flat_ends).  The flat graph itself, built from
+flat_ends by Multigraph's constructor on first access to
+Truncation.graph, serves only drawings, graph-level checks and naming a
+clash the cluster check found, as a graph file's is.
 """
 
 from __future__ import annotations
@@ -71,11 +73,6 @@ def excise(g: Multigraph) -> Tuple[Dict[int, Tuple[int, int]], Dict[int, Tuple[i
         if not ends:
             raise GraphError(f"vertex {v} is isolated; truncation needs valency >= 1")
     return matching, {v: tuple(ends) for v, ends in clusters.items()}
-
-
-def _plain_pairs(pairs: Tuple[PositionPair, ...]) -> bool:
-    """Whether pairs are tuples of plain ints, by two whole-list passes."""
-    return set(map(type, pairs)) <= {tuple} and set(map(type, chain.from_iterable(pairs))) <= {int}
 
 
 def _ascending_and_simple(pairs: Tuple[PositionPair, ...], size: int) -> bool:
@@ -141,12 +138,10 @@ class Truncation:
             if v not in self.clusters:
                 raise GraphError(f"constituent given for unknown vertex {v}")
         self.constituents: Dict[int, Tuple[PositionPair, ...]] = {}
-        # One checked, sorted tuple per (value, cluster size), looked up
-        # once per pairs object and size; by_id keeps each raw object
-        # alive, so no id is reused while the memo lives.  A sorted value
-        # claims its entry with one hash; a new entry is checked, or given
-        # up for _normalize's pairs, and a value equal to a checked one
-        # needs only plain types: (0, True) equals and hashes as (0, 1).
+        # One checked, sorted tuple per (value, cluster size).  Each pairs
+        # object is checked once per size; by_id keeps it alive, so no id
+        # is reused while the memo lives.  Only checked values enter
+        # by_value, which shares equal ones.
         by_id: Dict[Tuple[int, int], Tuple[object, Tuple[PositionPair, ...]]] = {}
         by_value: Dict[Tuple[Tuple[PositionPair, ...], int], Tuple[PositionPair, ...]] = {}
         for v, ends in self.clusters.items():
@@ -155,19 +150,14 @@ class Truncation:
             key = (id(raw), size)
             if key not in by_id:
                 pairs = tuple(raw)
-                try:  # pairs that do not sort or hash go to _normalize
+                try:  # pairs that do not sort go to _normalize
                     ordered = tuple(sorted(pairs))
-                    shared = by_value.setdefault((ordered, size), ordered)
-                    fresh = shared is ordered
-                    ok = _ascending_and_simple(ordered, size) if fresh else _plain_pairs(pairs)
+                    ok = _ascending_and_simple(ordered, size)
                 except TypeError:
-                    fresh = ok = False
+                    ok = False
                 if not ok:
-                    if fresh:
-                        del by_value[(ordered, size)]
                     ordered = tuple(sorted(_normalize(f"constituent at vertex {v}", size, pairs)))
-                    shared = by_value.setdefault((ordered, size), ordered)
-                by_id[key] = (raw, shared)
+                by_id[key] = (raw, by_value.setdefault((ordered, size), ordered))
             self.constituents[v] = by_id[key][1]
         self._number_edges()
 
@@ -186,11 +176,14 @@ class Truncation:
     def _number_edges(self) -> None:
         # Flat ids: matching edges keep their source edge ids, and each
         # cluster's constituent edges take the next block, in vertex order.
+        # _firsts holds each distinct constituent tuple's first vertex.
         self._ids: Dict[int, range] = {}
+        self._firsts: Dict[int, int] = {}
         nxt = next(reversed(self.matching), -1) + 1
         for v, pairs in self.constituents.items():
             self._ids[v] = range(nxt, nxt + len(pairs))
             nxt += len(pairs)
+            self._firsts.setdefault(id(pairs), v)
         self._flat: Optional[Multigraph] = None
 
     # ---- flattened form ---- #
@@ -198,32 +191,14 @@ class Truncation:
     @property
     def graph(self) -> Multigraph:
         """The truncation as a plain multigraph on end vertices, built on
-        first access.  Matching edges keep their source edge ids;
-        constituent edges take the ids above, grouped by source vertex.
-
-        Built by Multigraph._trusted, without __init__'s checks, on what
-        excise and __init__ have already established: ends ascend with
-        their source edge ids, so the vertices come out sorted; within a
-        cluster they ascend with position, and every constituent pair is
-        (i, j) with 0 <= i < j < size and no repeat, so each flat pair
-        is sorted and loop-free; ids ascend from the matching through
-        the clusters in vertex order, so each end lists its matching
-        edge, then its constituent edges in ascending id, as __init__
-        would.
-        """
+        first access by Multigraph's constructor from flat_ends.  Matching
+        edges keep their source edge ids; constituent edges take the ids
+        above, grouped by source vertex."""
         if self._flat is None:
-            edges: Dict[int, Tuple[int, int]] = dict(self.matching)
-            inc: Dict[int, List[int]] = {
-                end: [end >> 1] for end in chain.from_iterable(self.matching.values())
-            }
-            for v, ends in self.clusters.items():
-                at = [inc[end] for end in ends]
-                for eid, (i, j) in zip(self._ids[v], self.constituents[v]):
-                    edges[eid] = (ends[i], ends[j])
-                    at[i].append(eid)
-                    at[j].append(eid)
-            incidence = {end: tuple(ids) for end, ids in inc.items()}
-            self._flat = Multigraph._trusted(tuple(inc), edges, incidence)
+            ids = chain(self.matching, chain.from_iterable(self._ids.values()))
+            ends = self.flat_ends()
+            vertices = chain.from_iterable(self.matching.values())
+            self._flat = Multigraph(vertices, dict(zip(ids, zip(ends, ends))))
         return self._flat
 
     def flat_ends(self) -> Iterator[int]:
@@ -260,11 +235,9 @@ class Truncation:
         """The first vertex, in vertex order, holding each distinct
         constituent tuple, keyed by the tuple's id.  A pass that depends
         only on the constituent runs on these vertices alone, and the
-        first of them that fails is the first vertex that fails."""
-        first: Dict[int, int] = {}
-        for v, pairs in self.constituents.items():
-            first.setdefault(id(pairs), v)
-        return first
+        first of them that fails is the first vertex that fails.  The
+        dict is built once, with the flat ids; callers must not mutate it."""
+        return self._firsts
 
     def max_valency(self) -> int:
         """The flat graph's maximum valency, read from the constituents,

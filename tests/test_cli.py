@@ -429,8 +429,9 @@ class TestDefaultBudget:
             ),
             # K5's 4-cycles are no forests, so each is searched in 2 colors.
             (["color-strong", "k5-cyclic"], "edge coloring search exceeded budget of 0 nodes"),
+            (["oracle", "petersen"], "edge coloring search exceeded budget of 0 nodes"),
         ],
-        ids=["color-complete", "cyclic-classone", "cyclic-enabling", "color-strong"],
+        ids=["color-complete", "cyclic-classone", "cyclic-enabling", "color-strong", "oracle"],
     )
     def test_a_small_default_leaves_a_search_undecided(
         self, capsys, tmp_path, monkeypatch, argv, message
@@ -441,12 +442,11 @@ class TestDefaultBudget:
         }
         monkeypatch.setattr(cli, "DEFAULT_BUDGET", 0)
         command, name, *rest = argv
-        assert run(capsys, command, files[name], *rest) == (2, None, f"undecided: {message}\n")
-
-    def test_a_small_default_leaves_the_oracle_undecided(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "DEFAULT_BUDGET", 1)
-        code, out, err = run(capsys, "oracle", write_graph(tmp_path, petersen()))
-        assert (code, out["decided"], err) == (2, False, "oracle undecided within budget\n")
+        code, out, err = run(capsys, command, files[name], *rest)
+        assert (code, err) == (2, f"undecided: {message}\n")
+        # The oracle alone also reports its bound so far on stdout.
+        undecided = {"decided": False, "lower_bound": 3, "nodes": 1}
+        assert out == (undecided if command == "oracle" else None)
 
 
 # A proper 5-coloring of K5, whose edges graph_to_obj lists as (0, 1),

@@ -1,10 +1,12 @@
 """Every imported name is used: read as a Name (an attribute chain's
 base is one) or listed in the module's __all__.  Every exported name
 is defined in its module and public, and has a reader outside the
-tests, or a stated reason to stay.  Stdlib only."""
+tests, or a stated reason to stay.  Every private helper has a reader
+in the package.  Stdlib only."""
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -127,3 +129,69 @@ def test_no_unused_imports(path):
 def test_the_scan_flags_an_unused_name_and_spares_exports():
     source = "import os, sys\nfrom a.b import c as d, e\n__all__ = ['e']\nprint(sys.path)\n"
     assert unused_imports(source) == [(1, "os"), (2, "d")]
+
+
+def unread_private(modules):
+    """Private (single-underscore) top-level functions, classes and
+    methods that no module reads outside their own def, as
+    "module:name" or "module:Class.name".  A read is a Name or an
+    attribute; an attribute of a package class's name, such as
+    C._m, reads only that class's method."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    classes = {n.name for t in trees.values() for n in t.body if isinstance(n, ast.ClassDef)}
+    reads = Counter()
+    for tree in trees.values():
+        reads.update(_reads(tree, classes))
+    out = set()
+    for name, tree in trees.items():
+        for owner, node in _defs(tree):
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                own = _reads(node, classes)
+                keys = {(None, node.name), (owner, node.name)}
+                if all(reads[key] == own[key] for key in keys):
+                    out.add(f"{name}:{owner + '.' if owner else ''}{node.name}")
+    return out
+
+
+def _defs(tree):
+    """(owner class or None, node) for each top-level def and class,
+    and each def or class in a top-level class's body."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            yield None, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((node.name, item) for item in node.body if isinstance(item, kinds))
+
+
+def _reads(tree, classes):
+    """Reads in tree, keyed (class, name) for an attribute of a name in
+    classes, else (None, name)."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[None, node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            base = node.value.id if isinstance(node.value, ast.Name) else None
+            out[base if base in classes else None, node.attr] += 1
+    return out
+
+
+def test_every_private_helper_is_read_in_the_package():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unread_private(modules) == set()
+
+
+def test_the_private_scan_flags_a_helper_without_a_reader():
+    modules = {
+        "a.py": "def _f(): return _f()\ndef _g(): pass\ndef __h(): pass\n"
+                "class _C:\n    def _m(self): pass\n    def _n(self): return self._m()\n"
+                "    def __init__(self): pass\n"
+                "class D:\n    def _t(self): pass\n"
+                "class E:\n    def _t(self): pass\n    def _u(self): pass\n",
+        "b.py": "from .a import _g\nx = _C()\ny = D._t(x)\nz = x._u()\n",
+    }
+    # _f reads only itself; an import binds _g but reads it nowhere; no
+    # one reads _n, and D._t reads D's method, not E's; x._u may be any
+    # class's _u.  Dunders are no private helpers.
+    assert unread_private(modules) == {"a.py:_f", "a.py:_g", "a.py:_C._n", "a.py:E._t"}

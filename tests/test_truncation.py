@@ -176,8 +176,10 @@ def shared_constituent_truncations(draw):
 
 
 class TestTrustedFlattening:
-    """Truncation.graph skips Multigraph.__init__'s checks; it must build
-    the same vertices, edge map (order included) and incidence."""
+    """Truncation.graph, built from flat_ends, must build the same
+    vertices, edge map (order included) and incidence as the reference
+    flattening of the clusters.  (The name dates from when it skipped
+    Multigraph.__init__'s checks; it is kept so the test ids stay.)"""
 
     def test_routes_truncations(self, rng):
         for _ in range(30):
@@ -232,7 +234,7 @@ class TestTrustedFlattening:
             for tr in (complete_truncation(x), cyclic_truncation(x, orders), arboreal_truncation(x)):
                 assert list(tr.flat_edges()) == list(tr.graph.edges.values())
 
-    def test_flattens_once_without_the_checked_constructor(self, monkeypatch):
+    def test_flattens_once(self, monkeypatch):
         tr = complete_truncation(k5())
         built = []
         init = Multigraph.__init__
@@ -243,7 +245,7 @@ class TestTrustedFlattening:
 
         monkeypatch.setattr(Multigraph, "__init__", counted)
         assert tr.graph is tr.graph
-        assert built == []
+        assert len(built) == 1
 
 
 class TestValidation:
@@ -349,8 +351,8 @@ class TestValidation:
             assert str(exc.value) == f"{path}: {message}"
 
     def test_each_distinct_value_is_checked_once(self, monkeypatch, tmp_path):
-        # Separate but equal pair lists take one whole check per value
-        # and cluster size; the others pass a plain-type pass only.
+        # The producers hand over one tuple per distinct value, so each
+        # value and cluster size takes one whole check.
         checked = []
         check = truncation_module._ascending_and_simple
 
@@ -448,23 +450,18 @@ def distinct_constituents(tr):
 class TestProducersShareTuples:
     """cyclic_truncation, arboreal_truncation and the loader hand
     Truncation one tuple per distinct value: the whole pair check runs
-    once per distinct (value, size), and no cluster needs the plain-type
-    pass that an equal but separate value takes."""
+    once per distinct (value, size).  Separate but equal lists from any
+    other caller are each checked, and still share one tuple."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"plain": 0, "checked": []}
-        plain, check = truncation_module._plain_pairs, truncation_module._ascending_and_simple
-
-        def counted_plain(pairs):
-            calls["plain"] += 1
-            return plain(pairs)
+        calls = {"checked": []}
+        check = truncation_module._ascending_and_simple
 
         def counted_check(pairs, size):
             calls["checked"].append((pairs, size))
             return check(pairs, size)
 
-        monkeypatch.setattr(truncation_module, "_plain_pairs", counted_plain)
         monkeypatch.setattr(truncation_module, "_ascending_and_simple", counted_check)
         return calls
 
@@ -486,7 +483,6 @@ class TestProducersShareTuples:
         tr = cyclic_truncation(x, orders)
         distinct = distinct_constituents(tr)
         assert len(distinct) < x.order  # some clusters repeat a cycle
-        assert calls["plain"] == 0
         assert sorted(calls["checked"]) == sorted(distinct)
         # The file spells out every cluster's pairs as its own lists.
         calls["checked"].clear()
@@ -494,7 +490,6 @@ class TestProducersShareTuples:
         path.write_text(json.dumps(truncation_to_obj(tr)))
         loaded = load_truncation(str(path))
         assert loaded.constituents == tr.constituents
-        assert calls["plain"] == 0
         assert sorted(calls["checked"]) == sorted(distinct)
 
     @pytest.mark.parametrize(
@@ -512,8 +507,25 @@ class TestProducersShareTuples:
         tr = arboreal_truncation(x)
         sizes = set(map(x.valency, x.vertices))
         assert len(set(map(id, tr.constituents.values()))) == len(sizes)
-        assert calls["plain"] == 0
         assert sorted(size for _, size in calls["checked"]) == sorted(sizes)
+
+    def test_separate_equal_lists_are_each_checked_and_share_one_tuple(self, calls):
+        # K4's clusters all have three positions: two lists, one value;
+        # vertices 2 and 3 share the one empty tuple.
+        tr = Truncation(k4(), {0: [(0, 1), (1, 2)], 1: [(0, 1), (1, 2)]})
+        assert calls["checked"] == [(((0, 1), (1, 2)), 3)] * 2 + [((), 3)]
+        assert tr.constituents[0] is tr.constituents[1]
+
+
+class TestRepresentatives:
+    @given(shared_constituent_truncations())
+    @settings(max_examples=100, deadline=None)
+    def test_first_vertex_of_each_tuple_built_once(self, tr):
+        first = {}
+        for v, pairs in tr.constituents.items():
+            first.setdefault(id(pairs), v)
+        assert tr.representatives() == first
+        assert tr.representatives() is tr.representatives()
 
 
 def shape(tr):
